@@ -18,6 +18,7 @@ from .errors import (
     EmptyCriteriaError,
     InputSignatureMismatchError,
     InvalidStateError,
+    ParseError,
     UnknownServiceError,
 )
 from .kb import DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri
@@ -34,6 +35,7 @@ from .registry import (
 )
 from .schema import (
     ATOMIC_KINDS,
+    _decimal,
     Condition,
     LocationAt,
     MaxDistance,
@@ -117,7 +119,10 @@ def parse_discovery_request(text: str) -> DiscoveryRequest:
         elif key == "output":
             outputs.extend(_request_name(v) for v in value.split(","))
         elif key.startswith("qos.") and key[4:] in _QOS_KEYS:
-            qos.append((key[4:], Decimal(value)))
+            try:
+                qos.append((key[4:], _decimal(value, 1)))
+            except ParseError:
+                raise EmptyCriteriaError(f"malformed criterion {word!r}") from None
         else:
             raise EmptyCriteriaError(f"unknown criterion {key!r}")
     io_signature = (tuple(inputs), tuple(outputs)) if inputs or outputs else None
@@ -361,9 +366,11 @@ class ServiceBroker:
         additions = [_substitute(p, env, require_ground=True) for p in record.profile.effects_add]
         removals = [_substitute(p, env, require_ground=True) for p in record.profile.effects_remove]
         kb = self.registry.kb
+        for pattern in additions:  # validate all before the first change
+            kb.check_statement(pattern.predicate, pattern.object)
         for pattern in removals:
             if pattern.predicate == TYPE_PRED:
-                kb.type_assertions.discard((pattern.subject, pattern.object))
+                kb.remove_type(pattern.subject, pattern.object)
             else:
                 kb.remove_statement(pattern.subject, pattern.predicate, pattern.object)
         for pattern in additions:

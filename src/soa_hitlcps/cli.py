@@ -16,7 +16,7 @@ from . import allocation, metrics
 from .broker import ServiceBroker, parse_discovery_request
 from .datafiles import base_kb_text
 from .errors import SoaHitlcpsError
-from .kb import parse_document, serialize
+from .kb import decode_document, parse_document, read_document, serialize
 from .query import evaluate, parse_query
 from .reasoner import (
     annotations_from_kb,
@@ -40,11 +40,10 @@ class _Usage(Exception):
 
 def _read(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    p = Path(path)
-    if not p.is_file():
+        return decode_document(sys.stdin.buffer.read())
+    if not Path(path).is_file():
         raise _Usage(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    return read_document(path)
 
 
 def _emit(args, text: str) -> None:
@@ -102,7 +101,7 @@ def _cmd_simulate(args) -> int:
     path = Path(args.scenario)
     if not path.is_file():
         raise _Usage(f"no such file: {args.scenario}")
-    scenario = load_scenario(path.read_text(encoding="utf-8"), path.parent)
+    scenario = load_scenario(read_document(path), path.parent)
     result = run_scenario(scenario)
     if args.trace:
         print(result.trace.to_tsv(), end="")

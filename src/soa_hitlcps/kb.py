@@ -28,6 +28,15 @@ conflicting ones are errors.  Serialization is deterministic: equal knowledge
 bases serialize to identical bytes, and ``parse_document(serialize(kb))``
 reproduces ``kb`` exactly.
 
+Every graph write goes through ``KnowledgeBase`` methods (``add_type``,
+``remove_type``, ``add_statement``, ``remove_statement``); nothing else adds
+to or discards from ``statements`` or ``type_assertions``.  Those two sets
+are the only source of truth.  Reads go through hash indexes from subject,
+predicate and object to the statements holding them (a type assertion is
+indexed as the statement ``individual TYPE_PRED class``).  The indexes are
+derived data: built on the first read, kept current by the write methods
+from then on, and copied bucket by bucket with the knowledge base.
+
 The structure is single-writer: no internal locking is performed.
 """
 
@@ -36,6 +45,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from pathlib import Path
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -257,6 +267,9 @@ class KnowledgeBase:
     annotations: dict = field(default_factory=dict)  # Iri -> MetaAnnotation
     type_assertions: set = field(default_factory=set)  # {(individual, class)}
     statements: set = field(default_factory=set)
+    # (by subject, by predicate, by object): term -> set of Statements; None
+    # until the first read builds it
+    _index: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     # -- declarations ------------------------------------------------------
 
@@ -323,19 +336,37 @@ class KnowledgeBase:
     def add_type(self, individual: Iri, cls: Iri) -> None:
         self.class_decls.add(cls)
         self.type_assertions.add((individual, cls))
+        if self._index is not None:
+            _index_add(self._index, Statement(individual, TYPE_PRED, cls))
 
-    def add_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
+    def remove_type(self, individual: Iri, cls: Iri) -> None:
+        self.type_assertions.discard((individual, cls))
+        if self._index is not None:
+            _index_discard(self._index, Statement(individual, TYPE_PRED, cls))
+
+    def check_statement(self, predicate: Iri, obj: Term) -> None:
+        """Raise unless ``add_statement`` accepts this predicate and object."""
         if predicate == TYPE_PRED:
             if not isinstance(obj, Iri):
                 raise DeclarationConflictError("type assertions require a class Iri object")
+        elif predicate not in self.property_decls:
+            raise DeclarationConflictError(f"fact uses undeclared property {predicate}")
+
+    def add_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
+        self.check_statement(predicate, obj)
+        if predicate == TYPE_PRED:
             self.add_type(subject, obj)
             return
-        if predicate not in self.property_decls:
-            raise DeclarationConflictError(f"fact uses undeclared property {predicate}")
-        self.statements.add(Statement(subject, predicate, obj))
+        stmt = Statement(subject, predicate, obj)
+        self.statements.add(stmt)
+        if self._index is not None:
+            _index_add(self._index, stmt)
 
     def remove_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
-        self.statements.discard(Statement(subject, predicate, obj))
+        stmt = Statement(subject, predicate, obj)
+        self.statements.discard(stmt)
+        if self._index is not None:
+            _index_discard(self._index, stmt)
 
     # -- views -------------------------------------------------------------
 
@@ -345,12 +376,18 @@ class KnowledgeBase:
             yield Statement(individual, TYPE_PRED, cls)
         yield from self.statements
 
+    def statements_about(self, subject: Iri):
+        """Every edge with this subject, type assertions included.
+
+        The result is the index's own bucket: read it, never mutate it.
+        """
+        return self._indexes()[0].get(subject, _NO_STATEMENTS)
+
     def types_of(self, individual: Iri) -> set:
-        return {cls for ind, cls in self.type_assertions if ind == individual}
+        return {s.object for s in self.statements_about(individual) if s.predicate == TYPE_PRED}
 
     def individuals(self) -> set:
-        subjects = {s.subject for s in self.statements}
-        return subjects | {ind for ind, _ in self.type_assertions}
+        return set(self._indexes()[0])
 
     def superclasses(self, cls: Iri) -> set:
         """Transitive ancestors of ``cls`` via subclass links."""
@@ -371,9 +408,16 @@ class KnowledgeBase:
         variable-name order.  A fully-constant pattern yields one empty map
         when the triple is present.
         """
+        buckets = []
+        for term, by_term in zip((pattern.subject, pattern.predicate, pattern.object), self._indexes()):
+            if not isinstance(term, Var):
+                bucket = by_term.get(term)
+                if bucket is None:
+                    return []
+                buckets.append(bucket)
         results = []
         seen = set()
-        for stmt in self.triples():
+        for stmt in min(buckets, key=len) if buckets else self.triples():
             binding = _unify(pattern, stmt)
             if binding is None:
                 continue
@@ -384,10 +428,18 @@ class KnowledgeBase:
         results.sort(key=lambda b: tuple(term_sort_key(b[name]) for name in sorted(b)))
         return results
 
+    def _indexes(self) -> tuple:
+        if self._index is None:
+            index = ({}, {}, {})
+            for stmt in self.triples():
+                _index_add(index, stmt)
+            self._index = index
+        return self._index
+
     # -- bookkeeping -------------------------------------------------------
 
     def copy(self) -> "KnowledgeBase":
-        return KnowledgeBase(
+        out = KnowledgeBase(
             prefixes=dict(self.prefixes),
             class_decls=set(self.class_decls),
             property_decls=dict(self.property_decls),
@@ -398,6 +450,11 @@ class KnowledgeBase:
             type_assertions=set(self.type_assertions),
             statements=set(self.statements),
         )
+        if self._index is not None:
+            out._index = tuple(
+                {term: set(bucket) for term, bucket in by_term.items()} for by_term in self._index
+            )
+        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeBase):
@@ -452,12 +509,50 @@ def _unify(pattern: Pattern, stmt: Statement) -> Optional[dict]:
     return binding
 
 
-def match_pattern(kb: KnowledgeBase, pattern: Pattern) -> list[dict]:
-    return kb.match(pattern)
+_NO_STATEMENTS: frozenset = frozenset()
+
+
+def _index_add(index: tuple, stmt: Statement) -> None:
+    for term, by_term in zip((stmt.subject, stmt.predicate, stmt.object), index):
+        bucket = by_term.get(term)
+        if bucket is None:
+            by_term[term] = {stmt}
+        else:
+            bucket.add(stmt)
+
+
+def _index_discard(index: tuple, stmt: Statement) -> None:
+    for term, by_term in zip((stmt.subject, stmt.predicate, stmt.object), index):
+        bucket = by_term.get(term)
+        if bucket is not None:
+            bucket.discard(stmt)
+            if not bucket:
+                del by_term[term]
 
 
 # --------------------------------------------------------------------------
 # Parsing
+
+
+def decode_document(data: bytes) -> str:
+    """UTF-8 text with universal newlines, as ``Path.read_text`` gives it.
+
+    A byte sequence that is not UTF-8 is a :class:`ParseError` at its line
+    and byte column.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        column = err.start - data.rfind(b"\n", 0, err.start)
+        raise ParseError(line, column, "UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_document(path) -> str:
+    """The text of a UTF-8 file (see :func:`decode_document`)."""
+    return decode_document(Path(path).read_bytes())
+
 
 _TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[()]|[^\s()"]+')
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")

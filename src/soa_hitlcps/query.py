@@ -336,15 +336,18 @@ def _resolve_pattern(pattern: QueryPattern, kb: KnowledgeBase) -> Pattern:
     return Pattern(conv(pattern.subject), conv(pattern.predicate), conv(pattern.object))
 
 
-def _filter_holds(expr: FilterExpr, binding: dict, kb: KnowledgeBase) -> bool:
+def _compile_filter(expr: FilterExpr, kb: KnowledgeBase):
+    """A test over one binding, with every constant resolved once."""
     if isinstance(expr, Eq):
-        return binding[expr.var] == resolve_name(expr.value, kb)
+        var, value = expr.var, resolve_name(expr.value, kb)
+        return lambda binding: binding[var] == value
     if isinstance(expr, InSet):
-        resolved = {resolve_name(v, kb) for v in expr.values}
-        return binding[expr.var] in resolved
+        var, values = expr.var, {resolve_name(v, kb) for v in expr.values}
+        return lambda binding: binding[var] in values
+    parts = [_compile_filter(p, kb) for p in expr.parts]
     if isinstance(expr, And):
-        return all(_filter_holds(p, binding, kb) for p in expr.parts)
-    return any(_filter_holds(p, binding, kb) for p in expr.parts)
+        return lambda binding: all(test(binding) for test in parts)
+    return lambda binding: any(test(binding) for test in parts)
 
 
 def _substitute(pattern: Pattern, binding: dict) -> Pattern:
@@ -357,8 +360,19 @@ def _substitute(pattern: Pattern, binding: dict) -> Pattern:
 
 
 def evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
-    """Run ``ast`` against ``kb`` (materialize first if inference matters)."""
+    """Run ``ast`` against ``kb`` (materialize first if inference matters).
+
+    Each conjunct of a top-level ``&&`` FILTER (or the whole FILTER when it
+    is a single comparison or an ``||``) is applied right after the pattern
+    that binds the last of its variables, so it narrows the later joins.
+    """
     patterns = [_resolve_pattern(p, kb) for p in ast.patterns]
+    if ast.filter is None:
+        conjuncts = ()
+    else:
+        conjuncts = ast.filter.parts if isinstance(ast.filter, And) else (ast.filter,)
+    pending = [(_filter_vars(c), _compile_filter(c, kb)) for c in conjuncts]
+    bound: set = set()
     bindings = [dict()]
     for pattern in patterns:
         next_bindings = []
@@ -367,11 +381,13 @@ def evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
                 merged = dict(binding)
                 merged.update(extension)
                 next_bindings.append(merged)
-        bindings = next_bindings
+        bound.update(pattern.variables())
+        ready = [test for needs, test in pending if needs <= bound]
+        pending = [(needs, test) for needs, test in pending if not needs <= bound]
+        bindings = [b for b in next_bindings if all(test(b) for test in ready)]
         if not bindings:
             break
-    if ast.filter is not None:
-        bindings = [b for b in bindings if _filter_holds(ast.filter, b, kb)]
+    bindings = [b for b in bindings if all(test(b) for _, test in pending)]
     rows = {tuple(b[v] for v in ast.projected) for b in bindings}
     ordered = tuple(sorted(rows, key=lambda row: tuple(term_sort_key(v) for v in row)))
     return ResultTable(tuple(ast.projected), ordered)

@@ -26,6 +26,7 @@ from .kb import (
     MetaAnnotation,
     NamedClass,
     SomeValues,
+    TYPE_PRED,
     term_sort_key,
 )
 
@@ -34,10 +35,11 @@ def _satisfies(kb: KnowledgeBase, individual: Iri, expr: ClassExpr) -> bool:
     if isinstance(expr, NamedClass):
         return (individual, expr.iri) in kb.type_assertions
     if isinstance(expr, SomeValues):
-        for stmt in kb.statements:
+        if expr.prop == TYPE_PRED:
+            return False  # type assertions are not facts
+        for stmt in kb.statements_about(individual):
             if (
-                stmt.subject == individual
-                and stmt.predicate == expr.prop
+                stmt.predicate == expr.prop
                 and isinstance(stmt.object, Iri)
                 and (stmt.object, expr.filler) in kb.type_assertions
             ):
@@ -62,7 +64,7 @@ def materialize(kb: KnowledgeBase) -> KnowledgeBase:
         for individual, cls in list(out.type_assertions):
             for child, parent in out.subclass_links:
                 if child == cls and (individual, parent) not in out.type_assertions:
-                    out.type_assertions.add((individual, parent))
+                    out.add_type(individual, parent)
                     changed = True
         # axiom application
         candidates = sorted(out.individuals(), key=term_sort_key)
@@ -71,7 +73,7 @@ def materialize(kb: KnowledgeBase) -> KnowledgeBase:
                 if (individual, axiom.head) in out.type_assertions:
                     continue
                 if _satisfies(out, individual, axiom.body):
-                    out.type_assertions.add((individual, axiom.head))
+                    out.add_type(individual, axiom.head)
                     changed = True
     return out
 

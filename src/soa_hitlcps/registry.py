@@ -268,8 +268,7 @@ class ServiceRegistry:
     def _project_experience(self, record: ExperienceRecord, provider: Iri, index: int) -> None:
         ensure_plumbing(self.kb)
         node = Iri(record.service.prefix, f"{record.service.local}Exp{index}")
-        existing = self.kb.individuals()
-        while node in existing:
+        while self.kb.statements_about(node):
             index += 1
             node = Iri(record.service.prefix, f"{record.service.local}Exp{index}")
         self.kb.add_type(node, iri("Experience"))

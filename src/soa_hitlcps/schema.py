@@ -477,9 +477,12 @@ def _int(word: str, lineno: int) -> int:
 
 def _decimal(word: str, lineno: int) -> Decimal:
     try:
-        return Decimal(word)
+        value = Decimal(word)
     except InvalidOperation:
+        value = None
+    if value is None or value.is_nan():  # NaN cannot be compared with a bound
         raise ParseError(lineno, 1, "a decimal")
+    return value
 
 
 def parse_human_capability(text: str):

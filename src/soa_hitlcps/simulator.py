@@ -20,9 +20,11 @@ from typing import Optional
 
 from .broker import DiscoveryRequest, ServiceBroker
 from .errors import NoCompletedInvocationError, ParseError, UnknownNodeError, UnknownServiceError
-from .kb import Iri, Pattern, Var, iri
+from .kb import Iri, Pattern, Var, iri, read_document
 from .registry import RUNNING, ServiceRegistry
 from .schema import (
+    _decimal,
+    _int,
     parse_human_capability,
     parse_machine_capability,
     parse_service_profile,
@@ -175,7 +177,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
         keyword = words[0]
         if keyword == "NODE" and len(words) == 4 and words[2] in (HUMAN, MACHINE):
             node = _name(words[1])
-            cap_text = (base_dir / words[3]).read_text(encoding="utf-8")
+            cap_text = read_document(base_dir / words[3])
             if words[2] == HUMAN:
                 cap, contexts = parse_human_capability(cap_text)
                 registry.register_human(node, cap, contexts)
@@ -184,7 +186,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
                 registry.register_machine(node, cap, contexts)
             nodes[node] = NodeLoop(node=node, kind=words[2])
         elif keyword == "SERVICE" and len(words) == 2:
-            profile_text = (base_dir / words[1]).read_text(encoding="utf-8")
+            profile_text = read_document(base_dir / words[1])
             profile, provider = parse_service_profile(profile_text)
             if provider is None:
                 raise ParseError(lineno, 1, "a PROVIDER line in the profile")
@@ -197,7 +199,10 @@ def load_scenario(text: str, base_dir) -> Scenario:
             conditions = tuple(_split_kv(words[3], lineno))
             action = words[5]
             params = tuple(_split_kv(" ".join(words[6:]), lineno, sep=" ")) if len(words) > 6 else ()
-            pending_rules.append((lineno, node, Rule(conditions, action, params)))
+            rule = Rule(conditions, action, params)
+            if rule.param("rating") is not None:
+                _decimal(rule.param("rating"), lineno)  # a bad rating fails the load, not the run
+            pending_rules.append((lineno, node, rule))
         elif keyword == "AT" and len(words) >= 3 and words[2] in _EVENT_KINDS:
             time = _int(words[1], lineno)
             events.append(_parse_event(time, seq, words[2], words[3:], lineno))
@@ -212,13 +217,6 @@ def load_scenario(text: str, base_dir) -> Scenario:
             raise UnknownNodeError(str(node))
         loop.rules = loop.rules + (rule,)
     return Scenario(registry=registry, nodes=nodes, events=events, expectations=expectations)
-
-
-def _int(word: str, lineno: int) -> int:
-    try:
-        return int(word)
-    except ValueError:
-        raise ParseError(lineno, 1, "an integer")
 
 
 def _split_kv(text: str, lineno: int, sep: str = ","):
@@ -582,5 +580,5 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
 
 def load_and_run(path) -> ScenarioResult:
     path = Path(path)
-    scenario = load_scenario(path.read_text(encoding="utf-8"), path.parent)
+    scenario = load_scenario(read_document(path), path.parent)
     return run_scenario(scenario)

@@ -14,12 +14,13 @@ from soa_hitlcps.broker import (
     parse_discovery_request,
 )
 from soa_hitlcps.errors import (
+    DeclarationConflictError,
     EmptyCriteriaError,
     InputSignatureMismatchError,
     InvalidStateError,
     UnknownServiceError,
 )
-from soa_hitlcps.kb import Pattern, iri, string
+from soa_hitlcps.kb import Pattern, iri, serialize, string
 from soa_hitlcps.query import And, Eq, InSet, QueryName, QueryPattern, Var, parse_query, query_equivalent
 from soa_hitlcps.registry import COMPLETED, FAILED, REJECTED, RUNNING, ServiceRegistry
 from soa_hitlcps.schema import parse_human_capability, parse_service_profile
@@ -354,6 +355,27 @@ def test_effect_removal():
     invocation = broker.invoke(iri("dequeue"), iri("Erin"), {"patient": iri("Adam")})
     broker.complete_invocation(invocation)
     assert not registry.kb.match(Pattern(iri("Adam"), iri("performs"), iri("waiting")))
+
+
+def test_failed_effects_leave_the_graph_unchanged():
+    registry, broker = build_world()
+    registry.kb.add_statement(iri("Adam"), iri("consumes"), iri("oldService"))
+    profile, _ = parse_service_profile(
+        "SERVICE swap\nKIND processing\n"
+        "EFFECT DEL ?consumer consumes oldService\n"
+        "EFFECT ADD ?consumer undeclaredProp David\n"
+        "QOS reputation=4\n"
+    )
+    registry.publish_service(profile, iri("David"))
+    invocation = broker.invoke(iri("swap"), iri("Adam"))
+    before = serialize(registry.kb)
+    with pytest.raises(DeclarationConflictError):
+        broker.complete_invocation(invocation)
+    assert serialize(registry.kb) == before
+    assert invocation.status == RUNNING
+    broker.complete_invocation(invocation, outcome=FAILED)
+    assert invocation.status == FAILED
+    assert serialize(registry.kb) == before
 
 
 def test_complete_requires_running():

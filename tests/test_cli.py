@@ -124,6 +124,13 @@ def test_discover_rejects_empty_criteria(world_kb, capsys):
     assert "EmptyCriteriaError" in capsys.readouterr().err
 
 
+def test_discover_malformed_qos_bound_is_domain_error(world_kb, capsys):
+    for bound in ("abc", "NaN"):
+        assert main(["discover", str(world_kb), f"DISCOVER qos.max_cost={bound}"]) == 1
+        err = capsys.readouterr().err
+        assert "EmptyCriteriaError" in err and "Traceback" not in err
+
+
 # -- simulate --------------------------------------------------------------------
 
 
@@ -153,6 +160,33 @@ def test_simulate_failed_expectation_exits_one(tmp_path, capsys):
     assert main(["simulate", str(scn)]) == 1
     captured = capsys.readouterr()
     assert "EXPECT COUNT answer 1: failed" in captured.err
+
+
+def test_simulate_malformed_rating_is_domain_error(tmp_path, capsys):
+    (tmp_path / "n.cap").write_text("PERFORMANCE Dependability 3\n", encoding="utf-8")
+    scn = tmp_path / "bad_rating.scn"
+    scn.write_text(
+        "NODE Nia HUMAN n.cap\n"
+        "RULE Nia WHEN event=signal THEN rate service=nothing rating=x\n"
+        "AT 1 SIGNAL Nia ping\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", str(scn)]) == 1
+    err = capsys.readouterr().err
+    assert "ParseError: line 2" in err and "Traceback" not in err
+
+
+def test_non_utf8_input_is_domain_error(tmp_path, capsys):
+    kb = tmp_path / "latin1.kb"
+    kb.write_bytes("CLASS Human\nCLASS Caf\u00e9\n".encode("latin-1"))
+    assert main(["validate", str(kb)]) == 1
+    err = capsys.readouterr().err
+    assert "ParseError: line 2, column 10" in err and "Traceback" not in err
+    scn = tmp_path / "latin1.scn"
+    scn.write_bytes("# caf\u00e9\n".encode("latin-1"))
+    assert main(["simulate", str(scn)]) == 1
+    err = capsys.readouterr().err
+    assert "ParseError: line 1" in err and "Traceback" not in err
 
 
 # -- loa ---------------------------------------------------------------------------

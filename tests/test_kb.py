@@ -27,7 +27,6 @@ from soa_hitlcps.kb import (
     decimal,
     integer,
     iri,
-    match_pattern,
     parse_document,
     serialize,
     string,
@@ -147,15 +146,15 @@ def test_match_pattern_examples():
         "INDIVIDUAL s1 TYPE Service\nINDIVIDUAL s2 TYPE Service\n"
         "FACT s1 providedBy David\nFACT s2 providedBy Sisy\n"
     )
-    rows = match_pattern(kb, Pattern(Var("s"), iri("providedBy"), Var("p")))
+    rows = kb.match(Pattern(Var("s"), iri("providedBy"), Var("p")))
     assert [(b["s"], b["p"]) for b in rows] == [
         (iri("s1"), iri("David")),
         (iri("s2"), iri("Sisy")),
     ]
     # fully constant pattern present in kb -> one empty binding
-    assert match_pattern(kb, Pattern(iri("s1"), iri("providedBy"), iri("David"))) == [{}]
+    assert kb.match(Pattern(iri("s1"), iri("providedBy"), iri("David"))) == [{}]
     # type assertions are matchable triples
-    rows = match_pattern(kb, Pattern(Var("x"), TYPE_PRED, iri("Service")))
+    rows = kb.match(Pattern(Var("x"), TYPE_PRED, iri("Service")))
     assert [b["x"] for b in rows] == [iri("s1"), iri("s2")]
 
 
@@ -164,7 +163,7 @@ def test_match_pattern_repeated_variable():
     kb.add_property(iri("knows"), iri("Human"), iri("Human"))
     kb.add_statement(iri("a"), iri("knows"), iri("a"))
     kb.add_statement(iri("a"), iri("knows"), iri("b"))
-    rows = match_pattern(kb, Pattern(Var("x"), iri("knows"), Var("x")))
+    rows = kb.match(Pattern(Var("x"), iri("knows"), Var("x")))
     assert rows == [{"x": iri("a")}]
 
 
@@ -222,6 +221,80 @@ def test_match_pattern_against_bruteforce_oracle():
             return rng.choice(terms)
         pattern = Pattern(pick_term(), pick_term(), pick_term())
         assert kb.match(pattern) == _oracle_match(kb, pattern)
+
+
+def _scan_types_of(kb: KnowledgeBase, individual: Iri) -> set:
+    return {s.object for s in kb.triples() if s.subject == individual and s.predicate == TYPE_PRED}
+
+
+def _scan_individuals(kb: KnowledgeBase) -> set:
+    return {s.subject for s in kb.triples()}
+
+
+def _mutate(rng: random.Random, kb: KnowledgeBase, inds, props, classes, objects) -> None:
+    roll = rng.random()
+    if roll < 0.3:
+        kb.add_statement(rng.choice(inds), rng.choice(props), rng.choice(objects))
+    elif roll < 0.5:
+        kb.add_type(rng.choice(inds), rng.choice(classes))
+    elif roll < 0.75:
+        present = sorted(kb.statements, key=str)
+        if present and rng.random() < 0.8:
+            s = rng.choice(present)
+            kb.remove_statement(s.subject, s.predicate, s.object)
+        else:
+            kb.remove_statement(rng.choice(inds), rng.choice(props), rng.choice(objects))
+    else:
+        present = sorted(kb.type_assertions, key=str)
+        if present and rng.random() < 0.8:
+            kb.remove_type(*rng.choice(present))
+        else:
+            kb.remove_type(rng.choice(inds), rng.choice(classes))
+
+
+def _assert_index_agrees_with_scan(rng: random.Random, kb: KnowledgeBase, vocabulary) -> None:
+    for _ in range(4):
+        pattern = Pattern(*(Var(rng.choice("xyz")) if rng.random() < 0.5 else rng.choice(vocabulary)
+                            for _ in range(3)))
+        assert kb.match(pattern) == _oracle_match(kb, pattern)
+    for term in vocabulary:
+        if isinstance(term, Iri):
+            assert kb.types_of(term) == _scan_types_of(kb, term)
+    assert kb.individuals() == _scan_individuals(kb)
+
+
+@pytest.mark.parametrize("index_first", [True, False], ids=["index-built-first", "index-built-last"])
+def test_index_agrees_with_scan_under_random_mutation(index_first):
+    """Interleaved writes and copies on the original and its copies.
+
+    With ``index_first`` every graph is read after every step, so writes and
+    copies work on built indexes; otherwise nothing is read until the end and
+    each index is built from the final state.
+    """
+    rng = random.Random(4021 if index_first else 4022)
+    inds = [iri(f"i{i}") for i in range(8)]
+    props = [iri(f"p{i}") for i in range(5)]
+    classes = [iri(f"C{i}") for i in range(4)]
+    objects = inds + [integer(1), integer(7), decimal("2.5"), string("x")]
+    vocabulary = objects + props + classes + [TYPE_PRED]
+    for _ in range(40):
+        kb = _random_kb(rng)
+        for prop in props:
+            if prop not in kb.property_decls:
+                kb.add_property(prop, classes[0], classes[-1])
+        if index_first:
+            _assert_index_agrees_with_scan(rng, kb, vocabulary)
+        graphs = [kb]
+        for _ in range(25):
+            if rng.random() < 0.15:
+                graphs.append(rng.choice(graphs).copy())
+            else:
+                _mutate(rng, rng.choice(graphs), inds, props, classes, objects)
+            if index_first:
+                for graph in graphs:
+                    _assert_index_agrees_with_scan(rng, graph, vocabulary)
+        for graph in graphs:
+            _assert_index_agrees_with_scan(rng, graph, vocabulary)
 
 
 def _random_full_kb(rng: random.Random) -> KnowledgeBase:

@@ -138,6 +138,12 @@ def test_unknown_prefix_reported_at_evaluation_time():
         evaluate(KnowledgeBase(), ast)
 
 
+def test_unknown_filter_prefix_reported_without_any_row():
+    ast = parse_query("SELECT ?x WHERE { ?x a Service FILTER (?x=nosuch:thing) }")
+    with pytest.raises(UnknownPrefixError):
+        evaluate(KnowledgeBase(), ast)
+
+
 def test_prefix_resolution_uses_target_kb():
     kb = parse_document(
         "@prefix med: http://example.org/med#\n"
