@@ -38,7 +38,6 @@ from .schema import (
     _decimal,
     Condition,
     LocationAt,
-    MaxDistance,
     TimeWindow,
 )
 
@@ -199,11 +198,23 @@ class RankedService:
 class ServiceBroker:
     registry: ServiceRegistry
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
+    # (kb, kb.version, closure) of the last rebuild.  Every read until the
+    # graph changes shares that closure, so nothing may mutate it.
+    _cache: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
+
+    def _closure(self) -> KnowledgeBase:
+        """The materialized registry graph, rebuilt only when the graph changed."""
+        kb = self.registry.kb
+        cached_kb, version, closed = self._cache
+        if cached_kb is not kb or version != kb.version:
+            closed = materialize(kb)
+            self._cache = (kb, kb.version, closed)
+        return closed
 
     # -- discovery -------------------------------------------------------------
 
     def discover(self, request: DiscoveryRequest, now: Optional[int] = None):
-        closed = materialize(self.registry.kb)
+        closed = self._closure()
         table = evaluate(closed, compile_request(request))
         candidates = sorted({row[0] for row in table.rows if isinstance(row[0], Iri)})
         ranked = []
@@ -256,15 +267,24 @@ class ServiceBroker:
             return False
         return set(wanted_outputs) <= {p.type for p in profile.outputs}
 
-    def _limitations_hold(self, closed: KnowledgeBase, record, now: Optional[int]) -> bool:
+    def _limitations_hold(self, closed: KnowledgeBase, record, now: Optional[int],
+                          consumer: Optional[Iri] = None) -> bool:
         for limitation in record.profile.limitations:
             if isinstance(limitation, TimeWindow):
                 if now is not None and not limitation.start <= now <= limitation.end:
                     return False
-            elif isinstance(limitation, Condition):
-                if not closed.match(limitation.pattern):
-                    return False
-            # LocationAt/MaxDistance need a consumer position; checked at invoke
+                continue
+            if isinstance(limitation, Condition):
+                pattern = limitation.pattern
+            elif consumer is None:
+                continue  # LocationAt/MaxDistance need a consumer position; checked at invoke
+            elif isinstance(limitation, LocationAt):
+                pattern = Pattern(consumer, iri("hasContext"), limitation.location)
+            else:
+                # MaxDistance, by co-location proxy: the consumer shares the anchor context
+                pattern = Pattern(consumer, iri("hasContext"), limitation.anchor)
+            if not closed.match(pattern):
+                return False
         return True
 
     def _qos_holds(self, record, qos_constraints) -> bool:
@@ -294,7 +314,7 @@ class ServiceBroker:
             raise InputSignatureMismatchError(
                 f"expected inputs {sorted(expected)}, got {sorted(inputs)}"
             )
-        closed = materialize(self.registry.kb)
+        closed = self._closure()
         for parameter in profile.inputs:
             value = inputs[parameter.name]
             if isinstance(value, Iri) and parameter.type not in closed.types_of(value):
@@ -305,7 +325,7 @@ class ServiceBroker:
         invocation.started_at = now
         if self.registry.running_count(service) >= profile.degree_of_parallelism:
             return self._reject(invocation, "at_capacity")
-        if not self._invoke_limitations_hold(closed, record, consumer, now):
+        if not self._limitations_hold(closed, record, now, consumer):
             return self._reject(invocation, "limitation")
         env = {"consumer": consumer}
         env.update(inputs)
@@ -326,25 +346,6 @@ class ServiceBroker:
         invocation.status = REJECTED
         invocation.reason = reason
         return invocation
-
-    def _invoke_limitations_hold(self, closed, record, consumer: Iri, now: Optional[int]) -> bool:
-        for limitation in record.profile.limitations:
-            if isinstance(limitation, TimeWindow):
-                if now is not None and not limitation.start <= now <= limitation.end:
-                    return False
-            elif isinstance(limitation, LocationAt):
-                here = Pattern(consumer, iri("hasContext"), limitation.location)
-                if not closed.match(here):
-                    return False
-            elif isinstance(limitation, MaxDistance):
-                # co-location proxy: the consumer must share the anchor context
-                near = Pattern(consumer, iri("hasContext"), limitation.anchor)
-                if not closed.match(near):
-                    return False
-            elif isinstance(limitation, Condition):
-                if not closed.match(limitation.pattern):
-                    return False
-        return True
 
     def complete_invocation(self, invocation: Invocation, outcome: str = COMPLETED,
                             rating: Optional[Decimal] = None, timestamp: int = 0) -> None:

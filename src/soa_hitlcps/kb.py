@@ -35,7 +35,10 @@ are the only source of truth.  Reads go through hash indexes from subject,
 predicate and object to the statements holding them (a type assertion is
 indexed as the statement ``individual TYPE_PRED class``).  The indexes are
 derived data: built on the first read, kept current by the write methods
-from then on, and copied bucket by bucket with the knowledge base.
+from then on, and copied bucket by bucket with the knowledge base.  Every
+write method, declarations included, also bumps the integer ``version``;
+data derived elsewhere (such as the broker's closure) is keyed on the
+knowledge base object and its version, and is stale once either differs.
 
 The structure is single-writer: no internal locking is performed.
 """
@@ -270,19 +273,24 @@ class KnowledgeBase:
     # (by subject, by predicate, by object): term -> set of Statements; None
     # until the first read builds it
     _index: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # bumped by every write method: the key for data derived from the graph
+    version: int = field(default=0, init=False, repr=False, compare=False)
 
     # -- declarations ------------------------------------------------------
 
     def add_prefix(self, name: str, expansion: str) -> None:
+        self.version += 1
         existing = self.prefixes.get(name)
         if existing is not None and existing != expansion:
             raise DeclarationConflictError(f"prefix {name!r} redeclared with a different expansion")
         self.prefixes[name] = expansion
 
     def add_class(self, cls: Iri) -> None:
+        self.version += 1
         self.class_decls.add(cls)
 
     def add_subclass(self, child: Iri, parent: Iri) -> None:
+        self.version += 1
         self.class_decls.add(child)
         self.class_decls.add(parent)
         if (child, parent) in self.subclass_links:
@@ -292,6 +300,7 @@ class KnowledgeBase:
         self.subclass_links.add((child, parent))
 
     def add_property(self, prop: Iri, domain: Iri, range_: Iri) -> None:
+        self.version += 1
         existing = self.property_decls.get(prop)
         if existing is not None and existing != (domain, range_):
             raise DeclarationConflictError(f"property {prop} redeclared with a different signature")
@@ -300,18 +309,21 @@ class KnowledgeBase:
         self.class_decls.add(range_)
 
     def add_disjoint(self, a: Iri, b: Iri) -> None:
+        self.version += 1
         self.class_decls.add(a)
         self.class_decls.add(b)
         self.disjoint_pairs.add((a, b))
         self.disjoint_pairs.add((b, a))
 
     def add_axiom(self, axiom: ClassAxiom) -> None:
+        self.version += 1
         self._check_expr_declared(axiom.body)
         self.class_decls.add(axiom.head)
         if axiom not in self.axioms:
             self.axioms.append(axiom)
 
     def add_annotation(self, ann: MetaAnnotation) -> None:
+        self.version += 1
         existing = self.annotations.get(ann.cls)
         if existing is not None and existing != ann:
             raise DeclarationConflictError(f"conflicting META annotations for {ann.cls}")
@@ -334,12 +346,14 @@ class KnowledgeBase:
     # -- assertions --------------------------------------------------------
 
     def add_type(self, individual: Iri, cls: Iri) -> None:
+        self.version += 1
         self.class_decls.add(cls)
         self.type_assertions.add((individual, cls))
         if self._index is not None:
             _index_add(self._index, Statement(individual, TYPE_PRED, cls))
 
     def remove_type(self, individual: Iri, cls: Iri) -> None:
+        self.version += 1
         self.type_assertions.discard((individual, cls))
         if self._index is not None:
             _index_discard(self._index, Statement(individual, TYPE_PRED, cls))
@@ -353,6 +367,7 @@ class KnowledgeBase:
             raise DeclarationConflictError(f"fact uses undeclared property {predicate}")
 
     def add_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
+        self.version += 1
         self.check_statement(predicate, obj)
         if predicate == TYPE_PRED:
             self.add_type(subject, obj)
@@ -363,6 +378,7 @@ class KnowledgeBase:
             _index_add(self._index, stmt)
 
     def remove_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
+        self.version += 1
         stmt = Statement(subject, predicate, obj)
         self.statements.discard(stmt)
         if self._index is not None:

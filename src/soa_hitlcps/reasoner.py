@@ -9,7 +9,9 @@ Materialization computes the least fixpoint of three rules:
   ``y TYPE C`` for an existential) gains the head type.
 
 The input kb is never mutated; rules only add, so the result is idempotent
-and monotone.
+and monotone.  No rule adds a subclass link, so each class's ancestors are
+computed once up front; type inheritance then runs once per assertion and
+whenever an axiom adds a type, and only axiom application is iterated.
 """
 
 from __future__ import annotations
@@ -51,29 +53,27 @@ def _satisfies(kb: KnowledgeBase, individual: Iri, expr: ClassExpr) -> bool:
 def materialize(kb: KnowledgeBase) -> KnowledgeBase:
     """Return a copy of ``kb`` extended to the least inference fixpoint."""
     out = kb.copy()
+    # no rule adds a subclass link: close them once, before the loop
+    ancestors = {child: out.superclasses(child) for child, _ in out.subclass_links}
+    out.subclass_links.update((child, parent) for child in ancestors for parent in ancestors[child])
+
+    def add_with_ancestors(individual: Iri, cls: Iri) -> None:
+        for c in (cls, *ancestors.get(cls, ())):
+            if (individual, c) not in out.type_assertions:
+                out.add_type(individual, c)
+
+    for individual, cls in list(out.type_assertions):
+        add_with_ancestors(individual, cls)
+    candidates = out.individuals()
     changed = True
     while changed:
         changed = False
-        # subclass transitivity
-        for child, parent in list(out.subclass_links):
-            for child2, parent2 in list(out.subclass_links):
-                if parent == child2 and (child, parent2) not in out.subclass_links:
-                    out.subclass_links.add((child, parent2))
-                    changed = True
-        # type inheritance
-        for individual, cls in list(out.type_assertions):
-            for child, parent in out.subclass_links:
-                if child == cls and (individual, parent) not in out.type_assertions:
-                    out.add_type(individual, parent)
-                    changed = True
-        # axiom application
-        candidates = sorted(out.individuals(), key=term_sort_key)
         for axiom in out.axioms:
             for individual in candidates:
                 if (individual, axiom.head) in out.type_assertions:
                     continue
                 if _satisfies(out, individual, axiom.body):
-                    out.add_type(individual, axiom.head)
+                    add_with_ancestors(individual, axiom.head)
                     changed = True
     return out
 

@@ -200,6 +200,8 @@ def load_scenario(text: str, base_dir) -> Scenario:
             action = words[5]
             params = tuple(_split_kv(" ".join(words[6:]), lineno, sep=" ")) if len(words) > 6 else ()
             rule = Rule(conditions, action, params)
+            if action == "rate" and (rule.param("service") is None or rule.param("rating") is None):
+                raise ParseError(lineno, 1, "rate service=<name> rating=<decimal>")
             if rule.param("rating") is not None:
                 _decimal(rule.param("rating"), lineno)  # a bad rating fails the load, not the run
             pending_rules.append((lineno, node, rule))

@@ -1,11 +1,14 @@
 """Discovery compilation, ranking, invocation lifecycle, and composition."""
 
+import contextlib
+import random
 from decimal import Decimal
 
 import pytest
 
 from test_query import DISCOVERY_QUERY
 
+from soa_hitlcps import broker as broker_module
 from soa_hitlcps.broker import (
     DiscoveryRequest,
     ScoringConfig,
@@ -18,10 +21,23 @@ from soa_hitlcps.errors import (
     EmptyCriteriaError,
     InputSignatureMismatchError,
     InvalidStateError,
+    SoaHitlcpsError,
     UnknownServiceError,
 )
-from soa_hitlcps.kb import Pattern, iri, serialize, string
+from soa_hitlcps.kb import (
+    ClassAxiom,
+    Conjunction,
+    MetaAnnotation,
+    NamedClass,
+    Pattern,
+    SomeValues,
+    iri,
+    serialize,
+    string,
+    term_sort_key,
+)
 from soa_hitlcps.query import And, Eq, InSet, QueryName, QueryPattern, Var, parse_query, query_equivalent
+from soa_hitlcps.reasoner import materialize
 from soa_hitlcps.registry import COMPLETED, FAILED, REJECTED, RUNNING, ServiceRegistry
 from soa_hitlcps.schema import parse_human_capability, parse_service_profile
 
@@ -402,6 +418,79 @@ def test_invocation_ledger_is_conserved():
     for invocation in registry.invocations:
         by_status[invocation.status] = by_status.get(invocation.status, 0) + 1
     assert sum(by_status.values()) == len(registry.invocations) == 6
+
+
+def _random_write(rng, kb, step):
+    """One call to one of the knowledge base's write methods, mostly effective."""
+    classes = sorted(kb.class_decls)
+    individuals = sorted(kb.individuals())
+    props = sorted(kb.property_decls)
+    fresh = iri(f"K{step}")
+    method = rng.choice((
+        "add_prefix", "add_class", "add_subclass", "add_property", "add_disjoint", "add_axiom",
+        "add_annotation", "add_type", "remove_type", "add_statement", "remove_statement",
+    ))
+    if method == "add_prefix":
+        kb.add_prefix(f"ex{step}", f"http://example.org/{step}#")
+    elif method == "add_class":
+        kb.add_class(fresh)
+    elif method == "add_subclass":
+        kb.add_subclass(fresh, rng.choice(classes))
+    elif method == "add_property":
+        kb.add_property(iri(f"p{step}"), rng.choice(classes), rng.choice(classes))
+    elif method == "add_disjoint":
+        kb.add_disjoint(fresh, rng.choice(classes))
+    elif method == "add_axiom":
+        body = NamedClass(rng.choice(classes))
+        if rng.random() < 0.5:
+            body = Conjunction((body, SomeValues(rng.choice(props), rng.choice(classes))))
+        kb.add_axiom(ClassAxiom(body, rng.choice(classes + [fresh])))
+    elif method == "add_annotation":
+        kb.add_annotation(MetaAnnotation(fresh, rigidity="~R"))
+    elif method == "add_type":
+        kb.add_type(rng.choice(individuals), rng.choice(classes))
+    elif method == "remove_type":
+        kb.remove_type(*rng.choice(sorted(kb.type_assertions)))
+    elif method == "add_statement":
+        kb.add_statement(rng.choice(individuals), rng.choice(props), rng.choice(individuals))
+    else:
+        stmt = rng.choice(sorted(kb.statements, key=lambda s: (s.subject, s.predicate, term_sort_key(s.object))))
+        kb.remove_statement(stmt.subject, stmt.predicate, stmt.object)
+
+
+def test_closure_cache_matches_fresh_materialize_under_random_writes(monkeypatch):
+    rebuilds = []
+    monkeypatch.setattr(broker_module, "materialize", lambda kb: rebuilds.append(kb) or materialize(kb))
+    rng = random.Random(4104)
+    registry, broker = build_world()
+    requests = [REFERENCE_REQUEST, parse_discovery_request("DISCOVER kind=processing"),
+                parse_discovery_request("DISCOVER context=siteB")]
+    for step in range(200):
+        roll = rng.random()
+        if roll < 0.5:
+            _random_write(rng, registry.kb, step)
+        elif roll < 0.65:
+            broker.discover(rng.choice(requests), now=rng.randint(0, 20))
+        elif roll < 0.85:
+            with contextlib.suppress(SoaHitlcpsError):
+                if rng.random() < 0.5:
+                    patient = rng.choice((iri("Adam"), iri("Erin")))
+                    broker.invoke(iri("chatDoctor"), iri("Cathy"), {"patient": patient}, now=rng.randint(0, 20))
+                else:
+                    broker.invoke(iri("erinWatch"), iri("Adam"), {}, now=rng.randint(0, 20))
+        else:
+            running = [inv for inv in registry.invocations if inv.status == RUNNING]
+            if running:
+                with contextlib.suppress(SoaHitlcpsError):
+                    broker.complete_invocation(rng.choice(running), rng.choice((COMPLETED, FAILED)),
+                                               rating=rng.choice((None, Decimal("3"))), timestamp=step)
+        assert broker._closure() == materialize(registry.kb)
+        # reads with no write in between share the closure
+        before = len(rebuilds)
+        broker.discover(rng.choice(requests))
+        with contextlib.suppress(SoaHitlcpsError):
+            broker.invoke(iri("erinWatch"), iri("Adam"), {})
+        assert len(rebuilds) == before
 
 
 # -- composition -------------------------------------------------------------------------

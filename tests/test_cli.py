@@ -176,6 +176,34 @@ def test_simulate_malformed_rating_is_domain_error(tmp_path, capsys):
     assert "ParseError: line 2" in err and "Traceback" not in err
 
 
+def test_simulate_rate_rule_without_rating_is_domain_error(tmp_path, capsys):
+    (tmp_path / "n.cap").write_text("PERFORMANCE Dependability 3\n", encoding="utf-8")
+    scn = tmp_path / "no_rating.scn"
+    scn.write_text(
+        "NODE Nia HUMAN n.cap\n"
+        "RULE Nia WHEN event=signal THEN rate service=nothing\n"
+        "AT 1 SIGNAL Nia ping\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", str(scn)]) == 1
+    err = capsys.readouterr().err
+    assert "ParseError: line 2" in err and "Traceback" not in err
+
+
+def test_simulate_rate_rule_without_service_is_domain_error(tmp_path, capsys):
+    (tmp_path / "n.cap").write_text("PERFORMANCE Dependability 3\n", encoding="utf-8")
+    scn = tmp_path / "no_service.scn"
+    scn.write_text(
+        "NODE Nia HUMAN n.cap\n"
+        "RULE Nia WHEN event=signal THEN rate rating=4\n"
+        "AT 1 SIGNAL Nia ping\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", str(scn)]) == 1
+    err = capsys.readouterr().err
+    assert "ParseError: line 2" in err and "Traceback" not in err
+
+
 def test_non_utf8_input_is_domain_error(tmp_path, capsys):
     kb = tmp_path / "latin1.kb"
     kb.write_bytes("CLASS Human\nCLASS Caf\u00e9\n".encode("latin-1"))

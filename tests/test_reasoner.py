@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from soa_hitlcps.errors import UnannotatedClassError
+from soa_hitlcps.errors import CyclicSubclassError, UnannotatedClassError
 from soa_hitlcps.kb import (
     ClassAxiom,
     Conjunction,
@@ -134,6 +134,48 @@ def test_materialize_matches_naive_oracle_randomized():
                 body_parts.append(SomeValues(rng.choice(props), rng.choice(classes)))
             body = body_parts[0] if len(body_parts) == 1 else Conjunction(tuple(body_parts))
             kb.add_axiom(ClassAxiom(body, rng.choice(classes)))
+        assert materialize(kb) == _naive_materialize(kb)
+
+
+def test_materialize_matches_naive_oracle_deep_chains_and_chained_axioms():
+    rng = random.Random(4207)
+    for _ in range(80):
+        kb = KnowledgeBase()
+        classes = [iri(f"C{i}") for i in range(rng.randint(6, 10))]
+        props = [iri(f"p{i}") for i in range(rng.randint(1, 3))]
+        inds = [iri(f"i{i}") for i in range(rng.randint(2, 8))]
+        for c in classes:
+            kb.add_class(c)
+        for p in props:
+            kb.add_property(p, classes[0], classes[-1])
+        # a chain at least 3 links deep, then random extra links
+        chain = rng.sample(classes, rng.randint(4, len(classes)))
+        for child, parent in zip(chain, chain[1:]):
+            kb.add_subclass(child, parent)
+        for _ in range(rng.randint(0, 5)):
+            try:
+                kb.add_subclass(rng.choice(classes), rng.choice(classes))
+            except CyclicSubclassError:
+                pass
+        for _ in range(rng.randint(2, 14)):
+            if rng.random() < 0.4:
+                kb.add_type(rng.choice(inds), rng.choice(classes))
+            else:
+                kb.add_statement(rng.choice(inds), rng.choice(props), rng.choice(inds))
+        # heads sit low in the chain (they have superclasses) and feed the next
+        # axiom's body; added in random order, so one pass over them is not enough
+        heads = rng.sample(chain[:-1], min(3, len(chain) - 1))
+        previous = rng.choice(classes)
+        axioms = []
+        for head in heads:
+            parts = [NamedClass(previous)]
+            if rng.random() < 0.6:
+                parts.append(SomeValues(rng.choice(props), rng.choice(classes + heads)))
+            body = parts[0] if len(parts) == 1 else Conjunction(tuple(parts))
+            axioms.append(ClassAxiom(body, head))
+            previous = head
+        for axiom in rng.sample(axioms, len(axioms)):
+            kb.add_axiom(axiom)
         assert materialize(kb) == _naive_materialize(kb)
 
 
