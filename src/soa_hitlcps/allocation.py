@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EmptyTaskListError, InvalidStateError, ParseError
+from .kb import content_lines
 
 
 class Category(enum.Enum):
@@ -55,6 +56,8 @@ class CategoryWeights:
 
     def __post_init__(self):
         ordered = (self.skill, self.rule, self.knowledge, self.expertise)
+        if not all(w.is_finite() for w in ordered):  # NaN cannot be compared
+            raise InvalidStateError("category weights must be finite")
         if any(w <= 0 for w in ordered):
             raise InvalidStateError("category weights must be positive")
         if not (self.skill <= self.rule <= self.knowledge <= self.expertise):
@@ -124,15 +127,9 @@ def recommend_allocation(category: Category,
 
 def parse_task_file(text: str):
     """Parse ``TASK <id> <category> WEIGHT <d> ASSIGNEE human|machine`` lines."""
-    from .kb import _strip_comment
-
     tasks = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        words = line.split()
+    for lineno, words in content_lines(text):
         if len(words) != 7 or words[0] != "TASK" or words[3] != "WEIGHT" or words[5] != "ASSIGNEE":
             raise ParseError(lineno, 1, "TASK <id> <category> WEIGHT <d> ASSIGNEE <who>")
         task_id, category_text, weight_text, assignee_text = words[1], words[2], words[4], words[6]
@@ -147,6 +144,8 @@ def parse_task_file(text: str):
             weight = Decimal(weight_text)
         except ArithmeticError:
             raise ParseError(lineno, 1, "a decimal weight")
+        if not weight.is_finite():
+            raise ParseError(lineno, 1, "a finite weight")
         if weight < 0:
             raise ParseError(lineno, 1, "a non-negative weight")
         try:

@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
     UnknownServiceError,
 )
-from .kb import DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri
+from .kb import DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri, parse_name
 from .query import And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate
 from .reasoner import materialize
 from .registry import (
@@ -100,23 +100,19 @@ def parse_discovery_request(text: str) -> DiscoveryRequest:
         if not eq or not value:
             raise EmptyCriteriaError(f"malformed criterion {word!r}")
         if key == "skill":
-            name, _, scale = value.rpartition(":")
-            if name and scale.isdigit():
-                skills.append((_request_name(name), int(scale)))
-            else:
-                skills.append((_request_name(value), None))
+            skills.append(parse_skill(value))
         elif key == "knowledge":
-            knowledge.extend(_request_name(v) for v in value.split(","))
+            knowledge.extend(parse_name(v) for v in value.split(","))
         elif key == "ability":
-            abilities.extend(_request_name(v) for v in value.split(","))
+            abilities.extend(parse_name(v) for v in value.split(","))
         elif key == "context":
-            contexts.extend(_request_name(v) for v in value.split(","))
+            contexts.extend(parse_name(v) for v in value.split(","))
         elif key == "kind":
             kind = value
         elif key == "input":
-            inputs.extend(_request_name(v) for v in value.split(","))
+            inputs.extend(parse_name(v) for v in value.split(","))
         elif key == "output":
-            outputs.extend(_request_name(v) for v in value.split(","))
+            outputs.extend(parse_name(v) for v in value.split(","))
         elif key.startswith("qos.") and key[4:] in _QOS_KEYS:
             try:
                 qos.append((key[4:], _decimal(value, 1)))
@@ -136,11 +132,12 @@ def parse_discovery_request(text: str) -> DiscoveryRequest:
     )
 
 
-def _request_name(text: str) -> Iri:
-    if ":" in text:
-        prefix, _, local = text.partition(":")
-        return Iri(prefix, local)
-    return iri(text)
+def parse_skill(text: str) -> tuple:
+    """``name[:scale]`` as (skill Iri, minimum scale or None)."""
+    name, _, scale = text.rpartition(":")
+    if name and scale.isdigit():
+        return parse_name(name), int(scale)
+    return parse_name(text), None
 
 
 def _query_name(term: Iri) -> QueryName:
@@ -331,7 +328,7 @@ class ServiceBroker:
         env.update(inputs)
         bindings = {}
         for precondition in profile.preconditions:
-            pattern = _substitute(precondition, env)
+            pattern = precondition.substitute(env)
             matches = closed.match(pattern)
             if not matches:
                 return self._reject(invocation, "precondition")
@@ -364,10 +361,14 @@ class ServiceBroker:
         env = {"consumer": invocation.consumer}
         env.update(invocation.inputs)
         env.update(invocation.bindings)
-        additions = [_substitute(p, env, require_ground=True) for p in record.profile.effects_add]
-        removals = [_substitute(p, env, require_ground=True) for p in record.profile.effects_remove]
+        additions = [p.substitute(env) for p in record.profile.effects_add]
+        removals = [p.substitute(env) for p in record.profile.effects_remove]
+        for pattern in additions + removals:  # validate all before the first change
+            unbound = pattern.variables()
+            if unbound:
+                raise InvalidStateError(f"effect variable ?{unbound[0]} is unbound")
         kb = self.registry.kb
-        for pattern in additions:  # validate all before the first change
+        for pattern in additions:
             kb.check_statement(pattern.predicate, pattern.object)
         for pattern in removals:
             if pattern.predicate == TYPE_PRED:
@@ -414,15 +415,3 @@ class ServiceBroker:
                 needed = (needed - out_types) | {p.type for p in profile.inputs}
         kept.reverse()
         return kept
-
-
-def _substitute(pattern: Pattern, env: dict, require_ground: bool = False) -> Pattern:
-    def resolve(term):
-        if isinstance(term, Var):
-            if term.name in env:
-                return env[term.name]
-            if require_ground:
-                raise InvalidStateError(f"effect variable ?{term.name} is unbound")
-        return term
-
-    return Pattern(resolve(pattern.subject), resolve(pattern.predicate), resolve(pattern.object))

@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 for domain problems (parse or consistency
 failures, unmet scenario expectations), 2 for usage problems such as missing
-files or malformed arguments.
+or unreadable files (those a scenario names included) or malformed
+arguments.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _Usage as err:
+    except (_Usage, OSError) as err:  # OSError: a file named inside an input, or --out
         print(f"error: {err}", file=sys.stderr)
         return 2
     except SoaHitlcpsError as err:

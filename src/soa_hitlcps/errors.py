@@ -71,10 +71,6 @@ class DuplicateIndividualError(SoaHitlcpsError):
     pass
 
 
-class ImmutableSkillSetError(SoaHitlcpsError):
-    """Programmed skills of a machine cannot change after registration."""
-
-
 class UnknownProviderError(SoaHitlcpsError):
     pass
 

@@ -151,8 +151,31 @@ class Pattern:
     def variables(self) -> list[str]:
         return [t.name for t in (self.subject, self.predicate, self.object) if isinstance(t, Var)]
 
+    def substitute(self, env: dict) -> "Pattern":
+        """This pattern with every variable that ``env`` binds replaced by its value."""
+
+        def sub(term):
+            return env.get(term.name, term) if isinstance(term, Var) else term
+
+        return Pattern(sub(self.subject), sub(self.predicate), sub(self.object))
+
     def __str__(self) -> str:
         return f"{self.subject} {self.predicate} {self.object}"
+
+
+def parse_name(text: str, prefixes: Optional[dict] = None) -> Iri:
+    """``prefix:local`` (split on the first ``:``) or a bare ``local`` as an Iri.
+
+    A bare name is in the built-in namespace.  Given a prefix table, a prefix
+    missing from it raises :class:`UnknownPrefixError`.  The local name is
+    not checked; callers apply their own name rules.
+    """
+    prefix, colon, local = text.partition(":")
+    if not colon:
+        return Iri(DEFAULT_PREFIX, text)
+    if prefixes is not None and prefix not in prefixes:
+        raise UnknownPrefixError(prefix)
+    return Iri(prefix, local)
 
 
 def term_sort_key(term: PatternTerm):
@@ -603,17 +626,28 @@ def _strip_comment(raw: str) -> str:
     return raw
 
 
+def content_lines(text: str) -> Iterator[tuple]:
+    """(line number, words) for each line with words left once its comment is stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = _strip_comment(raw).split()
+        if words:
+            yield lineno, words
+
+
 def _tokenize_line(raw: str, lineno: int) -> list[_Token]:
     text = _strip_comment(raw)
     return [_Token(m.group(0), lineno, m.start() + 1) for m in _TOKEN_RE.finditer(text)]
 
 
-class _LineReader:
-    """Cursor over one line's tokens with positioned errors."""
+class _Cursor:
+    """Cursor over a token list with positioned errors.
 
-    def __init__(self, tokens: list[_Token], lineno: int):
+    Running out of tokens is an error just past the last token (line 1,
+    column 1 when there is none).
+    """
+
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
-        self.lineno = lineno
         self.pos = 0
 
     def peek(self) -> Optional[_Token]:
@@ -623,8 +657,9 @@ class _LineReader:
         tok = self.peek()
         if tok is None:
             last = self.tokens[-1] if self.tokens else None
+            line = last.line if last else 1
             column = (last.column + len(last.text)) if last else 1
-            raise ParseError(self.lineno, column, expected)
+            raise ParseError(line, column, expected)
         self.pos += 1
         return tok
 
@@ -634,23 +669,17 @@ class _LineReader:
             raise ParseError(tok.line, tok.column, word)
         return tok
 
-    def done(self) -> None:
+    def done(self, expected: str) -> None:
         tok = self.peek()
         if tok is not None:
-            raise ParseError(tok.line, tok.column, "end of line")
+            raise ParseError(tok.line, tok.column, expected)
 
 
 def _parse_name(tok: _Token, prefixes: dict) -> Iri:
-    text = tok.text
-    if ":" in text:
-        prefix, _, local = text.partition(":")
-        if prefix not in prefixes:
-            raise UnknownPrefixError(prefix)
-    else:
-        prefix, local = DEFAULT_PREFIX, text
-    if not local or not _NAME_RE.match(local):
+    name = parse_name(tok.text, prefixes)
+    if not _NAME_RE.match(name.local):
         raise ParseError(tok.line, tok.column, "a name")
-    return Iri(prefix, local)
+    return name
 
 
 def _parse_term(tok: _Token, prefixes: dict) -> Term:
@@ -669,7 +698,7 @@ def _parse_term(tok: _Token, prefixes: dict) -> Term:
     return _parse_name(tok, prefixes)
 
 
-def _parse_class_expr(reader: _LineReader, prefixes: dict) -> ClassExpr:
+def _parse_class_expr(reader: _Cursor, prefixes: dict) -> ClassExpr:
     reader.expect("(")
     first = reader.next("a class expression")
     if first.text == "(":
@@ -704,35 +733,34 @@ def _parse_class_expr(reader: _LineReader, prefixes: dict) -> ClassExpr:
 def parse_document(text: str, base: Optional[KnowledgeBase] = None) -> KnowledgeBase:
     """Parse a document into a fresh kb (or an extension of a copy of ``base``)."""
     kb = base.copy() if base is not None else KnowledgeBase()
-    lines = text.splitlines()
-    tokenized = [(_tokenize_line(raw, i + 1), i + 1) for i, raw in enumerate(lines)]
-    tokenized = [(toks, n) for toks, n in tokenized if toks]
+    tokenized = [_tokenize_line(raw, i) for i, raw in enumerate(text.splitlines(), start=1)]
+    tokenized = [tokens for tokens in tokenized if tokens]
 
     # Prefix table first: prefixed names may appear on any later line.
-    for tokens, lineno in tokenized:
+    for tokens in tokenized:
         if tokens[0].text != "@prefix":
             continue
-        reader = _LineReader(tokens, lineno)
+        reader = _Cursor(tokens)
         reader.expect("@prefix")
         name_tok = reader.next("a prefix name")
         name = name_tok.text
         if not name.endswith(":") or len(name) < 2:
             raise ParseError(name_tok.line, name_tok.column, "a prefix name ending in ':'")
         expansion = reader.next("a prefix expansion").text
-        reader.done()
+        reader.done("end of line")
         kb.add_prefix(name[:-1], expansion)
 
     # Declarations next so facts and axioms can reference them in any order.
-    for tokens, lineno in tokenized:
+    for tokens in tokenized:
         directive = tokens[0].text
-        reader = _LineReader(tokens, lineno)
+        reader = _Cursor(tokens)
         if directive == "CLASS":
             reader.expect("CLASS")
             cls = _parse_name(reader.next("a class name"), kb.prefixes)
             if reader.peek() is not None:
                 reader.expect("SUBCLASSOF")
                 parent = _parse_name(reader.next("a class name"), kb.prefixes)
-                reader.done()
+                reader.done("end of line")
                 kb.add_subclass(cls, parent)
             else:
                 kb.add_class(cls)
@@ -743,48 +771,48 @@ def parse_document(text: str, base: Optional[KnowledgeBase] = None) -> Knowledge
             domain = _parse_name(reader.next("a class name"), kb.prefixes)
             reader.expect("RANGE")
             range_ = _parse_name(reader.next("a class name"), kb.prefixes)
-            reader.done()
+            reader.done("end of line")
             kb.add_property(prop, domain, range_)
 
     # Everything else in document order.
-    for tokens, lineno in tokenized:
+    for tokens in tokenized:
         directive = tokens[0].text
         if directive in ("@prefix", "CLASS", "PROPERTY"):
             continue
-        reader = _LineReader(tokens, lineno)
+        reader = _Cursor(tokens)
         if directive == "DISJOINT":
             reader.expect("DISJOINT")
             a = _parse_name(reader.next("a class name"), kb.prefixes)
             b = _parse_name(reader.next("a class name"), kb.prefixes)
-            reader.done()
+            reader.done("end of line")
             kb.add_disjoint(a, b)
         elif directive == "AXIOM":
             reader.expect("AXIOM")
             body = _parse_class_expr(reader, kb.prefixes)
             reader.expect("SUBCLASSOF")
             head = _parse_name(reader.next("a class name"), kb.prefixes)
-            reader.done()
+            reader.done("end of line")
             try:
                 kb.add_axiom(ClassAxiom(body, head))
             except DeclarationConflictError as exc:
-                raise ParseError(lineno, tokens[0].column, str(exc))
+                raise ParseError(tokens[0].line, tokens[0].column, str(exc))
         elif directive == "INDIVIDUAL":
             reader.expect("INDIVIDUAL")
             ind = _parse_name(reader.next("an individual name"), kb.prefixes)
             reader.expect("TYPE")
             cls = _parse_name(reader.next("a class name"), kb.prefixes)
-            reader.done()
+            reader.done("end of line")
             kb.add_type(ind, cls)
         elif directive == "FACT":
             reader.expect("FACT")
             subject = _parse_name(reader.next("a subject name"), kb.prefixes)
             predicate = _parse_name(reader.next("a predicate name"), kb.prefixes)
             obj = _parse_term(reader.next("an object term"), kb.prefixes)
-            reader.done()
+            reader.done("end of line")
             try:
                 kb.add_statement(subject, predicate, obj)
             except DeclarationConflictError as exc:
-                raise ParseError(lineno, tokens[0].column, str(exc))
+                raise ParseError(tokens[0].line, tokens[0].column, str(exc))
         elif directive == "META":
             reader.expect("META")
             cls = _parse_name(reader.next("a class name"), kb.prefixes)
@@ -832,15 +860,9 @@ def serialize(kb: KnowledgeBase) -> str:
     lines.extend(meta_lines)
     for ind, cls in sorted(kb.type_assertions, key=lambda t: (term_sort_key(t[0]), term_sort_key(t[1]))):
         lines.append(f"INDIVIDUAL {ind} TYPE {cls}")
-    fact_lines = sorted(
-        (term_sort_key(s.subject), term_sort_key(s.predicate), term_sort_key(s.object))
-        for s in kb.statements
+    facts = sorted(
+        kb.statements,
+        key=lambda s: (term_sort_key(s.subject), term_sort_key(s.predicate), term_sort_key(s.object)),
     )
-    stmt_by_key = {
-        (term_sort_key(s.subject), term_sort_key(s.predicate), term_sort_key(s.object)): s
-        for s in kb.statements
-    }
-    for key in fact_lines:
-        s = stmt_by_key[key]
-        lines.append(f"FACT {s.subject} {s.predicate} {s.object}")
+    lines.extend(f"FACT {s.subject} {s.predicate} {s.object}" for s in facts)
     return "\n".join(lines) + "\n"

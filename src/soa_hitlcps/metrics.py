@@ -17,7 +17,7 @@ from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
 from .errors import ZeroRelationsError
-from .kb import KnowledgeBase, TYPE_PRED
+from .kb import KnowledgeBase, TYPE_PRED, read_document
 from .query import QueryAst, QueryName, TypePredicate, evaluate, parse_query, resolve_name
 from .reasoner import (
     axiom_inference_check,
@@ -106,7 +106,7 @@ def load_cq_dir(path) -> list:
     folder = Path(path)
     entries = []
     for item in sorted(folder.glob("*.q")):
-        entries.append((item.stem, item.read_text(encoding="utf-8")))
+        entries.append((item.stem, read_document(item)))
     return entries
 
 

@@ -22,19 +22,16 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .errors import (
-    ParseError,
-    UnboundFilterVarError,
-    UnboundProjectionError,
-    UnknownPrefixError,
-)
+from .errors import ParseError, UnboundFilterVarError, UnboundProjectionError
 from .kb import (
-    DEFAULT_PREFIX,
     Iri,
     KnowledgeBase,
     Pattern,
     TYPE_PRED,
     Var,
+    _Cursor,
+    _Token,
+    parse_name,
     term_sort_key,
 )
 
@@ -124,53 +121,21 @@ class ResultTable:
 _QUERY_TOKEN = re.compile(r"\?\w[\w-]*|&&|\|\||[{}(),.=]|[^\s{}(),.=|&]+")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize_query(text: str) -> list[_Tok]:
+def _tokenize_query(text: str) -> list[_Token]:
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         hash_pos = raw.find("#")
         if hash_pos >= 0:
             raw = raw[:hash_pos]
         for m in _QUERY_TOKEN.finditer(raw):
-            tokens.append(_Tok(m.group(0), lineno, m.start() + 1))
+            tokens.append(_Token(m.group(0), lineno, m.start() + 1))
     return tokens
 
 
 _NAME_OK = re.compile(r"^[A-Za-z_][\w.-]*(:[A-Za-z_][\w.-]*)?$")
 
 
-class _Cursor:
-    def __init__(self, tokens: list[_Tok]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[_Tok]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self, expected: str) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            column = (last.column + len(last.text)) if last else 1
-            raise ParseError(line, column, expected)
-        self.pos += 1
-        return tok
-
-    def expect(self, word: str) -> _Tok:
-        tok = self.next(word)
-        if tok.text != word:
-            raise ParseError(tok.line, tok.column, word)
-        return tok
-
-
-def _parse_query_term(tok: _Tok) -> QueryTerm:
+def _parse_query_term(tok: _Token) -> QueryTerm:
     if tok.text.startswith("?"):
         return Var(tok.text[1:])
     if tok.text == "a":
@@ -263,9 +228,7 @@ def parse_query(text: str) -> QueryAst:
             cursor.next(".")
     if not patterns:
         raise ParseError(1, 1, "at least one pattern")
-    tail = cursor.peek()
-    if tail is not None:
-        raise ParseError(tail.line, tail.column, "end of query")
+    cursor.done("end of query")
 
     bound = {v for p in patterns for v in p.variables()}
     for var in projected:
@@ -316,13 +279,7 @@ def format_query(ast: QueryAst) -> str:
 
 
 def resolve_name(name: QueryName, kb: KnowledgeBase) -> Iri:
-    raw = name.raw
-    if ":" in raw:
-        prefix, _, local = raw.partition(":")
-        if prefix not in kb.prefixes:
-            raise UnknownPrefixError(prefix)
-        return Iri(prefix, local)
-    return Iri(DEFAULT_PREFIX, raw)
+    return parse_name(name.raw, kb.prefixes)
 
 
 def _resolve_pattern(pattern: QueryPattern, kb: KnowledgeBase) -> Pattern:
@@ -350,15 +307,6 @@ def _compile_filter(expr: FilterExpr, kb: KnowledgeBase):
     return lambda binding: any(test(binding) for test in parts)
 
 
-def _substitute(pattern: Pattern, binding: dict) -> Pattern:
-    def sub(term):
-        if isinstance(term, Var) and term.name in binding:
-            return binding[term.name]
-        return term
-
-    return Pattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
-
-
 def evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
     """Run ``ast`` against ``kb`` (materialize first if inference matters).
 
@@ -377,7 +325,7 @@ def evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
     for pattern in patterns:
         next_bindings = []
         for binding in bindings:
-            for extension in kb.match(_substitute(pattern, binding)):
+            for extension in kb.match(pattern.substitute(binding)):
                 merged = dict(binding)
                 merged.update(extension)
                 next_bindings.append(merged)

@@ -9,6 +9,7 @@ previously serialized graph.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, ROUND_HALF_UP
@@ -16,7 +17,6 @@ from typing import Optional
 
 from .errors import (
     DuplicateIndividualError,
-    ImmutableSkillSetError,
     InvalidProfileError,
     InvalidStateError,
     NoCompletedInvocationError,
@@ -25,7 +25,8 @@ from .errors import (
     UnknownServiceError,
     UnknownTaxonomyTermError,
 )
-from .kb import Iri, KnowledgeBase, Literal, Pattern, Var, decimal as decimal_literal, iri, string as string_literal
+from .kb import Iri, KnowledgeBase, Literal, Pattern, Var, iri, parse_name, term_sort_key
+from .kb import decimal as decimal_literal, string as string_literal
 from .schema import (
     ATOMIC_KINDS,
     AtomicType,
@@ -144,11 +145,6 @@ class ServiceRegistry:
         self.kb.add_type(topic, iri("Knowledge"))
         self.kb.add_statement(node, iri("hasLearnedKnowledge"), topic)
 
-    def add_programmed_skill(self, machine: Iri, skill: Iri) -> None:
-        if machine not in self.machines:
-            raise UnknownProviderError(str(machine))
-        raise ImmutableSkillSetError("programmed skills are fixed at registration")
-
     # -- services --------------------------------------------------------------
 
     def publish_service(self, profile: ServiceProfile, provider: Iri) -> None:
@@ -156,24 +152,8 @@ class ServiceRegistry:
             raise UnknownProviderError(str(provider))
         validate_profile(profile)
         if profile.properties.capability_ref is None:
-            bundle = PropertyBundle(
-                qos=profile.properties.qos,
-                contexts=profile.properties.contexts,
-                capability_ref=capability_node(provider),
-            )
-            profile = ServiceProfile(
-                service_id=profile.service_id,
-                service_type=profile.service_type,
-                properties=bundle,
-                inputs=profile.inputs,
-                outputs=profile.outputs,
-                preconditions=profile.preconditions,
-                effects_add=profile.effects_add,
-                effects_remove=profile.effects_remove,
-                degree_of_parallelism=profile.degree_of_parallelism,
-                limitations=profile.limitations,
-                declarations=profile.declarations,
-            )
+            bundle = dataclasses.replace(profile.properties, capability_ref=capability_node(provider))
+            profile = dataclasses.replace(profile, properties=bundle)
         existing = self.services.get(profile.service_id)
         if existing is not None:
             if existing.status == PUBLISHED:
@@ -260,9 +240,6 @@ class ServiceRegistry:
         self._project_experience(record, record_entry.provider, len(records))
         record_entry.reputation = _mean_rating(records)
         self._update_reputation_fact(service, record_entry.reputation)
-        provider_cap = self.humans.get(record_entry.provider)
-        if provider_cap is not None:
-            provider_cap.experience.append(record)
         return record
 
     def _project_experience(self, record: ExperienceRecord, provider: Iri, index: int) -> None:
@@ -368,36 +345,29 @@ class ServiceRegistry:
 _LEVEL_RE = re.compile(r"^(?P<term>.*):(?P<value>-?\d+)$")
 
 
-def _string_objects(kb, subject, predicate):
-    out = []
-    for binding in kb.match(Pattern(subject, predicate, Var("o"))):
-        obj = binding["o"]
-        if isinstance(obj, Literal) and obj.kind == "string":
-            out.append(obj.value)
-    return sorted(out)
+def _objects(kb, node, predicate, kinds=None) -> list:
+    """Objects of ``node predicate ?o`` in term order.
+
+    Without ``kinds``, the Iri objects; with ``kinds``, the values of the
+    literal objects of those kinds.
+    """
+    objects = sorted((s.object for s in kb.statements_about(node) if s.predicate == predicate),
+                     key=term_sort_key)
+    if kinds is None:
+        return [o for o in objects if isinstance(o, Iri)]
+    return [o.value for o in objects if isinstance(o, Literal) and o.kind in kinds]
 
 
-def _iri_objects(kb, subject, predicate):
-    out = []
-    for binding in kb.match(Pattern(subject, predicate, Var("o"))):
-        if isinstance(binding["o"], Iri):
-            out.append(binding["o"])
-    return sorted(out)
-
-
-def _name_from_text(text: str) -> Iri:
-    if ":" in text:
-        prefix, _, local = text.partition(":")
-        return Iri(prefix, local)
-    return iri(text)
+_STRING = ("string",)
+_NUMBER = ("decimal", "integer")
 
 
 def _read_levels(kb, node, predicate) -> dict:
     levels = {}
-    for rendered in _string_objects(kb, node, predicate):
+    for rendered in _objects(kb, node, predicate, _STRING):
         match = _LEVEL_RE.match(rendered)
         if match:
-            levels[_name_from_text(match.group("term"))] = int(match.group("value"))
+            levels[parse_name(match.group("term"))] = int(match.group("value"))
     return levels
 
 
@@ -406,34 +376,34 @@ def _read_human_capability(kb, node) -> HumanCapability:
     skill_levels = _read_levels(kb, node, iri("hasSkillLevel"))
     cap.skills = {
         skill: skill_levels.get(skill, SKILL_SCALE[0])
-        for skill in _iri_objects(kb, node, iri("hasHumanSkill"))
+        for skill in _objects(kb, node, iri("hasHumanSkill"))
     }
-    cap.knowledge = _iri_objects(kb, node, iri("hasHumanKnowledge"))
+    cap.knowledge = _objects(kb, node, iri("hasHumanKnowledge"))
     ability_levels = _read_levels(kb, node, iri("hasAbilityLevel"))
-    cap.abilities = {a: ability_levels.get(a, 1) for a in _iri_objects(kb, node, iri("hasAbility"))}
+    cap.abilities = {a: ability_levels.get(a, 1) for a in _objects(kb, node, iri("hasAbility"))}
     perf_levels = _read_levels(kb, node, iri("hasPerformanceLevel"))
     cap.performance_factors = {
-        p: perf_levels.get(p, 1) for p in _iri_objects(kb, node, iri("hasPerformanceFactor"))
+        p: perf_levels.get(p, 1) for p in _objects(kb, node, iri("hasPerformanceFactor"))
     }
-    education = _iri_objects(kb, node, iri("hasEducation"))
+    education = _objects(kb, node, iri("hasEducation"))
     cap.education = education[0] if education else None
-    for rendered in _string_objects(kb, node, iri("hasPreferenceValue")):
+    for rendered in _objects(kb, node, iri("hasPreferenceValue"), _STRING):
         dim, _, value = rendered.partition(":")
         cap.preferences[dim] = value
     return cap
 
 
 def _read_machine_capability(kb, node) -> MachineCapability:
-    spec_nodes = _iri_objects(kb, node, iri("hasSpecification"))
+    spec_nodes = _objects(kb, node, iri("hasSpecification"))
     hardware = software = ()
     if spec_nodes:
-        hardware = tuple(_iri_objects(kb, spec_nodes[0], iri("hasHardware")))
-        software = tuple(_iri_objects(kb, spec_nodes[0], iri("hasSoftware")))
+        hardware = tuple(_objects(kb, spec_nodes[0], iri("hasHardware")))
+        software = tuple(_objects(kb, spec_nodes[0], iri("hasSoftware")))
     return MachineCapability(
         hardware=hardware,
         software=software,
-        programmed_skills=frozenset(_iri_objects(kb, node, iri("hasProgrammedSkill"))),
-        learned_knowledge=_iri_objects(kb, node, iri("hasLearnedKnowledge")),
+        programmed_skills=frozenset(_objects(kb, node, iri("hasProgrammedSkill"))),
+        learned_knowledge=_objects(kb, node, iri("hasLearnedKnowledge")),
     )
 
 
@@ -442,40 +412,36 @@ _KIND_BY_CLASS = {iri(cls): kind for kind, cls in ATOMIC_KINDS.items()}
 
 def _read_service(kb, service) -> Optional[ServiceRecord]:
     profile_node, props_node, qos_node = profile_nodes(service)
-    providers = _iri_objects(kb, service, iri("providedBy"))
+    providers = _objects(kb, service, iri("providedBy"))
     if not providers:
         return None
-    type_classes = _iri_objects(kb, profile_node, iri("hasServiceType"))
+    type_classes = _objects(kb, profile_node, iri("hasServiceType"))
     if not type_classes:
         return None
     type_class = type_classes[0]
     if type_class == iri("CompositeService"):
-        service_type = CompositeType(tuple(_iri_objects(kb, service, iri("composedOf"))))
+        service_type = CompositeType(tuple(_objects(kb, service, iri("composedOf"))))
     else:
         kind = _KIND_BY_CLASS.get(type_class)
         if kind is None:
             return None
         service_type = AtomicType(kind)
-    dop = 1
-    for binding in kb.match(Pattern(profile_node, iri("degreeOfParallelism"), Var("v"))):
-        obj = binding["v"]
-        if isinstance(obj, Literal) and obj.kind == "integer":
-            dop = obj.value
-    inputs = tuple(_read_parameter(text) for text in _string_objects(kb, profile_node, iri("hasInput")))
-    outputs = tuple(_read_parameter(text) for text in _string_objects(kb, profile_node, iri("hasOutput")))
+    dops = _objects(kb, profile_node, iri("degreeOfParallelism"), ("integer",))
+    inputs = tuple(_read_parameter(text) for text in _objects(kb, profile_node, iri("hasInput"), _STRING))
+    outputs = tuple(_read_parameter(text) for text in _objects(kb, profile_node, iri("hasOutput"), _STRING))
     preconditions = tuple(
-        parse_flat_pattern(text) for text in _string_objects(kb, profile_node, iri("hasPrecondition"))
+        parse_flat_pattern(text) for text in _objects(kb, profile_node, iri("hasPrecondition"), _STRING)
     )
     effects_add, effects_remove = [], []
-    for text in _string_objects(kb, profile_node, iri("hasEffect")):
+    for text in _objects(kb, profile_node, iri("hasEffect"), _STRING):
         verb, _, body = text.partition(" ")
         pattern = parse_flat_pattern(body)
         (effects_add if verb == "ADD" else effects_remove).append(pattern)
     limitations = tuple(
-        parse_flat_limitation(text) for text in _string_objects(kb, profile_node, iri("hasLimitation"))
+        parse_flat_limitation(text) for text in _objects(kb, profile_node, iri("hasLimitation"), _STRING)
     )
-    contexts = tuple(_iri_objects(kb, props_node, iri("includeContext")))
-    capability_refs = _iri_objects(kb, props_node, iri("includeCapability"))
+    contexts = tuple(_objects(kb, props_node, iri("includeContext")))
+    capability_refs = _objects(kb, props_node, iri("includeCapability"))
     qos = QoS(
         reputation=_read_decimal(kb, qos_node, iri("reputationValue")),
         cost=_read_decimal(kb, qos_node, iri("costValue")),
@@ -494,7 +460,7 @@ def _read_service(kb, service) -> Optional[ServiceRecord]:
         preconditions=preconditions,
         effects_add=tuple(effects_add),
         effects_remove=tuple(effects_remove),
-        degree_of_parallelism=dop,
+        degree_of_parallelism=dops[-1] if dops else 1,
         limitations=limitations,
     )
     return ServiceRecord(profile=profile, provider=providers[0], reputation=qos.reputation)
@@ -502,28 +468,25 @@ def _read_service(kb, service) -> Optional[ServiceRecord]:
 
 def _read_parameter(text: str) -> TypedParameter:
     name, _, type_text = text.partition(":")
-    return TypedParameter(name, _name_from_text(type_text))
+    return TypedParameter(name, parse_name(type_text))
 
 
 def _read_decimal(kb, node, predicate) -> Decimal:
-    for binding in kb.match(Pattern(node, predicate, Var("v"))):
-        obj = binding["v"]
-        if isinstance(obj, Literal) and obj.kind in ("decimal", "integer"):
-            return Decimal(obj.value)
-    return Decimal("0")
+    values = _objects(kb, node, predicate, _NUMBER)
+    return Decimal(values[0]) if values else Decimal("0")
 
 
 def _read_experience(kb, registry: ServiceRegistry) -> None:
     nodes = sorted(ind for ind in registry.kb.individuals()
                    if iri("Experience") in registry.kb.types_of(ind))
     for node in nodes:
-        services = _iri_objects(kb, node, iri("experienceOf"))
-        raters = _iri_objects(kb, node, iri("ratedBy"))
+        services = _objects(kb, node, iri("experienceOf"))
+        raters = _objects(kb, node, iri("ratedBy"))
         if not services or not raters or services[0] not in registry.services:
             continue
         rating = _read_decimal(kb, node, iri("ratingValue"))
         criteria = []
-        for rendered in _string_objects(kb, node, iri("hasCriteria")):
+        for rendered in _objects(kb, node, iri("hasCriteria"), _STRING):
             for part in rendered.split(";"):
                 name, _, value = part.partition("=")
                 if name:

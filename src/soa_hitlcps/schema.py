@@ -32,10 +32,14 @@ from .kb import (
     SomeValues,
     TYPE_PRED,
     Var,
+    _Token,
+    _parse_term,
     annotation_from_flags,
+    content_lines,
     decimal as decimal_literal,
     integer as integer_literal,
     iri,
+    parse_name,
     string as string_literal,
 )
 
@@ -182,10 +186,6 @@ TAXONOMY = Taxonomy(
     )),
     preference_dimensions=("time", "location", "price"),
 )
-
-
-def taxonomy() -> Taxonomy:
-    return TAXONOMY
 
 
 SKILL_SCALE = (1, 7)
@@ -367,8 +367,6 @@ class HumanCapability:
     performance_factors: dict = field(default_factory=dict)
     preferences: dict = field(default_factory=dict)  # dimension -> value
     education: Optional[Iri] = None
-    experience: list = field(default_factory=list)
-    potential: list = field(default_factory=list)
 
 
 @dataclass
@@ -432,8 +430,6 @@ def _parse_flat_term(text: str, lineno: int, column: int, prefixes: dict):
         return Var(text[1:])
     if text == "a":
         return TYPE_PRED
-    from .kb import _Token, _parse_term  # same-package reuse of the kb lexer
-
     return _parse_term(_Token(text, lineno, column), prefixes)
 
 
@@ -450,22 +446,10 @@ def parse_flat_pattern(text: str, lineno: int = 1, prefixes: Optional[dict] = No
 # Capability files (.cap)
 
 
-def _split_lines(text: str):
-    from .kb import _strip_comment
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = _strip_comment(raw).strip()
-        if stripped:
-            yield lineno, stripped.split()
-
-
 def _term_name(word: str, lineno: int) -> Iri:
-    if ":" in word:
-        prefix, _, local = word.partition(":")
-        return Iri(prefix, local)
-    if not re.match(r"^[A-Za-z_][\w.-]*$", word):
+    if ":" not in word and not re.match(r"^[A-Za-z_][\w.-]*$", word):
         raise ParseError(lineno, 1, "a name")
-    return iri(word)
+    return parse_name(word)
 
 
 def _int(word: str, lineno: int) -> int:
@@ -489,7 +473,7 @@ def parse_human_capability(text: str):
     """Parse a human .cap document; returns (HumanCapability, contexts)."""
     cap = HumanCapability()
     contexts = []
-    for lineno, words in _split_lines(text):
+    for lineno, words in content_lines(text):
         keyword = words[0]
         if keyword == "SKILL" and len(words) == 3:
             cap.skills[_term_name(words[1], lineno)] = _int(words[2], lineno)
@@ -514,7 +498,7 @@ def parse_human_capability(text: str):
 def parse_machine_capability(text: str):
     """Parse a machine .cap document; returns (MachineCapability, contexts)."""
     hardware, software, programmed, learned, contexts = [], [], [], [], []
-    for lineno, words in _split_lines(text):
+    for lineno, words in content_lines(text):
         keyword = words[0]
         if keyword == "HARDWARE" and len(words) == 2:
             hardware.append(_term_name(words[1], lineno))
@@ -562,7 +546,7 @@ def parse_service_profile(text: str):
     capability_ref = None
     dop = 1
     prefixes = {"soa-hitlcps": "builtin"}
-    for lineno, words in _split_lines(text):
+    for lineno, words in content_lines(text):
         keyword, rest = words[0], words[1:]
         if keyword == "SERVICE" and len(rest) == 1:
             service_id = _term_name(rest[0], lineno)

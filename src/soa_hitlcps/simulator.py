@@ -18,13 +18,14 @@ from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
-from .broker import DiscoveryRequest, ServiceBroker
+from .broker import DiscoveryRequest, ServiceBroker, parse_skill
 from .errors import NoCompletedInvocationError, ParseError, UnknownNodeError, UnknownServiceError
-from .kb import Iri, Pattern, Var, iri, read_document
+from .kb import Iri, Pattern, content_lines, iri, parse_name, read_document
 from .registry import RUNNING, ServiceRegistry
 from .schema import (
     _decimal,
     _int,
+    capability_node,
     parse_human_capability,
     parse_machine_capability,
     parse_service_profile,
@@ -152,16 +153,7 @@ class ScenarioResult:
 _EVENT_KINDS = ("REQUEST", "MESSAGE", "SIGNAL", "TICK")
 
 
-def _name(word: str) -> Iri:
-    if ":" in word:
-        prefix, _, local = word.partition(":")
-        return Iri(prefix, local)
-    return iri(word)
-
-
 def load_scenario(text: str, base_dir) -> Scenario:
-    from .kb import _strip_comment
-
     base_dir = Path(base_dir)
     registry = ServiceRegistry()
     nodes: dict = {}
@@ -169,14 +161,10 @@ def load_scenario(text: str, base_dir) -> Scenario:
     expectations: list = []
     pending_rules: list = []
     seq = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        words = line.split()
+    for lineno, words in content_lines(text):
         keyword = words[0]
         if keyword == "NODE" and len(words) == 4 and words[2] in (HUMAN, MACHINE):
-            node = _name(words[1])
+            node = parse_name(words[1])
             cap_text = read_document(base_dir / words[3])
             if words[2] == HUMAN:
                 cap, contexts = parse_human_capability(cap_text)
@@ -192,7 +180,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
                 raise ParseError(lineno, 1, "a PROVIDER line in the profile")
             registry.publish_service(profile, provider)
         elif keyword == "RULE" and len(words) >= 5 and words[2] == "WHEN":
-            node = _name(words[1])
+            node = parse_name(words[1])
             then_at = words.index("THEN") if "THEN" in words else -1
             if then_at != 4 or len(words) < 5 + 1:
                 raise ParseError(lineno, 1, "RULE <node> WHEN <conds> THEN <action> [params]")
@@ -236,19 +224,19 @@ def _split_kv(text: str, lineno: int, sep: str = ","):
 
 def _parse_event(time: int, seq: int, kind: str, rest, lineno: int) -> SimEvent:
     if kind == "REQUEST" and len(rest) == 2:
-        payload = (("requester", _name(rest[0])), ("service", _name(rest[1])))
+        payload = (("requester", parse_name(rest[0])), ("service", parse_name(rest[1])))
         return SimEvent(time, seq, "request", payload)
     if kind == "MESSAGE" and len(rest) == 5:
         payload = (
-            ("sender", _name(rest[0])),
-            ("recipient", _name(rest[1])),
+            ("sender", parse_name(rest[0])),
+            ("recipient", parse_name(rest[1])),
             ("id", rest[2]),
             ("sentiment", rest[3]),
-            ("topic", _name(rest[4])),
+            ("topic", parse_name(rest[4])),
         )
         return SimEvent(time, seq, "message", payload)
     if kind == "SIGNAL" and len(rest) == 2:
-        payload = (("node", _name(rest[0])), ("signal", rest[1]))
+        payload = (("node", parse_name(rest[0])), ("signal", rest[1]))
         return SimEvent(time, seq, "signal", payload)
     if kind == "TICK" and not rest:
         return SimEvent(time, seq, "tick", ())
@@ -329,8 +317,6 @@ class Simulation:
     # -- condition evaluation -------------------------------------------------
 
     def _topic_known(self, node: Iri, topic: Iri) -> bool:
-        from .schema import capability_node
-
         cap = capability_node(node)
         kb = self.registry.kb
         return bool(
@@ -415,18 +401,11 @@ class Simulation:
         self.trace.add(time, loop.node, EXECUTE, "answer", detail)
 
     def _request_from_params(self, rule: Rule) -> DiscoveryRequest:
-        skills = []
-        for raw in (rule.param("skill") or "").split(","):
-            if raw:
-                name, _, scale = raw.rpartition(":")
-                if name and scale.isdigit():
-                    skills.append((_name(name), int(scale)))
-                else:
-                    skills.append((_name(raw), None))
-        knowledge = tuple(_name(k) for k in (rule.param("knowledge") or "").split(",") if k)
-        contexts = tuple(_name(c) for c in (rule.param("context") or "").split(",") if c)
+        skills = tuple(parse_skill(s) for s in (rule.param("skill") or "").split(",") if s)
+        knowledge = tuple(parse_name(k) for k in (rule.param("knowledge") or "").split(",") if k)
+        contexts = tuple(parse_name(c) for c in (rule.param("context") or "").split(",") if c)
         return DiscoveryRequest(
-            required_skills=tuple(skills),
+            required_skills=skills,
             required_knowledge=knowledge,
             context_constraints=contexts,
         )
@@ -440,7 +419,7 @@ class Simulation:
                 if value == "@from":
                     inputs[name] = event.get("sender") or event.get("requester")
                 else:
-                    inputs[name] = _name(value)
+                    inputs[name] = parse_name(value)
         return inputs
 
     def _act_discover(self, loop, rule, event, time):
@@ -465,7 +444,7 @@ class Simulation:
             self.trace.add(time, loop.node, EXECUTE, "invoke", detail)
         notify = rule.param("notify")
         if notify:
-            notify_service = _name(notify)
+            notify_service = parse_name(notify)
             invocation = self.broker.invoke(notify_service, top.provider, {}, now=time)
             provider = self.registry.services[notify_service].provider
             if invocation.status == RUNNING:
@@ -499,7 +478,7 @@ class Simulation:
             self.trace.add(time, loop.node, EXECUTE, "complete", detail)
 
     def _act_rate(self, loop, rule, event, time):
-        service = _name(rule.param("service"))
+        service = parse_name(rule.param("service"))
         rating = Decimal(rule.param("rating"))
         open_invocations = [
             inv for inv in self.registry.invocations

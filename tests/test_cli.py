@@ -217,6 +217,29 @@ def test_non_utf8_input_is_domain_error(tmp_path, capsys):
     assert "ParseError: line 1" in err and "Traceback" not in err
 
 
+def test_non_utf8_competency_question_is_domain_error(tmp_path, capsys):
+    (tmp_path / "cq1.q").write_bytes("SELECT ?x\nWHERE { ?x a Caf\u00e9 }\n".encode("latin-1"))
+    assert main(["metrics", str(BASE_KB), "--cq-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "ParseError: line 2, column 17" in err and "Traceback" not in err
+
+
+def test_simulate_missing_capability_file_is_usage_error(tmp_path, capsys):
+    scn = tmp_path / "missing.scn"
+    scn.write_text("NODE Alice HUMAN missing.cap\n", encoding="utf-8")
+    assert main(["simulate", str(scn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing.cap" in err and "Traceback" not in err
+
+
+def test_simulate_service_naming_a_directory_is_usage_error(tmp_path, capsys):
+    scn = tmp_path / "directory.scn"
+    scn.write_text("SERVICE .\n", encoding="utf-8")
+    assert main(["simulate", str(scn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # -- loa ---------------------------------------------------------------------------
 
 
@@ -238,6 +261,27 @@ def test_loa_ships_a_worked_example(capsys):
     tasks = Path(scenario_dir()) / "ward.tasks"
     assert main(["loa", str(tasks)]) == 0
     assert "loa 0.6000" in capsys.readouterr().out
+
+
+def test_loa_non_finite_task_weight_is_domain_error(tmp_path, capsys):
+    tasks = tmp_path / "demo.tasks"
+    for weight in ("NaN", "sNaN", "Infinity", "-Infinity"):
+        tasks.write_text(
+            f"TASK t0 rule WEIGHT 1 ASSIGNEE machine\nTASK t1 skill WEIGHT {weight} ASSIGNEE human\n",
+            encoding="utf-8",
+        )
+        assert main(["loa", str(tasks)]) == 1
+        err = capsys.readouterr().err
+        assert "ParseError: line 2, column 1: expected a finite weight" in err and "Traceback" not in err
+
+
+def test_loa_non_finite_category_weight_is_domain_error(tmp_path, capsys):
+    tasks = tmp_path / "demo.tasks"
+    tasks.write_text("TASK a skill WEIGHT 1 ASSIGNEE machine\n", encoding="utf-8")
+    for spec in ("NaN,1,1,1", "1,1,1,sNaN", "1,2,3,Infinity"):
+        assert main(["loa", str(tasks), "--category-weights", spec]) == 1
+        err = capsys.readouterr().err
+        assert "InvalidStateError: category weights must be finite" in err and "Traceback" not in err
 
 
 def test_loa_bad_weights_are_usage_errors(tmp_path, capsys):
@@ -268,6 +312,14 @@ def test_export_base_to_file(tmp_path, capsys):
     assert main(["export-base", "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == base_kb_text()
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_export_base_to_missing_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "nonexistent" / "dir" / "base.kb"
+    assert main(["export-base", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == "" and not out.parent.exists()
 
 
 # -- argparse plumbing ------------------------------------------------------------------

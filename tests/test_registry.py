@@ -6,7 +6,6 @@ import pytest
 
 from soa_hitlcps.errors import (
     DuplicateIndividualError,
-    ImmutableSkillSetError,
     InvalidStateError,
     NoCompletedInvocationError,
     RatingOutOfRangeError,
@@ -266,14 +265,6 @@ def test_learned_knowledge_appends():
     assert registry.kb.match(
         Pattern(iri("cathyCapability"), iri("hasLearnedKnowledge"), iri("HeadDiscomfort"))
     )
-
-
-def test_programmed_skills_immutable():
-    registry = build_registry()
-    with pytest.raises(ImmutableSkillSetError):
-        registry.add_programmed_skill(iri("Cathy"), iri("Monitoring"))
-    with pytest.raises(UnknownProviderError):
-        registry.add_programmed_skill(iri("Nobody"), iri("Monitoring"))
 
 
 # -- potential services -------------------------------------------------------------

@@ -24,6 +24,7 @@ from soa_hitlcps.schema import (
     PropertyBundle,
     QoS,
     ServiceProfile,
+    TAXONOMY,
     TimeWindow,
     TypedParameter,
     base_ontology,
@@ -39,7 +40,6 @@ from soa_hitlcps.schema import (
     project_profile,
     render_pattern,
     retract_presentation,
-    taxonomy,
     validate_profile,
 )
 
@@ -118,7 +118,7 @@ def test_capability_axiom_inference(base):
 
 
 def test_taxonomy_sets_disjoint():
-    tax = taxonomy()
+    tax = TAXONOMY
     groups = [set(tax.skills), set(tax.knowledge), set(tax.abilities),
               set(tax.performance_factors), set(tax.education_levels)]
     for i, left in enumerate(groups):
@@ -127,7 +127,7 @@ def test_taxonomy_sets_disjoint():
 
 
 def test_taxonomy_contents():
-    tax = taxonomy()
+    tax = TAXONOMY
     assert iri("Complex_Problem_Solving") in tax.skills
     assert iri("Cardiac_output_CO_monitoring_units_or_accessories") in tax.skills
     assert iri("Medicine_and_Dentistry") in tax.knowledge
