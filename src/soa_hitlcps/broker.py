@@ -22,13 +22,12 @@ from .errors import (
     UnknownServiceError,
 )
 from .kb import DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri, parse_name
-from .query import And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate
+from .query import And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate, join
 from .reasoner import materialize
 from .registry import (
     COMPLETED,
     FAILED,
     Invocation,
-    PUBLISHED,
     REJECTED,
     RUNNING,
     ServiceRegistry,
@@ -217,7 +216,7 @@ class ServiceBroker:
         ranked = []
         for service in candidates:
             record = self.registry.services.get(service)
-            if record is None or record.status != PUBLISHED:
+            if record is None:  # presented, but not a service the registry holds
                 continue
             if not self._kind_matches(closed, service, request.service_kind):
                 continue
@@ -302,7 +301,7 @@ class ServiceBroker:
         record = self.registry.services.get(service)
         if record is None:
             raise UnknownServiceError(str(service))
-        if record.status != PUBLISHED:
+        if not self.registry.is_published(service):
             raise InvalidStateError(f"{service} is withdrawn")
         inputs = dict(inputs or {})
         profile = record.profile
@@ -326,16 +325,10 @@ class ServiceBroker:
             return self._reject(invocation, "limitation")
         env = {"consumer": consumer}
         env.update(inputs)
-        bindings = {}
-        for precondition in profile.preconditions:
-            pattern = precondition.substitute(env)
-            matches = closed.match(pattern)
-            if not matches:
-                return self._reject(invocation, "precondition")
-            first = matches[0]
-            bindings.update(first)
-            env.update(first)
-        invocation.bindings = bindings
+        joint = join(closed, profile.preconditions, env)
+        if not joint:
+            return self._reject(invocation, "precondition")
+        invocation.bindings = {var: value for var, value in joint[0].items() if var not in env}
         invocation.status = RUNNING
         return invocation
 

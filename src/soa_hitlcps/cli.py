@@ -79,6 +79,8 @@ def _cmd_query(args) -> int:
 
 def _cmd_metrics(args) -> int:
     kb = parse_document(_read(args.kb))
+    if args.cq_dir and not Path(args.cq_dir).is_dir():
+        raise _Usage(f"no such directory: {args.cq_dir}")
     cq = metrics.load_cq_dir(args.cq_dir) if args.cq_dir else None
     include = True if args.annotations else None
     annotations = annotations_from_kb(kb) if args.annotations else None
@@ -116,9 +118,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_loa(args) -> int:
     tasks = allocation.parse_task_file(_read(args.tasks))
+    weights = _parse_category_weights(args.category_weights) if args.category_weights else None
     print(f"loa {allocation.loa(tasks)}")
-    if args.category_weights:
-        weights = _parse_category_weights(args.category_weights)
+    if weights is not None:
         print(f"loa-weighted {allocation.loa_weighted(tasks, weights)}")
     for category in sorted({t.category for t in tasks}, key=lambda c: c.value):
         stance = allocation.recommend_allocation(category)

@@ -593,7 +593,14 @@ def read_document(path) -> str:
     return decode_document(Path(path).read_bytes())
 
 
-_TOKEN_RE = re.compile(r'"(?:[^"\\]|\\.)*"|[()]|[^\s()"]+')
+_OPEN_STRING = r'"(?:[^"\\]|\\.)*'
+_STRING = _OPEN_STRING + '"'
+_STRING_RE = re.compile(_STRING)
+# An unclosed string is one token too, so that it is reported, not skipped.
+_TOKEN_RE = re.compile(_STRING + r'?|[()]|[^\s()"]+')
+# Up to a comment: a "#" outside strings that starts the line or follows
+# whitespace, so tokens such as namespace expansions ending in "#" survive.
+_COMMENT_RE = re.compile(r'(?:' + _OPEN_STRING + r'(?:"|$)|[^"])*?(?<!\S)#')
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 _INT_RE = re.compile(r"^-?[0-9]+$")
 _DECIMAL_RE = re.compile(r"^-?[0-9]+\.[0-9]+$")
@@ -607,23 +614,8 @@ class _Token:
 
 
 def _strip_comment(raw: str) -> str:
-    # A comment `#` must start the line or follow whitespace, so tokens such
-    # as namespace expansions ending in `#` survive.
-    in_string = False
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if in_string:
-            if ch == "\\":
-                i += 1
-            elif ch == '"':
-                in_string = False
-        elif ch == '"':
-            in_string = True
-        elif ch == "#" and (i == 0 or raw[i - 1].isspace()):
-            return raw[:i]
-        i += 1
-    return raw
+    comment = _COMMENT_RE.match(raw)
+    return raw[:comment.end() - 1] if comment else raw
 
 
 def content_lines(text: str) -> Iterator[tuple]:
@@ -685,6 +677,8 @@ def _parse_name(tok: _Token, prefixes: dict) -> Iri:
 def _parse_term(tok: _Token, prefixes: dict) -> Term:
     text = tok.text
     if text.startswith('"'):
+        if not _STRING_RE.fullmatch(text):
+            raise ParseError(tok.line, tok.column, "a string literal closed by a quote")
         body = text[1:-1]
         value = body.replace('\\"', '"').replace("\\\\", "\\")
         return Literal("string", value)

@@ -307,26 +307,23 @@ def _compile_filter(expr: FilterExpr, kb: KnowledgeBase):
     return lambda binding: any(test(binding) for test in parts)
 
 
-def evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
-    """Run ``ast`` against ``kb`` (materialize first if inference matters).
+def join(kb: KnowledgeBase, patterns, binding: dict, filters=()) -> list[dict]:
+    """Every extension of ``binding`` that matches all ``patterns``, in join order.
 
-    Each conjunct of a top-level ``&&`` FILTER (or the whole FILTER when it
-    is a single comparison or an ``||``) is applied right after the pattern
-    that binds the last of its variables, so it narrows the later joins.
+    Patterns join left to right, each extending the bindings so far in
+    ``kb.match`` order, so the first result is the one a depth-first search
+    finds first.  ``filters`` are ``(variables, test)`` pairs; each test runs
+    right after the pattern that binds the last of its variables, so it
+    narrows the later joins.
     """
-    patterns = [_resolve_pattern(p, kb) for p in ast.patterns]
-    if ast.filter is None:
-        conjuncts = ()
-    else:
-        conjuncts = ast.filter.parts if isinstance(ast.filter, And) else (ast.filter,)
-    pending = [(_filter_vars(c), _compile_filter(c, kb)) for c in conjuncts]
-    bound: set = set()
-    bindings = [dict()]
+    bound = set(binding)
+    pending = list(filters)
+    bindings = [dict(binding)]
     for pattern in patterns:
         next_bindings = []
-        for binding in bindings:
-            for extension in kb.match(pattern.substitute(binding)):
-                merged = dict(binding)
+        for partial in bindings:
+            for extension in kb.match(pattern.substitute(partial)):
+                merged = dict(partial)
                 merged.update(extension)
                 next_bindings.append(merged)
         bound.update(pattern.variables())
@@ -335,8 +332,23 @@ def evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
         bindings = [b for b in next_bindings if all(test(b) for test in ready)]
         if not bindings:
             break
-    bindings = [b for b in bindings if all(test(b) for _, test in pending)]
-    rows = {tuple(b[v] for v in ast.projected) for b in bindings}
+    return [b for b in bindings if all(test(b) for _, test in pending)]
+
+
+def evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
+    """Run ``ast`` against ``kb`` (materialize first if inference matters).
+
+    Each conjunct of a top-level ``&&`` FILTER (or the whole FILTER when it
+    is a single comparison or an ``||``) is applied right after the pattern
+    that binds the last of its variables (see :func:`join`).
+    """
+    patterns = [_resolve_pattern(p, kb) for p in ast.patterns]
+    if ast.filter is None:
+        conjuncts = ()
+    else:
+        conjuncts = ast.filter.parts if isinstance(ast.filter, And) else (ast.filter,)
+    filters = [(_filter_vars(c), _compile_filter(c, kb)) for c in conjuncts]
+    rows = {tuple(b[v] for v in ast.projected) for b in join(kb, patterns, {}, filters)}
     ordered = tuple(sorted(rows, key=lambda row: tuple(term_sort_key(v) for v in row)))
     return ResultTable(tuple(ast.projected), ordered)
 

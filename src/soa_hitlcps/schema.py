@@ -8,10 +8,13 @@ individuals (skills, knowledge domains, abilities, performance factors,
 education levels).
 
 This module also defines the capability (.cap) and service-profile (.srv)
-file formats and the projection of typed records into kb facts.  Scales and
-parameter signatures are projected through a handful of instance-level
-plumbing properties (``hasSkillLevel`` and friends) that are declared on
-demand and are deliberately not part of the base ontology's 45.
+file formats, whose names follow the .kb rule, and the graph codec: the one
+place that writes typed records as kb facts and reads them back.  One field
+table per record type drives both directions.  Scales, preferences,
+parameter signatures and rating criteria are string literals on a handful of
+instance-level plumbing properties (``hasSkillLevel`` and friends) that are
+declared on demand and are deliberately not part of the base ontology's 45.
+A service is published exactly when its ``presents`` link is in the graph.
 """
 
 from __future__ import annotations
@@ -19,20 +22,26 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import InvalidProfileError, ParseError, UnknownTaxonomyTermError
 from .kb import (
     ClassAxiom,
     Conjunction,
+    DEFAULT_EXPANSION,
+    DEFAULT_PREFIX,
     Iri,
     KnowledgeBase,
+    Literal,
     NamedClass,
     Pattern,
     SomeValues,
+    Statement,
     TYPE_PRED,
     Var,
+    _STRING,
     _Token,
+    _parse_name,
     _parse_term,
     annotation_from_flags,
     content_lines,
@@ -41,6 +50,7 @@ from .kb import (
     iri,
     parse_name,
     string as string_literal,
+    term_sort_key,
 )
 
 # --------------------------------------------------------------------------
@@ -216,16 +226,11 @@ def base_ontology() -> KnowledgeBase:
         else:
             flags = ["+R", "+I"]
         kb.add_annotation(annotation_from_flags(iri(name), flags))
-    for term in TAXONOMY.skills:
-        kb.add_type(term, iri("Skill"))
-    for term in TAXONOMY.knowledge:
-        kb.add_type(term, iri("Knowledge"))
-    for term in TAXONOMY.abilities:
-        kb.add_type(term, iri("Ability"))
-    for term in TAXONOMY.performance_factors:
-        kb.add_type(term, iri("PerformanceFactor"))
-    for term in TAXONOMY.education_levels:
-        kb.add_type(term, iri("Education"))
+    for cls, terms in (("Skill", TAXONOMY.skills), ("Knowledge", TAXONOMY.knowledge),
+                       ("Ability", TAXONOMY.abilities), ("PerformanceFactor", TAXONOMY.performance_factors),
+                       ("Education", TAXONOMY.education_levels)):
+        for term in terms:
+            kb.add_type(term, iri(cls))
     return kb
 
 
@@ -252,9 +257,6 @@ def ensure_plumbing(kb: KnowledgeBase) -> None:
 class TypedParameter:
     name: str
     type: Iri
-
-    def render(self) -> str:
-        return f"{self.name}:{self.type}"
 
 
 @dataclass(frozen=True)
@@ -383,20 +385,13 @@ def validate_human_capability(cap: HumanCapability) -> None:
             raise UnknownTaxonomyTermError(skill)
         if not SKILL_SCALE[0] <= scale <= SKILL_SCALE[1]:
             raise InvalidProfileError(f"skill scale {scale} for {skill} outside {SKILL_SCALE}")
-    for term in cap.knowledge:
-        if term not in TAXONOMY.knowledge:
-            raise UnknownTaxonomyTermError(term)
-    for term in cap.abilities:
-        if term not in TAXONOMY.abilities:
-            raise UnknownTaxonomyTermError(term)
-    for term in cap.performance_factors:
-        if term not in TAXONOMY.performance_factors:
-            raise UnknownTaxonomyTermError(term)
-    if cap.education is not None and cap.education not in TAXONOMY.education_levels:
-        raise UnknownTaxonomyTermError(cap.education)
-    for dim in cap.preferences:
-        if dim not in TAXONOMY.preference_dimensions:
-            raise UnknownTaxonomyTermError(dim)
+    for used, known in ((cap.knowledge, TAXONOMY.knowledge), (cap.abilities, TAXONOMY.abilities),
+                        (cap.performance_factors, TAXONOMY.performance_factors),
+                        (_one(cap.education), TAXONOMY.education_levels),
+                        (cap.preferences, TAXONOMY.preference_dimensions)):
+        for term in used:
+            if term not in known:
+                raise UnknownTaxonomyTermError(term)
 
 
 def validate_machine_capability(cap: MachineCapability) -> None:
@@ -405,15 +400,10 @@ def validate_machine_capability(cap: MachineCapability) -> None:
             raise UnknownTaxonomyTermError(term)
 
 
-def capability_node(owner: Iri) -> Iri:
-    local = owner.local[0].lower() + owner.local[1:]
-    return Iri(owner.prefix, f"{local}Capability")
-
-
 # --------------------------------------------------------------------------
 # Flat pattern text (used in profile files and kb literal projections)
 
-_WORD = re.compile(r'"(?:[^"\\]|\\.)*"|\S+')
+_WORD = re.compile(_STRING + r"|\S+")
 
 
 def render_pattern(pattern: Pattern) -> str:
@@ -425,21 +415,24 @@ def render_pattern(pattern: Pattern) -> str:
     return f"{term(pattern.subject)} {term(pattern.predicate)} {term(pattern.object)}"
 
 
-def _parse_flat_term(text: str, lineno: int, column: int, prefixes: dict):
+# Names in .cap and .srv files: the built-in prefix and the .kb local-name rule,
+# so that every graph they build serializes to a document that parses back.
+_PREFIXES = {DEFAULT_PREFIX: DEFAULT_EXPANSION}
+
+
+def _parse_flat_term(text: str, lineno: int):
     if text.startswith("?"):
         return Var(text[1:])
     if text == "a":
         return TYPE_PRED
-    return _parse_term(_Token(text, lineno, column), prefixes)
+    return _parse_term(_Token(text, lineno, 1), _PREFIXES)
 
 
-def parse_flat_pattern(text: str, lineno: int = 1, prefixes: Optional[dict] = None) -> Pattern:
-    prefixes = prefixes or {"soa-hitlcps": "builtin"}
+def parse_flat_pattern(text: str, lineno: int = 1) -> Pattern:
     words = _WORD.findall(text)
     if len(words) != 3:
         raise ParseError(lineno, 1, "a three-term pattern")
-    s, p, o = (_parse_flat_term(w, lineno, 1, prefixes) for w in words)
-    return Pattern(s, p, o)
+    return Pattern(*(_parse_flat_term(w, lineno) for w in words))
 
 
 # --------------------------------------------------------------------------
@@ -447,9 +440,7 @@ def parse_flat_pattern(text: str, lineno: int = 1, prefixes: Optional[dict] = No
 
 
 def _term_name(word: str, lineno: int) -> Iri:
-    if ":" not in word and not re.match(r"^[A-Za-z_][\w.-]*$", word):
-        raise ParseError(lineno, 1, "a name")
-    return parse_name(word)
+    return _parse_name(_Token(word, lineno, 1), _PREFIXES)
 
 
 def _int(word: str, lineno: int) -> int:
@@ -469,20 +460,19 @@ def _decimal(word: str, lineno: int) -> Decimal:
     return value
 
 
+_LEVEL_KEYWORDS = {"SKILL": "skills", "ABILITY": "abilities", "PERFORMANCE": "performance_factors"}
+
+
 def parse_human_capability(text: str):
     """Parse a human .cap document; returns (HumanCapability, contexts)."""
     cap = HumanCapability()
     contexts = []
     for lineno, words in content_lines(text):
         keyword = words[0]
-        if keyword == "SKILL" and len(words) == 3:
-            cap.skills[_term_name(words[1], lineno)] = _int(words[2], lineno)
+        if keyword in _LEVEL_KEYWORDS and len(words) == 3:
+            getattr(cap, _LEVEL_KEYWORDS[keyword])[_term_name(words[1], lineno)] = _int(words[2], lineno)
         elif keyword == "KNOWLEDGE" and len(words) == 2:
             cap.knowledge.append(_term_name(words[1], lineno))
-        elif keyword == "ABILITY" and len(words) == 3:
-            cap.abilities[_term_name(words[1], lineno)] = _int(words[2], lineno)
-        elif keyword == "PERFORMANCE" and len(words) == 3:
-            cap.performance_factors[_term_name(words[1], lineno)] = _int(words[2], lineno)
         elif keyword == "EDUCATION" and len(words) == 2:
             cap.education = _term_name(words[1], lineno)
         elif keyword == "PREFERENCE" and len(words) == 3:
@@ -497,29 +487,15 @@ def parse_human_capability(text: str):
 
 def parse_machine_capability(text: str):
     """Parse a machine .cap document; returns (MachineCapability, contexts)."""
-    hardware, software, programmed, learned, contexts = [], [], [], [], []
+    names = {"HARDWARE": [], "SOFTWARE": [], "PROGRAMMED_SKILL": [], "LEARNED": [], "CONTEXT": []}
     for lineno, words in content_lines(text):
-        keyword = words[0]
-        if keyword == "HARDWARE" and len(words) == 2:
-            hardware.append(_term_name(words[1], lineno))
-        elif keyword == "SOFTWARE" and len(words) == 2:
-            software.append(_term_name(words[1], lineno))
-        elif keyword == "PROGRAMMED_SKILL" and len(words) == 2:
-            programmed.append(_term_name(words[1], lineno))
-        elif keyword == "LEARNED" and len(words) == 2:
-            learned.append(_term_name(words[1], lineno))
-        elif keyword == "CONTEXT" and len(words) == 2:
-            contexts.append(_term_name(words[1], lineno))
-        else:
-            raise ParseError(lineno, 1, "HARDWARE/SOFTWARE/PROGRAMMED_SKILL/LEARNED/CONTEXT")
-    cap = MachineCapability(
-        hardware=tuple(hardware),
-        software=tuple(software),
-        programmed_skills=frozenset(programmed),
-        learned_knowledge=list(learned),
-    )
+        if words[0] not in names or len(words) != 2:
+            raise ParseError(lineno, 1, "/".join(names))
+        names[words[0]].append(_term_name(words[1], lineno))
+    cap = MachineCapability(tuple(names["HARDWARE"]), tuple(names["SOFTWARE"]),
+                            frozenset(names["PROGRAMMED_SKILL"]), names["LEARNED"])
     validate_machine_capability(cap)
-    return cap, tuple(contexts)
+    return cap, tuple(names["CONTEXT"])
 
 
 # --------------------------------------------------------------------------
@@ -545,7 +521,6 @@ def parse_service_profile(text: str):
     preconditions, effects_add, effects_remove, limitations, declarations = [], [], [], [], []
     capability_ref = None
     dop = 1
-    prefixes = {"soa-hitlcps": "builtin"}
     for lineno, words in content_lines(text):
         keyword, rest = words[0], words[1:]
         if keyword == "SERVICE" and len(rest) == 1:
@@ -563,9 +538,9 @@ def parse_service_profile(text: str):
         elif keyword == "OUTPUT" and len(rest) == 2:
             outputs.append(TypedParameter(rest[0], _term_name(rest[1], lineno)))
         elif keyword == "PRECONDITION" and len(rest) >= 3:
-            preconditions.append(parse_flat_pattern(" ".join(rest), lineno, prefixes))
+            preconditions.append(parse_flat_pattern(" ".join(rest), lineno))
         elif keyword == "EFFECT" and len(rest) >= 4 and rest[0] in ("ADD", "DEL"):
-            pattern = parse_flat_pattern(" ".join(rest[1:]), lineno, prefixes)
+            pattern = parse_flat_pattern(" ".join(rest[1:]), lineno)
             (effects_add if rest[0] == "ADD" else effects_remove).append(pattern)
         elif keyword == "CONTEXT" and len(rest) == 1:
             contexts.append(_term_name(rest[0], lineno))
@@ -573,11 +548,7 @@ def parse_service_profile(text: str):
             capability_ref = _term_name(rest[0], lineno)
         elif keyword == "QOS":
             kv = _parse_kv(rest, lineno)
-            qos = QoS(
-                reputation=_decimal(kv.get("reputation", "0"), lineno),
-                cost=_decimal(kv.get("cost", "0"), lineno),
-                response_time=_decimal(kv.get("response_time", "0"), lineno),
-            )
+            qos = QoS(*(_decimal(kv.get(key, "0"), lineno) for key in ("reputation", "cost", "response_time")))
         elif keyword == "PARALLELISM" and len(rest) == 1:
             dop = _int(rest[0], lineno)
         elif keyword == "LIMITATION" and rest:
@@ -645,122 +616,358 @@ def validate_profile(profile: ServiceProfile) -> None:
 
 
 # --------------------------------------------------------------------------
-# Projections into the kb
+# Graph codec: how each record is stored as facts, written and read here only
+#
+# A record's fields are facts on its node.  Each field table row names the
+# record attribute, the predicate holding it and the codec between a value
+# and an object term; the writer adds one fact per value and the reader
+# decodes the objects in term order.  Each literal format (``term:level``,
+# ``dim:value``, ``name:type``, ``ADD``/``DEL`` patterns, ``name=value;...``)
+# is rendered and parsed by one codec.
+
+
+def _owned_node(owner: Iri, suffix: str) -> Iri:
+    """``owner``'s ``Capability``, ``Specification`` or ``Potential`` node."""
+    return Iri(owner.prefix, owner.local[:1].lower() + owner.local[1:] + suffix)
+
+
+def capability_node(owner: Iri) -> Iri:
+    return _owned_node(owner, "Capability")
+
+
+def profile_nodes(service: Iri):
+    """Deterministic (profile, property bundle, qos) node names for a service."""
+    return tuple(Iri(service.prefix, service.local + part) for part in ("Profile", "Properties", "Qos"))
+
+
+class _Codec(NamedTuple):
+    encode: Callable  # value -> object term
+    decode: Callable  # object term -> value, or None when the term holds none
+
+
+def _literal(kinds, encode, parse) -> _Codec:
+    return _Codec(encode, lambda term: parse(term.value)
+                  if isinstance(term, Literal) and term.kind in kinds else None)
+
+
+def _text(render, parse) -> _Codec:
+    """Values stored as string literals that ``render`` writes and ``parse`` reads."""
+    return _literal(("string",), lambda value: string_literal(render(value)), parse)
+
+
+_IRI = _Codec(lambda value: value, lambda term: term if isinstance(term, Iri) else None)
+_DECIMAL = _literal(("decimal", "integer"), decimal_literal, Decimal)
+_INTEGER = _literal(("integer",), integer_literal, int)
+
+_LEVEL_RE = re.compile(r"^(?P<term>.*):(?P<value>-?\d+)$")
+
+
+def _parse_level(text: str):
+    match = _LEVEL_RE.match(text)
+    return (parse_name(match["term"]), int(match["value"])) if match else None
+
+
+def _parse_parameter(text: str) -> TypedParameter:
+    name, _, type_text = text.partition(":")
+    return TypedParameter(name, parse_name(type_text))
+
+
+def _parse_criteria(text: str) -> tuple:
+    pairs = (part.partition("=") for part in text.split(";"))
+    return tuple((name, Decimal(value)) for name, _, value in pairs if name)
+
+
+def _effect(verb: str) -> _Codec:
+    """``ADD <pattern>`` or ``DEL <pattern>``."""
+    head = verb + " "
+    return _text(lambda pattern: head + render_pattern(pattern),
+                 lambda text: parse_flat_pattern(text[len(head):]) if text.startswith(head) else None)
+
+
+_LEVEL = _text(lambda pair: f"{pair[0]}:{pair[1]}", _parse_level)  # term:level
+_PREFERENCE = _text(lambda pair: f"{pair[0]}:{pair[1]}", lambda text: tuple(text.partition(":")[::2]))
+_PARAMETER = _text(lambda param: f"{param.name}:{param.type}", _parse_parameter)
+_CRITERIA = _text(lambda criteria: ";".join(f"{name}={value}" for name, value in criteria),
+                  _parse_criteria)
+
+
+def _one(value) -> tuple:
+    return () if value is None else (value,)
+
+
+class _Field(NamedTuple):
+    attr: str
+    predicate: str
+    codec: _Codec = _IRI
+    build: Callable = tuple  # the values read, in term order -> the attribute
+    values: Callable = iter  # the attribute -> the values written, one fact each
+    cls: Optional[str] = None  # class asserted on each value written
+
+
+def _single(attr: str, predicate: str, codec: _Codec = _IRI, default=None) -> _Field:
+    """A field of at most one value; of several stored, the first in term order."""
+    return _Field(attr, predicate, codec, lambda values: values[0] if values else default, _one)
+
+
+# HumanCapability's leveled maps: attribute -> (term predicate, level
+# predicate, the level of a term stored without one).
+_LEVELED = {
+    "skills": ("hasHumanSkill", "hasSkillLevel", SKILL_SCALE[0]),
+    "abilities": ("hasAbility", "hasAbilityLevel", 1),
+    "performance_factors": ("hasPerformanceFactor", "hasPerformanceLevel", 1),
+}
+_HUMAN = (
+    _Field("knowledge", "hasHumanKnowledge", build=list),
+    _single("education", "hasEducation"),
+    _Field("preferences", "hasPreferenceValue", _PREFERENCE, build=dict, values=dict.items),
+)
+_LEARNED = _Field("learned_knowledge", "hasLearnedKnowledge", build=list, cls="Knowledge")
+_MACHINE = (_Field("programmed_skills", "hasProgrammedSkill", build=frozenset), _LEARNED)
+_SPECIFICATION = (
+    _Field("hardware", "hasHardware", cls="Hardware"),
+    _Field("software", "hasSoftware", cls="Software"),
+)
+_CONTEXT = _Field("contexts", "hasContext", cls="Context")  # on the capability's owner
+_PROFILE = (
+    _Field("degree_of_parallelism", "degreeOfParallelism", _INTEGER,
+           build=lambda values: values[-1] if values else 1, values=_one),
+    _Field("inputs", "hasInput", _PARAMETER),
+    _Field("outputs", "hasOutput", _PARAMETER),
+    _Field("preconditions", "hasPrecondition", _text(render_pattern, parse_flat_pattern)),
+    _Field("effects_add", "hasEffect", _effect("ADD")),
+    _Field("effects_remove", "hasEffect", _effect("DEL")),
+    _Field("limitations", "hasLimitation", _text(lambda limitation: limitation.render(), parse_flat_limitation)),
+)
+_BUNDLE = (
+    _Field("contexts", "includeContext", cls="Context"),
+    _single("capability_ref", "includeCapability"),
+)
+_REPUTATION = _single("reputation", "reputationValue", _DECIMAL, Decimal("0"))
+_QOS = (
+    _REPUTATION,
+    _single("cost", "costValue", _DECIMAL, Decimal("0")),
+    _single("response_time", "responseTimeValue", _DECIMAL, Decimal("0")),
+)
+_EXPERIENCE = (
+    _single("service", "experienceOf"),
+    _single("requester", "ratedBy"),
+    _single("rating", "ratingValue", _DECIMAL, Decimal("0")),
+    _Field("criteria", "hasCriteria", _CRITERIA,
+           build=lambda values: sum(values, ()), values=lambda criteria: (criteria,) if criteria else ()),
+)
+
+_PRESENTS = iri("presents")
+
+
+def _add(kb: KnowledgeBase, node: Iri, field: _Field, values) -> None:
+    for value in values:
+        if field.cls is not None:
+            kb.add_type(value, iri(field.cls))
+        kb.add_statement(node, iri(field.predicate), field.codec.encode(value))
+
+
+def _write(kb: KnowledgeBase, node: Iri, record, fields) -> None:
+    for field in fields:
+        _add(kb, node, field, field.values(getattr(record, field.attr)))
+
+
+def _objects(kb: KnowledgeBase, node: Iri) -> dict:
+    """Predicate -> the objects of ``node``'s facts with it, in term order."""
+    objects: dict = {}
+    for stmt in sorted(kb.statements_about(node), key=lambda s: term_sort_key(s.object)):
+        objects.setdefault(stmt.predicate, []).append(stmt.object)
+    return objects
+
+
+def _decoded(objects: dict, predicate: str, codec: _Codec = _IRI) -> list:
+    return [v for v in map(codec.decode, objects.get(iri(predicate), ())) if v is not None]
+
+
+def _read(objects: dict, fields) -> dict:
+    """Attribute -> value for each of ``fields``, from :func:`_objects`."""
+    return {field.attr: field.build(_decoded(objects, field.predicate, field.codec)) for field in fields}
+
+
+def _project_owner(kb: KnowledgeBase, owner: Iri, owner_class: str, node_class: str, contexts) -> Iri:
+    node = capability_node(owner)
+    kb.add_type(owner, iri(owner_class))
+    kb.add_type(node, iri(node_class))
+    kb.add_statement(owner, iri("hasCapability"), node)
+    _add(kb, owner, _CONTEXT, contexts)
+    return node
+
+
+def write_level(kb: KnowledgeBase, person: Iri, attr: str, term: Iri, level: int,
+                old: Optional[int] = None) -> None:
+    """``term`` at ``level`` in the leveled map ``attr``, replacing its level ``old``."""
+    node = capability_node(person)
+    link, level_predicate, _ = _LEVELED[attr]
+    if old is not None:
+        kb.remove_statement(node, iri(level_predicate), _LEVEL.encode((term, old)))
+    kb.add_statement(node, iri(link), term)
+    kb.add_statement(node, iri(level_predicate), _LEVEL.encode((term, level)))
 
 
 def project_human(kb: KnowledgeBase, person: Iri, cap: HumanCapability, contexts=()) -> Iri:
     validate_human_capability(cap)
     ensure_plumbing(kb)
-    node = capability_node(person)
-    kb.add_type(person, iri("PhysicalThing"))
-    kb.add_type(node, iri("HumanCapability"))
-    kb.add_statement(person, iri("hasCapability"), node)
-    for skill in sorted(cap.skills, key=str):
-        kb.add_statement(node, iri("hasHumanSkill"), skill)
-        kb.add_statement(node, iri("hasSkillLevel"), string_literal(f"{skill}:{cap.skills[skill]}"))
-    for term in sorted(set(cap.knowledge), key=str):
-        kb.add_statement(node, iri("hasHumanKnowledge"), term)
-    for ability in sorted(cap.abilities, key=str):
-        kb.add_statement(node, iri("hasAbility"), ability)
-        kb.add_statement(node, iri("hasAbilityLevel"), string_literal(f"{ability}:{cap.abilities[ability]}"))
-    for factor in sorted(cap.performance_factors, key=str):
-        kb.add_statement(node, iri("hasPerformanceFactor"), factor)
-        kb.add_statement(node, iri("hasPerformanceLevel"), string_literal(f"{factor}:{cap.performance_factors[factor]}"))
-    if cap.education is not None:
-        kb.add_statement(node, iri("hasEducation"), cap.education)
-    for dim in sorted(cap.preferences):
-        kb.add_statement(node, iri("hasPreferenceValue"), string_literal(f"{dim}:{cap.preferences[dim]}"))
-    for ctx in contexts:
-        kb.add_type(ctx, iri("Context"))
-        kb.add_statement(person, iri("hasContext"), ctx)
+    node = _project_owner(kb, person, "PhysicalThing", "HumanCapability", contexts)
+    for attr in _LEVELED:
+        for term, level in getattr(cap, attr).items():
+            write_level(kb, person, attr, term, level)
+    _write(kb, node, cap, _HUMAN)
     return node
+
+
+def _read_human(kb: KnowledgeBase, node: Iri) -> HumanCapability:
+    objects = _objects(kb, node)
+    fields = _read(objects, _HUMAN)
+    for attr, (link, level_predicate, default) in _LEVELED.items():
+        levels = dict(_decoded(objects, level_predicate, _LEVEL))
+        fields[attr] = {term: levels.get(term, default) for term in _decoded(objects, link)}
+    return HumanCapability(**fields)
 
 
 def project_machine(kb: KnowledgeBase, machine: Iri, cap: MachineCapability, contexts=()) -> Iri:
     validate_machine_capability(cap)
-    node = capability_node(machine)
-    spec_node = Iri(machine.prefix, node.local.replace("Capability", "Specification"))
-    kb.add_type(machine, iri("Machine"))
-    kb.add_type(node, iri("MachineCapability"))
-    kb.add_statement(machine, iri("hasCapability"), node)
-    kb.add_type(spec_node, iri("MachineSpecification"))
-    kb.add_statement(node, iri("hasSpecification"), spec_node)
-    for hw in cap.hardware:
-        kb.add_type(hw, iri("Hardware"))
-        kb.add_statement(spec_node, iri("hasHardware"), hw)
-    for sw in cap.software:
-        kb.add_type(sw, iri("Software"))
-        kb.add_statement(spec_node, iri("hasSoftware"), sw)
-    for skill in sorted(cap.programmed_skills, key=str):
-        kb.add_statement(node, iri("hasProgrammedSkill"), skill)
-    for topic in cap.learned_knowledge:
-        kb.add_type(topic, iri("Knowledge"))
-        kb.add_statement(node, iri("hasLearnedKnowledge"), topic)
-    for ctx in contexts:
-        kb.add_type(ctx, iri("Context"))
-        kb.add_statement(machine, iri("hasContext"), ctx)
+    node = _project_owner(kb, machine, "Machine", "MachineCapability", contexts)
+    spec = _owned_node(machine, "Specification")
+    kb.add_type(spec, iri("MachineSpecification"))
+    kb.add_statement(node, iri("hasSpecification"), spec)
+    _write(kb, spec, cap, _SPECIFICATION)
+    _write(kb, node, cap, _MACHINE)
     return node
 
 
-def profile_nodes(service: Iri):
-    """Deterministic (profile, property bundle, qos) node names for a service."""
-    return (
-        Iri(service.prefix, service.local + "Profile"),
-        Iri(service.prefix, service.local + "Properties"),
-        Iri(service.prefix, service.local + "Qos"),
-    )
+def _read_machine(kb: KnowledgeBase, node: Iri) -> MachineCapability:
+    objects = _objects(kb, node)
+    specs = _decoded(objects, "hasSpecification")
+    hardware_software = _read(_objects(kb, specs[0]), _SPECIFICATION) if specs else {}
+    return MachineCapability(**_read(objects, _MACHINE), **hardware_software)
+
+
+def project_learned_knowledge(kb: KnowledgeBase, machine: Iri, topic: Iri) -> None:
+    _add(kb, capability_node(machine), _LEARNED, (topic,))
+
+
+def read_capabilities(kb: KnowledgeBase):
+    """``(humans, machines)``: each owner's capability record, by owner."""
+    humans, machines = {}, {}
+    for binding in kb.match(Pattern(Var("owner"), iri("hasCapability"), Var("node"))):
+        owner, node = binding["owner"], binding["node"]
+        types = kb.types_of(node)
+        if iri("HumanCapability") in types:
+            humans[owner] = _read_human(kb, node)
+        elif iri("MachineCapability") in types:
+            machines[owner] = _read_machine(kb, node)
+    return humans, machines
 
 
 def project_profile(kb: KnowledgeBase, profile: ServiceProfile, provider: Iri) -> None:
+    """Store ``profile`` as published by ``provider`` (a Machine's is a MachineService)."""
     service = profile.service_id
     profile_node, props_node, qos_node = profile_nodes(service)
     for prop, domain, range_ in profile.declarations:
         kb.add_property(prop, domain, range_)
+    composite = isinstance(profile.service_type, CompositeType)
+    type_class = iri("CompositeService" if composite else ATOMIC_KINDS[profile.service_type.kind])
     kb.add_type(service, iri("Service"))
-    if isinstance(profile.service_type, AtomicType):
-        kb.add_type(service, iri(ATOMIC_KINDS[profile.service_type.kind]))
-    else:
-        kb.add_type(service, iri("CompositeService"))
+    kb.add_type(service, type_class)
+    if (provider, iri("Machine")) in kb.type_assertions:
+        kb.add_type(service, iri("MachineService"))
+    if composite:
         for part in profile.service_type.parts:
             kb.add_statement(service, iri("composedOf"), part)
     kb.add_statement(service, iri("providedBy"), provider)
     kb.add_statement(provider, iri("provides"), service)
-    kb.add_statement(service, iri("presents"), profile_node)
+    present(kb, service)
     kb.add_type(profile_node, iri("ServiceProfile"))
-    type_class = (
-        ATOMIC_KINDS[profile.service_type.kind]
-        if isinstance(profile.service_type, AtomicType)
-        else "CompositeService"
-    )
-    kb.add_statement(profile_node, iri("hasServiceType"), iri(type_class))
-    kb.add_statement(profile_node, iri("degreeOfParallelism"), integer_literal(profile.degree_of_parallelism))
-    for param in profile.inputs:
-        kb.add_statement(profile_node, iri("hasInput"), string_literal(param.render()))
-    for param in profile.outputs:
-        kb.add_statement(profile_node, iri("hasOutput"), string_literal(param.render()))
-    for pattern in profile.preconditions:
-        kb.add_statement(profile_node, iri("hasPrecondition"), string_literal(render_pattern(pattern)))
-    for pattern in profile.effects_add:
-        kb.add_statement(profile_node, iri("hasEffect"), string_literal("ADD " + render_pattern(pattern)))
-    for pattern in profile.effects_remove:
-        kb.add_statement(profile_node, iri("hasEffect"), string_literal("DEL " + render_pattern(pattern)))
-    for limitation in profile.limitations:
-        kb.add_statement(profile_node, iri("hasLimitation"), string_literal(limitation.render()))
+    kb.add_statement(profile_node, iri("hasServiceType"), type_class)
+    _write(kb, profile_node, profile, _PROFILE)
     kb.add_statement(profile_node, iri("hasProperty"), props_node)
     kb.add_type(props_node, iri("Property"))
-    if profile.properties.capability_ref is not None:
-        kb.add_statement(props_node, iri("includeCapability"), profile.properties.capability_ref)
-    for ctx in profile.properties.contexts:
-        kb.add_type(ctx, iri("Context"))
-        kb.add_statement(props_node, iri("includeContext"), ctx)
+    _write(kb, props_node, profile.properties, _BUNDLE)
     kb.add_statement(props_node, iri("includeQoS"), qos_node)
     kb.add_type(qos_node, iri("QoS"))
-    kb.add_statement(qos_node, iri("reputationValue"), decimal_literal(profile.properties.qos.reputation))
-    kb.add_statement(qos_node, iri("costValue"), decimal_literal(profile.properties.qos.cost))
-    kb.add_statement(qos_node, iri("responseTimeValue"), decimal_literal(profile.properties.qos.response_time))
+    _write(kb, qos_node, profile.properties.qos, _QOS)
+
+
+def read_profile(kb: KnowledgeBase, service: Iri):
+    """``(profile, provider)`` stored for ``service``; None without a provider or a service type."""
+    profile_node, props_node, qos_node = profile_nodes(service)
+    own, objects = _objects(kb, service), _objects(kb, profile_node)
+    providers = _decoded(own, "providedBy")
+    type_class = (_decoded(objects, "hasServiceType") or [None])[0]
+    if type_class == iri("CompositeService"):
+        service_type = CompositeType(tuple(_decoded(own, "composedOf")))
+    else:
+        kinds = [kind for kind, cls in ATOMIC_KINDS.items() if iri(cls) == type_class]
+        service_type = AtomicType(kinds[0]) if kinds else None
+    if not providers or service_type is None:
+        return None
+    bundle = PropertyBundle(qos=QoS(**_read(_objects(kb, qos_node), _QOS)),
+                            **_read(_objects(kb, props_node), _BUNDLE))
+    profile = ServiceProfile(service_id=service, service_type=service_type, properties=bundle,
+                             **_read(objects, _PROFILE))
+    return profile, providers[0]
+
+
+def present(kb: KnowledgeBase, service: Iri) -> None:
+    """Make ``service`` discoverable: link it to its profile with ``presents``."""
+    kb.add_statement(service, _PRESENTS, profile_nodes(service)[0])
 
 
 def retract_presentation(kb: KnowledgeBase, service: Iri) -> None:
     """Withdraw a service from discovery by retracting its presents link."""
-    profile_node, _, _ = profile_nodes(service)
-    kb.remove_statement(service, iri("presents"), profile_node)
+    kb.remove_statement(service, _PRESENTS, profile_nodes(service)[0])
+
+
+def is_presented(kb: KnowledgeBase, service: Iri) -> bool:
+    return Statement(service, _PRESENTS, profile_nodes(service)[0]) in kb.statements
+
+
+def presented_services(kb: KnowledgeBase) -> list:
+    """The services whose presents link is in ``kb``, in order."""
+    return sorted(b["s"] for b in kb.match(Pattern(Var("s"), _PRESENTS, Var("p")))
+                  if b["p"] == profile_nodes(b["s"])[0])
+
+
+def project_reputation(kb: KnowledgeBase, service: Iri, reputation: Decimal) -> None:
+    """Replace the reputation value on ``service``'s QoS node."""
+    qos_node = profile_nodes(service)[2]
+    predicate = iri(_REPUTATION.predicate)
+    for stmt in [s for s in kb.statements_about(qos_node) if s.predicate == predicate]:
+        kb.remove_statement(qos_node, predicate, stmt.object)
+    _add(kb, qos_node, _REPUTATION, (reputation,))
+
+
+def project_experience(kb: KnowledgeBase, record: ExperienceRecord, provider: Iri, index: int) -> Iri:
+    """Store ``record`` on the first unused experience node from ``index`` on."""
+    ensure_plumbing(kb)
+    service = record.service
+    while kb.statements_about(Iri(service.prefix, f"{service.local}Exp{index}")):
+        index += 1
+    node = Iri(service.prefix, f"{service.local}Exp{index}")
+    kb.add_type(node, iri("Experience"))
+    _write(kb, node, record, _EXPERIENCE)
+    kb.add_statement(capability_node(provider), iri("hasExperience"), node)
+    return node
+
+
+def read_experiences(kb: KnowledgeBase) -> list:
+    """Every stored experience that names a service and a rater, in node order."""
+    records = []
+    for binding in kb.match(Pattern(Var("node"), TYPE_PRED, iri("Experience"))):
+        fields = _read(_objects(kb, binding["node"]), _EXPERIENCE)
+        if fields["service"] is not None and fields["requester"] is not None:
+            records.append(ExperienceRecord(**fields))
+    return records
+
+
+def project_potential(kb: KnowledgeBase, person: Iri, service: Iri) -> None:
+    """Record that ``person`` may come to provide ``service``."""
+    node = _owned_node(person, "Potential")
+    kb.add_type(node, iri("Potential"))
+    kb.add_statement(capability_node(person), iri("hasPotential"), node)
+    kb.add_type(service, iri("PotentialService"))
+    kb.add_statement(node, iri("hasPotentialService"), service)

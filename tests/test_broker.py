@@ -32,6 +32,7 @@ from soa_hitlcps.kb import (
     Pattern,
     SomeValues,
     iri,
+    parse_document,
     serialize,
     string,
     term_sort_key,
@@ -358,6 +359,45 @@ def test_invoke_precondition_rejection_and_binding_capture():
     assert invocation.bindings == {"advisor": iri("David")}
     broker.complete_invocation(invocation)
     assert registry.kb.match(Pattern(iri("David"), iri("performs"), iri("followUp")))
+
+
+def test_preconditions_are_one_join_whatever_their_order():
+    # The first precondition alone matches Ann first, whose site fails the
+    # second; only the joint binding decides, so reordering them (as a
+    # reload in term order does) cannot change the outcome.
+    registry = ServiceRegistry()
+    for name, site in (("Nia", "siteB"), ("Ann", "siteA"), ("Pat", "siteB")):
+        registry.register_human(iri(name), parse_human_capability("")[0], (iri(site),))
+    profile, provider = parse_service_profile(
+        "SERVICE watch\nPROVIDER Nia\nKIND sensing\n"
+        "PRECONDITION ?consumer hasContext ?site\nPRECONDITION ?a hasContext ?site\n"
+    )
+    registry.publish_service(profile, provider)
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
+    assert reloaded.services[iri("watch")].profile.preconditions == profile.preconditions[::-1]
+    for each in (registry, reloaded):
+        assert ServiceBroker(each).invoke(iri("watch"), iri("Adam")).reason == "precondition"
+        invocation = ServiceBroker(each).invoke(iri("watch"), iri("Pat"))
+        assert invocation.status == RUNNING
+        assert invocation.bindings == {"site": iri("siteB"), "a": iri("Nia")}
+
+
+def test_effect_deleting_the_presents_link_withdraws_the_service():
+    registry, broker = build_world()
+    profile, _ = parse_service_profile(
+        "SERVICE retire\nKIND processing\nEFFECT DEL chatDoctor presents chatDoctorProfile\n"
+    )
+    registry.publish_service(profile, iri("David"))
+    broker.complete_invocation(broker.invoke(iri("retire"), iri("Erin")))
+    assert not registry.is_published(iri("chatDoctor"))
+    assert registry.published_services() == [iri("erinWatch"), iri("retire")]
+    assert [r.service for r in broker.discover(REFERENCE_REQUEST)] == [iri("retire")]
+    with pytest.raises(InvalidStateError):
+        broker.invoke(iri("chatDoctor"), iri("Erin"), {"patient": iri("Adam")})
+    with pytest.raises(InvalidStateError):
+        registry.withdraw_service(iri("chatDoctor"))
+    registry.publish_service(parse_service_profile(CHAT_DOCTOR)[0], iri("David"))
+    assert [r.service for r in broker.discover(REFERENCE_REQUEST)] == [iri("chatDoctor"), iri("retire")]
 
 
 def test_effect_removal():

@@ -98,6 +98,14 @@ def test_metrics_with_cq_dir(world_kb, capsys):
     assert "cq6 instant rows=1" in out
 
 
+def test_metrics_missing_cq_dir_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-cq"
+    assert main(["metrics", str(BASE_KB), "--cq-dir", str(missing)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: no such directory: {missing}\n"
+
+
 def test_metrics_annotations_flag_adds_ontoclean(capsys):
     assert main(["metrics", str(BASE_KB), "--annotations"]) == 0
     assert "clean" in capsys.readouterr().out
@@ -282,6 +290,14 @@ def test_loa_non_finite_category_weight_is_domain_error(tmp_path, capsys):
         assert main(["loa", str(tasks), "--category-weights", spec]) == 1
         err = capsys.readouterr().err
         assert "InvalidStateError: category weights must be finite" in err and "Traceback" not in err
+
+
+def test_loa_rejected_category_weights_print_nothing(capsys):
+    tasks = Path(scenario_dir()) / "ward.tasks"
+    assert main(["loa", str(tasks), "--category-weights", "2,1,1,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "InvalidStateError: category weights must not decrease" in err
 
 
 def test_loa_bad_weights_are_usage_errors(tmp_path, capsys):

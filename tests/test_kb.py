@@ -69,6 +69,16 @@ def test_literal_objects():
     assert Literal("string", "twelve") in objects
 
 
+def test_unterminated_string_literal_is_a_parse_error_at_its_column():
+    declared = "PROPERTY p DOMAIN A RANGE B\n"
+    for line, column in (('FACT a p "abc', 10), ('FACT a p "ab\\"', 10), ('FACT a p x"abc"', 11)):
+        with pytest.raises(ParseError) as err:
+            parse_document(declared + line + "\n")
+        assert (err.value.line, err.value.column) == (2, column), line
+    kb = parse_document(declared + 'FACT a p "a \\"quoted\\" # word"\n')
+    assert {s.object for s in kb.statements} == {Literal("string", 'a "quoted" # word')}
+
+
 def test_unknown_prefix_is_an_error():
     with pytest.raises(UnknownPrefixError):
         parse_document("CLASS foo:Thing\n")

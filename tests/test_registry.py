@@ -1,5 +1,7 @@
 """Tests for participant registration, publication, experience, and rehydration."""
 
+import dataclasses
+import random
 from decimal import Decimal
 
 import pytest
@@ -12,16 +14,24 @@ from soa_hitlcps.errors import (
     UnknownProviderError,
     UnknownServiceError,
 )
-from soa_hitlcps.kb import Pattern, Var, decimal, iri, parse_document, serialize, string
+from soa_hitlcps.kb import TYPE_PRED, Pattern, Var, decimal, iri, parse_document, serialize, string
 from soa_hitlcps.reasoner import check_consistency, materialize
 from soa_hitlcps.registry import COMPLETED, RUNNING, ServiceRegistry
 from soa_hitlcps.schema import (
+    TAXONOMY,
     AtomicType,
     CompositeType,
+    Condition,
+    HumanCapability,
+    LocationAt,
+    MachineCapability,
+    MaxDistance,
     PotentialService,
     PropertyBundle,
     QoS,
     ServiceProfile,
+    TimeWindow,
+    TypedParameter,
     UnlockRule,
     parse_human_capability,
     parse_machine_capability,
@@ -365,3 +375,174 @@ def test_from_kb_skips_withdrawn_services():
     registry.withdraw_service(iri("chatDoctor"))
     rebuilt = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
     assert iri("chatDoctor") not in rebuilt.services
+
+
+# -- graph codec round trip ----------------------------------------------------------
+
+SITES = tuple(iri(f"site{c}") for c in "ABCD")
+TOPICS = tuple(iri(f"Topic{c}") for c in "ABCDE")
+HUMAN_NAMES = tuple(iri(f"Human{k}") for k in range(8))
+# Two machine names hold "Capability" and "Specification" past their first
+# letter, so that their node names must still differ.
+MACHINE_NAMES = (iri("Mach0"), iri("Mach1"), iri("TheCapabilityBot"), iri("TheSpecificationBot"))
+
+
+def _subset(rng, pool, low=0, high=3):
+    pool = list(pool)
+    return rng.sample(pool, rng.randint(low, min(high, len(pool))))
+
+
+def _random_human(rng):
+    return HumanCapability(
+        skills={s: rng.randint(1, 7) for s in _subset(rng, TAXONOMY.skills, 1)},
+        knowledge=_subset(rng, TAXONOMY.knowledge),
+        abilities={a: rng.randint(1, 7) for a in _subset(rng, TAXONOMY.abilities)},
+        performance_factors={p: rng.randint(1, 7) for p in _subset(rng, TAXONOMY.performance_factors)},
+        preferences={d: rng.choice(("evening", "any", "from:09:00"))
+                     for d in _subset(rng, TAXONOMY.preference_dimensions)},
+        education=rng.choice((None,) + TAXONOMY.education_levels),
+    )
+
+
+def _random_machine(rng):
+    return MachineCapability(
+        hardware=tuple(_subset(rng, (iri(f"Hw{k}") for k in range(4)), 1)),
+        software=tuple(_subset(rng, (iri(f"Sw{k}") for k in range(4)))),
+        programmed_skills=frozenset(_subset(rng, TAXONOMY.skills)),
+        learned_knowledge=_subset(rng, TOPICS),
+    )
+
+
+def _random_profile(rng, service, existing):
+    names = _subset(rng, ("patient", "reading", "place"))
+    inputs = [TypedParameter(n, rng.choice((iri("PhysicalThing"), iri("Output"), iri("Context")))) for n in names]
+    outputs = [TypedParameter(n, iri("Output")) for n in _subset(rng, ("advice", "alert"))]
+    preconditions = _subset(rng, (Pattern(Var("consumer"), iri("hasContext"), Var("site")),
+                                  Pattern(Var("helper"), iri("hasContext"), Var("site")),
+                                  Pattern(Var("consumer"), TYPE_PRED, iri("PhysicalThing"))))
+    effects_add = _subset(rng, (Pattern(Var("consumer"), iri("consumes"), service),
+                                Pattern(Var("consumer"), iri("performs"), iri("followUp"))), 0, 2)
+    effects_remove = _subset(rng, (Pattern(Var("consumer"), iri("performs"), iri("waiting")),
+                                   Pattern(Var("consumer"), iri("consumes"), iri("oldService"))), 0, 2)
+    limitations = _subset(rng, (TimeWindow(0, rng.randint(50, 500)), LocationAt(rng.choice(SITES)),
+                                MaxDistance(Decimal(rng.choice(("40", "2.50"))), rng.choice(SITES)),
+                                Condition(Pattern(Var("x"), TYPE_PRED, iri("Human")))))
+    composite = existing and rng.random() < 0.2
+    return ServiceProfile(
+        service_id=service,
+        service_type=CompositeType(tuple(_subset(rng, existing, 1))) if composite
+        else AtomicType(rng.choice(("sensing", "actuating", "communicating", "processing"))),
+        properties=PropertyBundle(
+            qos=QoS(Decimal(rng.randint(0, 50)) / 10, Decimal(rng.randint(0, 400)) / 4,
+                    Decimal(rng.randint(0, 90))),
+            contexts=tuple(_subset(rng, SITES)),
+        ),
+        inputs=tuple(inputs),
+        outputs=tuple(outputs),
+        preconditions=tuple(preconditions),
+        effects_add=tuple(effects_add),
+        effects_remove=tuple(effects_remove),
+        degree_of_parallelism=rng.randint(1, 4),
+        limitations=tuple(limitations),
+        declarations=((iri("watchedBy"), iri("PhysicalThing"), iri("PhysicalThing")),) * rng.randint(0, 1),
+    )
+
+
+def _ordered(values) -> list:
+    return sorted(values, key=repr)
+
+
+def _human_view(cap):
+    return dataclasses.replace(cap, knowledge=_ordered(cap.knowledge))
+
+
+def _machine_view(cap):
+    return dataclasses.replace(cap, hardware=tuple(_ordered(cap.hardware)),
+                               software=tuple(_ordered(cap.software)),
+                               learned_knowledge=_ordered(cap.learned_knowledge))
+
+
+def _service_view(record, experience):
+    profile = record.profile
+    # The graph keeps one reputation per service, the declared one until the
+    # first rating and the mean rating after it.  A profile's DECLARE lines
+    # are property declarations on the kb, not facts of the profile, and an
+    # experience's timestamp is not stored.
+    bundle = dataclasses.replace(
+        profile.properties, contexts=tuple(_ordered(profile.properties.contexts)),
+        qos=dataclasses.replace(profile.properties.qos, reputation=record.reputation),
+    )
+    service_type = profile.service_type
+    if isinstance(service_type, CompositeType):
+        service_type = CompositeType(tuple(_ordered(service_type.parts)))
+    lists = ("inputs", "outputs", "preconditions", "effects_add", "effects_remove", "limitations")
+    profile = dataclasses.replace(profile, service_type=service_type, properties=bundle, declarations=(),
+                                  **{name: tuple(_ordered(getattr(profile, name))) for name in lists})
+    ratings = sorted((dataclasses.replace(r, timestamp=0) for r in experience),
+                     key=lambda r: (r.requester, r.rating, r.criteria))
+    return profile, record.provider, record.reputation, ratings
+
+
+def _assert_graph_holds_the_records(registry, contexts):
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
+    assert reloaded.kb == registry.kb
+    assert {p: _human_view(c) for p, c in reloaded.humans.items()} == \
+        {p: _human_view(c) for p, c in registry.humans.items()}
+    assert {m: _machine_view(c) for m, c in reloaded.machines.items()} == \
+        {m: _machine_view(c) for m, c in registry.machines.items()}
+    published = registry.published_services()
+    assert sorted(reloaded.services) == published
+    for service in published:
+        assert _service_view(reloaded.services[service], reloaded.experience[service]) == \
+            _service_view(registry.services[service], registry.experience[service]), service
+    for owner, places in contexts.items():
+        held = {b["c"] for b in reloaded.kb.match(Pattern(owner, iri("hasContext"), Var("c")))}
+        assert set(places) <= held, owner
+
+
+def test_records_read_back_from_the_graph_equal_the_records_kept():
+    rng = random.Random(61)
+    registry = ServiceRegistry()
+    contexts = {}
+    withdrawn = set()
+    for step in range(240):
+        humans, machines, services = list(registry.humans), list(registry.machines), sorted(registry.services)
+        action = rng.choice(("human", "machine", "publish", "publish", "withdraw", "republish",
+                             "scale", "learn", "rate", "rate", "potential"))
+        if action == "human" and len(humans) < len(HUMAN_NAMES):
+            person = HUMAN_NAMES[len(humans)]
+            contexts[person] = _subset(rng, SITES)
+            registry.register_human(person, _random_human(rng), contexts[person])
+        elif action == "machine" and len(machines) < len(MACHINE_NAMES):
+            machine = MACHINE_NAMES[len(machines)]
+            contexts[machine] = _subset(rng, SITES)
+            registry.register_machine(machine, _random_machine(rng), contexts[machine])
+        elif action == "publish" and humans + machines:
+            service = iri(f"svc{step}")
+            registry.publish_service(_random_profile(rng, service, services), rng.choice(humans + machines))
+        elif action == "withdraw" and registry.published_services():
+            service = rng.choice(registry.published_services())
+            registry.withdraw_service(service)
+            withdrawn.add(service)
+        elif action == "republish" and withdrawn:
+            service = rng.choice(sorted(withdrawn))
+            withdrawn.discard(service)
+            record = registry.services[service]
+            registry.publish_service(record.profile, record.provider)
+        elif action == "scale" and humans:
+            registry.set_skill_scale(rng.choice(humans), rng.choice(TAXONOMY.skills), rng.randint(1, 7))
+        elif action == "learn" and machines:
+            registry.add_learned_knowledge(rng.choice(machines), rng.choice(TOPICS))
+        elif action == "rate" and services:
+            invocation = registry.new_invocation(rng.choice(services), rng.choice(humans + machines), {})
+            invocation.status = COMPLETED
+            criteria = [(name, Decimal(rng.randint(0, 10)) / 2) for name in _subset(rng, ("timeliness", "care"))]
+            registry.record_experience_for(invocation, Decimal(rng.randint(0, 10)) / 2, criteria, timestamp=step)
+        elif action == "potential" and humans:
+            template = _random_profile(rng, iri(f"potential{step}"), ())
+            rule = UnlockRule(required_knowledge=(rng.choice(TAXONOMY.knowledge),))
+            registry.add_potential(rng.choice(humans), PotentialService(template, rule))
+        if step % 10 == 9:
+            _assert_graph_holds_the_records(registry, contexts)
+    assert len(registry.services) > 20 and len(registry.published_services()) < len(registry.services)
+    assert sum(len(records) for records in registry.experience.values()) > 20

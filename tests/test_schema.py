@@ -4,7 +4,7 @@ from decimal import Decimal
 
 import pytest
 
-from soa_hitlcps.errors import InvalidProfileError, ParseError, UnknownTaxonomyTermError
+from soa_hitlcps.errors import InvalidProfileError, ParseError, UnknownPrefixError, UnknownTaxonomyTermError
 from soa_hitlcps.kb import (
     Iri,
     Pattern,
@@ -214,6 +214,23 @@ def test_parse_machine_capability_rejects_unknown_skill():
         parse_machine_capability("PROGRAMMED_SKILL Flying\n")
 
 
+def test_capability_and_profile_names_follow_the_kb_name_rule():
+    # A name the .kb format cannot read back is rejected where it is written.
+    for text in ("CONTEXT zz:site\n", "SKILL Monitoring 4\nCONTEXT zz:site\n"):
+        with pytest.raises(UnknownPrefixError):
+            parse_human_capability(text)
+    with pytest.raises(UnknownPrefixError):
+        parse_service_profile("SERVICE s\nKIND sensing\nINPUT x zz:Thing\n")
+    for parse, text in ((parse_human_capability, "SKILL Monitoring 4\nCONTEXT café\n"),
+                        (parse_machine_capability, "HARDWARE Box\nSOFTWARE Ünïcode\n"),
+                        (parse_service_profile, "SERVICE s\nCONTEXT soa-hitlcps:café\n")):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == 2, text
+    cap, contexts = parse_human_capability("CONTEXT soa-hitlcps:site_1.b-c\n")
+    assert contexts == (iri("site_1.b-c"),)
+
+
 # -- flat patterns and limitations --------------------------------------------
 
 
@@ -226,6 +243,14 @@ def test_flat_pattern_round_trip():
     assert parse_flat_pattern(render_pattern(typed)) == typed
     literal = Pattern(iri("s"), iri("hasHumanSkill"), string("a b"))
     assert parse_flat_pattern(render_pattern(literal)) == literal
+
+
+def test_flat_pattern_rejects_an_unterminated_string():
+    with pytest.raises(ParseError):
+        parse_flat_pattern('?x hasNote "abc')
+    with pytest.raises(ParseError) as err:
+        parse_service_profile('SERVICE s\nKIND sensing\nPRECONDITION ?x hasNote "abc\n')
+    assert err.value.line == 3
 
 
 def test_parse_flat_limitation_kinds():
