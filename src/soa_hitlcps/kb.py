@@ -40,6 +40,13 @@ write method, declarations included, also bumps the integer ``version``;
 data derived elsewhere (such as the broker's closure) is keyed on the
 knowledge base object and its version, and is stale once either differs.
 
+``Iri`` and ``Statement`` are named tuples, so set and dict lookups hash
+and compare them in C; ``Literal``, ``Var`` and ``Pattern`` stay separate
+types that never equal them.  ``match`` reads the smallest bucket of the
+pattern's constants, compares the other constants by position and builds
+each binding straight from the variable positions, with no per-row
+unification.
+
 The structure is single-writer: no internal locking is performed.
 """
 
@@ -48,8 +55,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
     CyclicSubclassError,
@@ -62,8 +71,7 @@ DEFAULT_PREFIX = "soa-hitlcps"
 DEFAULT_EXPANSION = "http://soa-hitlcps.org/ontology#"
 
 
-@dataclass(frozen=True, order=True)
-class Iri:
+class Iri(NamedTuple):
     """A prefixed name.  Equality and ordering are by (prefix, local)."""
 
     prefix: str
@@ -128,8 +136,7 @@ class Var:
 PatternTerm = Union[Iri, Literal, Var]
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """One (subject, predicate, object) edge.  Subject/predicate are Iris."""
 
     subject: Iri
@@ -447,25 +454,39 @@ class KnowledgeBase:
         variable-name order.  A fully-constant pattern yields one empty map
         when the triple is present.
         """
-        buckets = []
-        for term, by_term in zip((pattern.subject, pattern.predicate, pattern.object), self._indexes()):
-            if not isinstance(term, Var):
-                bucket = by_term.get(term)
+        terms = (pattern.subject, pattern.predicate, pattern.object)
+        index = self._indexes()
+        buckets, first, repeats = [], {}, []
+        for i, term in enumerate(terms):
+            if isinstance(term, Var):
+                j = first.setdefault(term.name, i)
+                if j != i:
+                    repeats.append((i, j))
+            else:
+                bucket = index[i].get(term)
                 if bucket is None:
                     return []
-                buckets.append(bucket)
-        results = []
-        seen = set()
-        for stmt in min(buckets, key=len) if buckets else self.triples():
-            binding = _unify(pattern, stmt)
-            if binding is None:
-                continue
-            key = tuple(sorted((k, term_sort_key(v)) for k, v in binding.items()))
-            if key not in seen:
-                seen.add(key)
-                results.append(binding)
-        results.sort(key=lambda b: tuple(term_sort_key(b[name]) for name in sorted(b)))
-        return results
+                buckets.append((len(bucket), i, bucket))
+        if not first:
+            return [{}] if Statement(*terms) in buckets[0][2] else []
+        if buckets:
+            _, smallest, rows = min(buckets)
+            for _, i, _ in buckets:
+                if i != smallest:
+                    term = terms[i]
+                    rows = [stmt for stmt in rows if stmt[i] == term]
+        else:
+            rows = chain.from_iterable(index[0].values())
+        for i, j in repeats:
+            rows = [stmt for stmt in rows if stmt[i] == stmt[j]]
+        # Distinct statements bind their variables differently, so no row
+        # needs a dedup.
+        if len(first) == 1:
+            ((name, i),) = first.items()
+            return [{name: value} for value in sorted([stmt[i] for stmt in rows], key=term_sort_key)]
+        in_name_order = itemgetter(*(first[name] for name in sorted(first)))
+        rows = sorted(rows, key=lambda stmt: tuple(map(term_sort_key, in_name_order(stmt))))
+        return [{name: stmt[i] for name, i in first.items()} for stmt in rows]
 
     def _indexes(self) -> tuple:
         if self._index is None:
@@ -528,24 +549,6 @@ class KnowledgeBase:
                     visited.add(parent)
                     stack.append((parent, path + [parent]))
         return [start, goal]
-
-
-def _unify(pattern: Pattern, stmt: Statement) -> Optional[dict]:
-    binding: dict = {}
-    for pat_term, value in (
-        (pattern.subject, stmt.subject),
-        (pattern.predicate, stmt.predicate),
-        (pattern.object, stmt.object),
-    ):
-        if isinstance(pat_term, Var):
-            bound = binding.get(pat_term.name)
-            if bound is None:
-                binding[pat_term.name] = value
-            elif bound != value:
-                return None
-        elif pat_term != value:
-            return None
-    return binding
 
 
 _NO_STATEMENTS: frozenset = frozenset()

@@ -363,3 +363,67 @@ def test_parse_extends_base_without_mutating_it():
     extended = parse_document("FACT a knows b\n", base=base)
     assert base == before
     assert Statement(iri("a"), iri("knows"), iri("b")) in extended.statements
+
+
+# -- term identity ------------------------------------------------------------------
+
+
+def test_iri_never_equals_a_literal_var_or_pattern():
+    for prefix, local in (("string", "x"), ("integer", "7"), (kbm.DEFAULT_PREFIX, "a")):
+        name = Iri(prefix, local)
+        others = (Literal(prefix, local), Var(local), Var(prefix), Pattern(name, name, name))
+        for other in others:
+            assert name != other and other != name
+            assert other not in {name} and name not in {other}
+
+
+def test_statement_never_equals_a_pattern_of_the_same_constants():
+    a, p = iri("a"), iri("p")
+    for obj in (iri("b"), Literal("string", "b"), Literal("integer", 3)):
+        stmt, pattern = Statement(a, p, obj), Pattern(a, p, obj)
+        assert stmt != pattern and pattern != stmt
+        assert pattern not in {stmt} and stmt not in {pattern}
+
+
+def test_iris_sort_by_prefix_then_local_as_term_sort_key_does():
+    rng = random.Random(8101)
+    names = [Iri(rng.choice(("ex", "soa-hitlcps", "a", "string")), rng.choice(("x", "Y", "b1", "_z", "a.b")))
+             for _ in range(200)]
+    assert sorted(names) == sorted(names, key=kbm.term_sort_key)
+    assert sorted(names) == sorted(names, key=lambda n: (n.prefix, n.local))
+
+
+def test_term_str_and_repr_are_unchanged():
+    a, b = iri("a"), Iri("ex", "b")
+    assert (str(a), str(b)) == ("a", "ex:b")
+    assert repr(b) == "Iri(prefix='ex', local='b')"
+    stmt = Statement(a, iri("p"), string('say "hi"'))
+    assert str(stmt) == 'a p "say \\"hi\\""'
+    assert repr(stmt) == (
+        "Statement(subject=Iri(prefix='soa-hitlcps', local='a'), "
+        "predicate=Iri(prefix='soa-hitlcps', local='p'), "
+        "object=Literal(kind='string', value='say \"hi\"'))"
+    )
+    assert (str(integer(7)), str(decimal("4.50")), str(decimal("5"))) == ("7", "4.50", "5.0")
+    assert repr(decimal("4.50")) == "Literal(kind='decimal', value=Decimal('4.50'))"
+
+
+def test_an_iri_and_a_literal_with_the_same_fields_are_two_statements():
+    kb = parse_document(
+        "@prefix string: http://example.org/string#\n"
+        "PROPERTY p DOMAIN A RANGE B\n"
+        "INDIVIDUAL a TYPE A\n"
+        "FACT a p string:x\n"
+        'FACT a p "x"\n'
+    )
+    a, p = iri("a"), iri("p")
+    both = [Iri("string", "x"), Literal("string", "x")]
+    assert kb.statements == {Statement(a, p, obj) for obj in both}
+    assert kb.match(Pattern(a, p, Var("o"))) == [{"o": obj} for obj in both]
+    for obj in both:
+        assert kb.match(Pattern(a, p, obj)) == [{}]
+        assert kb.match(Pattern(Var("s"), p, obj)) == [{"s": a}]
+    assert parse_document(serialize(kb)) == kb
+    for term in (a, Iri("string", "x")):
+        assert kb.statements_about(term) == {s for s in kb.triples() if s.subject == term}
+        assert kb.types_of(term) == _scan_types_of(kb, term)
