@@ -99,8 +99,7 @@ class ServiceRegistry:
         self.services: dict = {}
         self.experience: dict = {}  # service -> [ExperienceRecord]
         self.potentials: dict = {}  # person -> [PotentialService]
-        self.invocations: list = []  # by id: invocations[id - 1]
-        self._invocations_by_service: dict = {}  # service -> [Invocation], in id order
+        self.invocations: list = []
         self._next_invocation_id = 1
 
     # -- participants --------------------------------------------------------
@@ -186,23 +185,19 @@ class ServiceRegistry:
         invocation = Invocation(self._next_invocation_id, service, consumer, dict(inputs))
         self._next_invocation_id += 1
         self.invocations.append(invocation)
-        self._invocations_by_service.setdefault(service, []).append(invocation)
         return invocation
 
-    def invocations_of(self, service: Iri) -> list:
-        """Every invocation of ``service`` in id order; read it, never mutate it."""
-        return self._invocations_by_service.get(service, [])
-
     def running_count(self, service: Iri) -> int:
-        return sum(1 for inv in self.invocations_of(service) if inv.status == RUNNING)
+        return sum(1 for inv in self.invocations if inv.service == service and inv.status == RUNNING)
 
     # -- experience and reputation ----------------------------------------------
 
     def record_experience(self, service: Iri, requester: Iri, rating: Decimal,
                           criteria=(), timestamp: int = 0) -> ExperienceRecord:
         """Rate the most recent unrated terminal invocation of ``service``."""
-        candidates = [inv for inv in self.invocations_of(service)
-                      if inv.consumer == requester and inv.status in TERMINAL and inv.rating is None]
+        candidates = [inv for inv in self.invocations
+                      if inv.service == service and inv.consumer == requester
+                      and inv.status in TERMINAL and inv.rating is None]
         if not candidates:
             raise NoCompletedInvocationError(f"{requester} has no unrated terminal invocation of {service}")
         return self.record_experience_for(candidates[-1], rating, criteria, timestamp)

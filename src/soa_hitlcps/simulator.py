@@ -481,8 +481,8 @@ class Simulation:
         service = parse_name(rule.param("service"))
         rating = Decimal(rule.param("rating"))
         open_invocations = [
-            inv for inv in self.registry.invocations_of(service)
-            if inv.consumer == loop.node and inv.status == RUNNING
+            inv for inv in self.registry.invocations
+            if inv.service == service and inv.consumer == loop.node and inv.status == RUNNING
         ]
         if open_invocations:
             invocation = open_invocations[0]

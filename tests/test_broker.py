@@ -21,7 +21,6 @@ from soa_hitlcps.errors import (
     EmptyCriteriaError,
     InputSignatureMismatchError,
     InvalidStateError,
-    NoCompletedInvocationError,
     SoaHitlcpsError,
     UnknownServiceError,
 )
@@ -459,39 +458,6 @@ def test_invocation_ledger_is_conserved():
     for invocation in registry.invocations:
         by_status[invocation.status] = by_status.get(invocation.status, 0) + 1
     assert sum(by_status.values()) == len(registry.invocations) == 6
-
-
-def test_invocations_indexed_by_service_agree_with_a_scan():
-    rng = random.Random(6180)
-    registry, broker = build_world()
-    services = (iri("chatDoctor"), iri("erinWatch"), iri("nothing"))
-    consumers = (iri("Adam"), iri("Cathy"))
-    for step in range(300):
-        service, consumer = rng.choice(services[:2]), rng.choice(consumers)
-        roll = rng.random()
-        if roll < 0.45:
-            inputs = {"patient": rng.choice((iri("Adam"), iri("Erin")))} if service == services[0] else {}
-            with contextlib.suppress(SoaHitlcpsError):
-                broker.invoke(service, consumer, inputs, now=step)
-        elif roll < 0.8:
-            running = [inv for inv in registry.invocations if inv.status == RUNNING]
-            if running:
-                broker.complete_invocation(rng.choice(running), rng.choice((COMPLETED, FAILED)), timestamp=step)
-        else:
-            unrated = [inv for inv in registry.invocations if inv.service == service and inv.consumer == consumer
-                       and inv.status in (COMPLETED, FAILED) and inv.rating is None]
-            try:
-                registry.record_experience(service, consumer, Decimal(rng.randint(0, 5)), timestamp=step)
-            except NoCompletedInvocationError:
-                assert not unrated
-            else:
-                assert unrated[-1].rating is not None and all(inv.rating is None for inv in unrated[:-1])
-        for each in services:
-            scanned = [inv for inv in registry.invocations if inv.service == each]
-            assert registry.invocations_of(each) == scanned
-            assert registry.running_count(each) == sum(1 for inv in scanned if inv.status == RUNNING)
-    assert {inv.status for inv in registry.invocations} >= {RUNNING, COMPLETED, FAILED}
-    assert any(inv.rating is not None for inv in registry.invocations)
 
 
 def _random_write(rng, kb, step):
