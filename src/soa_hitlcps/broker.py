@@ -1,9 +1,10 @@
 """QoS-ranked discovery, invocation with contract checks, and composition.
 
 The broker turns a structured discovery request into a query over the
-materialized graph, post-filters candidates on kind, scale, limitations, and
-QoS bounds, and ranks them with a weighted utility over reputation, cost, and
-response time.  Invocations move ``pending -> running -> completed|failed``;
+materialized graph (built once, then kept current by replaying into it each
+write made to the registry graph), post-filters candidates on kind, scale,
+limitations, and QoS bounds, and ranks them with a weighted utility over
+reputation, cost, and response time.  Invocations move ``pending -> running -> completed|failed``;
 a pending invocation can be ``rejected`` with a reason (``at_capacity``,
 ``limitation``, ``precondition``).  Effects apply atomically on completion.
 """
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .kb import DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri, parse_name
 from .query import And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate, join
-from .reasoner import materialize
+from .reasoner import materialize, refresh
 from .registry import (
     COMPLETED,
     FAILED,
@@ -194,17 +195,29 @@ class RankedService:
 class ServiceBroker:
     registry: ServiceRegistry
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    # (kb, kb.version, closure) of the last rebuild.  Every read until the
-    # graph changes shares that closure, so nothing may mutate it.
+    # (kb, the journal armed on it, closure).  Each read shares the one
+    # closure and only ``refresh`` mutates it: do not hold it across a write.
     _cache: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     def _closure(self) -> KnowledgeBase:
-        """The materialized registry graph, rebuilt only when the graph changed."""
+        """The materialized registry graph, kept current by replaying the graph's writes.
+
+        It is built from scratch on first use, for a new ``registry.kb``,
+        when another follower took the journal over, or when a write needs
+        a rebuild (see :func:`refresh`).
+        """
         kb = self.registry.kb
-        cached_kb, version, closed = self._cache
-        if cached_kb is not kb or version != kb.version:
-            closed = materialize(kb)
-            self._cache = (kb, kb.version, closed)
+        cached_kb, journal, closed = self._cache
+        if cached_kb is kb and kb.journal is journal:
+            if not journal:
+                return closed
+            current = refresh(closed, kb, journal)
+            journal.clear()
+            if current:
+                return closed
+        kb.journal = journal = []
+        closed = materialize(kb)
+        self._cache = (kb, journal, closed)
         return closed
 
     # -- discovery -------------------------------------------------------------

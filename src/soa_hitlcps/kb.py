@@ -35,10 +35,15 @@ are the only source of truth.  Reads go through hash indexes from subject,
 predicate and object to the statements holding them (a type assertion is
 indexed as the statement ``individual TYPE_PRED class``).  The indexes are
 derived data: built on the first read, kept current by the write methods
-from then on, and copied bucket by bucket with the knowledge base.  Every
-write method, declarations included, also bumps the integer ``version``;
-data derived elsewhere (such as the broker's closure) is keyed on the
-knowledge base object and its version, and is stale once either differs.
+from then on, and copied bucket by bucket with the knowledge base.
+
+A follower of the graph (such as the broker's closure) arms ``journal`` by
+setting it to an empty list.  From then on every write method that
+succeeds, declarations included, appends ``(method name, args)`` to it, and
+the follower drains it to bring its derived data up to date.  A knowledge
+base writes to the list it was given and to no other; a follower that finds
+a different list there (or None) has been taken over and must rebuild.
+Unarmed, as while loading, the journal costs one attribute test per write.
 
 ``Iri`` and ``Statement`` are named tuples, so set and dict lookups hash
 and compare them in C; ``Literal``, ``Var`` and ``Pattern`` stay separate
@@ -302,62 +307,69 @@ class KnowledgeBase:
     # (by subject, by predicate, by object): term -> set of Statements; None
     # until the first read builds it
     _index: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    # bumped by every write method: the key for data derived from the graph
-    version: int = field(default=0, init=False, repr=False, compare=False)
+    # (method, args) of each write since the follower that armed it (set it
+    # to a list) last drained it; None while unarmed.  Never copied.
+    journal: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     # -- declarations ------------------------------------------------------
 
     def add_prefix(self, name: str, expansion: str) -> None:
-        self.version += 1
         existing = self.prefixes.get(name)
         if existing is not None and existing != expansion:
             raise DeclarationConflictError(f"prefix {name!r} redeclared with a different expansion")
         self.prefixes[name] = expansion
+        if self.journal is not None:
+            self._record("add_prefix", (name, expansion))
 
     def add_class(self, cls: Iri) -> None:
-        self.version += 1
         self.class_decls.add(cls)
+        if self.journal is not None:
+            self._record("add_class", (cls,))
 
     def add_subclass(self, child: Iri, parent: Iri) -> None:
-        self.version += 1
+        if (child, parent) not in self.subclass_links:
+            if child == parent or self._reachable(parent, child):
+                raise CyclicSubclassError(self._cycle_path(parent, child) + [parent])
+            self.subclass_links.add((child, parent))
         self.class_decls.add(child)
         self.class_decls.add(parent)
-        if (child, parent) in self.subclass_links:
-            return
-        if child == parent or self._reachable(parent, child):
-            raise CyclicSubclassError(self._cycle_path(parent, child) + [parent])
-        self.subclass_links.add((child, parent))
+        if self.journal is not None:
+            self._record("add_subclass", (child, parent))
 
     def add_property(self, prop: Iri, domain: Iri, range_: Iri) -> None:
-        self.version += 1
         existing = self.property_decls.get(prop)
         if existing is not None and existing != (domain, range_):
             raise DeclarationConflictError(f"property {prop} redeclared with a different signature")
         self.property_decls[prop] = (domain, range_)
         self.class_decls.add(domain)
         self.class_decls.add(range_)
+        if self.journal is not None:
+            self._record("add_property", (prop, domain, range_))
 
     def add_disjoint(self, a: Iri, b: Iri) -> None:
-        self.version += 1
         self.class_decls.add(a)
         self.class_decls.add(b)
         self.disjoint_pairs.add((a, b))
         self.disjoint_pairs.add((b, a))
+        if self.journal is not None:
+            self._record("add_disjoint", (a, b))
 
     def add_axiom(self, axiom: ClassAxiom) -> None:
-        self.version += 1
         self._check_expr_declared(axiom.body)
         self.class_decls.add(axiom.head)
         if axiom not in self.axioms:
             self.axioms.append(axiom)
+        if self.journal is not None:
+            self._record("add_axiom", (axiom,))
 
     def add_annotation(self, ann: MetaAnnotation) -> None:
-        self.version += 1
         existing = self.annotations.get(ann.cls)
         if existing is not None and existing != ann:
             raise DeclarationConflictError(f"conflicting META annotations for {ann.cls}")
         self.class_decls.add(ann.cls)
         self.annotations[ann.cls] = ann
+        if self.journal is not None:
+            self._record("add_annotation", (ann,))
 
     def _check_expr_declared(self, expr: ClassExpr) -> None:
         if isinstance(expr, NamedClass):
@@ -375,17 +387,19 @@ class KnowledgeBase:
     # -- assertions --------------------------------------------------------
 
     def add_type(self, individual: Iri, cls: Iri) -> None:
-        self.version += 1
         self.class_decls.add(cls)
         self.type_assertions.add((individual, cls))
         if self._index is not None:
             _index_add(self._index, Statement(individual, TYPE_PRED, cls))
+        if self.journal is not None:
+            self._record("add_type", (individual, cls))
 
     def remove_type(self, individual: Iri, cls: Iri) -> None:
-        self.version += 1
         self.type_assertions.discard((individual, cls))
         if self._index is not None:
             _index_discard(self._index, Statement(individual, TYPE_PRED, cls))
+        if self.journal is not None:
+            self._record("remove_type", (individual, cls))
 
     def check_statement(self, predicate: Iri, obj: Term) -> None:
         """Raise unless ``add_statement`` accepts this predicate and object."""
@@ -396,7 +410,6 @@ class KnowledgeBase:
             raise DeclarationConflictError(f"fact uses undeclared property {predicate}")
 
     def add_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
-        self.version += 1
         self.check_statement(predicate, obj)
         if predicate == TYPE_PRED:
             self.add_type(subject, obj)
@@ -405,13 +418,23 @@ class KnowledgeBase:
         self.statements.add(stmt)
         if self._index is not None:
             _index_add(self._index, stmt)
+        if self.journal is not None:
+            self._record("add_statement", stmt)
 
     def remove_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
-        self.version += 1
         stmt = Statement(subject, predicate, obj)
         self.statements.discard(stmt)
         if self._index is not None:
             _index_discard(self._index, stmt)
+        if self.journal is not None:
+            self._record("remove_statement", stmt)
+
+    def _record(self, method: str, args: tuple) -> None:
+        self.journal.append((method, args))
+        if len(self.journal) > JOURNAL_LIMIT:
+            # its follower stopped reading: disarm, so that the journal stops
+            # growing and the follower rebuilds on its next read
+            self.journal = None
 
     # -- views -------------------------------------------------------------
 
@@ -427,6 +450,10 @@ class KnowledgeBase:
         The result is the index's own bucket: read it, never mutate it.
         """
         return self._indexes()[0].get(subject, _NO_STATEMENTS)
+
+    def statements_to(self, obj: Term):
+        """Every edge with this object, as :meth:`statements_about` (read only)."""
+        return self._indexes()[2].get(obj, _NO_STATEMENTS)
 
     def types_of(self, individual: Iri) -> set:
         return {s.object for s in self.statements_about(individual) if s.predicate == TYPE_PRED}
@@ -446,14 +473,15 @@ class KnowledgeBase:
                     frontier.append(parent)
         return seen
 
-    def match(self, pattern: Pattern) -> list[dict]:
+    def match(self, pattern) -> list[dict]:
         """All binding maps under which the substituted triple is present.
 
+        ``pattern`` is a :class:`Pattern` or a tuple of its three terms.
         Result order is deterministic: lexicographic by the bound values in
         variable-name order.  A fully-constant pattern yields one empty map
         when the triple is present.
         """
-        terms = (pattern.subject, pattern.predicate, pattern.object)
+        terms = pattern if isinstance(pattern, tuple) else (pattern.subject, pattern.predicate, pattern.object)
         index = self._indexes()
         buckets, first, repeats = [], {}, []
         for i, term in enumerate(terms):
@@ -553,6 +581,8 @@ class KnowledgeBase:
 
 
 _NO_STATEMENTS: frozenset = frozenset()
+# Writes a journal holds at most; past it the knowledge base disarms it.
+JOURNAL_LIMIT = 4096
 
 
 def _index_add(index: tuple, stmt: Statement) -> None:

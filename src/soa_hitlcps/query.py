@@ -320,9 +320,17 @@ def join(kb: KnowledgeBase, patterns, binding: dict, filters=()) -> list[dict]:
     pending = list(filters)
     bindings = [dict(binding)]
     for pattern in patterns:
+        # a variable's value is looked up by its name; a constant, which no
+        # binding holds as a key, looks itself up and stays
+        s, p, o = (
+            term.name if isinstance(term, Var) else term
+            for term in (pattern.subject, pattern.predicate, pattern.object)
+        )
         next_bindings = []
         for partial in bindings:
-            for extension in kb.match(pattern.substitute(partial)):
+            terms = (partial.get(s, pattern.subject), partial.get(p, pattern.predicate),
+                     partial.get(o, pattern.object))
+            for extension in kb.match(terms):
                 merged = dict(partial)
                 merged.update(extension)
                 next_bindings.append(merged)

@@ -8,10 +8,15 @@ Materialization computes the least fixpoint of three rules:
   for a conjunction; some asserted-or-inferred fact ``x p y`` with
   ``y TYPE C`` for an existential) gains the head type.
 
-The input kb is never mutated; rules only add, so the result is idempotent
-and monotone.  No rule adds a subclass link, so each class's ancestors are
-computed once up front; type inheritance then runs once per assertion and
-whenever an axiom adds a type, and only axiom application is iterated.
+``materialize`` never mutates its input; rules only add, so the result is
+idempotent and monotone.  No rule adds a subclass link, so each class's
+ancestors are computed once up front; type inheritance then runs once per
+assertion and whenever an axiom adds a type, and only axiom application is
+iterated.
+
+``refresh`` keeps such a closure current without a rebuild: it replays into
+it the writes journaled on the knowledge base since (see ``kb``), then
+re-derives only the individuals those writes can reach.
 """
 
 from __future__ import annotations
@@ -50,21 +55,14 @@ def _satisfies(kb: KnowledgeBase, individual: Iri, expr: ClassExpr) -> bool:
     return all(_satisfies(kb, individual, part) for part in expr.parts)
 
 
-def materialize(kb: KnowledgeBase) -> KnowledgeBase:
-    """Return a copy of ``kb`` extended to the least inference fixpoint."""
-    out = kb.copy()
-    # no rule adds a subclass link: close them once, before the loop
-    ancestors = {child: out.superclasses(child) for child, _ in out.subclass_links}
-    out.subclass_links.update((child, parent) for child in ancestors for parent in ancestors[child])
+def _add_with_ancestors(out: KnowledgeBase, ancestors: dict, individual: Iri, cls: Iri) -> None:
+    for c in (cls, *ancestors.get(cls, ())):
+        if (individual, c) not in out.type_assertions:
+            out.add_type(individual, c)
 
-    def add_with_ancestors(individual: Iri, cls: Iri) -> None:
-        for c in (cls, *ancestors.get(cls, ())):
-            if (individual, c) not in out.type_assertions:
-                out.add_type(individual, c)
 
-    for individual, cls in list(out.type_assertions):
-        add_with_ancestors(individual, cls)
-    candidates = out.individuals()
+def _apply_axioms(out: KnowledgeBase, ancestors: dict, candidates) -> None:
+    """Give each candidate the head of every axiom it satisfies, to the fixpoint."""
     changed = True
     while changed:
         changed = False
@@ -73,9 +71,82 @@ def materialize(kb: KnowledgeBase) -> KnowledgeBase:
                 if (individual, axiom.head) in out.type_assertions:
                     continue
                 if _satisfies(out, individual, axiom.body):
-                    add_with_ancestors(individual, axiom.head)
+                    _add_with_ancestors(out, ancestors, individual, axiom.head)
                     changed = True
+
+
+def materialize(kb: KnowledgeBase) -> KnowledgeBase:
+    """Return a copy of ``kb`` extended to the least inference fixpoint."""
+    out = kb.copy()
+    # no rule adds a subclass link: close them once, before the loop
+    ancestors = {child: out.superclasses(child) for child, _ in out.subclass_links}
+    out.subclass_links.update((child, parent) for child in ancestors for parent in ancestors[child])
+    for individual, cls in list(out.type_assertions):
+        _add_with_ancestors(out, ancestors, individual, cls)
+    _apply_axioms(out, ancestors, out.individuals())
     return out
+
+
+def _quantified_props(expr: ClassExpr):
+    if isinstance(expr, SomeValues):
+        yield expr.prop
+    elif isinstance(expr, Conjunction):
+        for part in expr.parts:
+            yield from _quantified_props(part)
+
+
+_FACT_WRITES = frozenset(("add_type", "remove_type", "add_statement", "remove_statement"))
+
+
+def refresh(closed: KnowledgeBase, kb: KnowledgeBase, writes) -> bool:
+    """Bring ``closed``, a closure of ``kb``, up to date with ``writes`` made to ``kb``.
+
+    ``writes`` are ``kb``'s journal entries since ``closed`` last equalled
+    ``materialize(kb)``; afterwards it equals it again.  The result is False,
+    and ``closed`` must be rebuilt, when a write adds a subclass link that
+    the closed links do not already hold, or a new axiom.
+
+    This is delete-and-re-derive (Gupta, Mumick & Subrahmanian, SIGMOD 1993)
+    limited to what a write can reach.  An individual's inferred types
+    depend only on its own types, its own facts whose predicate some axiom
+    body quantifies over (``p SOME C``), and the types of those facts'
+    objects.  So only the individuals with a path of such facts to a
+    written subject are re-derived: each is reset to its asserted types and
+    their ancestors, then the axioms run over that set to a fixpoint.
+    """
+    touched = set()
+    for method, args in writes:
+        if method == "add_subclass" and args not in closed.subclass_links:
+            return False
+        if method == "add_axiom" and args[0] not in closed.axioms:
+            return False
+        getattr(closed, method)(*args)
+        if method in _FACT_WRITES:
+            touched.add(args[0])
+    quantified = set()
+    for axiom in closed.axioms:
+        quantified.update(_quantified_props(axiom.body))
+    affected, frontier = set(touched), list(touched)
+    while frontier:
+        for stmt in closed.statements_to(frontier.pop()):
+            if stmt.predicate in quantified and stmt.subject not in affected:
+                affected.add(stmt.subject)
+                frontier.append(stmt.subject)
+    if not affected:
+        return True
+    # the closed links hold every ancestor of a class directly
+    ancestors: dict = {}
+    for child, parent in closed.subclass_links:
+        ancestors.setdefault(child, []).append(parent)
+    for individual in affected:
+        types = closed.types_of(individual)
+        keep = {c for t in types if (individual, t) in kb.type_assertions for c in (t, *ancestors.get(t, ()))}
+        for cls in types - keep:
+            closed.remove_type(individual, cls)
+        for cls in keep - types:
+            closed.add_type(individual, cls)
+    _apply_axioms(closed, ancestors, [i for i in affected if closed.statements_about(i)])
+    return True
 
 
 # --------------------------------------------------------------------------

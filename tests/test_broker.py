@@ -25,6 +25,7 @@ from soa_hitlcps.errors import (
     UnknownServiceError,
 )
 from soa_hitlcps.kb import (
+    JOURNAL_LIMIT,
     ClassAxiom,
     Conjunction,
     MetaAnnotation,
@@ -38,7 +39,7 @@ from soa_hitlcps.kb import (
     term_sort_key,
 )
 from soa_hitlcps.query import And, Eq, InSet, QueryName, QueryPattern, Var, parse_query, query_equivalent
-from soa_hitlcps.reasoner import materialize
+from soa_hitlcps.reasoner import materialize, refresh
 from soa_hitlcps.registry import COMPLETED, FAILED, REJECTED, RUNNING, ServiceRegistry
 from soa_hitlcps.schema import parse_human_capability, parse_service_profile
 
@@ -531,6 +532,108 @@ def test_closure_cache_matches_fresh_materialize_under_random_writes(monkeypatch
         with contextlib.suppress(SoaHitlcpsError):
             broker.invoke(iri("erinWatch"), iri("Adam"), {})
         assert len(rebuilds) == before
+
+
+GRANT = """\
+SERVICE grant
+KIND processing
+INPUT patient PhysicalThing
+EFFECT DEL ?patient advisedBy David
+EFFECT ADD ?patient hasCapability zedSkill
+QOS reputation=4
+DECLARE advisedBy PhysicalThing PhysicalThing
+"""
+
+REVOKE = """\
+SERVICE revoke
+KIND processing
+INPUT patient PhysicalThing
+EFFECT DEL ?patient hasCapability zedSkill
+QOS reputation=4
+"""
+
+
+def _counting_rebuilds(monkeypatch) -> list:
+    rebuilds = []
+    monkeypatch.setattr(broker_module, "materialize", lambda kb: rebuilds.append(kb) or materialize(kb))
+    return rebuilds
+
+
+def test_closure_is_built_once_per_registry_and_kept_current_by_replay(monkeypatch):
+    rebuilds = _counting_rebuilds(monkeypatch)
+    replayed = set()
+    monkeypatch.setattr(broker_module, "refresh", lambda closed, kb, writes: (
+        replayed.update(method for method, _ in writes) or refresh(closed, kb, writes)))
+    registry, broker = build_world()
+    kb = registry.kb
+    # Zed is Human only while it has a human capability, and zedDesk, which
+    # Zed provides, is a HumanService only while Zed is Human
+    kb.add_type(iri("Zed"), iri("PhysicalThing"))
+    kb.add_type(iri("zedSkill"), iri("HumanCapability"))
+    kb.add_type(iri("zedDesk"), iri("Service"))
+    kb.add_statement(iri("zedDesk"), iri("providedBy"), iri("Zed"))
+    for text in (GRANT, REVOKE):
+        registry.publish_service(parse_service_profile(text)[0], iri("David"))
+    human_service = set()
+    for step in range(12):
+        service = ("chatDoctor", "grant", "revoke")[step % 3]
+        invocation = broker.invoke(iri(service), iri("Cathy"), {"patient": iri("Zed")}, now=step)
+        assert invocation.status == RUNNING
+        broker.complete_invocation(invocation, rating=Decimal(step % 5 + 1), timestamp=step)
+        closed = broker._closure()
+        assert closed == materialize(kb)
+        human_service.add(iri("HumanService") in closed.types_of(iri("zedDesk")))
+    assert human_service == {True, False}
+    # effects add and delete facts; ratings also re-declare the plumbing properties
+    assert {"add_statement", "remove_statement", "add_property"} <= replayed
+    assert len(rebuilds) == 1
+
+    # a subclass link the closure does not hold, or a new axiom, needs one rebuild
+    for write, rebuilt in (
+        (lambda: kb.add_subclass(iri("Triage"), iri("Service")), True),
+        (lambda: kb.add_subclass(iri("Urgent"), iri("Triage")), True),
+        (lambda: kb.add_subclass(iri("Urgent"), iri("Service")), False),  # held already
+        (lambda: kb.add_axiom(ClassAxiom(NamedClass(iri("Urgent")), iri("HumanService"))), True),
+        (lambda: kb.add_axiom(ClassAxiom(NamedClass(iri("Urgent")), iri("HumanService"))), False),
+        (lambda: kb.add_type(iri("zedDesk"), iri("Urgent")), False),
+    ):
+        before = len(rebuilds)
+        write()
+        broker.discover(REFERENCE_REQUEST)
+        broker.invoke(iri("erinWatch"), iri("Adam"), {})
+        assert broker._closure() == materialize(kb)
+        assert len(rebuilds) == before + rebuilt
+    assert iri("HumanService") in broker._closure().types_of(iri("zedDesk"))
+
+
+def test_a_journal_is_never_shared_between_followers(monkeypatch):
+    rebuilds = _counting_rebuilds(monkeypatch)
+    registry, first = build_world()
+    second = ServiceBroker(registry)
+    kb = registry.kb
+    for step in range(6):
+        kb.add_statement(iri("Adam"), iri("hasContext"), iri(f"site{step}"))
+        for broker in (first, second):
+            assert broker._closure() == materialize(kb)
+            assert kb.journal is broker._cache[1]
+    # each follower took the journal over from the other: a rebuild per read
+    assert len(rebuilds) == 12
+    kb.add_statement(iri("Adam"), iri("hasContext"), iri("siteZ"))
+    assert second._closure() == materialize(kb)
+    assert len(rebuilds) == 12
+
+
+def test_a_journal_nobody_drains_is_disarmed(monkeypatch):
+    rebuilds = _counting_rebuilds(monkeypatch)
+    registry, broker = build_world()
+    kb = registry.kb
+    broker._closure()
+    for step in range(JOURNAL_LIMIT + 1):
+        kb.add_statement(iri("Adam"), iri("hasContext"), iri(f"site{step}"))
+    assert kb.journal is None
+    assert broker._closure() == materialize(kb)
+    assert len(rebuilds) == 2
+    assert len(kb.journal) == 0
 
 
 # -- composition -------------------------------------------------------------------------

@@ -427,3 +427,32 @@ def test_an_iri_and_a_literal_with_the_same_fields_are_two_statements():
     for term in (a, Iri("string", "x")):
         assert kb.statements_about(term) == {s for s in kb.triples() if s.subject == term}
         assert kb.types_of(term) == _scan_types_of(kb, term)
+
+
+def test_journal_records_each_successful_write_while_armed():
+    kb = parse_document("CLASS A\nPROPERTY p DOMAIN A RANGE A\n")
+    assert kb.journal is None  # loading leaves it unarmed
+    kb.journal = journal = []
+    x, y, a, b, p = iri("x"), iri("y"), iri("A"), iri("B"), iri("p")
+    kb.add_type(x, a)
+    kb.add_statement(x, TYPE_PRED, b)  # one entry, as the add_type it is
+    kb.add_statement(x, p, y)
+    with pytest.raises(DeclarationConflictError):
+        kb.add_property(p, b, a)
+    with pytest.raises(CyclicSubclassError):
+        kb.add_subclass(a, a)
+    kb.add_property(p, a, a)
+    kb.remove_statement(x, p, y)
+    assert journal == [
+        ("add_type", (x, a)),
+        ("add_type", (x, b)),
+        ("add_statement", Statement(x, p, y)),
+        ("add_property", (p, a, a)),
+        ("remove_statement", Statement(x, p, y)),
+    ]
+    copied = kb.copy()
+    assert copied.journal is None and copied == kb
+    copied.add_type(y, a)
+    assert len(journal) == 5
+    # the matcher also takes a pattern's terms as a tuple
+    assert kb.match((Var("s"), TYPE_PRED, b)) == kb.match(Pattern(Var("s"), TYPE_PRED, b)) == [{"s": x}]

@@ -10,7 +10,9 @@ from soa_hitlcps.kb import (
     Conjunction,
     KnowledgeBase,
     NamedClass,
+    Pattern,
     SomeValues,
+    Var,
     annotation_from_flags,
     iri,
     parse_document,
@@ -22,6 +24,7 @@ from soa_hitlcps.reasoner import (
     check_consistency,
     check_ontoclean,
     materialize,
+    refresh,
     render_report,
 )
 
@@ -137,46 +140,128 @@ def test_materialize_matches_naive_oracle_randomized():
         assert materialize(kb) == _naive_materialize(kb)
 
 
+def _chained_axiom_kb(rng) -> KnowledgeBase:
+    """A random kb with a deep subclass chain and axioms that feed each other."""
+    kb = KnowledgeBase()
+    classes = [iri(f"C{i}") for i in range(rng.randint(6, 10))]
+    props = [iri(f"p{i}") for i in range(rng.randint(1, 3))]
+    inds = [iri(f"i{i}") for i in range(rng.randint(2, 8))]
+    for c in classes:
+        kb.add_class(c)
+    for p in props:
+        kb.add_property(p, classes[0], classes[-1])
+    # a chain at least 3 links deep, then random extra links
+    chain = rng.sample(classes, rng.randint(4, len(classes)))
+    for child, parent in zip(chain, chain[1:]):
+        kb.add_subclass(child, parent)
+    for _ in range(rng.randint(0, 5)):
+        try:
+            kb.add_subclass(rng.choice(classes), rng.choice(classes))
+        except CyclicSubclassError:
+            pass
+    for _ in range(rng.randint(2, 14)):
+        if rng.random() < 0.4:
+            kb.add_type(rng.choice(inds), rng.choice(classes))
+        else:
+            kb.add_statement(rng.choice(inds), rng.choice(props), rng.choice(inds))
+    # heads sit low in the chain (they have superclasses) and feed the next
+    # axiom's body; added in random order, so one pass over them is not enough
+    heads = rng.sample(chain[:-1], min(3, len(chain) - 1))
+    previous = rng.choice(classes)
+    axioms = []
+    for head in heads:
+        parts = [NamedClass(previous)]
+        if rng.random() < 0.6:
+            parts.append(SomeValues(rng.choice(props), rng.choice(classes + heads)))
+        body = parts[0] if len(parts) == 1 else Conjunction(tuple(parts))
+        axioms.append(ClassAxiom(body, head))
+        previous = head
+    for axiom in rng.sample(axioms, len(axioms)):
+        kb.add_axiom(axiom)
+    return kb
+
+
 def test_materialize_matches_naive_oracle_deep_chains_and_chained_axioms():
     rng = random.Random(4207)
     for _ in range(80):
-        kb = KnowledgeBase()
-        classes = [iri(f"C{i}") for i in range(rng.randint(6, 10))]
-        props = [iri(f"p{i}") for i in range(rng.randint(1, 3))]
-        inds = [iri(f"i{i}") for i in range(rng.randint(2, 8))]
-        for c in classes:
-            kb.add_class(c)
-        for p in props:
-            kb.add_property(p, classes[0], classes[-1])
-        # a chain at least 3 links deep, then random extra links
-        chain = rng.sample(classes, rng.randint(4, len(classes)))
-        for child, parent in zip(chain, chain[1:]):
-            kb.add_subclass(child, parent)
-        for _ in range(rng.randint(0, 5)):
-            try:
-                kb.add_subclass(rng.choice(classes), rng.choice(classes))
-            except CyclicSubclassError:
-                pass
-        for _ in range(rng.randint(2, 14)):
-            if rng.random() < 0.4:
-                kb.add_type(rng.choice(inds), rng.choice(classes))
-            else:
-                kb.add_statement(rng.choice(inds), rng.choice(props), rng.choice(inds))
-        # heads sit low in the chain (they have superclasses) and feed the next
-        # axiom's body; added in random order, so one pass over them is not enough
-        heads = rng.sample(chain[:-1], min(3, len(chain) - 1))
-        previous = rng.choice(classes)
-        axioms = []
-        for head in heads:
-            parts = [NamedClass(previous)]
-            if rng.random() < 0.6:
-                parts.append(SomeValues(rng.choice(props), rng.choice(classes + heads)))
-            body = parts[0] if len(parts) == 1 else Conjunction(tuple(parts))
-            axioms.append(ClassAxiom(body, head))
-            previous = head
-        for axiom in rng.sample(axioms, len(axioms)):
-            kb.add_axiom(axiom)
+        kb = _chained_axiom_kb(rng)
         assert materialize(kb) == _naive_materialize(kb)
+
+
+def _removal_heavy_write(rng, kb: KnowledgeBase, closed: KnowledgeBase) -> str:
+    """One write to ``kb``, over half of them removals; returns the method's name."""
+    classes = sorted(kb.class_decls)
+    props = sorted(kb.property_decls)
+    inds = [iri(f"i{i}") for i in range(9)]
+    roll = rng.random()
+    if roll < 0.3:
+        stmt = rng.choice(sorted(kb.statements)) if kb.statements else (inds[0], props[0], inds[1])
+        kb.remove_statement(*stmt)
+        return "remove_statement"
+    if roll < 0.55:
+        # mostly an asserted type; now and then one that is only inferred,
+        # which the knowledge base does not hold but the closure must keep
+        pool = sorted(kb.type_assertions if rng.random() < 0.75 else closed.type_assertions - kb.type_assertions)
+        kb.remove_type(*(rng.choice(pool) if pool else (rng.choice(inds), rng.choice(classes))))
+        return "remove_type"
+    if roll < 0.72:
+        kb.add_type(rng.choice(inds), rng.choice(classes))
+        return "add_type"
+    if roll < 0.9:
+        kb.add_statement(rng.choice(inds), rng.choice(props), rng.choice(inds))
+        return "add_statement"
+    if roll < 0.94:
+        # a fresh class may also close a cycle, which must leave no trace
+        named = classes + [iri("Fresh")]
+        try:
+            kb.add_subclass(rng.choice(named), rng.choice(named))
+        except CyclicSubclassError:
+            pass
+        return "add_subclass"
+    if roll < 0.97:
+        if kb.axioms and rng.random() < 0.5:
+            axiom = rng.choice(kb.axioms)
+        else:
+            body = Conjunction((NamedClass(rng.choice(classes)), SomeValues(rng.choice(props), rng.choice(classes))))
+            axiom = ClassAxiom(body, rng.choice(classes))
+        kb.add_axiom(axiom)
+        return "add_axiom"
+    prop = rng.choice(props)
+    kb.add_property(prop, *kb.property_decls[prop])
+    return "add_property"
+
+
+def _index_agrees(kb: KnowledgeBase) -> bool:
+    """The match indexes hold exactly the knowledge base's triples."""
+    triples = set(kb.triples())
+    every = {(b["s"], b["p"], b["o"]) for b in kb.match(Pattern(Var("s"), Var("p"), Var("o")))}
+    objects = {t.object for t in triples} | {iri(f"i{i}") for i in range(9)} | kb.class_decls
+    by_object = {(b["s"], b["p"], o) for o in objects for b in kb.match(Pattern(Var("s"), Var("p"), o))}
+    return every == triples == by_object
+
+
+def test_refresh_matches_materialize_and_naive_under_removal_heavy_writes():
+    # A follower of each kb: refresh after every write, rebuild when refresh
+    # declines, and compare with both from-scratch closures.
+    rng = random.Random(9203)
+    methods = []
+    rebuilds = 0
+    for _ in range(20):
+        kb = _chained_axiom_kb(rng)
+        kb.journal = journal = []
+        closed = materialize(kb)
+        for _ in range(200):
+            methods.append(_removal_heavy_write(rng, kb, closed))
+            if not refresh(closed, kb, journal):
+                closed = materialize(kb)
+                rebuilds += 1
+            journal.clear()
+            assert closed == materialize(kb) == _naive_materialize(kb)
+            assert _index_agrees(closed)
+    removals = sum(m.startswith("remove_") for m in methods)
+    assert removals * 2 >= len(methods)
+    assert {"add_subclass", "add_axiom", "add_property"} <= set(methods)
+    assert 0 < rebuilds < len(methods) // 10
 
 
 def test_disjointness_violation_direct_and_inherited():
