@@ -2,9 +2,10 @@
 
 The broker turns a structured discovery request into a query over the
 materialized graph (built once, then kept current by replaying into it each
-write made to the registry graph), post-filters candidates on kind, scale,
-limitations, and QoS bounds, and ranks them with a weighted utility over
-reputation, cost, and response time.  Invocations move ``pending -> running -> completed|failed``;
+write made to the registry graph), which also matches the service kind.  It
+post-filters candidates on skill scale, IO signature, limitations, and QoS
+bounds, and ranks them with a weighted utility over reputation, cost, and
+response time.  Invocations move ``pending -> running -> completed|failed``;
 a pending invocation can be ``rejected`` with a reason (``at_capacity``,
 ``limitation``, ``precondition``).  Effects apply atomically on completion.
 """
@@ -23,7 +24,7 @@ from .errors import (
     UnknownServiceError,
 )
 from .kb import DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri, parse_name
-from .query import And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate, join
+from .query import A, And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate, join
 from .reasoner import materialize, refresh
 from .registry import (
     COMPLETED,
@@ -39,7 +40,10 @@ from .schema import (
     Condition,
     LocationAt,
     TimeWindow,
+    skill_level,
 )
+
+_KIND_CLASSES = dict(ATOMIC_KINDS, composite="CompositeService")  # kind= value -> class
 
 
 @dataclass(frozen=True)
@@ -144,8 +148,8 @@ def _query_name(term: Iri) -> QueryName:
     return QueryName(f"{term.prefix}:{term.local}")
 
 
-def compile_request(request: DiscoveryRequest) -> QueryAst:
-    """Build the discovery query for the graph-matching part of a request."""
+def compile_request(request: DiscoveryRequest) -> Optional[QueryAst]:
+    """Build the discovery query for the graph-matching part of a request; None when nothing can match."""
     prefix = DEFAULT_PREFIX
     patterns = [
         QueryPattern(Var("service"), QueryName(f"{prefix}:presents"), Var("serviceprofile")),
@@ -175,6 +179,11 @@ def compile_request(request: DiscoveryRequest) -> QueryAst:
         var = "ability" if index == 0 else f"ability{index + 1}"
         patterns.append(QueryPattern(Var("capability"), QueryName(f"{prefix}:hasAbility"), Var(var)))
         conjuncts.append(Eq(var, _query_name(ability)))
+    if request.service_kind is not None:
+        if request.service_kind not in _KIND_CLASSES:
+            return None  # no service is of an unknown kind
+        kind_class = QueryName(f"{prefix}:{_KIND_CLASSES[request.service_kind]}")
+        patterns.append(QueryPattern(Var("service"), A, kind_class))
     if not conjuncts:
         filter_expr = None
     elif len(conjuncts) == 1:
@@ -223,17 +232,18 @@ class ServiceBroker:
     # -- discovery -------------------------------------------------------------
 
     def discover(self, request: DiscoveryRequest, now: Optional[int] = None):
+        query = compile_request(request)
+        if query is None:
+            return []
         closed = self._closure()
-        table = evaluate(closed, compile_request(request))
+        table = evaluate(closed, query)
         candidates = sorted({row[0] for row in table.rows if isinstance(row[0], Iri)})
         ranked = []
         for service in candidates:
             record = self.registry.services.get(service)
             if record is None:  # presented, but not a service the registry holds
                 continue
-            if not self._kind_matches(closed, service, request.service_kind):
-                continue
-            if not self._scales_match(record, request.required_skills):
+            if not self._scales_match(closed, record.provider, request.required_skills):
                 continue
             if not self._io_matches(record, request.io_signature):
                 continue
@@ -250,21 +260,14 @@ class ServiceBroker:
         ranked.sort(key=lambda r: (-r.score, r.service))
         return ranked
 
-    def _kind_matches(self, closed: KnowledgeBase, service: Iri, kind: Optional[str]) -> bool:
-        if kind is None:
-            return True
-        if kind == "composite":
-            return iri("CompositeService") in closed.types_of(service)
-        cls = ATOMIC_KINDS.get(kind)
-        return cls is not None and iri(cls) in closed.types_of(service)
-
-    def _scales_match(self, record, required_skills) -> bool:
-        cap = self.registry.humans.get(record.provider)
-        if cap is None:
-            return True  # scales describe human proficiency only
+    def _scales_match(self, closed: KnowledgeBase, provider: Iri, required_skills) -> bool:
         for skill, minimum in required_skills:
-            if minimum is not None and cap.skills.get(skill, 0) < minimum:
-                return False
+            if minimum is not None:
+                level = skill_level(closed, provider, skill)
+                if level is None:
+                    return True  # scales describe human proficiency only
+                if level < minimum:
+                    return False
         return True
 
     def _io_matches(self, record, io_signature) -> bool:

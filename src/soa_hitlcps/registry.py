@@ -1,13 +1,12 @@
-"""Service registry: participants, published services, experience records.
+"""Service registry: participants, published services, ratings, invocations.
 
-The registry validates each change and keeps typed records (capabilities,
-profiles, experience) for fast reads.  It stores every change as kb facts
-through the writers in ``schema``, which also reads the records back
-(``ServiceRegistry.from_kb``), so discovery queries, the reasoner and the
-metrics all run on one graph.  A service is published exactly when its
-``presents`` link is in the graph: ``withdraw_service`` retracts the link,
-publishing again restores it, and an effect that deletes it withdraws the
-service as well.
+The graph is the only store of capabilities and ratings: each change is
+validated here and written, and each read made, through the codec in
+``schema``, so a fact an effect writes counts at once.  The registry keeps
+only each service's profile (read for every discovery candidate), provider
+and reputation (derived from the graph's ratings when published, rated or
+loaded), the potential services, whose unlock rules are not facts, and the
+invocations.  A service is published when its ``presents`` link is in the graph.
 """
 
 from __future__ import annotations
@@ -19,13 +18,11 @@ from typing import Optional
 
 from .errors import (
     DuplicateIndividualError,
-    InvalidProfileError,
     InvalidStateError,
     NoCompletedInvocationError,
     RatingOutOfRangeError,
     UnknownProviderError,
     UnknownServiceError,
-    UnknownTaxonomyTermError,
 )
 from .kb import Iri, KnowledgeBase
 from .schema import (
@@ -34,12 +31,14 @@ from .schema import (
     HumanCapability,
     MachineCapability,
     PotentialService,
-    SKILL_SCALE,
     ServiceProfile,
-    TAXONOMY,
     base_ontology,
     capability_node,
+    holds_profile,
+    is_human,
+    is_machine,
     is_presented,
+    knows,
     present,
     presented_services,
     project_experience,
@@ -49,12 +48,14 @@ from .schema import (
     project_potential,
     project_profile,
     project_reputation,
-    read_capabilities,
-    read_experiences,
+    provider_rating_count,
     read_profile,
     retract_presentation,
+    service_ratings,
+    set_skill,
+    skill_level,
+    stored_profile,
     validate_profile,
-    write_level,
 )
 
 # invocation lifecycle
@@ -86,88 +87,86 @@ class Invocation:
     started_at: Optional[int] = None
 
 
-def _mean_rating(records) -> Decimal:
-    total = sum((r.rating for r in records), Decimal("0"))
-    return (total / Decimal(len(records))).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+def _reputation(ratings, profile: ServiceProfile) -> Decimal:
+    """The mean rating, rounded half up to cents; while there is none, the one ``profile`` declares."""
+    if not ratings:
+        return profile.properties.qos.reputation
+    return (sum(ratings) / len(ratings)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
 
 
 class ServiceRegistry:
     def __init__(self, kb: Optional[KnowledgeBase] = None):
         self.kb = kb if kb is not None else base_ontology()
-        self.humans: dict = {}
-        self.machines: dict = {}
         self.services: dict = {}
-        self.experience: dict = {}  # service -> [ExperienceRecord]
         self.potentials: dict = {}  # person -> [PotentialService]
         self.invocations: list = []
         self._next_invocation_id = 1
 
     # -- participants --------------------------------------------------------
 
+    def _is_registered(self, owner: Iri) -> bool:
+        return is_human(self.kb, owner) or is_machine(self.kb, owner)
+
+    def _require_human(self, person: Iri) -> None:
+        if not is_human(self.kb, person):
+            raise UnknownProviderError(str(person))
+
     def register_human(self, person: Iri, cap: HumanCapability, contexts=()) -> Iri:
-        if person in self.humans or person in self.machines:
+        if self._is_registered(person):
             raise DuplicateIndividualError(f"{person} is already registered")
-        node = project_human(self.kb, person, cap, contexts)
-        self.humans[person] = cap
-        return node
+        return project_human(self.kb, person, cap, contexts)
 
     def register_machine(self, machine: Iri, cap: MachineCapability, contexts=()) -> Iri:
-        if machine in self.humans or machine in self.machines:
+        if self._is_registered(machine):
             raise DuplicateIndividualError(f"{machine} is already registered")
-        node = project_machine(self.kb, machine, cap, contexts)
-        self.machines[machine] = cap
-        return node
+        return project_machine(self.kb, machine, cap, contexts)
 
     def set_skill_scale(self, person: Iri, skill: Iri, scale: int) -> None:
-        cap = self.humans.get(person)
-        if cap is None:
-            raise UnknownProviderError(str(person))
-        if skill not in TAXONOMY.skills:
-            raise UnknownTaxonomyTermError(skill)
-        if not SKILL_SCALE[0] <= scale <= SKILL_SCALE[1]:
-            raise InvalidProfileError(f"skill scale {scale} outside {SKILL_SCALE}")
-        old = cap.skills.get(skill)
-        cap.skills[skill] = scale
-        write_level(self.kb, person, "skills", skill, scale, old)
+        self._require_human(person)
+        set_skill(self.kb, person, skill, scale)
 
     def add_learned_knowledge(self, machine: Iri, topic: Iri) -> None:
-        cap = self.machines.get(machine)
-        if cap is None:
+        if not is_machine(self.kb, machine):
             raise UnknownProviderError(str(machine))
-        if topic not in cap.learned_knowledge:
-            cap.learned_knowledge.append(topic)
         project_learned_knowledge(self.kb, machine, topic)
 
     # -- services --------------------------------------------------------------
 
     def publish_service(self, profile: ServiceProfile, provider: Iri) -> None:
-        if provider not in self.humans and provider not in self.machines:
+        if not self._is_registered(provider):
             raise UnknownProviderError(str(provider))
         validate_profile(profile)
         if profile.properties.capability_ref is None:
             bundle = dataclasses.replace(profile.properties, capability_ref=capability_node(provider))
             profile = dataclasses.replace(profile, properties=bundle)
-        existing = self.services.get(profile.service_id)
-        if existing is not None:
-            if self.is_published(profile.service_id):
-                raise DuplicateIndividualError(f"{profile.service_id} is already published")
-            if existing.profile != profile:
-                raise DuplicateIndividualError(
-                    f"{profile.service_id} was withdrawn with a different profile"
-                )
-            present(self.kb, profile.service_id)
+        service = profile.service_id
+        if holds_profile(self.kb, service):  # published before: present it again if unchanged
+            if self.is_published(service):
+                raise DuplicateIndividualError(f"{service} is already published")
+            held = self._read_record(service)
+            # once rated, the graph's reputation is not the declared one: compare the rest
+            rated = held is not None and service_ratings(self.kb, service)
+            kept = held.profile.properties.qos.reputation if rated else None
+            if held is None or held.profile != stored_profile(self.kb, profile, provider, kept):
+                raise DuplicateIndividualError(f"{service} was withdrawn with a different profile")
+            present(self.kb, service)
+            self.services[service] = held
             return
         if isinstance(profile.service_type, CompositeType):
             for part in profile.service_type.parts:
-                if part not in self.services:
+                if not holds_profile(self.kb, part):
                     raise UnknownServiceError(str(part))
         project_profile(self.kb, profile, provider)
-        self.services[profile.service_id] = ServiceRecord(profile, provider, profile.properties.qos.reputation)
-        self.experience.setdefault(profile.service_id, [])
+        self.services[service] = ServiceRecord(profile, provider, profile.properties.qos.reputation)
+
+    def _read_record(self, service: Iri) -> Optional[ServiceRecord]:
+        held = read_profile(self.kb, service)
+        if held is None:
+            return None
+        return ServiceRecord(*held, _reputation(service_ratings(self.kb, service), held[0]))
 
     def withdraw_service(self, service: Iri) -> None:
-        record = self.services.get(service)
-        if record is None:
+        if not holds_profile(self.kb, service):
             raise UnknownServiceError(str(service))
         if not self.is_published(service):
             raise InvalidStateError(f"{service} is already withdrawn")
@@ -215,10 +214,9 @@ class ServiceRegistry:
             raise RatingOutOfRangeError(str(rating))
         invocation.rating = rating
         record = ExperienceRecord(service, invocation.consumer, rating, tuple(criteria), timestamp)
-        records = self.experience.setdefault(service, [])
-        records.append(record)
-        project_experience(self.kb, record, record_entry.provider, len(records))
-        record_entry.reputation = _mean_rating(records)
+        ratings = service_ratings(self.kb, service) + [rating]
+        project_experience(self.kb, record, record_entry.provider, len(ratings))
+        record_entry.reputation = _reputation(ratings, record_entry.profile)
         project_reputation(self.kb, service, record_entry.reputation)
         return record
 
@@ -229,37 +227,26 @@ class ServiceRegistry:
         return record.reputation
 
     def provider_experience_count(self, provider: Iri) -> int:
-        return sum(len(self.experience[service]) for service, record in self.services.items()
-                   if record.provider == provider)
+        return provider_rating_count(self.kb, provider)
 
     # -- potential services -------------------------------------------------------
 
     def add_potential(self, person: Iri, potential: PotentialService) -> None:
-        if person not in self.humans:
-            raise UnknownProviderError(str(person))
+        self._require_human(person)
         self.potentials.setdefault(person, []).append(potential)
         project_potential(self.kb, person, potential.template.service_id)
 
     def _rule_satisfied(self, person: Iri, rule) -> bool:
-        cap = self.humans[person]
-        if rule.required_skill is not None:
-            skill, minimum = rule.required_skill
-            if cap.skills.get(skill, 0) < minimum:
-                return False
-        for topic in rule.required_knowledge:
-            if topic not in cap.knowledge:
-                return False
-        if rule.min_experience_count is not None:
-            if self.provider_experience_count(person) < rule.min_experience_count:
-                return False
-        return True
+        skill, minimum = rule.required_skill or (None, 0)
+        return ((skill is None or skill_level(self.kb, person, skill) >= minimum)
+                and all(knows(self.kb, person, topic) for topic in rule.required_knowledge)
+                and (rule.min_experience_count is None
+                     or self.provider_experience_count(person) >= rule.min_experience_count))
 
     def unlock_potential(self, person: Iri):
         """Publish every potential service whose unlock rule now holds."""
-        if person not in self.humans:
-            raise UnknownProviderError(str(person))
-        unlocked = []
-        remaining = []
+        self._require_human(person)
+        unlocked, remaining = [], []
         for potential in self.potentials.get(person, []):
             if self._rule_satisfied(person, potential.unlock_rule):
                 self.publish_service(potential.template, person)
@@ -274,17 +261,6 @@ class ServiceRegistry:
     @classmethod
     def from_kb(cls, kb: KnowledgeBase) -> "ServiceRegistry":
         registry = cls(kb)
-        registry.humans, registry.machines = read_capabilities(kb)
-        for service in presented_services(kb):
-            stored = read_profile(kb, service)
-            if stored is not None:
-                profile, provider = stored
-                registry.services[service] = ServiceRecord(profile, provider, profile.properties.qos.reputation)
-                registry.experience[service] = []
-        for record in read_experiences(kb):
-            if record.service in registry.services:
-                registry.experience[record.service].append(record)
-        for service, records in registry.experience.items():
-            if records:
-                registry.services[service].reputation = _mean_rating(records)
+        records = ((service, registry._read_record(service)) for service in presented_services(kb))
+        registry.services = {service: record for service, record in records if record is not None}
         return registry

@@ -9,8 +9,9 @@ education levels).
 
 This module also defines the capability (.cap) and service-profile (.srv)
 file formats, whose names follow the .kb rule, and the graph codec: the one
-place that writes typed records as kb facts and reads them back.  One field
-table per record type drives both directions.  Scales, preferences,
+place that knows how registry facts are encoded.  One field table per record
+type drives the writers; the readers return a profile or one answer (a
+skill's level, a known topic, a service's ratings).  Scales, preferences,
 parameter signatures and rating criteria are string literals on a handful of
 instance-level plumbing properties (``hasSkillLevel`` and friends) that are
 declared on demand and are deliberately not part of the base ontology's 45.
@@ -620,10 +621,10 @@ def validate_profile(profile: ServiceProfile) -> None:
 #
 # A record's fields are facts on its node.  Each field table row names the
 # record attribute, the predicate holding it and the codec between a value
-# and an object term; the writer adds one fact per value and the reader
-# decodes the objects in term order.  Each literal format (``term:level``,
-# ``dim:value``, ``name:type``, ``ADD``/``DEL`` patterns, ``name=value;...``)
-# is rendered and parsed by one codec.
+# and an object term; the writer adds one fact per value and the profile
+# reader decodes the objects in term order.  Each literal format
+# (``term:level``, ``dim:value``, ``name:type``, ``ADD``/``DEL`` patterns,
+# ``name=value;...``) is rendered, and parsed where it is read, by one codec.
 
 
 def _owned_node(owner: Iri, suffix: str) -> Iri:
@@ -642,7 +643,7 @@ def profile_nodes(service: Iri):
 
 class _Codec(NamedTuple):
     encode: Callable  # value -> object term
-    decode: Callable  # object term -> value, or None when the term holds none
+    decode: Optional[Callable]  # object term -> value or None; None itself when never read back
 
 
 def _literal(kinds, encode, parse) -> _Codec:
@@ -672,11 +673,6 @@ def _parse_parameter(text: str) -> TypedParameter:
     return TypedParameter(name, parse_name(type_text))
 
 
-def _parse_criteria(text: str) -> tuple:
-    pairs = (part.partition("=") for part in text.split(";"))
-    return tuple((name, Decimal(value)) for name, _, value in pairs if name)
-
-
 def _effect(verb: str) -> _Codec:
     """``ADD <pattern>`` or ``DEL <pattern>``."""
     head = verb + " "
@@ -685,10 +681,9 @@ def _effect(verb: str) -> _Codec:
 
 
 _LEVEL = _text(lambda pair: f"{pair[0]}:{pair[1]}", _parse_level)  # term:level
-_PREFERENCE = _text(lambda pair: f"{pair[0]}:{pair[1]}", lambda text: tuple(text.partition(":")[::2]))
 _PARAMETER = _text(lambda param: f"{param.name}:{param.type}", _parse_parameter)
-_CRITERIA = _text(lambda criteria: ";".join(f"{name}={value}" for name, value in criteria),
-                  _parse_criteria)
+_PREFERENCE = _Codec(lambda pair: string_literal(f"{pair[0]}:{pair[1]}"), None)
+_CRITERIA = _Codec(lambda criteria: string_literal(";".join(f"{name}={value}" for name, value in criteria)), None)
 
 
 def _one(value) -> tuple:
@@ -716,13 +711,14 @@ _LEVELED = {
     "abilities": ("hasAbility", "hasAbilityLevel", 1),
     "performance_factors": ("hasPerformanceFactor", "hasPerformanceLevel", 1),
 }
+_SKILL_LINK, _SKILL_LEVEL = map(iri, _LEVELED["skills"][:2])
 _HUMAN = (
-    _Field("knowledge", "hasHumanKnowledge", build=list),
+    _Field("knowledge", "hasHumanKnowledge"),
     _single("education", "hasEducation"),
-    _Field("preferences", "hasPreferenceValue", _PREFERENCE, build=dict, values=dict.items),
+    _Field("preferences", "hasPreferenceValue", _PREFERENCE, values=dict.items),
 )
-_LEARNED = _Field("learned_knowledge", "hasLearnedKnowledge", build=list, cls="Knowledge")
-_MACHINE = (_Field("programmed_skills", "hasProgrammedSkill", build=frozenset), _LEARNED)
+_LEARNED = _Field("learned_knowledge", "hasLearnedKnowledge", cls="Knowledge")
+_MACHINE = (_Field("programmed_skills", "hasProgrammedSkill"), _LEARNED)
 _SPECIFICATION = (
     _Field("hardware", "hasHardware", cls="Hardware"),
     _Field("software", "hasSoftware", cls="Software"),
@@ -752,8 +748,7 @@ _EXPERIENCE = (
     _single("service", "experienceOf"),
     _single("requester", "ratedBy"),
     _single("rating", "ratingValue", _DECIMAL, Decimal("0")),
-    _Field("criteria", "hasCriteria", _CRITERIA,
-           build=lambda values: sum(values, ()), values=lambda criteria: (criteria,) if criteria else ()),
+    _Field("criteria", "hasCriteria", _CRITERIA, values=lambda criteria: (criteria,) if criteria else ()),
 )
 
 _PRESENTS = iri("presents")
@@ -797,15 +792,38 @@ def _project_owner(kb: KnowledgeBase, owner: Iri, owner_class: str, node_class: 
     return node
 
 
-def write_level(kb: KnowledgeBase, person: Iri, attr: str, term: Iri, level: int,
-                old: Optional[int] = None) -> None:
-    """``term`` at ``level`` in the leveled map ``attr``, replacing its level ``old``."""
+def _write_level(kb: KnowledgeBase, person: Iri, attr: str, term: Iri, level: int) -> None:
     node = capability_node(person)
     link, level_predicate, _ = _LEVELED[attr]
-    if old is not None:
-        kb.remove_statement(node, iri(level_predicate), _LEVEL.encode((term, old)))
     kb.add_statement(node, iri(link), term)
     kb.add_statement(node, iri(level_predicate), _LEVEL.encode((term, level)))
+
+
+def _skill_levels(kb: KnowledgeBase, node: Iri, skill: Iri) -> dict:
+    """Each ``term:level`` literal of ``skill`` on ``node`` -> its level; no other literal is decoded."""
+    head = f"{skill}:"
+    texts = [stmt.object for stmt in kb.statements_about(node) if stmt.predicate == _SKILL_LEVEL
+             and isinstance(stmt.object, Literal) and str(stmt.object.value).startswith(head)]
+    return {text: pair[1] for text, pair in zip(texts, map(_LEVEL.decode, texts)) if pair and pair[0] == skill}
+
+
+def skill_level(kb: KnowledgeBase, person: Iri, skill: Iri) -> Optional[int]:
+    """``person``'s level of ``skill`` (the highest of several), 0 without it; None unless a human."""
+    node = capability_node(person)
+    if (node, iri("HumanCapability")) not in kb.type_assertions:
+        return None
+    if Statement(node, _SKILL_LINK, skill) not in kb.statements:
+        return 0
+    return max(_skill_levels(kb, node, skill).values(), default=_LEVELED["skills"][2])
+
+
+def set_skill(kb: KnowledgeBase, person: Iri, skill: Iri, scale: int) -> None:
+    """``person``'s ``skill`` at ``scale``, in place of every level stored for it."""
+    validate_human_capability(HumanCapability(skills={skill: scale}))
+    node = capability_node(person)
+    for text in _skill_levels(kb, node, skill):
+        kb.remove_statement(node, _SKILL_LEVEL, text)
+    _write_level(kb, person, "skills", skill, scale)
 
 
 def project_human(kb: KnowledgeBase, person: Iri, cap: HumanCapability, contexts=()) -> Iri:
@@ -814,18 +832,24 @@ def project_human(kb: KnowledgeBase, person: Iri, cap: HumanCapability, contexts
     node = _project_owner(kb, person, "PhysicalThing", "HumanCapability", contexts)
     for attr in _LEVELED:
         for term, level in getattr(cap, attr).items():
-            write_level(kb, person, attr, term, level)
+            _write_level(kb, person, attr, term, level)
     _write(kb, node, cap, _HUMAN)
     return node
 
 
-def _read_human(kb: KnowledgeBase, node: Iri) -> HumanCapability:
-    objects = _objects(kb, node)
-    fields = _read(objects, _HUMAN)
-    for attr, (link, level_predicate, default) in _LEVELED.items():
-        levels = dict(_decoded(objects, level_predicate, _LEVEL))
-        fields[attr] = {term: levels.get(term, default) for term in _decoded(objects, link)}
-    return HumanCapability(**fields)
+def knows(kb: KnowledgeBase, owner: Iri, topic: Iri) -> bool:
+    """Whether ``owner``'s capability holds ``topic`` as human or learned knowledge."""
+    return any(Statement(capability_node(owner), iri(predicate), topic) in kb.statements
+               for predicate in ("hasHumanKnowledge", "hasLearnedKnowledge"))
+
+
+def is_human(kb: KnowledgeBase, owner: Iri) -> bool:
+    """Whether ``owner`` registered as a human: a set lookup, with no index read."""
+    return (capability_node(owner), iri("HumanCapability")) in kb.type_assertions
+
+
+def is_machine(kb: KnowledgeBase, owner: Iri) -> bool:
+    return (capability_node(owner), iri("MachineCapability")) in kb.type_assertions
 
 
 def project_machine(kb: KnowledgeBase, machine: Iri, cap: MachineCapability, contexts=()) -> Iri:
@@ -839,28 +863,8 @@ def project_machine(kb: KnowledgeBase, machine: Iri, cap: MachineCapability, con
     return node
 
 
-def _read_machine(kb: KnowledgeBase, node: Iri) -> MachineCapability:
-    objects = _objects(kb, node)
-    specs = _decoded(objects, "hasSpecification")
-    hardware_software = _read(_objects(kb, specs[0]), _SPECIFICATION) if specs else {}
-    return MachineCapability(**_read(objects, _MACHINE), **hardware_software)
-
-
 def project_learned_knowledge(kb: KnowledgeBase, machine: Iri, topic: Iri) -> None:
     _add(kb, capability_node(machine), _LEARNED, (topic,))
-
-
-def read_capabilities(kb: KnowledgeBase):
-    """``(humans, machines)``: each owner's capability record, by owner."""
-    humans, machines = {}, {}
-    for binding in kb.match(Pattern(Var("owner"), iri("hasCapability"), Var("node"))):
-        owner, node = binding["owner"], binding["node"]
-        types = kb.types_of(node)
-        if iri("HumanCapability") in types:
-            humans[owner] = _read_human(kb, node)
-        elif iri("MachineCapability") in types:
-            machines[owner] = _read_machine(kb, node)
-    return humans, machines
 
 
 def project_profile(kb: KnowledgeBase, profile: ServiceProfile, provider: Iri) -> None:
@@ -912,6 +916,21 @@ def read_profile(kb: KnowledgeBase, service: Iri):
     return profile, providers[0]
 
 
+def stored_profile(kb: KnowledgeBase, profile: ServiceProfile, provider: Iri,
+                   reputation: Optional[Decimal] = None) -> ServiceProfile:
+    """``profile`` as ``kb`` would store it, with ``reputation`` in place of the declared one."""
+    scratch = KnowledgeBase(property_decls=dict(kb.property_decls))
+    project_profile(scratch, profile, provider)
+    if reputation is not None:
+        project_reputation(scratch, profile.service_id, reputation)
+    return read_profile(scratch, profile.service_id)[0]
+
+
+def holds_profile(kb: KnowledgeBase, service: Iri) -> bool:
+    """Whether ``kb`` holds a profile of ``service``, published or not (no index read)."""
+    return (profile_nodes(service)[0], iri("ServiceProfile")) in kb.type_assertions
+
+
 def present(kb: KnowledgeBase, service: Iri) -> None:
     """Make ``service`` discoverable: link it to its profile with ``presents``."""
     kb.add_statement(service, _PRESENTS, profile_nodes(service)[0])
@@ -954,14 +973,18 @@ def project_experience(kb: KnowledgeBase, record: ExperienceRecord, provider: Ir
     return node
 
 
-def read_experiences(kb: KnowledgeBase) -> list:
-    """Every stored experience that names a service and a rater, in node order."""
-    records = []
-    for binding in kb.match(Pattern(Var("node"), TYPE_PRED, iri("Experience"))):
-        fields = _read(_objects(kb, binding["node"]), _EXPERIENCE)
-        if fields["service"] is not None and fields["requester"] is not None:
-            records.append(ExperienceRecord(**fields))
-    return records
+def service_ratings(kb: KnowledgeBase, service: Iri) -> list:
+    """Every rating on an experience of ``service``, in ascending order."""
+    experience_of, rating = iri("experienceOf"), iri("ratingValue")
+    terms = [fact.object for stmt in kb.statements_to(service) if stmt.predicate == experience_of
+             for fact in kb.statements_about(stmt.subject) if fact.predicate == rating]
+    return sorted(value for value in map(_DECIMAL.decode, terms) if value is not None)
+
+
+def provider_rating_count(kb: KnowledgeBase, provider: Iri) -> int:
+    """The ratings of every service ``provider`` provides, withdrawn ones included."""
+    return sum(len(service_ratings(kb, stmt.object)) for stmt in kb.statements_about(provider)
+               if stmt.predicate == iri("provides"))
 
 
 def project_potential(kb: KnowledgeBase, person: Iri, service: Iri) -> None:

@@ -20,12 +20,12 @@ from typing import Optional
 
 from .broker import DiscoveryRequest, ServiceBroker, parse_skill
 from .errors import NoCompletedInvocationError, ParseError, UnknownNodeError, UnknownServiceError
-from .kb import Iri, Pattern, content_lines, iri, parse_name, read_document
+from .kb import Iri, content_lines, parse_name, read_document
 from .registry import RUNNING, ServiceRegistry
 from .schema import (
     _decimal,
     _int,
-    capability_node,
+    knows,
     parse_human_capability,
     parse_machine_capability,
     parse_service_profile,
@@ -316,14 +316,6 @@ class Simulation:
 
     # -- condition evaluation -------------------------------------------------
 
-    def _topic_known(self, node: Iri, topic: Iri) -> bool:
-        cap = capability_node(node)
-        kb = self.registry.kb
-        return bool(
-            kb.match(Pattern(cap, iri("hasLearnedKnowledge"), topic))
-            or kb.match(Pattern(cap, iri("hasHumanKnowledge"), topic))
-        )
-
     def _from_provider(self, node: Iri, sender: Iri) -> bool:
         return any(s.provider == sender for s in self.open_sessions_with(node))
 
@@ -337,7 +329,7 @@ class Simulation:
         if key == "topic-known":
             if event.kind != "message":
                 return False
-            known = self._topic_known(node, event.get("topic"))
+            known = knows(self.registry.kb, node, event.get("topic"))
             return known if value == "yes" else not known
         if key == "from-provider":
             if event.kind != "message":

@@ -12,6 +12,7 @@ from pathlib import Path
 from allocation_oracle import oracle_value, run_randomized_cases
 from query_oracle import run_randomized_comparison
 from test_query import DISCOVERY_QUERY
+from test_simulator import raters
 
 from soa_hitlcps.allocation import Assignee, Category, CategoryWeights, TaskSpec, loa, loa_weighted
 from soa_hitlcps.broker import ServiceBroker, compile_request
@@ -107,10 +108,8 @@ def test_c3_monitoring_scenario_discovery_and_mutual_ratings(capsys):
 
         result = run_scenario(scenario)
         assert result.all_ok, [c.line() for c in result.checks if not c.ok]
-        raters = {(rec.service, rec.requester)
-                  for records in scenario.registry.experience.values() for rec in records}
-        assert (iri("actuatingBySisy"), iri("EcgDev")) in raters
-        assert (iri("ecgAlert"), iri("Sisy")) in raters
+        assert (iri("actuatingBySisy"), iri("EcgDev")) in raters(scenario.registry.kb)
+        assert (iri("ecgAlert"), iri("Sisy")) in raters(scenario.registry.kb)
         actions = {(e.node, e.action) for e in result.trace.entries if e.phase == "execute"}
         assert ("EcgDev", "complete") in actions
         assert ("Sisy", "rate") in actions

@@ -38,10 +38,19 @@ from soa_hitlcps.kb import (
     string,
     term_sort_key,
 )
-from soa_hitlcps.query import And, Eq, InSet, QueryName, QueryPattern, Var, parse_query, query_equivalent
+from soa_hitlcps.query import A, And, Eq, InSet, QueryName, QueryPattern, Var, parse_query, query_equivalent
 from soa_hitlcps.reasoner import materialize, refresh
 from soa_hitlcps.registry import COMPLETED, FAILED, REJECTED, RUNNING, ServiceRegistry
-from soa_hitlcps.schema import parse_human_capability, parse_service_profile
+from soa_hitlcps.schema import (
+    AtomicType,
+    PotentialService,
+    PropertyBundle,
+    QoS,
+    ServiceProfile,
+    UnlockRule,
+    parse_human_capability,
+    parse_service_profile,
+)
 
 DAVID_CAP = """\
 SKILL Complex_Problem_Solving 6
@@ -141,6 +150,18 @@ def test_compile_multi_skill_vars():
         Eq("skill", QueryName("soa-hitlcps:Monitoring")),
         Eq("skill2", QueryName("soa-hitlcps:Troubleshooting")),
     ))
+
+
+def test_compile_kind_pattern():
+    compiled = compile_request(DiscoveryRequest(service_kind="composite", context_constraints=(iri("siteB"),)))
+    assert compiled.patterns[-1] == QueryPattern(Var("service"), A, QueryName("soa-hitlcps:CompositeService"))
+    assert compiled.filter == Eq("context", QueryName("soa-hitlcps:siteB"))
+    sensing = compile_request(DiscoveryRequest(service_kind="sensing"))
+    assert sensing.patterns[3:] == (QueryPattern(Var("service"), A, QueryName("soa-hitlcps:SensingService")),)
+    # an unknown kind matches no service, so there is no query to run
+    assert compile_request(DiscoveryRequest(service_kind="Service")) is None
+    _, broker = build_world()
+    assert broker.discover(DiscoveryRequest(service_kind="Service")) == []
 
 
 def test_parse_flat_request():
@@ -381,6 +402,42 @@ def test_preconditions_are_one_join_whatever_their_order():
         invocation = ServiceBroker(each).invoke(iri("watch"), iri("Pat"))
         assert invocation.status == RUNNING
         assert invocation.bindings == {"site": iri("siteB"), "a": iri("Nia")}
+
+
+def test_republishing_after_a_reload_compares_the_profile_the_graph_stores():
+    # The reload reads the preconditions back in term order; publishing the
+    # same file again must still find it the same profile.
+    text = ("SERVICE watch\nPROVIDER Nia\nKIND sensing\n"
+            "PRECONDITION ?consumer hasContext ?site\nPRECONDITION ?a hasContext ?site\n")
+    registry = ServiceRegistry()
+    for name, site in (("Nia", "siteB"), ("Pat", "siteB")):
+        registry.register_human(iri(name), parse_human_capability("")[0], (iri(site),))
+    registry.publish_service(*parse_service_profile(text))
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
+    for each in (registry, reloaded):
+        each.withdraw_service(iri("watch"))
+        each.publish_service(*parse_service_profile(text))
+    assert reloaded.kb == registry.kb
+    request = parse_discovery_request("DISCOVER kind=sensing")
+    assert ServiceBroker(reloaded).discover(request) == ServiceBroker(registry).discover(request) != []
+
+
+def test_an_effect_written_capability_fact_reaches_discovery_and_unlock_rules():
+    registry, broker = build_world()
+    profile, _ = parse_service_profile(
+        "SERVICE study\nKIND processing\nEFFECT ADD davidCapability hasHumanKnowledge Psychology\n"
+    )
+    registry.publish_service(profile, iri("Erin"))
+    template = ServiceProfile(iri("counseling"), AtomicType("communicating"),
+                              PropertyBundle(qos=QoS(Decimal("4"), Decimal("5"), Decimal("10"))))
+    rule = UnlockRule(required_knowledge=(iri("Psychology"),))
+    registry.add_potential(iri("David"), PotentialService(template, rule))
+    psychology = parse_discovery_request("DISCOVER knowledge=Psychology")
+    assert iri("chatDoctor") not in [r.service for r in broker.discover(psychology)]
+    assert registry.unlock_potential(iri("David")) == []
+    broker.complete_invocation(broker.invoke(iri("study"), iri("Adam")))
+    assert iri("chatDoctor") in [r.service for r in broker.discover(psychology)]
+    assert registry.unlock_potential(iri("David")) == [iri("counseling")]
 
 
 def test_effect_deleting_the_presents_link_withdraws_the_service():

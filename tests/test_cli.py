@@ -127,6 +127,12 @@ def test_discover_with_request_file(world_kb, tmp_path, capsys):
     assert capsys.readouterr().out == ""  # the chat world has no siteA services
 
 
+def test_discover_of_an_unknown_kind_finds_nothing(world_kb, capsys):
+    # Service is a class every service has, but not a kind.
+    assert main(["discover", str(world_kb), "DISCOVER kind=Service"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_discover_rejects_empty_criteria(world_kb, capsys):
     assert main(["discover", str(world_kb), "DISCOVER"]) == 1
     assert "EmptyCriteriaError" in capsys.readouterr().err

@@ -2,10 +2,11 @@
 
 import dataclasses
 import random
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
+from soa_hitlcps.broker import ServiceBroker, parse_discovery_request
 from soa_hitlcps.errors import (
     DuplicateIndividualError,
     InvalidStateError,
@@ -33,9 +34,15 @@ from soa_hitlcps.schema import (
     TimeWindow,
     TypedParameter,
     UnlockRule,
+    capability_node,
+    is_human,
+    is_machine,
+    knows,
     parse_human_capability,
     parse_machine_capability,
     parse_service_profile,
+    service_ratings,
+    skill_level,
 )
 
 HUMAN_CAP = """\
@@ -264,14 +271,14 @@ def test_set_skill_scale_updates_kb():
     registry.set_skill_scale(iri("David"), iri("Active_Listening"), 7)
     assert not registry.kb.match(Pattern(node, iri("hasSkillLevel"), string("Active_Listening:5")))
     assert registry.kb.match(Pattern(node, iri("hasSkillLevel"), string("Active_Listening:7")))
-    assert registry.humans[iri("David")].skills[iri("Active_Listening")] == 7
+    assert skill_level(registry.kb, iri("David"), iri("Active_Listening")) == 7
 
 
 def test_learned_knowledge_appends():
     registry = build_registry()
     registry.add_learned_knowledge(iri("Cathy"), iri("HeadDiscomfort"))
-    cap = registry.machines[iri("Cathy")]
-    assert cap.learned_knowledge == [iri("ClinicServices"), iri("HeadDiscomfort")]
+    learned = registry.kb.match(Pattern(iri("cathyCapability"), iri("hasLearnedKnowledge"), Var("k")))
+    assert [b["k"] for b in learned] == [iri("ClinicServices"), iri("HeadDiscomfort")]
     assert registry.kb.match(
         Pattern(iri("cathyCapability"), iri("hasLearnedKnowledge"), iri("HeadDiscomfort"))
     )
@@ -341,21 +348,26 @@ def test_from_kb_round_trip():
     text = serialize(registry.kb)
     rebuilt = ServiceRegistry.from_kb(parse_document(text))
 
-    assert set(rebuilt.humans) == {iri("David")}
-    assert set(rebuilt.machines) == {iri("Cathy")}
-    original_cap = registry.humans[iri("David")]
-    rebuilt_cap = rebuilt.humans[iri("David")]
-    assert rebuilt_cap.skills == original_cap.skills
-    assert sorted(rebuilt_cap.knowledge) == sorted(original_cap.knowledge)
-    assert rebuilt_cap.abilities == original_cap.abilities
-    assert rebuilt_cap.performance_factors == original_cap.performance_factors
-    assert rebuilt_cap.education == original_cap.education
-    assert rebuilt_cap.preferences == original_cap.preferences
+    kb = rebuilt.kb
+    owners = {b["o"] for b in kb.match(Pattern(Var("o"), iri("hasCapability"), Var("c")))}
+    assert {o for o in owners if is_human(kb, o)} == {iri("David")}
+    assert {o for o in owners if is_machine(kb, o)} == {iri("Cathy")}
+    original_cap, _ = parse_human_capability(HUMAN_CAP)
+    for skill, level in original_cap.skills.items():
+        assert skill_level(kb, iri("David"), skill) == level, skill
+    for attr, predicate in (("abilities", "hasAbilityLevel"), ("performance_factors", "hasPerformanceLevel")):
+        held = kb.match(Pattern(iri("davidCapability"), iri(predicate), Var("v")))
+        assert [b["v"] for b in held] == [string(f"{t}:{v}") for t, v in getattr(original_cap, attr).items()]
+    assert all(knows(kb, iri("David"), topic) for topic in original_cap.knowledge)
+    node = iri("davidCapability")
+    assert kb.match(Pattern(node, iri("hasEducation"), Var("e"))) == [{"e": original_cap.education}]
+    assert kb.match(Pattern(node, iri("hasPreferenceValue"), Var("p"))) == [{"p": string("time:evening")}]
 
-    machine_cap = rebuilt.machines[iri("Cathy")]
-    assert machine_cap.hardware == (iri("ChatRuntime"),)
-    assert machine_cap.programmed_skills == frozenset({iri("Conversational_Response")})
-    assert machine_cap.learned_knowledge == [iri("ClinicServices")]
+    assert kb.match(Pattern(iri("cathySpecification"), iri("hasHardware"), Var("h"))) == [{"h": iri("ChatRuntime")}]
+    assert kb.match(Pattern(iri("cathyCapability"), iri("hasProgrammedSkill"), Var("s"))) == \
+        [{"s": iri("Conversational_Response")}]
+    assert kb.match(Pattern(iri("cathyCapability"), iri("hasLearnedKnowledge"), Var("k"))) == \
+        [{"k": iri("ClinicServices")}]
 
     record = rebuilt.services[iri("chatDoctor")]
     original = registry.services[iri("chatDoctor")]
@@ -366,8 +378,81 @@ def test_from_kb_round_trip():
     assert record.profile.degree_of_parallelism == 2
     assert record.profile.properties.capability_ref == iri("davidCapability")
     assert record.reputation == Decimal("4.50") == original.reputation
-    ratings = sorted(r.rating for r in rebuilt.experience[iri("chatDoctor")])
+    ratings = sorted(service_ratings(kb, iri("chatDoctor")))
     assert ratings == [Decimal("4"), Decimal("5")]
+
+
+def _rated(registry, *ratings):
+    for rating in ratings:
+        completed_invocation(registry)
+        registry.record_experience(iri("chatDoctor"), iri("Cathy"), Decimal(rating))
+    return registry
+
+
+def _assert_same_answers(live, reloaded, reputation, score):
+    assert reloaded.kb == live.kb
+    assert reloaded.reputation_of(iri("chatDoctor")) == live.reputation_of(iri("chatDoctor")) == reputation
+    values = reloaded.kb.match(Pattern(iri("chatDoctorQos"), iri("reputationValue"), Var("v")))
+    assert values == [{"v": decimal(reputation)}]
+    request = parse_discovery_request("DISCOVER kind=processing")
+    ranked = ServiceBroker(live).discover(request)
+    assert ServiceBroker(reloaded).discover(request) == ranked
+    assert [(r.service, r.score) for r in ranked] == [(iri("chatDoctor"), Decimal(score))]
+
+
+def test_a_rated_service_withdrawn_after_a_reload_is_republished_with_its_declared_profile():
+    live = _rated(build_registry(), "4", "3")
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(live.kb)))
+    for each in (live, reloaded):
+        each.withdraw_service(iri("chatDoctor"))
+        each.publish_service(*parse_service_profile(SERVICE_PROFILE))
+    _assert_same_answers(live, reloaded, Decimal("3.50"), "0.8042")
+
+
+def test_a_rated_service_withdrawn_before_a_reload_comes_back_with_its_ratings():
+    live = _rated(build_registry(), "1", "2")
+    live.withdraw_service(iri("chatDoctor"))
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(live.kb)))
+    for each in (live, reloaded):
+        each.publish_service(*parse_service_profile(SERVICE_PROFILE))
+    _assert_same_answers(live, reloaded, Decimal("1.50"), "0.6042")
+
+
+def test_a_withdrawn_services_ratings_count_for_its_provider_after_a_reload():
+    live = _rated(build_registry(), "4", "5")
+    live.withdraw_service(iri("chatDoctor"))
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(live.kb)))
+    assert live.provider_experience_count(iri("David")) == reloaded.provider_experience_count(iri("David")) == 2
+    reloaded.add_potential(iri("David"), make_potential(UnlockRule(min_experience_count=2)))
+    assert reloaded.unlock_potential(iri("David")) == [iri("counseling")]
+
+
+# Once rated, the graph holds the mean rating, so a declared reputation is compared only before.
+@pytest.mark.parametrize("ratings, old, new", [(("4",), "cost=10", "cost=11"),
+                                               ((), "reputation=4.5", "reputation=4")])
+def test_republishing_a_different_profile_is_refused(ratings, old, new):
+    registry = _rated(build_registry(), *ratings)
+    registry.withdraw_service(iri("chatDoctor"))
+    profile, provider = parse_service_profile(SERVICE_PROFILE.replace(old, new))
+    with pytest.raises(DuplicateIndividualError):
+        registry.publish_service(profile, provider)
+    assert not registry.is_published(iri("chatDoctor"))
+
+
+def test_a_loaded_reputation_is_the_mean_of_the_graphs_ratings():
+    # A .kb file may hold ratings beside a declared reputation that no rating replaced.
+    kb = build_registry().kb
+    for index, rating in enumerate(("1", "2"), start=1):
+        node = iri(f"chatDoctorExp{index}")
+        kb.add_type(node, iri("Experience"))
+        kb.add_statement(node, iri("experienceOf"), iri("chatDoctor"))
+        kb.add_statement(node, iri("ratingValue"), decimal(Decimal(rating)))
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(kb)))
+    assert reloaded.reputation_of(iri("chatDoctor")) == Decimal("1.50")
+    assert reloaded.provider_experience_count(iri("David")) == 2
+    reloaded.withdraw_service(iri("chatDoctor"))
+    reloaded.publish_service(*parse_service_profile(SERVICE_PROFILE))
+    assert reloaded.reputation_of(iri("chatDoctor")) == Decimal("1.50")
 
 
 def test_from_kb_skips_withdrawn_services():
@@ -452,22 +537,11 @@ def _ordered(values) -> list:
     return sorted(values, key=repr)
 
 
-def _human_view(cap):
-    return dataclasses.replace(cap, knowledge=_ordered(cap.knowledge))
-
-
-def _machine_view(cap):
-    return dataclasses.replace(cap, hardware=tuple(_ordered(cap.hardware)),
-                               software=tuple(_ordered(cap.software)),
-                               learned_knowledge=_ordered(cap.learned_knowledge))
-
-
-def _service_view(record, experience):
+def _service_view(record):
     profile = record.profile
     # The graph keeps one reputation per service, the declared one until the
     # first rating and the mean rating after it.  A profile's DECLARE lines
-    # are property declarations on the kb, not facts of the profile, and an
-    # experience's timestamp is not stored.
+    # are property declarations on the kb, not facts of the profile.
     bundle = dataclasses.replace(
         profile.properties, contexts=tuple(_ordered(profile.properties.contexts)),
         qos=dataclasses.replace(profile.properties.qos, reputation=record.reputation),
@@ -478,48 +552,152 @@ def _service_view(record, experience):
     lists = ("inputs", "outputs", "preconditions", "effects_add", "effects_remove", "limitations")
     profile = dataclasses.replace(profile, service_type=service_type, properties=bundle, declarations=(),
                                   **{name: tuple(_ordered(getattr(profile, name))) for name in lists})
-    ratings = sorted((dataclasses.replace(r, timestamp=0) for r in experience),
-                     key=lambda r: (r.requester, r.rating, r.criteria))
-    return profile, record.provider, record.reputation, ratings
+    return profile, record.provider, record.reputation
 
 
-def _assert_graph_holds_the_records(registry, contexts):
+# Skill minimums, knowledge, abilities, contexts, kinds and QoS bounds.
+PARITY_REQUESTS = (
+    "DISCOVER skill=Monitoring:3",
+    "DISCOVER skill=Active_Listening:5 skill=Critical_Thinking",
+    "DISCOVER skill=Troubleshooting:2 knowledge=Psychology,Biology",
+    "DISCOVER knowledge=Medicine_and_Dentistry context=siteA,siteC",
+    "DISCOVER ability=Oral_Expression",
+    "DISCOVER kind=sensing qos.min_reputation=2",
+    "DISCOVER kind=composite",
+    "DISCOVER context=siteB qos.max_cost=50",
+)
+
+
+class _Model:
+    """What the test registered, wrote and rated, kept apart from the registry."""
+
+    def __init__(self):
+        self.levels = {}  # (person, skill) -> the levels stored for it
+        self.linked = {}  # person -> the skills its capability links
+        self.known = {}  # owner -> {(predicate name, topic)}
+        self.contexts = {}  # owner -> contexts registered
+        self.provider = {}  # service -> provider
+        self.declared = {}  # service -> declared reputation
+        self.ratings = {}  # service -> [rating]
+
+    def level(self, person, skill):
+        if skill not in self.linked[person]:
+            return 0
+        return max(self.levels.get((person, skill), {1}))
+
+    def rating_count(self, owner):
+        return sum(len(self.ratings[s]) for s, p in self.provider.items() if p == owner)
+
+    def reputation(self, service):
+        ratings = self.ratings[service]
+        if not ratings:
+            return self.declared[service]
+        return (sum(ratings) / len(ratings)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
+
+    def check(self, registry):
+        """The graph's answers are the model's, whichever registry reads them."""
+        kb = registry.kb
+        for person in self.linked:
+            for skill in TAXONOMY.skills:
+                assert skill_level(kb, person, skill) == self.level(person, skill), (person, skill)
+        for owner, known in self.known.items():
+            if owner not in self.linked:  # a machine: scales describe humans only
+                assert skill_level(kb, owner, TAXONOMY.skills[0]) is None, owner
+            for topic in TAXONOMY.knowledge + TOPICS:
+                assert knows(kb, owner, topic) == any(t == topic for _, t in known), (owner, topic)
+            assert registry.provider_experience_count(owner) == self.rating_count(owner), owner
+            held = {b["c"] for b in kb.match(Pattern(owner, iri("hasContext"), Var("c")))}
+            assert set(self.contexts[owner]) <= held, owner
+        for service in registry.services:
+            assert registry.reputation_of(service) == self.reputation(service), service
+
+
+def _assert_reload_parity(registry, broker, model):
+    """A registry reloaded from the serialized graph answers as the live one."""
     reloaded = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
     assert reloaded.kb == registry.kb
-    assert {p: _human_view(c) for p, c in reloaded.humans.items()} == \
-        {p: _human_view(c) for p, c in registry.humans.items()}
-    assert {m: _machine_view(c) for m, c in reloaded.machines.items()} == \
-        {m: _machine_view(c) for m, c in registry.machines.items()}
+    model.check(registry)
+    model.check(reloaded)
     published = registry.published_services()
     assert sorted(reloaded.services) == published
     for service in published:
-        assert _service_view(reloaded.services[service], reloaded.experience[service]) == \
-            _service_view(registry.services[service], registry.experience[service]), service
-    for owner, places in contexts.items():
-        held = {b["c"] for b in reloaded.kb.match(Pattern(owner, iri("hasContext"), Var("c")))}
-        assert set(places) <= held, owner
+        assert _service_view(reloaded.services[service]) == _service_view(registry.services[service]), service
+    rankings = {line: broker.discover(parse_discovery_request(line)) for line in PARITY_REQUESTS}
+    again = ServiceBroker(reloaded)
+    for line, ranked in rankings.items():
+        assert again.discover(parse_discovery_request(line)) == ranked, line
+    return sum(len(ranked) for ranked in rankings.values())
 
 
-def test_records_read_back_from_the_graph_equal_the_records_kept():
+def _effect_write(rng, registry, model, humans):
+    """Write a capability fact straight to the graph, as a completed effect does."""
+    owner = rng.choice(sorted(model.known))
+    node = capability_node(owner)
+    kind = rng.choice(("know", "forget", "link", "unlink", "level"))
+    if kind == "know":
+        topic = rng.choice(TAXONOMY.knowledge)
+        registry.kb.add_statement(node, iri("hasHumanKnowledge"), topic)
+        model.known[owner].add(("hasHumanKnowledge", topic))
+    elif kind == "forget" and model.known[owner]:
+        predicate, topic = rng.choice(sorted(model.known[owner]))
+        registry.kb.remove_statement(node, iri(predicate), topic)
+        model.known[owner].discard((predicate, topic))
+    elif kind == "link" and humans:
+        person = rng.choice(humans)
+        skill = rng.choice(TAXONOMY.skills)
+        registry.kb.add_statement(capability_node(person), iri("hasHumanSkill"), skill)
+        model.linked[person].add(skill)
+    elif kind == "level" and humans:  # a second level beside the one set
+        person, level = rng.choice(humans), rng.randint(1, 7)
+        skill = rng.choice(sorted(model.linked[person]) or TAXONOMY.skills)
+        registry.kb.add_statement(capability_node(person), iri("hasSkillLevel"), string(f"{skill}:{level}"))
+        model.levels.setdefault((person, skill), set()).add(level)
+    elif kind == "unlink" and humans:
+        person = rng.choice(humans)
+        if model.linked[person]:
+            skill = rng.choice(sorted(model.linked[person]))
+            registry.kb.remove_statement(capability_node(person), iri("hasHumanSkill"), skill)
+            model.linked[person].discard(skill)
+
+
+def _published(model, profile, provider):
+    model.provider.setdefault(profile.service_id, provider)
+    model.declared.setdefault(profile.service_id, profile.properties.qos.reputation)
+    model.ratings.setdefault(profile.service_id, [])
+
+
+def test_a_registry_reloaded_from_its_graph_answers_as_the_live_one():
     rng = random.Random(61)
     registry = ServiceRegistry()
-    contexts = {}
+    broker = ServiceBroker(registry)  # one closure, kept current across every write
+    model = _Model()
+    humans, machines = [], []
     withdrawn = set()
+    found = 0
     for step in range(240):
-        humans, machines, services = list(registry.humans), list(registry.machines), sorted(registry.services)
+        services = sorted(registry.services)
         action = rng.choice(("human", "machine", "publish", "publish", "withdraw", "republish",
-                             "scale", "learn", "rate", "rate", "potential"))
+                             "scale", "learn", "rate", "rate", "potential", "unlock", "effect"))
         if action == "human" and len(humans) < len(HUMAN_NAMES):
             person = HUMAN_NAMES[len(humans)]
-            contexts[person] = _subset(rng, SITES)
-            registry.register_human(person, _random_human(rng), contexts[person])
+            model.contexts[person] = _subset(rng, SITES)
+            cap = _random_human(rng)
+            registry.register_human(person, cap, model.contexts[person])
+            humans.append(person)
+            model.levels.update({(person, skill): {level} for skill, level in cap.skills.items()})
+            model.linked[person] = set(cap.skills)
+            model.known[person] = {("hasHumanKnowledge", topic) for topic in cap.knowledge}
         elif action == "machine" and len(machines) < len(MACHINE_NAMES):
             machine = MACHINE_NAMES[len(machines)]
-            contexts[machine] = _subset(rng, SITES)
-            registry.register_machine(machine, _random_machine(rng), contexts[machine])
+            model.contexts[machine] = _subset(rng, SITES)
+            cap = _random_machine(rng)
+            registry.register_machine(machine, cap, model.contexts[machine])
+            machines.append(machine)
+            model.known[machine] = {("hasLearnedKnowledge", topic) for topic in cap.learned_knowledge}
         elif action == "publish" and humans + machines:
-            service = iri(f"svc{step}")
-            registry.publish_service(_random_profile(rng, service, services), rng.choice(humans + machines))
+            profile, provider = _random_profile(rng, iri(f"svc{step}"), services), rng.choice(humans + machines)
+            registry.publish_service(profile, provider)
+            _published(model, profile, provider)
         elif action == "withdraw" and registry.published_services():
             service = rng.choice(registry.published_services())
             registry.withdraw_service(service)
@@ -530,19 +708,38 @@ def test_records_read_back_from_the_graph_equal_the_records_kept():
             record = registry.services[service]
             registry.publish_service(record.profile, record.provider)
         elif action == "scale" and humans:
-            registry.set_skill_scale(rng.choice(humans), rng.choice(TAXONOMY.skills), rng.randint(1, 7))
+            person, skill, level = rng.choice(humans), rng.choice(TAXONOMY.skills), rng.randint(1, 7)
+            registry.set_skill_scale(person, skill, level)
+            model.levels[(person, skill)] = {level}
+            model.linked[person].add(skill)
         elif action == "learn" and machines:
-            registry.add_learned_knowledge(rng.choice(machines), rng.choice(TOPICS))
+            machine, topic = rng.choice(machines), rng.choice(TOPICS)
+            registry.add_learned_knowledge(machine, topic)
+            model.known[machine].add(("hasLearnedKnowledge", topic))
         elif action == "rate" and services:
-            invocation = registry.new_invocation(rng.choice(services), rng.choice(humans + machines), {})
+            service = rng.choice(services)
+            invocation = registry.new_invocation(service, rng.choice(humans + machines), {})
             invocation.status = COMPLETED
             criteria = [(name, Decimal(rng.randint(0, 10)) / 2) for name in _subset(rng, ("timeliness", "care"))]
-            registry.record_experience_for(invocation, Decimal(rng.randint(0, 10)) / 2, criteria, timestamp=step)
+            rating = Decimal(rng.randint(0, 10)) / 2
+            registry.record_experience_for(invocation, rating, criteria, timestamp=step)
+            model.ratings[service].append(rating)
         elif action == "potential" and humans:
             template = _random_profile(rng, iri(f"potential{step}"), ())
-            rule = UnlockRule(required_knowledge=(rng.choice(TAXONOMY.knowledge),))
+            rule = rng.choice((UnlockRule(required_knowledge=(rng.choice(TAXONOMY.knowledge),)),
+                               UnlockRule(required_skill=(rng.choice(TAXONOMY.skills), rng.randint(1, 7))),
+                               UnlockRule(min_experience_count=rng.randint(0, 3))))
             registry.add_potential(rng.choice(humans), PotentialService(template, rule))
+        elif action == "unlock" and humans:
+            person = rng.choice(humans)
+            before = set(registry.services)
+            for service in registry.unlock_potential(person):
+                assert service not in before
+                _published(model, registry.services[service].profile, person)
+        elif action == "effect" and model.known:
+            _effect_write(rng, registry, model, humans)
         if step % 10 == 9:
-            _assert_graph_holds_the_records(registry, contexts)
+            found += _assert_reload_parity(registry, broker, model)
     assert len(registry.services) > 20 and len(registry.published_services()) < len(registry.services)
-    assert sum(len(records) for records in registry.experience.values()) > 20
+    assert sum(len(ratings) for ratings in model.ratings.values()) > 20
+    assert found > 50

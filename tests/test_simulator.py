@@ -4,7 +4,8 @@ import pytest
 
 from soa_hitlcps.datafiles import scenario_dir
 from soa_hitlcps.errors import ParseError, UnknownNodeError, UnknownServiceError
-from soa_hitlcps.kb import Pattern, iri
+from soa_hitlcps.kb import Pattern, Var, iri
+from soa_hitlcps.query import join
 from soa_hitlcps.registry import COMPLETED
 from soa_hitlcps.simulator import (
     NodeLoop,
@@ -22,6 +23,13 @@ from soa_hitlcps.simulator import (
 def _load(name):
     directory = Path(scenario_dir())
     return load_scenario((directory / name).read_text(encoding="utf-8"), directory)
+
+
+def raters(kb):
+    """(service, rater) of every rating the graph holds."""
+    patterns = (Pattern(Var("e"), iri("experienceOf"), Var("service")),
+                Pattern(Var("e"), iri("ratedBy"), Var("rater")))
+    return {(b["service"], b["rater"]) for b in join(kb, patterns, {})}
 
 
 def _empty_scenario():
@@ -119,10 +127,8 @@ def test_chat_scenario_records_ratings_for_both_services(chat_run):
     registry = scenario.registry
     assert str(registry.reputation_of(iri("chatDoctor"))) == "5.00"
     assert str(registry.reputation_of(iri("chatbotService"))) == "5.00"
-    raters = {(rec.service, rec.requester)
-              for records in registry.experience.values() for rec in records}
-    assert (iri("chatbotService"), iri("Adam")) in raters
-    assert (iri("chatDoctor"), iri("Cathy")) in raters
+    assert (iri("chatbotService"), iri("Adam")) in raters(registry.kb)
+    assert (iri("chatDoctor"), iri("Cathy")) in raters(registry.kb)
 
 
 def test_chat_scenario_shares_messages_with_open_sessions(chat_run):
@@ -134,6 +140,13 @@ def test_chat_scenario_shares_messages_with_open_sessions(chat_run):
 def test_chat_scenario_invocations_all_terminal(chat_run):
     scenario, _ = chat_run
     assert [inv.status for inv in scenario.registry.invocations] == [COMPLETED, COMPLETED]
+
+
+@pytest.mark.parametrize("name", ["scenario1_ecg.scn", "scenario2_chat.scn"])
+def test_loading_a_scenario_reads_no_index(name):
+    # Registration and publication check the graph by set lookups only, so
+    # the S/P/O index is first built when the run reads it.
+    assert _load(name).registry.kb._index is None
 
 
 # -- the monitoring scenario ----------------------------------------------------
@@ -167,10 +180,8 @@ def test_ecg_scenario_alerts_the_discovered_provider(ecg_run):
 
 def test_ecg_scenario_rates_in_both_directions(ecg_run):
     scenario, _ = ecg_run
-    raters = {(rec.service, rec.requester)
-              for records in scenario.registry.experience.values() for rec in records}
-    assert (iri("actuatingBySisy"), iri("EcgDev")) in raters
-    assert (iri("ecgAlert"), iri("Sisy")) in raters
+    assert (iri("actuatingBySisy"), iri("EcgDev")) in raters(scenario.registry.kb)
+    assert (iri("ecgAlert"), iri("Sisy")) in raters(scenario.registry.kb)
 
 
 def test_ecg_scenario_applies_care_effect(ecg_run):
