@@ -23,7 +23,8 @@ from .errors import (
     ParseError,
     UnknownServiceError,
 )
-from .kb import DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri, parse_name
+from .kb import (DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri, parse_decimal,
+                 parse_integer, parse_name)
 from .query import A, And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate, join
 from .reasoner import materialize, refresh
 from .registry import (
@@ -36,7 +37,6 @@ from .registry import (
 )
 from .schema import (
     ATOMIC_KINDS,
-    _decimal,
     Condition,
     LocationAt,
     TimeWindow,
@@ -85,6 +85,22 @@ class DiscoveryRequest:
 _QOS_KEYS = ("min_reputation", "max_cost", "max_response_time")
 
 
+def parse_skill(text: str) -> tuple:
+    """``name[:scale]`` as (skill Iri, minimum scale or None); a scale is a .kb integer."""
+    name, _, scale = text.rpartition(":")
+    try:
+        minimum = parse_integer(scale)
+    except ParseError:
+        return parse_name(text), None
+    return parse_name(name), minimum
+
+
+# criterion key -> the reader of each of its comma-separated values; the
+# names are matched against the graph, so they keep any prefix
+_LISTS = {"skill": parse_skill, "knowledge": parse_name, "ability": parse_name,
+          "context": parse_name, "input": parse_name, "output": parse_name}
+
+
 def parse_discovery_request(text: str) -> DiscoveryRequest:
     """Parse the flat one-line request form.
 
@@ -92,56 +108,41 @@ def parse_discovery_request(text: str) -> DiscoveryRequest:
 
         DISCOVER skill=Complex_Problem_Solving:6 knowledge=Medicine_and_Dentistry
                  context=siteA kind=processing qos.min_reputation=4
+
+    A value that does not parse is an :class:`EmptyCriteriaError` naming
+    its criterion.
     """
     words = text.split()
     if not words or words[0] != "DISCOVER":
         raise EmptyCriteriaError("expected a DISCOVER line")
-    skills, knowledge, abilities, contexts = [], [], [], []
-    inputs, outputs, qos = [], [], []
+    lists = {key: [] for key in _LISTS}
+    qos = []
     kind = None
     for word in words[1:]:
         key, eq, value = word.partition("=")
         if not eq or not value:
             raise EmptyCriteriaError(f"malformed criterion {word!r}")
-        if key == "skill":
-            skills.append(parse_skill(value))
-        elif key == "knowledge":
-            knowledge.extend(parse_name(v) for v in value.split(","))
-        elif key == "ability":
-            abilities.extend(parse_name(v) for v in value.split(","))
-        elif key == "context":
-            contexts.extend(parse_name(v) for v in value.split(","))
-        elif key == "kind":
-            kind = value
-        elif key == "input":
-            inputs.extend(parse_name(v) for v in value.split(","))
-        elif key == "output":
-            outputs.extend(parse_name(v) for v in value.split(","))
-        elif key.startswith("qos.") and key[4:] in _QOS_KEYS:
-            try:
-                qos.append((key[4:], _decimal(value, 1)))
-            except ParseError:
-                raise EmptyCriteriaError(f"malformed criterion {word!r}") from None
-        else:
-            raise EmptyCriteriaError(f"unknown criterion {key!r}")
-    io_signature = (tuple(inputs), tuple(outputs)) if inputs or outputs else None
+        try:
+            if key in _LISTS:
+                lists[key].extend(map(_LISTS[key], value.split(",")))
+            elif key == "kind":
+                kind = value
+            elif key.startswith("qos.") and key[4:] in _QOS_KEYS:
+                qos.append((key[4:], parse_decimal(value)))
+            else:
+                raise EmptyCriteriaError(f"unknown criterion {key!r}")
+        except ParseError:
+            raise EmptyCriteriaError(f"malformed criterion {word!r}") from None
+    inputs, outputs = lists["input"], lists["output"]
     return DiscoveryRequest(
-        required_skills=tuple(skills),
-        required_knowledge=tuple(knowledge),
-        required_abilities=tuple(abilities),
+        required_skills=tuple(lists["skill"]),
+        required_knowledge=tuple(lists["knowledge"]),
+        required_abilities=tuple(lists["ability"]),
         service_kind=kind,
-        context_constraints=tuple(contexts),
-        io_signature=io_signature,
+        context_constraints=tuple(lists["context"]),
+        io_signature=(tuple(inputs), tuple(outputs)) if inputs or outputs else None,
         qos_constraints=tuple(qos),
     )
-
-
-def parse_skill(text: str) -> tuple:
-    """``name[:scale]`` as (skill Iri, minimum scale or None)."""
-    name, _, scale = text.rpartition(":")
-    if name and scale.isdigit():
-        return parse_name(name), int(scale)
-    return parse_name(text), None
 
 
 def _query_name(term: Iri) -> QueryName:
@@ -334,7 +335,6 @@ class ServiceBroker:
                     f"input {parameter.name} is not a {parameter.type}"
                 )
         invocation = self.registry.new_invocation(service, consumer, inputs)
-        invocation.started_at = now
         if self.registry.running_count(service) >= profile.degree_of_parallelism:
             return self._reject(invocation, "at_capacity")
         if not self._limitations_hold(closed, record, now, consumer):

@@ -20,7 +20,6 @@ from .errors import SoaHitlcpsError
 from .kb import decode_document, parse_document, read_document, serialize
 from .query import evaluate, parse_query
 from .reasoner import (
-    annotations_from_kb,
     check_consistency,
     check_ontoclean,
     materialize,
@@ -83,9 +82,7 @@ def _cmd_metrics(args) -> int:
         raise _Usage(f"no such directory: {args.cq_dir}")
     cq = metrics.load_cq_dir(args.cq_dir) if args.cq_dir else None
     include = True if args.annotations else None
-    annotations = annotations_from_kb(kb) if args.annotations else None
-    report = metrics.eval_report(kb, cq_queries=cq, annotations=annotations,
-                                 include_ontoclean=include)
+    report = metrics.eval_report(kb, cq_queries=cq, include_ontoclean=include)
     print(report.to_text(), end="")
     return 0
 

@@ -19,7 +19,8 @@ A ``ClassExpr`` is a named class, ``( <expr> AND <expr> ... )`` or
 ``( <property> SOME <Class> )``.  Names are written ``local`` (resolved
 against the built-in prefix) or ``prefix:local``; unknown prefixes are an
 error, never a silent default.  Objects of FACT lines may also be literals:
-``"a string"``, an integer, or a decimal such as ``4.50``.
+``"a string"``, an integer, or a decimal such as ``4.50``.  ``parse_name``,
+``parse_integer`` and ``parse_decimal`` read these atoms for every text format.
 
 Class names referenced by SUBCLASSOF, DISJOINT, PROPERTY domains/ranges and
 INDIVIDUAL types are declared implicitly; properties must always be declared
@@ -59,9 +60,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from itertools import chain
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import (
@@ -73,6 +75,9 @@ from .errors import (
 
 DEFAULT_PREFIX = "soa-hitlcps"
 DEFAULT_EXPANSION = "http://soa-hitlcps.org/ontology#"
+# The prefix table of a new knowledge base, and of every name read outside a
+# .kb document that the graph will hold.
+BUILTIN_PREFIXES = MappingProxyType({DEFAULT_PREFIX: DEFAULT_EXPANSION})
 
 
 class Iri(NamedTuple):
@@ -174,19 +179,44 @@ class Pattern:
         return f"{self.subject} {self.predicate} {self.object}"
 
 
-def parse_name(text: str, prefixes: Optional[dict] = None) -> Iri:
-    """``prefix:local`` (split on the first ``:``) or a bare ``local`` as an Iri.
+# The lexical syntax of names and numbers, shared by every text format.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+_INT_RE = re.compile(r"-?[0-9]+")
+_NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
-    A bare name is in the built-in namespace.  Given a prefix table, a prefix
-    missing from it raises :class:`UnknownPrefixError`.  The local name is
-    not checked; callers apply their own name rules.
+
+def parse_name(text: str, prefixes=None, line: int = 1, column: int = 1) -> Iri:
+    """``prefix:local`` (split on the first ``:``) or a bare ``local`` (built-in prefix) as an Iri.
+
+    A prefix missing from ``prefixes`` is an :class:`UnknownPrefixError`; with
+    no table, the reader of the name resolves it.  A local name outside
+    ``_NAME_RE`` is a :class:`ParseError` at ``line`` and ``column``.
     """
     prefix, colon, local = text.partition(":")
     if not colon:
-        return Iri(DEFAULT_PREFIX, text)
-    if prefixes is not None and prefix not in prefixes:
+        prefix, local = DEFAULT_PREFIX, text
+    elif prefixes is not None and prefix not in prefixes:
         raise UnknownPrefixError(prefix)
+    if not _NAME_RE.fullmatch(local):
+        raise ParseError(line, column, "a name")
     return Iri(prefix, local)
+
+
+def parse_integer(text: str, line: int = 1, column: int = 1) -> int:
+    """A .kb integer, ``-?[0-9]+``; anything else is a :class:`ParseError`."""
+    if _INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise ParseError(line, column, "an integer")
+
+
+def parse_decimal(text: str, line: int = 1, column: int = 1) -> Decimal:
+    """A .kb integer or decimal, ``-?[0-9]+`` or ``-?[0-9]+.[0-9]+``: always finite."""
+    if not _NUMBER_RE.fullmatch(text):
+        raise ParseError(line, column, "a decimal")
+    return Decimal(text)
 
 
 def term_sort_key(term: PatternTerm):
@@ -295,7 +325,7 @@ def annotation_from_flags(cls: Iri, flags: Iterable[str]) -> MetaAnnotation:
 class KnowledgeBase:
     """Mutable store for one ontology plus its instance data."""
 
-    prefixes: dict = field(default_factory=lambda: {DEFAULT_PREFIX: DEFAULT_EXPANSION})
+    prefixes: dict = field(default_factory=lambda: dict(BUILTIN_PREFIXES))
     class_decls: set = field(default_factory=set)
     property_decls: dict = field(default_factory=dict)  # Iri -> (domain, range)
     subclass_links: set = field(default_factory=set)  # {(child, parent)}
@@ -635,9 +665,6 @@ _TOKEN_RE = re.compile(_STRING + r'?|[()]|[^\s()"]+')
 # Up to a comment: a "#" outside strings that starts the line or follows
 # whitespace, so tokens such as namespace expansions ending in "#" survive.
 _COMMENT_RE = re.compile(r'(?:' + _OPEN_STRING + r'(?:"|$)|[^"])*?(?<!\S)#')
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
-_INT_RE = re.compile(r"^-?[0-9]+$")
-_DECIMAL_RE = re.compile(r"^-?[0-9]+\.[0-9]+$")
 
 
 @dataclass(frozen=True)
@@ -702,28 +729,22 @@ class _Cursor:
 
 
 def _parse_name(tok: _Token, prefixes: dict) -> Iri:
-    name = parse_name(tok.text, prefixes)
-    if not _NAME_RE.match(name.local):
-        raise ParseError(tok.line, tok.column, "a name")
-    return name
+    return parse_name(tok.text, prefixes, tok.line, tok.column)
 
 
-def _parse_term(tok: _Token, prefixes: dict) -> Term:
-    text = tok.text
+def _parse_term(text: str, prefixes, line: int = 1, column: int = 1) -> Term:
+    """A FACT object: a string literal, a number (see :func:`parse_decimal`) or a name."""
     if text.startswith('"'):
         if not _STRING_RE.fullmatch(text):
-            raise ParseError(tok.line, tok.column, "a string literal closed by a quote")
+            raise ParseError(line, column, "a string literal closed by a quote")
         body = text[1:-1]
         value = body.replace('\\"', '"').replace("\\\\", "\\")
         return Literal("string", value)
-    if _INT_RE.match(text):
-        return Literal("integer", int(text))
-    if _DECIMAL_RE.match(text):
-        try:
+    if _NUMBER_RE.fullmatch(text):
+        if "." in text:
             return Literal("decimal", Decimal(text))
-        except InvalidOperation:  # pragma: no cover - regex prevents this
-            raise ParseError(tok.line, tok.column, "a decimal literal")
-    return _parse_name(tok, prefixes)
+        return Literal("integer", parse_integer(text, line, column))
+    return parse_name(text, prefixes, line, column)
 
 
 def _parse_class_expr(reader: _Cursor, prefixes: dict) -> ClassExpr:
@@ -835,7 +856,8 @@ def parse_document(text: str, base: Optional[KnowledgeBase] = None) -> Knowledge
             reader.expect("FACT")
             subject = _parse_name(reader.next("a subject name"), kb.prefixes)
             predicate = _parse_name(reader.next("a predicate name"), kb.prefixes)
-            obj = _parse_term(reader.next("an object term"), kb.prefixes)
+            tok = reader.next("an object term")
+            obj = _parse_term(tok.text, kb.prefixes, tok.line, tok.column)
             reader.done("end of line")
             try:
                 kb.add_statement(subject, predicate, obj)

@@ -146,12 +146,11 @@ class EvalReport:
         return tuple((name, line) for name, body in self.sections() for line in body)
 
 
-def eval_report(kb: KnowledgeBase, cq_queries=None, annotations=None,
-                include_ontoclean=None) -> EvalReport:
+def eval_report(kb: KnowledgeBase, cq_queries=None, include_ontoclean=None) -> EvalReport:
     """Aggregate metric sections for one kb.
 
     ``cq_queries`` is an iterable of (name, query text); ``include_ontoclean``
-    defaults to whether the kb (or the override list) carries annotations.
+    defaults to whether the kb carries annotations.
     """
     accuracy = []
     for axiom in kb.axioms:
@@ -171,9 +170,9 @@ def eval_report(kb: KnowledgeBase, cq_queries=None, annotations=None,
 
     report = check_consistency(kb)
     if include_ontoclean is None:
-        include_ontoclean = bool(annotations) or bool(kb.annotations)
+        include_ontoclean = bool(kb.annotations)
     if include_ontoclean:
-        report.ontoclean_violations.extend(check_ontoclean(kb, annotations))
+        report.ontoclean_violations.extend(check_ontoclean(kb))
     consistency = render_report(report).rstrip("\n").split("\n")
 
     return EvalReport(

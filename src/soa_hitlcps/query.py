@@ -132,7 +132,13 @@ def _tokenize_query(text: str) -> list[_Token]:
     return tokens
 
 
-_NAME_OK = re.compile(r"^[A-Za-z_][\w.-]*(:[A-Za-z_][\w.-]*)?$")
+def _query_name(tok: _Token, expected: str) -> QueryName:
+    """``tok`` as a name, its prefix resolved at evaluation; else a ParseError expecting ``expected``."""
+    try:
+        parse_name(tok.text)
+    except ParseError:
+        raise ParseError(tok.line, tok.column, expected) from None
+    return QueryName(tok.text)
 
 
 def _parse_query_term(tok: _Token) -> QueryTerm:
@@ -140,16 +146,11 @@ def _parse_query_term(tok: _Token) -> QueryTerm:
         return Var(tok.text[1:])
     if tok.text == "a":
         return A
-    if not _NAME_OK.match(tok.text):
-        raise ParseError(tok.line, tok.column, "a variable or prefixed name")
-    return QueryName(tok.text)
+    return _query_name(tok, "a variable or prefixed name")
 
 
 def _parse_constant(cursor: _Cursor) -> QueryName:
-    tok = cursor.next("a prefixed name")
-    if tok.text.startswith("?") or not _NAME_OK.match(tok.text):
-        raise ParseError(tok.line, tok.column, "a prefixed name")
-    return QueryName(tok.text)
+    return _query_name(cursor.next("a prefixed name"), "a prefixed name")
 
 
 def _parse_cmp(cursor: _Cursor) -> FilterExpr:

@@ -40,7 +40,7 @@ from .schema import (
     is_presented,
     knows,
     present,
-    presented_services,
+    profiled_services,
     project_experience,
     project_human,
     project_learned_knowledge,
@@ -84,7 +84,6 @@ class Invocation:
     reason: Optional[str] = None
     rating: Optional[Decimal] = None
     bindings: dict = field(default_factory=dict)
-    started_at: Optional[int] = None
 
 
 def _reputation(ratings, profile: ServiceProfile) -> Decimal:
@@ -261,6 +260,6 @@ class ServiceRegistry:
     @classmethod
     def from_kb(cls, kb: KnowledgeBase) -> "ServiceRegistry":
         registry = cls(kb)
-        records = ((service, registry._read_record(service)) for service in presented_services(kb))
+        records = ((service, registry._read_record(service)) for service in profiled_services(kb))
         registry.services = {service: record for service, record in records if record is not None}
         return registry

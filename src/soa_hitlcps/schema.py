@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import InvalidProfileError, ParseError, UnknownTaxonomyTermError
 from .kb import (
+    BUILTIN_PREFIXES,
     ClassAxiom,
     Conjunction,
-    DEFAULT_EXPANSION,
-    DEFAULT_PREFIX,
     Iri,
     KnowledgeBase,
     Literal,
@@ -41,14 +40,14 @@ from .kb import (
     TYPE_PRED,
     Var,
     _STRING,
-    _Token,
-    _parse_name,
     _parse_term,
     annotation_from_flags,
     content_lines,
     decimal as decimal_literal,
     integer as integer_literal,
     iri,
+    parse_decimal,
+    parse_integer,
     parse_name,
     string as string_literal,
     term_sort_key,
@@ -416,9 +415,10 @@ def render_pattern(pattern: Pattern) -> str:
     return f"{term(pattern.subject)} {term(pattern.predicate)} {term(pattern.object)}"
 
 
-# Names in .cap and .srv files: the built-in prefix and the .kb local-name rule,
-# so that every graph they build serializes to a document that parses back.
-_PREFIXES = {DEFAULT_PREFIX: DEFAULT_EXPANSION}
+def graph_name(text: str, lineno: int = 1) -> Iri:
+    """A name a .cap, .srv or .scn file writes into the graph: the built-in prefix only,
+    so that the graph serializes to a document that parses back."""
+    return parse_name(text, BUILTIN_PREFIXES, lineno)
 
 
 def _parse_flat_term(text: str, lineno: int):
@@ -426,7 +426,7 @@ def _parse_flat_term(text: str, lineno: int):
         return Var(text[1:])
     if text == "a":
         return TYPE_PRED
-    return _parse_term(_Token(text, lineno, 1), _PREFIXES)
+    return _parse_term(text, BUILTIN_PREFIXES, lineno)
 
 
 def parse_flat_pattern(text: str, lineno: int = 1) -> Pattern:
@@ -440,27 +440,6 @@ def parse_flat_pattern(text: str, lineno: int = 1) -> Pattern:
 # Capability files (.cap)
 
 
-def _term_name(word: str, lineno: int) -> Iri:
-    return _parse_name(_Token(word, lineno, 1), _PREFIXES)
-
-
-def _int(word: str, lineno: int) -> int:
-    try:
-        return int(word)
-    except ValueError:
-        raise ParseError(lineno, 1, "an integer")
-
-
-def _decimal(word: str, lineno: int) -> Decimal:
-    try:
-        value = Decimal(word)
-    except InvalidOperation:
-        value = None
-    if value is None or value.is_nan():  # NaN cannot be compared with a bound
-        raise ParseError(lineno, 1, "a decimal")
-    return value
-
-
 _LEVEL_KEYWORDS = {"SKILL": "skills", "ABILITY": "abilities", "PERFORMANCE": "performance_factors"}
 
 
@@ -471,15 +450,15 @@ def parse_human_capability(text: str):
     for lineno, words in content_lines(text):
         keyword = words[0]
         if keyword in _LEVEL_KEYWORDS and len(words) == 3:
-            getattr(cap, _LEVEL_KEYWORDS[keyword])[_term_name(words[1], lineno)] = _int(words[2], lineno)
+            getattr(cap, _LEVEL_KEYWORDS[keyword])[graph_name(words[1], lineno)] = parse_integer(words[2], lineno)
         elif keyword == "KNOWLEDGE" and len(words) == 2:
-            cap.knowledge.append(_term_name(words[1], lineno))
+            cap.knowledge.append(graph_name(words[1], lineno))
         elif keyword == "EDUCATION" and len(words) == 2:
-            cap.education = _term_name(words[1], lineno)
+            cap.education = graph_name(words[1], lineno)
         elif keyword == "PREFERENCE" and len(words) == 3:
             cap.preferences[words[1]] = words[2]
         elif keyword == "CONTEXT" and len(words) == 2:
-            contexts.append(_term_name(words[1], lineno))
+            contexts.append(graph_name(words[1], lineno))
         else:
             raise ParseError(lineno, 1, "SKILL/KNOWLEDGE/ABILITY/PERFORMANCE/EDUCATION/PREFERENCE/CONTEXT")
     validate_human_capability(cap)
@@ -492,7 +471,7 @@ def parse_machine_capability(text: str):
     for lineno, words in content_lines(text):
         if words[0] not in names or len(words) != 2:
             raise ParseError(lineno, 1, "/".join(names))
-        names[words[0]].append(_term_name(words[1], lineno))
+        names[words[0]].append(graph_name(words[1], lineno))
     cap = MachineCapability(tuple(names["HARDWARE"]), tuple(names["SOFTWARE"]),
                             frozenset(names["PROGRAMMED_SKILL"]), names["LEARNED"])
     validate_machine_capability(cap)
@@ -525,37 +504,37 @@ def parse_service_profile(text: str):
     for lineno, words in content_lines(text):
         keyword, rest = words[0], words[1:]
         if keyword == "SERVICE" and len(rest) == 1:
-            service_id = _term_name(rest[0], lineno)
+            service_id = graph_name(rest[0], lineno)
         elif keyword == "PROVIDER" and len(rest) == 1:
-            provider = _term_name(rest[0], lineno)
+            provider = graph_name(rest[0], lineno)
         elif keyword == "KIND" and len(rest) == 1:
             if rest[0] not in ATOMIC_KINDS:
                 raise ParseError(lineno, 1, "one of " + "/".join(sorted(ATOMIC_KINDS)))
             service_type = AtomicType(rest[0])
         elif keyword == "COMPOSITE" and rest:
-            service_type = CompositeType(tuple(_term_name(w, lineno) for w in rest))
+            service_type = CompositeType(tuple(graph_name(w, lineno) for w in rest))
         elif keyword == "INPUT" and len(rest) == 2:
-            inputs.append(TypedParameter(rest[0], _term_name(rest[1], lineno)))
+            inputs.append(TypedParameter(rest[0], graph_name(rest[1], lineno)))
         elif keyword == "OUTPUT" and len(rest) == 2:
-            outputs.append(TypedParameter(rest[0], _term_name(rest[1], lineno)))
+            outputs.append(TypedParameter(rest[0], graph_name(rest[1], lineno)))
         elif keyword == "PRECONDITION" and len(rest) >= 3:
             preconditions.append(parse_flat_pattern(" ".join(rest), lineno))
         elif keyword == "EFFECT" and len(rest) >= 4 and rest[0] in ("ADD", "DEL"):
             pattern = parse_flat_pattern(" ".join(rest[1:]), lineno)
             (effects_add if rest[0] == "ADD" else effects_remove).append(pattern)
         elif keyword == "CONTEXT" and len(rest) == 1:
-            contexts.append(_term_name(rest[0], lineno))
+            contexts.append(graph_name(rest[0], lineno))
         elif keyword == "CAPABILITY" and len(rest) == 1:
-            capability_ref = _term_name(rest[0], lineno)
+            capability_ref = graph_name(rest[0], lineno)
         elif keyword == "QOS":
             kv = _parse_kv(rest, lineno)
-            qos = QoS(*(_decimal(kv.get(key, "0"), lineno) for key in ("reputation", "cost", "response_time")))
+            qos = QoS(*(parse_decimal(kv.get(key, "0"), lineno) for key in ("reputation", "cost", "response_time")))
         elif keyword == "PARALLELISM" and len(rest) == 1:
-            dop = _int(rest[0], lineno)
+            dop = parse_integer(rest[0], lineno)
         elif keyword == "LIMITATION" and rest:
             limitations.append(parse_flat_limitation(" ".join(rest), lineno))
         elif keyword == "DECLARE" and len(rest) == 3:
-            declarations.append(tuple(_term_name(w, lineno) for w in rest))
+            declarations.append(tuple(graph_name(w, lineno) for w in rest))
         else:
             raise ParseError(lineno, 1, "a profile directive")
     if service_id is None:
@@ -580,19 +559,19 @@ def parse_service_profile(text: str):
 
 def parse_flat_limitation(text: str, lineno: int = 1) -> Limitation:
     words = text.split()
-    kind = words[0]
+    kind = words[0] if words else None
     if kind == "time_window" and len(words) == 3:
-        start, end = _int(words[1], lineno), _int(words[2], lineno)
+        start, end = parse_integer(words[1], lineno), parse_integer(words[2], lineno)
         if start > end:
             raise ParseError(lineno, 1, "an ordered time window")
         return TimeWindow(start, end)
     if kind == "max_distance" and len(words) == 3:
-        meters = _decimal(words[1], lineno)
+        meters = parse_decimal(words[1], lineno)
         if meters <= 0:
             raise ParseError(lineno, 1, "a positive distance")
-        return MaxDistance(meters, _term_name(words[2], lineno))
+        return MaxDistance(meters, graph_name(words[2], lineno))
     if kind == "location" and len(words) == 2:
-        return LocationAt(_term_name(words[1], lineno))
+        return LocationAt(graph_name(words[1], lineno))
     if kind == "condition" and len(words) >= 4:
         return Condition(parse_flat_pattern(" ".join(words[1:]), lineno))
     raise ParseError(lineno, 1, "time_window/max_distance/location/condition")
@@ -660,12 +639,12 @@ _IRI = _Codec(lambda value: value, lambda term: term if isinstance(term, Iri) el
 _DECIMAL = _literal(("decimal", "integer"), decimal_literal, Decimal)
 _INTEGER = _literal(("integer",), integer_literal, int)
 
-_LEVEL_RE = re.compile(r"^(?P<term>.*):(?P<value>-?\d+)$")
-
-
 def _parse_level(text: str):
-    match = _LEVEL_RE.match(text)
-    return (parse_name(match["term"]), int(match["value"])) if match else None
+    term, _, level = text.rpartition(":")
+    try:
+        return parse_name(term), parse_integer(level)
+    except ParseError:  # not a term:level literal: skipped, like a literal of another form
+        return None
 
 
 def _parse_parameter(text: str) -> TypedParameter:
@@ -945,10 +924,9 @@ def is_presented(kb: KnowledgeBase, service: Iri) -> bool:
     return Statement(service, _PRESENTS, profile_nodes(service)[0]) in kb.statements
 
 
-def presented_services(kb: KnowledgeBase) -> list:
-    """The services whose presents link is in ``kb``, in order."""
-    return sorted(b["s"] for b in kb.match(Pattern(Var("s"), _PRESENTS, Var("p")))
-                  if b["p"] == profile_nodes(b["s"])[0])
+def profiled_services(kb: KnowledgeBase) -> list:
+    """The services with a provider in ``kb``, published or withdrawn, in order."""
+    return sorted({b["s"] for b in kb.match(Pattern(Var("s"), iri("providedBy"), Var("p")))})
 
 
 def project_reputation(kb: KnowledgeBase, service: Iri, reputation: Decimal) -> None:

@@ -14,17 +14,15 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
-from .broker import DiscoveryRequest, ServiceBroker, parse_skill
+from .broker import DiscoveryRequest, ServiceBroker, parse_discovery_request
 from .errors import NoCompletedInvocationError, ParseError, UnknownNodeError, UnknownServiceError
-from .kb import Iri, content_lines, parse_name, read_document
+from .kb import Iri, content_lines, parse_decimal, parse_integer, parse_name, read_document
 from .registry import RUNNING, ServiceRegistry
 from .schema import (
-    _decimal,
-    _int,
+    graph_name,
     knows,
     parse_human_capability,
     parse_machine_capability,
@@ -154,6 +152,8 @@ _EVENT_KINDS = ("REQUEST", "MESSAGE", "SIGNAL", "TICK")
 
 
 def load_scenario(text: str, base_dir) -> Scenario:
+    """Load a .scn document naming files in ``base_dir``.  Names the run writes into the graph
+    (nodes; event requesters, senders and topics) take the built-in prefix only."""
     base_dir = Path(base_dir)
     registry = ServiceRegistry()
     nodes: dict = {}
@@ -164,7 +164,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
     for lineno, words in content_lines(text):
         keyword = words[0]
         if keyword == "NODE" and len(words) == 4 and words[2] in (HUMAN, MACHINE):
-            node = parse_name(words[1])
+            node = graph_name(words[1], lineno)
             cap_text = read_document(base_dir / words[3])
             if words[2] == HUMAN:
                 cap, contexts = parse_human_capability(cap_text)
@@ -180,7 +180,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
                 raise ParseError(lineno, 1, "a PROVIDER line in the profile")
             registry.publish_service(profile, provider)
         elif keyword == "RULE" and len(words) >= 5 and words[2] == "WHEN":
-            node = parse_name(words[1])
+            node = parse_name(words[1], None, lineno)
             then_at = words.index("THEN") if "THEN" in words else -1
             if then_at != 4 or len(words) < 5 + 1:
                 raise ParseError(lineno, 1, "RULE <node> WHEN <conds> THEN <action> [params]")
@@ -191,10 +191,10 @@ def load_scenario(text: str, base_dir) -> Scenario:
             if action == "rate" and (rule.param("service") is None or rule.param("rating") is None):
                 raise ParseError(lineno, 1, "rate service=<name> rating=<decimal>")
             if rule.param("rating") is not None:
-                _decimal(rule.param("rating"), lineno)  # a bad rating fails the load, not the run
+                parse_decimal(rule.param("rating"), lineno)  # a bad rating fails the load, not the run
             pending_rules.append((lineno, node, rule))
         elif keyword == "AT" and len(words) >= 3 and words[2] in _EVENT_KINDS:
-            time = _int(words[1], lineno)
+            time = parse_integer(words[1], lineno)
             events.append(_parse_event(time, seq, words[2], words[3:], lineno))
             seq += 1
         elif keyword == "EXPECT" and len(words) >= 3:
@@ -224,19 +224,19 @@ def _split_kv(text: str, lineno: int, sep: str = ","):
 
 def _parse_event(time: int, seq: int, kind: str, rest, lineno: int) -> SimEvent:
     if kind == "REQUEST" and len(rest) == 2:
-        payload = (("requester", parse_name(rest[0])), ("service", parse_name(rest[1])))
+        payload = (("requester", graph_name(rest[0], lineno)), ("service", parse_name(rest[1], None, lineno)))
         return SimEvent(time, seq, "request", payload)
     if kind == "MESSAGE" and len(rest) == 5:
         payload = (
-            ("sender", parse_name(rest[0])),
-            ("recipient", parse_name(rest[1])),
+            ("sender", graph_name(rest[0], lineno)),
+            ("recipient", parse_name(rest[1], None, lineno)),
             ("id", rest[2]),
             ("sentiment", rest[3]),
-            ("topic", parse_name(rest[4])),
+            ("topic", graph_name(rest[4], lineno)),
         )
         return SimEvent(time, seq, "message", payload)
     if kind == "SIGNAL" and len(rest) == 2:
-        payload = (("node", parse_name(rest[0])), ("signal", rest[1]))
+        payload = (("node", parse_name(rest[0], None, lineno)), ("signal", rest[1]))
         return SimEvent(time, seq, "signal", payload)
     if kind == "TICK" and not rest:
         return SimEvent(time, seq, "tick", ())
@@ -245,13 +245,13 @@ def _parse_event(time: int, seq: int, kind: str, rest, lineno: int) -> SimEvent:
 
 def _parse_expectation(kind: str, rest, lineno: int) -> Expectation:
     if kind == "COUNT" and len(rest) == 2:
-        return Expectation("COUNT", (rest[0], _int(rest[1], lineno)))
+        return Expectation("COUNT", (rest[0], parse_integer(rest[1], lineno)))
     if kind == "CONTAINS" and len(rest) == 4:
-        return Expectation("CONTAINS", (_int(rest[0], lineno), rest[1], rest[2], rest[3]))
+        return Expectation("CONTAINS", (parse_integer(rest[0], lineno), rest[1], rest[2], rest[3]))
     if kind == "ORDER" and len(rest) == 2:
         return Expectation("ORDER", (rest[0], rest[1]))
     if kind == "NONE_AFTER" and len(rest) == 2:
-        return Expectation("NONE_AFTER", (_int(rest[0], lineno), rest[1]))
+        return Expectation("NONE_AFTER", (parse_integer(rest[0], lineno), rest[1]))
     raise ParseError(lineno, 1, "COUNT/CONTAINS/ORDER/NONE_AFTER")
 
 
@@ -393,14 +393,7 @@ class Simulation:
         self.trace.add(time, loop.node, EXECUTE, "answer", detail)
 
     def _request_from_params(self, rule: Rule) -> DiscoveryRequest:
-        skills = tuple(parse_skill(s) for s in (rule.param("skill") or "").split(",") if s)
-        knowledge = tuple(parse_name(k) for k in (rule.param("knowledge") or "").split(",") if k)
-        contexts = tuple(parse_name(c) for c in (rule.param("context") or "").split(",") if c)
-        return DiscoveryRequest(
-            required_skills=skills,
-            required_knowledge=knowledge,
-            context_constraints=contexts,
-        )
+        return parse_discovery_request("DISCOVER " + _criteria(rule))
 
     def _parse_inputs(self, rule: Rule, event: SimEvent) -> dict:
         inputs = {}
@@ -411,13 +404,12 @@ class Simulation:
                 if value == "@from":
                     inputs[name] = event.get("sender") or event.get("requester")
                 else:
-                    inputs[name] = parse_name(value)
+                    inputs[name] = graph_name(value)
         return inputs
 
     def _act_discover(self, loop, rule, event, time):
         request = self._request_from_params(rule)
-        criteria = " ".join(f"{k}={v}" for k, v in rule.params if k in ("skill", "knowledge", "context"))
-        self.trace.add(time, loop.node, PLAN, "discover", criteria)
+        self.trace.add(time, loop.node, PLAN, "discover", _criteria(rule))
         ranked = self.broker.discover(request, now=time)
         if not ranked:
             self.trace.add(time, loop.node, EXECUTE, "discover", "found=none")
@@ -451,7 +443,7 @@ class Simulation:
 
     def _act_complete_sessions(self, loop, rule, event, time):
         rating = rule.param("rating")
-        rating = Decimal(rating) if rating is not None else None
+        rating = parse_decimal(rating) if rating is not None else None
         origin = event.get("sender")
         selected = []
         for session in self.open_sessions_with(loop.node):
@@ -471,7 +463,7 @@ class Simulation:
 
     def _act_rate(self, loop, rule, event, time):
         service = parse_name(rule.param("service"))
-        rating = Decimal(rule.param("rating"))
+        rating = parse_decimal(rule.param("rating"))
         open_invocations = [
             inv for inv in self.registry.invocations
             if inv.service == service and inv.consumer == loop.node and inv.status == RUNNING
@@ -517,6 +509,11 @@ class Simulation:
             late = [e for e in entries if e.phase == EXECUTE and e.action == action and e.time > time]
             return CheckResult(expectation, not late, f"late={len(late)}")
         return CheckResult(expectation, False, "unknown expectation")
+
+
+def _criteria(rule: Rule) -> str:
+    """A discover rule's criteria, in the DISCOVER line form."""
+    return " ".join(f"{k}={v}" for k, v in rule.params if k in ("skill", "knowledge", "context"))
 
 
 def _observation_detail(event: SimEvent) -> str:

@@ -26,6 +26,7 @@ from soa_hitlcps.errors import (
 )
 from soa_hitlcps.kb import (
     JOURNAL_LIMIT,
+    Iri,
     ClassAxiom,
     Conjunction,
     MetaAnnotation,
@@ -727,3 +728,47 @@ def test_compose_prefers_ascending_names_on_ties():
         )
         registry.publish_service(profile, iri("David"))
     assert broker.compose((), (iri("Widget"),)) == [iri("aMaker")]
+
+
+# -- request criteria and effects that other tests do not reach ---------------------------
+
+
+def test_parse_flat_request_reads_every_list_and_rejects_names_outside_the_rule():
+    request = parse_discovery_request(
+        "DISCOVER skill=Complex_Problem_Solving:6,Monitoring,zz:Judgment:2 ability=Reaction_Time "
+        "input=PhysicalThing output=Output,zz:Report")
+    assert request.required_skills == ((iri("Complex_Problem_Solving"), 6), (iri("Monitoring"), None),
+                                       (Iri("zz", "Judgment"), 2))
+    assert request.required_abilities == (iri("Reaction_Time"),)
+    assert request.io_signature == ((iri("PhysicalThing"),), (iri("Output"), Iri("zz", "Report")))
+    for word in ("skill=Monitoring:²", "skill=Monitoring:٣", "skill=:3", "knowledge=Head/Discomfort",
+                 "context=a,,b", "output=9x", "qos.max_cost=1e2", "qos.max_cost=Infinity",
+                 "qos.min_reputation=.5", "qos.max_response_time=+2"):
+        with pytest.raises(EmptyCriteriaError, match="malformed criterion"):
+            parse_discovery_request(f"DISCOVER {word}")
+
+
+def test_discover_by_output_drops_a_candidate_without_it():
+    registry, broker = build_world()
+    profile, _ = parse_service_profile("SERVICE erinIdle\nKIND sensing\nCONTEXT siteB\nQOS reputation=5\n")
+    registry.publish_service(profile, iri("Erin"))
+    every = broker.discover(parse_discovery_request("DISCOVER context=siteB"))
+    assert {r.service for r in every} == {iri("chatDoctor"), iri("erinIdle"), iri("erinWatch")}
+    ranked = broker.discover(parse_discovery_request(
+        "DISCOVER context=siteB input=PhysicalThing output=Output"))
+    assert [r.service for r in ranked] == [iri("chatDoctor"), iri("erinWatch")]
+
+
+def test_effect_deleting_a_type_assertion():
+    registry, broker = build_world()
+    registry.kb.add_type(iri("Adam"), iri("Waiting"))
+    profile, _ = parse_service_profile(
+        "SERVICE admit\nKIND processing\nINPUT patient PhysicalThing\n"
+        "EFFECT DEL ?patient a Waiting\nQOS reputation=4\n"
+    )
+    registry.publish_service(profile, iri("David"))
+    invocation = broker.invoke(iri("admit"), iri("Erin"), {"patient": iri("Adam")})
+    assert invocation.status == RUNNING
+    broker.complete_invocation(invocation)
+    assert (iri("Adam"), iri("Waiting")) not in registry.kb.type_assertions
+    assert (iri("Adam"), iri("PhysicalThing")) in registry.kb.type_assertions

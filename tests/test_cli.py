@@ -145,6 +145,29 @@ def test_discover_malformed_qos_bound_is_domain_error(world_kb, capsys):
         assert "EmptyCriteriaError" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("scale", ["²", "٣"])
+def test_discover_skill_scale_outside_the_integer_rule_is_one_criteria_error(world_kb, capsys, scale):
+    assert main(["discover", str(world_kb), f"DISCOVER skill=Monitoring:{scale}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: EmptyCriteriaError: malformed criterion 'skill=Monitoring:{scale}'\n"
+
+
+def test_discover_skill_takes_a_comma_list(world_kb, capsys):
+    spec = "DISCOVER skill=Complex_Problem_Solving:6,Active_Listening:5"
+    assert main(["discover", str(world_kb), spec]) == 0
+    assert capsys.readouterr().out == "chatDoctor\tDavid\t0.9042\n"
+
+
+def test_discover_on_an_empty_limitation_literal_is_a_parse_error(world_kb, tmp_path, capsys):
+    kb = tmp_path / "limited.kb"
+    kb.write_text(world_kb.read_text(encoding="utf-8") + 'FACT chatDoctorProfile hasLimitation ""\n',
+                  encoding="utf-8")
+    assert main(["discover", str(kb), "DISCOVER kind=processing"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParseError: ") and "Traceback" not in err
+
+
 # -- simulate --------------------------------------------------------------------
 
 
@@ -216,6 +239,33 @@ def test_simulate_rate_rule_without_service_is_domain_error(tmp_path, capsys):
     assert main(["simulate", str(scn)]) == 1
     err = capsys.readouterr().err
     assert "ParseError: line 2" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["Infinity", "1e2", "+5", ".5", "5.", "1_0", "٣"])
+def test_simulate_profile_number_outside_the_kb_forms_is_a_parse_error_at_its_line(tmp_path, capsys, value):
+    # Infinity was stored as responseTimeValue Infinity.0, which reads back as a name.
+    (tmp_path / "d.cap").write_text("SKILL Complex_Problem_Solving 6\n", encoding="utf-8")
+    (tmp_path / "p.srv").write_text(
+        f"SERVICE s\nPROVIDER David\nKIND processing\nQOS reputation=4 cost=1 response_time={value}\n",
+        encoding="utf-8")
+    (tmp_path / "s.scn").write_text("NODE David HUMAN d.cap\nSERVICE p.srv\n", encoding="utf-8")
+    assert main(["simulate", str(tmp_path / "s.scn")]) == 1
+    assert capsys.readouterr().err == "error: ParseError: line 4, column 1: expected a decimal\n"
+
+
+@pytest.mark.parametrize("lines, error", [
+    ("NODE zz:Adam HUMAN a.cap\n", "error: UnknownPrefixError: unknown prefix: 'zz'\n"),
+    ("NODE Adam HUMAN a.cap\nNODE Cathy MACHINE c.cap\nAT 1 MESSAGE Adam Cathy q1 upset Head/Discomfort\n",
+     "error: ParseError: line 3, column 1: expected a name\n"),
+])
+def test_simulate_a_name_the_graph_cannot_hold_fails_the_load(tmp_path, capsys, lines, error):
+    # Both once reached the registry graph, which then no longer parsed back.
+    (tmp_path / "a.cap").write_text("KNOWLEDGE Psychology\n", encoding="utf-8")
+    (tmp_path / "c.cap").write_text("LEARNED ClinicServices\n", encoding="utf-8")
+    (tmp_path / "s.scn").write_text(
+        lines + "RULE Cathy WHEN event=message THEN acquire-knowledge\n", encoding="utf-8")
+    assert main(["simulate", str(tmp_path / "s.scn")]) == 1
+    assert capsys.readouterr().err == error
 
 
 def test_non_utf8_input_is_domain_error(tmp_path, capsys):

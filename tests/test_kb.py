@@ -456,3 +456,46 @@ def test_journal_records_each_successful_write_while_armed():
     assert len(journal) == 5
     # the matcher also takes a pattern's terms as a tuple
     assert kb.match((Var("s"), TYPE_PRED, b)) == kb.match(Pattern(Var("s"), TYPE_PRED, b)) == [{"s": x}]
+
+
+# -- the one lexical rule for names and numbers -----------------------------------------
+
+
+def test_parse_name_checks_the_prefix_then_the_local_name():
+    assert kbm.parse_name("Human") == iri("Human")
+    assert kbm.parse_name("zz:A.b-c_1") == Iri("zz", "A.b-c_1")  # no table: resolved by the reader
+    with pytest.raises(UnknownPrefixError):
+        kbm.parse_name("zz:A", kbm.BUILTIN_PREFIXES)
+    for bad in ("", "9A", "-A", ".A", "Head/Discomfort", "Café", "A\n", "zz:", "zz:9"):
+        with pytest.raises(ParseError) as err:
+            kbm.parse_name(bad, None, 4, 7)
+        assert (err.value.line, err.value.column, err.value.expected) == (4, 7, "a name"), bad
+
+
+def test_numbers_take_the_kb_literal_forms_only():
+    assert kbm.parse_integer("-12") == -12
+    assert kbm.parse_decimal("4") == Decimal("4")
+    assert kbm.parse_decimal("-0.50") == Decimal("-0.50")
+    for bad in ("", "+1", "1e2", "1E+2", ".5", "5.", "1_0", "٣", "²", "Infinity", "NaN", " 1", "1\n"):
+        with pytest.raises(ParseError, match="an integer"):
+            kbm.parse_integer(bad)
+        with pytest.raises(ParseError, match="a decimal"):
+            kbm.parse_decimal(bad)
+    with pytest.raises(ParseError, match="an integer"):
+        kbm.parse_integer("4.5")
+
+
+def test_an_integer_too_long_to_convert_is_a_parse_error():
+    digits = "1" * 5000  # past the interpreter's default digit limit for int()
+    with pytest.raises(ParseError) as err:
+        parse_document(f"PROPERTY p DOMAIN A RANGE A\nFACT x p {digits}\n")
+    assert (err.value.line, err.value.column) == (2, 10)
+    assert kbm.parse_decimal(digits) == Decimal(digits)
+
+
+def test_nested_conjunction_in_first_position_parses_and_roundtrips():
+    text = "CLASS A\nCLASS B\nCLASS C\nCLASS D\nAXIOM ( ( A AND B ) AND C ) SUBCLASSOF D\n"
+    kb = parse_document(text)
+    inner = Conjunction((NamedClass(iri("A")), NamedClass(iri("B"))))
+    assert kb.axioms == [ClassAxiom(Conjunction((inner, NamedClass(iri("C")))), iri("D"))]
+    assert parse_document(serialize(kb)) == kb

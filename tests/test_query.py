@@ -179,3 +179,18 @@ def test_query_equivalence_modulo_pattern_order():
 
 def test_randomized_against_cross_product_oracle_small():
     query_oracle.run_randomized_comparison(150, seed=415)
+
+
+def test_comments_are_skipped():
+    commented = parse_query("# which humans\nSELECT ?x  # the projection\nWHERE { ?x a Human }  # done\n")
+    assert commented == parse_query("SELECT ?x WHERE { ?x a Human }")
+
+
+def test_names_follow_the_kb_rule():
+    for bad in ("Café", "9B", "zz:9B", "zz:"):
+        with pytest.raises(ParseError) as err:
+            parse_query(f"SELECT ?x WHERE {{ ?x a {bad} }}")
+        assert (err.value.column, err.value.expected) == (24, "a variable or prefixed name"), bad
+        with pytest.raises(ParseError) as err:
+            parse_query(f"SELECT ?x WHERE {{ ?x a Human FILTER (?x = {bad}) }}")
+        assert err.value.expected == "a prefixed name", bad

@@ -455,11 +455,18 @@ def test_a_loaded_reputation_is_the_mean_of_the_graphs_ratings():
     assert reloaded.reputation_of(iri("chatDoctor")) == Decimal("1.50")
 
 
-def test_from_kb_skips_withdrawn_services():
+def test_from_kb_loads_withdrawn_services():
+    # As the live table does: a withdrawn service keeps its record, so a
+    # completed invocation of it can still be rated after a reload.
     registry = build_registry()
     registry.withdraw_service(iri("chatDoctor"))
     rebuilt = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
-    assert iri("chatDoctor") not in rebuilt.services
+    assert sorted(rebuilt.services) == sorted(registry.services)
+    assert rebuilt.published_services() == []
+    invocation = rebuilt.new_invocation(iri("chatDoctor"), iri("Adam"), {})
+    invocation.status = COMPLETED
+    rebuilt.record_experience_for(invocation, Decimal("3"))
+    assert rebuilt.reputation_of(iri("chatDoctor")) == Decimal("3.00")
 
 
 # -- graph codec round trip ----------------------------------------------------------
@@ -618,10 +625,10 @@ def _assert_reload_parity(registry, broker, model):
     assert reloaded.kb == registry.kb
     model.check(registry)
     model.check(reloaded)
-    published = registry.published_services()
-    assert sorted(reloaded.services) == published
-    for service in published:
+    assert sorted(reloaded.services) == sorted(registry.services)
+    for service in registry.services:
         assert _service_view(reloaded.services[service]) == _service_view(registry.services[service]), service
+    assert reloaded.published_services() == registry.published_services()
     rankings = {line: broker.discover(parse_discovery_request(line)) for line in PARITY_REQUESTS}
     again = ServiceBroker(reloaded)
     for line, ranked in rankings.items():
@@ -673,7 +680,7 @@ def test_a_registry_reloaded_from_its_graph_answers_as_the_live_one():
     model = _Model()
     humans, machines = [], []
     withdrawn = set()
-    found = 0
+    found = rated_withdrawn = 0
     for step in range(240):
         services = sorted(registry.services)
         action = rng.choice(("human", "machine", "publish", "publish", "withdraw", "republish",
@@ -702,6 +709,17 @@ def test_a_registry_reloaded_from_its_graph_answers_as_the_live_one():
             service = rng.choice(registry.published_services())
             registry.withdraw_service(service)
             withdrawn.add(service)
+            if rng.random() < 0.5:  # rated after the withdrawal, live and reloaded alike
+                reloaded = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
+                consumer, rating = rng.choice(humans + machines), Decimal(rng.randint(0, 10)) / 2
+                for target in (registry, reloaded):
+                    invocation = target.new_invocation(service, consumer, {})
+                    invocation.status = COMPLETED
+                    target.record_experience_for(invocation, rating, timestamp=step)
+                model.ratings[service].append(rating)
+                assert reloaded.kb == registry.kb
+                assert reloaded.reputation_of(service) == registry.reputation_of(service)
+                rated_withdrawn += 1
         elif action == "republish" and withdrawn:
             service = rng.choice(sorted(withdrawn))
             withdrawn.discard(service)
@@ -742,4 +760,4 @@ def test_a_registry_reloaded_from_its_graph_answers_as_the_live_one():
             found += _assert_reload_parity(registry, broker, model)
     assert len(registry.services) > 20 and len(registry.published_services()) < len(registry.services)
     assert sum(len(ratings) for ratings in model.ratings.values()) > 20
-    assert found > 50
+    assert found > 50 and rated_withdrawn > 3

@@ -1,10 +1,11 @@
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 from soa_hitlcps.datafiles import scenario_dir
-from soa_hitlcps.errors import ParseError, UnknownNodeError, UnknownServiceError
-from soa_hitlcps.kb import Pattern, Var, iri
+from soa_hitlcps.errors import ParseError, UnknownNodeError, UnknownPrefixError, UnknownServiceError
+from soa_hitlcps.kb import Iri, Pattern, Var, iri
 from soa_hitlcps.query import join
 from soa_hitlcps.registry import COMPLETED
 from soa_hitlcps.simulator import (
@@ -255,3 +256,77 @@ def test_tick_events_advance_time_without_trace_rows(tmp_path):
 def test_comments_and_blank_lines_are_ignored(tmp_path):
     scenario = load_scenario("# nothing here\n\n   # indented comment\n", tmp_path)
     assert scenario.nodes == {} and scenario.events == []
+
+
+# -- names, numbers and actions that other tests do not reach ----------------------------
+
+NIA_DAVID = {
+    "n.cap": "PERFORMANCE Dependability 3\n",
+    "d.cap": "SKILL Complex_Problem_Solving 6\n",
+    "p.srv": "SERVICE consult\nPROVIDER David\nKIND processing\nQOS reputation=4 cost=1 response_time=1\n",
+}
+
+
+def _write(tmp_path, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+
+
+def test_rate_falls_back_to_the_last_completed_invocation_then_skips(tmp_path):
+    _write(tmp_path, NIA_DAVID)
+    scenario = load_scenario(
+        "NODE Nia HUMAN n.cap\nNODE David HUMAN d.cap\nSERVICE p.srv\n"
+        "RULE David WHEN event=request THEN invoke-requested\n"
+        "RULE Nia WHEN signal=done THEN complete-sessions\n"
+        "RULE Nia WHEN signal=rate THEN rate service=consult rating=3\n"
+        "RULE Nia WHEN signal=look THEN discover skill=Monitoring knowledge=Psychology\n"
+        "AT 1 REQUEST Nia consult\nAT 2 SIGNAL Nia done\nAT 3 SIGNAL Nia rate\nAT 4 SIGNAL Nia rate\n"
+        "AT 5 SIGNAL Nia look\n",
+        tmp_path,
+    )
+    result = run_scenario(scenario)
+    executed = [(e.time, e.action, e.detail) for e in result.trace.entries if e.phase == "execute"]
+    assert executed == [
+        (1, "invoke-requested", "service=consult consumer=Nia invocation=1 status=running"),
+        (2, "complete", "service=consult consumer=Nia"),
+        (3, "rate", "service=consult rating=3"),
+        (4, "rate", "service=consult rating=3 skipped=no-invocation"),
+        (5, "discover", "found=none"),
+    ]
+    assert [e.detail for e in result.trace.entries if e.phase == "plan" and e.action == "discover"] == [
+        "skill=Monitoring knowledge=Psychology"]
+    assert scenario.registry.reputation_of(iri("consult")) == Decimal("3.00")
+
+
+@pytest.mark.parametrize("line, error", [
+    ("NODE zz:Nia HUMAN n.cap", UnknownPrefixError),
+    ("NODE Ni/a HUMAN n.cap", ParseError),
+    ("AT 1 REQUEST zz:Nia consult", UnknownPrefixError),
+    ("AT 1 MESSAGE Nia David q1 upset Head/Discomfort", ParseError),
+    ("AT 1 MESSAGE Nia David q1 upset zz:Head", UnknownPrefixError),
+    ("AT 1 MESSAGE Nia/x David q1 upset Head", ParseError),
+    ("AT 1 SIGNAL Ni/a ping", ParseError),
+    ("AT ٣ TICK", ParseError),
+    ("AT +1 TICK", ParseError),
+    ("EXPECT COUNT answer 1e0", ParseError),
+    ("RULE Nia WHEN event=signal THEN rate service=consult rating=Infinity", ParseError),
+    ("RULE Nia WHEN event=signal THEN rate service=consult rating=.5", ParseError),
+])
+def test_a_name_or_number_outside_the_kb_rule_fails_the_load(tmp_path, line, error):
+    _write(tmp_path, NIA_DAVID)
+    with pytest.raises(error) as err:
+        load_scenario("NODE Nia HUMAN n.cap\nNODE David HUMAN d.cap\nSERVICE p.srv\n" + line + "\n", tmp_path)
+    if error is ParseError:
+        assert err.value.line == 4
+
+
+def test_names_only_looked_up_keep_any_prefix(tmp_path):
+    _write(tmp_path, NIA_DAVID)
+    scenario = load_scenario(
+        "NODE Nia HUMAN n.cap\n"
+        "AT 1 MESSAGE Nia zz:Bob q1 calm Head\nAT 2 SIGNAL zz:Bob ping\n", tmp_path)
+    assert [e.payload for e in scenario.events] == [
+        (("sender", iri("Nia")), ("recipient", Iri("zz", "Bob")), ("id", "q1"), ("sentiment", "calm"),
+         ("topic", iri("Head"))),
+        (("node", Iri("zz", "Bob")), ("signal", "ping")),
+    ]
