@@ -24,7 +24,7 @@ from .errors import (
     UnknownServiceError,
 )
 from .kb import (DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri, parse_decimal,
-                 parse_integer, parse_name)
+                 parse_integer, parse_name, parse_pair)
 from .query import A, And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate, join
 from .reasoner import materialize, refresh
 from .registry import (
@@ -119,10 +119,8 @@ def parse_discovery_request(text: str) -> DiscoveryRequest:
     qos = []
     kind = None
     for word in words[1:]:
-        key, eq, value = word.partition("=")
-        if not eq or not value:
-            raise EmptyCriteriaError(f"malformed criterion {word!r}")
         try:
+            key, value = parse_pair(word)
             if key in _LISTS:
                 lists[key].extend(map(_LISTS[key], value.split(",")))
             elif key == "kind":

@@ -219,6 +219,14 @@ def parse_decimal(text: str, line: int = 1, column: int = 1) -> Decimal:
     return Decimal(text)
 
 
+def parse_pair(text: str, line: int = 1, column: int = 1) -> tuple:
+    """``key=value`` split on the first ``=`` as (key, value); an empty side is a :class:`ParseError`."""
+    key, eq, value = text.partition("=")
+    if not (key and eq and value):
+        raise ParseError(line, column, "key=value")
+    return key, value
+
+
 def term_sort_key(term: PatternTerm):
     """Total deterministic order over Iris and literals (Iris first)."""
     if isinstance(term, Iri):

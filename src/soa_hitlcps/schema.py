@@ -49,6 +49,7 @@ from .kb import (
     parse_decimal,
     parse_integer,
     parse_name,
+    parse_pair,
     string as string_literal,
     term_sort_key,
 )
@@ -482,14 +483,7 @@ def parse_machine_capability(text: str):
 # Service profile files (.srv)
 
 
-def _parse_kv(words, lineno):
-    out = {}
-    for word in words:
-        if "=" not in word:
-            raise ParseError(lineno, 1, "key=value")
-        key, _, value = word.partition("=")
-        out[key] = value
-    return out
+_QOS_KEYS = ("reputation", "cost", "response_time")
 
 
 def parse_service_profile(text: str):
@@ -527,8 +521,10 @@ def parse_service_profile(text: str):
         elif keyword == "CAPABILITY" and len(rest) == 1:
             capability_ref = graph_name(rest[0], lineno)
         elif keyword == "QOS":
-            kv = _parse_kv(rest, lineno)
-            qos = QoS(*(parse_decimal(kv.get(key, "0"), lineno) for key in ("reputation", "cost", "response_time")))
+            kv = dict(parse_pair(word, lineno) for word in rest)
+            if not kv.keys() <= set(_QOS_KEYS):
+                raise ParseError(lineno, 1, "/".join(_QOS_KEYS))
+            qos = QoS(*(parse_decimal(kv.get(key, "0"), lineno) for key in _QOS_KEYS))
         elif keyword == "PARALLELISM" and len(rest) == 1:
             dop = parse_integer(rest[0], lineno)
         elif keyword == "LIMITATION" and rest:

@@ -14,12 +14,14 @@ runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from pathlib import Path
 from typing import Optional
 
 from .broker import DiscoveryRequest, ServiceBroker, parse_discovery_request
-from .errors import NoCompletedInvocationError, ParseError, UnknownNodeError, UnknownServiceError
-from .kb import Iri, content_lines, parse_decimal, parse_integer, parse_name, read_document
+from .errors import (EmptyCriteriaError, NoCompletedInvocationError, ParseError, UnknownNodeError,
+                     UnknownServiceError)
+from .kb import Iri, content_lines, parse_decimal, parse_integer, parse_name, parse_pair, read_document
 from .registry import RUNNING, ServiceRegistry
 from .schema import (
     graph_name,
@@ -54,21 +56,21 @@ class SimEvent:
 
 @dataclass(frozen=True)
 class Rule:
+    """A reaction rule with every value read at its line, so the loop only evaluates it."""
     conditions: tuple  # ((key, value), ...)
     action: str
-    params: tuple  # ((key, value), ...)
-
-    def param(self, key, default=None):
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+    params: tuple  # ((key, value), ...) as written; the plan trace prints them
+    request: Optional[DiscoveryRequest] = None  # discover: every parameter but invoke, inputs, notify
+    invoke: bool = False
+    inputs: tuple = ()  # ((input name, graph Iri, or None for the event's sender), ...)
+    notify: Optional[Iri] = None
+    service: Optional[Iri] = None
+    rating: Optional[Decimal] = None
 
 
 @dataclass
 class NodeLoop:
     node: Iri
-    kind: str  # HUMAN | MACHINE
     rules: tuple = ()
     inbox: list = field(default_factory=list)
 
@@ -172,7 +174,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
             else:
                 cap, contexts = parse_machine_capability(cap_text)
                 registry.register_machine(node, cap, contexts)
-            nodes[node] = NodeLoop(node=node, kind=words[2])
+            nodes[node] = NodeLoop(node=node)
         elif keyword == "SERVICE" and len(words) == 2:
             profile_text = read_document(base_dir / words[1])
             profile, provider = parse_service_profile(profile_text)
@@ -180,19 +182,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
                 raise ParseError(lineno, 1, "a PROVIDER line in the profile")
             registry.publish_service(profile, provider)
         elif keyword == "RULE" and len(words) >= 5 and words[2] == "WHEN":
-            node = parse_name(words[1], None, lineno)
-            then_at = words.index("THEN") if "THEN" in words else -1
-            if then_at != 4 or len(words) < 5 + 1:
-                raise ParseError(lineno, 1, "RULE <node> WHEN <conds> THEN <action> [params]")
-            conditions = tuple(_split_kv(words[3], lineno))
-            action = words[5]
-            params = tuple(_split_kv(" ".join(words[6:]), lineno, sep=" ")) if len(words) > 6 else ()
-            rule = Rule(conditions, action, params)
-            if action == "rate" and (rule.param("service") is None or rule.param("rating") is None):
-                raise ParseError(lineno, 1, "rate service=<name> rating=<decimal>")
-            if rule.param("rating") is not None:
-                parse_decimal(rule.param("rating"), lineno)  # a bad rating fails the load, not the run
-            pending_rules.append((lineno, node, rule))
+            pending_rules.append(_compile_rule(words, lineno))
         elif keyword == "AT" and len(words) >= 3 and words[2] in _EVENT_KINDS:
             time = parse_integer(words[1], lineno)
             events.append(_parse_event(time, seq, words[2], words[3:], lineno))
@@ -201,7 +191,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
             expectations.append(_parse_expectation(words[1], words[2:], lineno))
         else:
             raise ParseError(lineno, 1, "NODE/SERVICE/RULE/AT/EXPECT")
-    for lineno, node, rule in pending_rules:
+    for node, rule in pending_rules:
         loop = nodes.get(node)
         if loop is None:
             raise UnknownNodeError(str(node))
@@ -209,17 +199,59 @@ def load_scenario(text: str, base_dir) -> Scenario:
     return Scenario(registry=registry, nodes=nodes, events=events, expectations=expectations)
 
 
-def _split_kv(text: str, lineno: int, sep: str = ","):
-    pairs = []
-    for item in text.split(sep):
-        item = item.strip()
-        if not item:
-            continue
-        key, eq, value = item.partition("=")
-        if not eq or not key or not value:
-            raise ParseError(lineno, 1, "key=value")
-        pairs.append((key, value))
-    return pairs
+_YES_NO = ("yes", "no")
+# condition key -> the values it takes (None: any word)
+_CONDITIONS = {"event": ("request", "message", "signal", "tick"), "sentiment": None, "signal": None,
+               "topic-known": _YES_NO, "from-provider": _YES_NO}
+# action -> (the parameters it takes, those it requires); discover also takes every DISCOVER criterion
+_ACTIONS = {"invoke-requested": ((), ()), "answer": ((), ()), "acquire-knowledge": ((), ()),
+            "complete-sessions": (("rating",), ()), "rate": (("service", "rating"), ("service", "rating")),
+            "discover": (("invoke", "inputs", "notify"), ())}
+
+
+def _compile_rule(words, lineno: int) -> tuple:
+    """``RULE <node> WHEN <conditions> THEN <action> [params]`` as (node, Rule), every value read here."""
+    node = parse_name(words[1], None, lineno)
+    if "THEN" not in words or words.index("THEN") != 4 or len(words) < 6:
+        raise ParseError(lineno, 1, "RULE <node> WHEN <conds> THEN <action> [params]")
+    conditions = tuple(parse_pair(item, lineno) for item in words[3].split(","))
+    for key, value in conditions:
+        if key not in _CONDITIONS:
+            raise ParseError(lineno, 1, "a condition " + "/".join(_CONDITIONS))
+        if _CONDITIONS[key] is not None and value not in _CONDITIONS[key]:
+            raise ParseError(lineno, 1, f"{key}=" + "/".join(_CONDITIONS[key]))
+    action = words[5]
+    if action not in _ACTIONS:
+        raise ParseError(lineno, 1, "an action " + "/".join(_ACTIONS))
+    takes, requires = _ACTIONS[action]
+    params = tuple(parse_pair(word, lineno) for word in words[6:])
+    given = dict(params)
+    if len(given) < len(params):
+        raise ParseError(lineno, 1, "each parameter once")
+    if not given.keys() >= set(requires):
+        raise ParseError(lineno, 1, f"{action} " + " ".join(f"{key}=<value>" for key in requires))
+    criteria = " ".join(f"{k}={v}" for k, v in params if k not in takes)
+    if criteria and action != "discover":
+        raise ParseError(lineno, 1, f"{action} parameters {'/'.join(takes) or '(none)'}")
+    try:
+        request = parse_discovery_request("DISCOVER " + criteria) if action == "discover" else None
+    except EmptyCriteriaError as err:
+        raise ParseError(lineno, 1, f"DISCOVER criteria ({err})") from None
+    if given.get("invoke", "no") not in _YES_NO:
+        raise ParseError(lineno, 1, "invoke=yes/no")
+    inputs = tuple(_rule_input(item, lineno) for item in given["inputs"].split(",")) if "inputs" in given else ()
+    notify, service = (parse_name(given[k], None, lineno) if k in given else None for k in ("notify", "service"))
+    rating = parse_decimal(given["rating"], lineno) if "rating" in given else None
+    return node, Rule(conditions, action, params, request, given.get("invoke") == "yes", inputs,
+                      notify, service, rating)
+
+
+def _rule_input(text: str, lineno: int) -> tuple:
+    """``name:value`` of an ``inputs=`` list: a graph name, or ``@from`` (None) for the event's sender."""
+    name, _, value = text.partition(":")
+    if not name:
+        raise ParseError(lineno, 1, "an input name")
+    return name, None if value == "@from" else graph_name(value, lineno)
 
 
 def _parse_event(time: int, seq: int, kind: str, rest, lineno: int) -> SimEvent:
@@ -364,86 +396,53 @@ class Simulation:
     # -- actions -------------------------------------------------------------
 
     def act(self, loop: NodeLoop, rule: Rule, event: SimEvent, time: int) -> None:
-        handler = {
-            "invoke-requested": self._act_invoke_requested,
-            "answer": self._act_answer,
-            "discover": self._act_discover,
-            "acquire-knowledge": self._act_acquire,
-            "complete-sessions": self._act_complete_sessions,
-            "rate": self._act_rate,
-        }.get(rule.action)
-        if handler is None:
-            self.trace.add(time, loop.node, EXECUTE, rule.action, "unsupported action")
-            return
-        handler(loop, rule, event, time)
+        getattr(self, "_act_" + rule.action.replace("-", "_"))(loop, rule, event, time)
 
-    def _act_invoke_requested(self, loop, rule, event, time):
-        service = event.get("service")
-        requester = event.get("requester")
-        invocation = self.broker.invoke(service, requester, {}, now=time)
+    def _invoke(self, loop, action, service, consumer, inputs, origin, time, detail):
+        """Invoke ``service`` for ``consumer``, open a session if it runs, and trace the outcome."""
+        invocation = self.broker.invoke(service, consumer, inputs, now=time)
         if invocation.status == RUNNING:
-            self.open_session(requester, loop.node, requester, invocation.id)
-        detail = f"service={service} consumer={requester} invocation={invocation.id} status={invocation.status}"
+            self.open_session(consumer, self.registry.services[service].provider, origin, invocation.id)
+        detail += f" invocation={invocation.id} status={invocation.status}"
         if invocation.reason:
             detail += f" reason={invocation.reason}"
-        self.trace.add(time, loop.node, EXECUTE, "invoke-requested", detail)
+        self.trace.add(time, loop.node, EXECUTE, action, detail)
+
+    def _act_invoke_requested(self, loop, rule, event, time):
+        service, requester = event.get("service"), event.get("requester")
+        self._invoke(loop, "invoke-requested", service, requester, {}, requester, time,
+                     f"service={service} consumer={requester}")
 
     def _act_answer(self, loop, rule, event, time):
         detail = f"id={event.get('id')} topic={event.get('topic')}"
         self.trace.add(time, loop.node, EXECUTE, "answer", detail)
 
     def _request_from_params(self, rule: Rule) -> DiscoveryRequest:
-        return parse_discovery_request("DISCOVER " + _criteria(rule))
-
-    def _parse_inputs(self, rule: Rule, event: SimEvent) -> dict:
-        inputs = {}
-        raw = rule.param("inputs")
-        if raw:
-            for piece in raw.split(","):
-                name, _, value = piece.partition(":")
-                if value == "@from":
-                    inputs[name] = event.get("sender") or event.get("requester")
-                else:
-                    inputs[name] = graph_name(value)
-        return inputs
+        return rule.request
 
     def _act_discover(self, loop, rule, event, time):
-        request = self._request_from_params(rule)
-        self.trace.add(time, loop.node, PLAN, "discover", _criteria(rule))
-        ranked = self.broker.discover(request, now=time)
+        ranked = self.broker.discover(rule.request, now=time)
         if not ranked:
             self.trace.add(time, loop.node, EXECUTE, "discover", "found=none")
             return
         top = ranked[0]
         self.trace.add(time, loop.node, EXECUTE, "discover", f"found={top.service} score={top.score}")
-        origin = event.get("sender") or event.get("requester") or loop.node
-        if rule.param("invoke") == "yes":
-            inputs = self._parse_inputs(rule, event)
-            invocation = self.broker.invoke(top.service, loop.node, inputs, now=time)
-            if invocation.status == RUNNING:
-                self.open_session(loop.node, top.provider, origin, invocation.id)
-            detail = f"service={top.service} invocation={invocation.id} status={invocation.status}"
-            if invocation.reason:
-                detail += f" reason={invocation.reason}"
-            self.trace.add(time, loop.node, EXECUTE, "invoke", detail)
-        notify = rule.param("notify")
-        if notify:
-            notify_service = parse_name(notify)
-            invocation = self.broker.invoke(notify_service, top.provider, {}, now=time)
-            provider = self.registry.services[notify_service].provider
-            if invocation.status == RUNNING:
-                self.open_session(top.provider, provider, origin, invocation.id)
-            detail = f"service={notify_service} consumer={top.provider} invocation={invocation.id} status={invocation.status}"
-            self.trace.add(time, loop.node, EXECUTE, "notify", detail)
+        sender = event.get("sender") or event.get("requester")
+        origin = sender or loop.node
+        if rule.invoke:
+            inputs = {name: sender if value is None else value for name, value in rule.inputs}
+            self._invoke(loop, "invoke", top.service, loop.node, inputs, origin, time, f"service={top.service}")
+        if rule.notify is not None:
+            self._invoke(loop, "notify", rule.notify, top.provider, {}, origin, time,
+                         f"service={rule.notify} consumer={top.provider}")
 
-    def _act_acquire(self, loop, rule, event, time):
+    def _act_acquire_knowledge(self, loop, rule, event, time):
         topic = event.get("topic")
         self.registry.add_learned_knowledge(loop.node, topic)
         self.trace.add(time, loop.node, EXECUTE, "acquire-knowledge", f"topic={topic} adaptation=yes")
 
     def _act_complete_sessions(self, loop, rule, event, time):
-        rating = rule.param("rating")
-        rating = parse_decimal(rating) if rating is not None else None
+        rating = rule.rating
         origin = event.get("sender")
         selected = []
         for session in self.open_sessions_with(loop.node):
@@ -462,8 +461,7 @@ class Simulation:
             self.trace.add(time, loop.node, EXECUTE, "complete", detail)
 
     def _act_rate(self, loop, rule, event, time):
-        service = parse_name(rule.param("service"))
-        rating = parse_decimal(rule.param("rating"))
+        service, rating = rule.service, rule.rating
         open_invocations = [
             inv for inv in self.registry.invocations
             if inv.service == service and inv.consumer == loop.node and inv.status == RUNNING
@@ -511,9 +509,9 @@ class Simulation:
         return CheckResult(expectation, False, "unknown expectation")
 
 
-def _criteria(rule: Rule) -> str:
-    """A discover rule's criteria, in the DISCOVER line form."""
-    return " ".join(f"{k}={v}" for k, v in rule.params if k in ("skill", "knowledge", "context"))
+def _plan_detail(rule: Rule) -> str:
+    """A rule's parameters as written; a discover rule's are its DISCOVER criteria."""
+    return " ".join(f"{k}={v}" for k, v in rule.params if k not in _ACTIONS["discover"][0])
 
 
 def _observation_detail(event: SimEvent) -> str:
@@ -538,9 +536,7 @@ def node_tick(sim: Simulation, loop: NodeLoop, time: int) -> None:
             sim.trace.add(time, loop.node, ANALYZE, "no-rule", "")
             continue
         sim.trace.add(time, loop.node, ANALYZE, "match", rule.action)
-        if rule.action != "discover":
-            rendered = " ".join(f"{k}={v}" for k, v in rule.params)
-            sim.trace.add(time, loop.node, PLAN, rule.action, rendered)
+        sim.trace.add(time, loop.node, PLAN, rule.action, _plan_detail(rule))
         sim.act(loop, rule, event, time)
 
 

@@ -743,7 +743,7 @@ def test_parse_flat_request_reads_every_list_and_rejects_names_outside_the_rule(
     assert request.io_signature == ((iri("PhysicalThing"),), (iri("Output"), Iri("zz", "Report")))
     for word in ("skill=Monitoring:²", "skill=Monitoring:٣", "skill=:3", "knowledge=Head/Discomfort",
                  "context=a,,b", "output=9x", "qos.max_cost=1e2", "qos.max_cost=Infinity",
-                 "qos.min_reputation=.5", "qos.max_response_time=+2"):
+                 "qos.min_reputation=.5", "qos.max_response_time=+2", "=x"):
         with pytest.raises(EmptyCriteriaError, match="malformed criterion"):
             parse_discovery_request(f"DISCOVER {word}")
 

@@ -253,6 +253,29 @@ def test_simulate_profile_number_outside_the_kb_forms_is_a_parse_error_at_its_li
     assert capsys.readouterr().err == "error: ParseError: line 4, column 1: expected a decimal\n"
 
 
+@pytest.mark.parametrize("name, old, new, line", [
+    ("scenario1_ecg.scn", "patient:Andy", "patient:An/dy", 8),
+    ("scenario1_ecg.scn", "notify=ecgAlert", "notify=ecg/Alert", 8),
+    ("scenario1_ecg.scn", "WHEN event=signal,signal=loss", "WHEN evnt=signal,signal=loss", 8),
+    ("scenario1_ecg.scn", "invoke=yes", "invoke=Yes", 8),
+    ("scenario1_ecg.scn", "context=siteA", "context=siteA colour=red", 8),
+    ("scenario1_ecg.scn", "THEN complete-sessions", "THEN complete-session", 9),
+    ("ecg_alert.srv", "response_time=1", "respone_time=1", 6),
+    ("ecg_alert.srv", "response_time=1", "=1", 6),
+])
+def test_simulate_a_bad_rule_or_qos_word_fails_the_load_at_its_line(tmp_path, capsys, name, old, new, line):
+    # Each was once loaded, then failed mid-run at line 1 or was silently ignored.
+    for path in Path(scenario_dir()).iterdir():
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    text = (tmp_path / name).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    (tmp_path / name).write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["simulate", str(tmp_path / "scenario1_ecg.scn"), "--trace"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: ParseError: line {line}, column 1: expected ")
+
+
 @pytest.mark.parametrize("lines, error", [
     ("NODE zz:Adam HUMAN a.cap\n", "error: UnknownPrefixError: unknown prefix: 'zz'\n"),
     ("NODE Adam HUMAN a.cap\nNODE Cathy MACHINE c.cap\nAT 1 MESSAGE Adam Cathy q1 upset Head/Discomfort\n",

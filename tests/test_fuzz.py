@@ -30,7 +30,7 @@ from soa_hitlcps.allocation import parse_task_file
 from soa_hitlcps.broker import ServiceBroker, parse_discovery_request
 from soa_hitlcps.cli import main
 from soa_hitlcps.datafiles import scenario_dir
-from soa_hitlcps.errors import SoaHitlcpsError
+from soa_hitlcps.errors import EmptyCriteriaError, ParseError, SoaHitlcpsError
 from soa_hitlcps.kb import iri, parse_document, read_document, serialize
 from soa_hitlcps.query import evaluate, parse_query
 from soa_hitlcps.reasoner import materialize
@@ -278,12 +278,26 @@ def test_parse_discovery_request(text):
 @example("NODE zz:Adam HUMAN adam.cap\n")
 @example("NODE Adam HUMAN adam.cap\nNODE Cathy MACHINE cathy.cap\n"
          "RULE Cathy WHEN event=message THEN acquire-knowledge\nAT 1 MESSAGE Adam Cathy q1 upset Head/Discomfort\n")
+@example(_shipped("scenario1_ecg.scn").replace("patient:Andy", "patient:An/dy"))
+@example(_shipped("scenario1_ecg.scn").replace("notify=ecgAlert", "notify=ecg/Alert"))
+@example(_shipped("scenario1_ecg.scn").replace("rate service=ecgAlert", "rate service=ecg/Alert"))
+@example(_shipped("scenario2_chat.scn").replace("patient:@from", "patient:@from,"))
+@example(_shipped("scenario1_ecg.scn").replace("WHEN event=signal,signal=loss", "WHEN evnt=signal,signal=loss"))
+@example(_shipped("scenario1_ecg.scn").replace("invoke=yes", "invoke=Yes"))
+@example(_shipped("scenario1_ecg.scn").replace("context=siteA", "context=siteA kind=sensing"))
+@example(_shipped("scenario1_ecg.scn").replace("THEN complete-sessions", "THEN complete-session"))
 def test_load_and_run_scenario(scenario_files, text):
+    """A scenario that loads has had every rule read: its run raises no parse error."""
     try:
         scenario = load_scenario(text, scenario_files)
     except (SoaHitlcpsError, OSError):
         return
-    _domain(run_scenario, scenario)
+    try:
+        run_scenario(scenario)
+    except (ParseError, EmptyCriteriaError) as err:
+        pytest.fail(f"a rule was read while the scenario ran: {err!r}")
+    except SoaHitlcpsError:
+        pass
     _assert_graph_parses_back(scenario.registry.kb)
 
 

@@ -316,6 +316,14 @@ def test_parse_service_profile_requires_service_and_kind():
         parse_service_profile("SERVICE x\nKIND juggling\n")
 
 
+@pytest.mark.parametrize("words", ["reputation=4 respone_time=9", "reputation=4 =3", "reputation=4 cost=",
+                                   "reputation=4 cost"])
+def test_qos_takes_only_its_three_keys_each_with_a_value(words):
+    with pytest.raises(ParseError) as err:
+        parse_service_profile(f"SERVICE x\nKIND processing\nQOS {words}\n")
+    assert err.value.line == 3
+
+
 def test_parse_composite_profile():
     profile, provider = parse_service_profile(
         "SERVICE combo\nCOMPOSITE partA partB\nQOS reputation=3\n"

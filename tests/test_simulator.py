@@ -44,14 +44,14 @@ def _empty_scenario():
 
 def test_node_tick_with_empty_inbox_emits_nothing():
     sim = Simulation(_empty_scenario())
-    loop = NodeLoop(node=iri("Nia"), kind="HUMAN")
+    loop = NodeLoop(node=iri("Nia"))
     node_tick(sim, loop, 1)
     assert sim.trace.entries == []
 
 
 def test_node_tick_without_matching_rule_logs_observation_only():
     sim = Simulation(_empty_scenario())
-    loop = NodeLoop(node=iri("Nia"), kind="HUMAN")
+    loop = NodeLoop(node=iri("Nia"))
     loop.inbox.append(SimEvent(1, 0, "signal", (("node", iri("Nia")), ("signal", "ping"))))
     node_tick(sim, loop, 1)
     phases = [(e.phase, e.action) for e in sim.trace.entries]
@@ -61,7 +61,7 @@ def test_node_tick_without_matching_rule_logs_observation_only():
 
 def test_node_tick_drains_the_inbox():
     sim = Simulation(_empty_scenario())
-    loop = NodeLoop(node=iri("Nia"), kind="HUMAN")
+    loop = NodeLoop(node=iri("Nia"))
     loop.inbox.append(SimEvent(1, 0, "signal", (("node", iri("Nia")), ("signal", "ping"))))
     node_tick(sim, loop, 1)
     assert loop.inbox == []
@@ -76,7 +76,7 @@ def test_first_matching_rule_wins():
         Rule((("event", "signal"),), "acquire-knowledge", ()),
         Rule((("event", "signal"),), "answer", ()),
     )
-    loop = NodeLoop(node=iri("Nia"), kind="MACHINE", rules=rules)
+    loop = NodeLoop(node=iri("Nia"), rules=rules)
     event = SimEvent(1, 0, "signal", (("node", iri("Nia")), ("signal", "ping")))
     assert sim.match_rule(loop, event) is rules[1]
 
@@ -311,6 +311,29 @@ def test_rate_falls_back_to_the_last_completed_invocation_then_skips(tmp_path):
     ("EXPECT COUNT answer 1e0", ParseError),
     ("RULE Nia WHEN event=signal THEN rate service=consult rating=Infinity", ParseError),
     ("RULE Nia WHEN event=signal THEN rate service=consult rating=.5", ParseError),
+    # every part of a rule is read at its line, not when the rule fires
+    ("RULE Nia WHEN event=signal THEN discover skill=Monitoring invoke=yes inputs=patient:An/dy", ParseError),
+    ("RULE Nia WHEN event=signal THEN discover skill=Monitoring invoke=yes inputs=patient:zz:Andy",
+     UnknownPrefixError),
+    ("RULE Nia WHEN event=signal THEN discover skill=Monitoring invoke=yes inputs=:Andy", ParseError),
+    ("RULE Nia WHEN event=signal THEN discover skill=Monitoring notify=ecg/Alert", ParseError),
+    ("RULE Nia WHEN event=signal THEN rate service=con/sult rating=3", ParseError),
+    ("RULE Nia WHEN evnt=signal THEN answer", ParseError),
+    ("RULE Nia WHEN event=signals THEN answer", ParseError),
+    ("RULE Nia WHEN event=signal, THEN answer", ParseError),
+    ("RULE Nia WHEN topic-known=maybe THEN answer", ParseError),
+    ("RULE Nia WHEN from-provider=Yes THEN answer", ParseError),
+    ("RULE Nia WHEN event=signal THEN discover skill=Monitoring invoke=Yes", ParseError),
+    ("RULE Nia WHEN event=signal THEN complete-session", ParseError),
+    ("RULE Nia WHEN event=signal THEN answer rating=5", ParseError),
+    ("RULE Nia WHEN event=signal THEN complete-sessions rating=5 rating=4", ParseError),
+    ("RULE Nia WHEN event=signal THEN complete-sessions =5", ParseError),
+    ("RULE Nia WHEN event=signal THEN discover skill=Monitoring skill=Psychology", ParseError),
+    ("RULE Nia WHEN event=signal THEN discover skill=Monitoring colour=red", ParseError),
+    ("RULE Nia WHEN event=signal THEN discover skill=Monitoring rating=5", ParseError),
+    ("RULE Nia WHEN event=signal THEN discover skill=Monitoring qos.max_cost=NaN", ParseError),
+    ("RULE Nia WHEN event=signal THEN discover invoke=yes", ParseError),
+    ("RULE Nia WHEN event=signal THEN discover", ParseError),
 ])
 def test_a_name_or_number_outside_the_kb_rule_fails_the_load(tmp_path, line, error):
     _write(tmp_path, NIA_DAVID)
@@ -330,3 +353,38 @@ def test_names_only_looked_up_keep_any_prefix(tmp_path):
          ("topic", iri("Head"))),
         (("node", Iri("zz", "Bob")), ("signal", "ping")),
     ]
+
+
+def _ecg_with(old, new):
+    """The bundled monitoring scenario with one word of its rules replaced."""
+    text = (Path(scenario_dir()) / "scenario1_ecg.scn").read_text(encoding="utf-8")
+    assert old in text
+    return load_scenario(text.replace(old, new), scenario_dir())
+
+
+def test_a_discover_rule_uses_every_criterion_it_gives():
+    result = run_scenario(_ecg_with("context=siteA", "context=siteA kind=sensing"))
+    rows = [(e.phase, e.detail) for e in result.trace.entries if e.action == "discover"]
+    assert rows == [("plan", "skill=Cardiac_output_CO_monitoring_units_or_accessories context=siteA kind=sensing"),
+                    ("execute", "found=none")]
+
+
+def test_rules_are_read_once_into_typed_fields():
+    rules = {rule.action: rule for rule in _load("scenario1_ecg.scn").nodes[iri("EcgDev")].rules}
+    discover = rules["discover"]
+    assert discover.request.required_skills == ((iri("Cardiac_output_CO_monitoring_units_or_accessories"), None),)
+    assert discover.request.context_constraints == (iri("siteA"),)
+    assert (discover.invoke, discover.inputs, discover.notify) == (True, (("patient", iri("Andy")),), iri("ecgAlert"))
+    assert rules["complete-sessions"].rating == Decimal("5")
+    cathy = _load("scenario2_chat.scn").nodes[iri("Cathy")].rules
+    assert next(r for r in cathy if r.action == "discover").inputs == (("patient", None),)
+
+
+def test_a_rejected_notify_prints_its_reason(tmp_path):
+    _write(tmp_path, dict(NIA_DAVID, **{
+        "a.srv": "SERVICE alert\nPROVIDER Nia\nKIND sensing\nPRECONDITION ?consumer advisedBy Nobody\n"}))
+    result = run_scenario(load_scenario(
+        "NODE Nia HUMAN n.cap\nNODE David HUMAN d.cap\nSERVICE p.srv\nSERVICE a.srv\n"
+        "RULE Nia WHEN signal=go THEN discover kind=processing notify=alert\nAT 1 SIGNAL Nia go\n", tmp_path))
+    assert [e.detail for e in result.trace.entries if e.action == "notify"] == [
+        "service=alert consumer=David invocation=1 status=rejected reason=precondition"]
