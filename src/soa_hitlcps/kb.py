@@ -668,6 +668,7 @@ def read_document(path) -> str:
 _OPEN_STRING = r'"(?:[^"\\]|\\.)*'
 _STRING = _OPEN_STRING + '"'
 _STRING_RE = re.compile(_STRING)
+_WORD_RE = re.compile(_STRING + r"|\S+")
 # An unclosed string is one token too, so that it is reported, not skipped.
 _TOKEN_RE = re.compile(_STRING + r'?|[()]|[^\s()"]+')
 # Up to a comment: a "#" outside strings that starts the line or follows
@@ -687,10 +688,15 @@ def _strip_comment(raw: str) -> str:
     return raw[:comment.end() - 1] if comment else raw
 
 
+def line_words(text: str) -> list:
+    """The words of a line: a closed double-quoted string, as in .kb, or a run of non-space."""
+    return _WORD_RE.findall(text)
+
+
 def content_lines(text: str) -> Iterator[tuple]:
     """(line number, words) for each line with words left once its comment is stripped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        words = _strip_comment(raw).split()
+        words = line_words(_strip_comment(raw))
         if words:
             yield lineno, words
 

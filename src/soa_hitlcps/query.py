@@ -118,7 +118,8 @@ class ResultTable:
 # --------------------------------------------------------------------------
 # Parsing
 
-_QUERY_TOKEN = re.compile(r"\?\w[\w-]*|&&|\|\||[{}(),.=]|[^\s{}(),.=|&]+")
+# A name may hold an inner "."; a "." standing alone or ending a name ends a pattern.
+_QUERY_TOKEN = re.compile(r"\?\w[\w-]*|&&|\|\||[{}(),.=]|[^\s{}(),.=|&]+(?:\.[^\s{}(),.=|&]+)*")
 
 
 def _tokenize_query(text: str) -> list[_Token]:

@@ -1,11 +1,13 @@
 """Typed views over the service/capability vocabulary and the base ontology.
 
-The base ontology declares 46 classes, 45 object properties, 10 subclass
-links, the Human/Machine disjointness, two restricted class axioms (anything
-physical with a human capability is a Human; any service provided by a Human
-is a HumanService), one OntoClean annotation per class, and the taxonomy
-individuals (skills, knowledge domains, abilities, performance factors,
-education levels).
+The base ontology is ``data/base.kb``, the one definition of the vocabulary:
+46 classes, 45 object properties, 10 subclass links, the Human/Machine
+disjointness, two restricted class axioms (anything physical with a human
+capability is a Human; any service provided by a Human is a HumanService),
+one OntoClean annotation per class, and the taxonomy individuals (skills,
+knowledge domains, abilities, performance factors, education levels).  It
+is parsed once, at import; ``base_ontology()`` hands out copies and
+``TAXONOMY`` lists its individuals.
 
 This module also defines the capability (.cap) and service-profile (.srv)
 file formats, whose names follow the .kb rule, and the graph codec: the one
@@ -20,33 +22,29 @@ A service is published exactly when its ``presents`` link is in the graph.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import Callable, NamedTuple, Optional, Union
 
+from .datafiles import base_kb_text
 from .errors import InvalidProfileError, ParseError, UnknownTaxonomyTermError
 from .kb import (
     BUILTIN_PREFIXES,
-    ClassAxiom,
-    Conjunction,
     Iri,
     KnowledgeBase,
     Literal,
-    NamedClass,
     Pattern,
-    SomeValues,
     Statement,
     TYPE_PRED,
     Var,
-    _STRING,
     _parse_term,
-    annotation_from_flags,
     content_lines,
+    line_words,
     decimal as decimal_literal,
     integer as integer_literal,
     iri,
     parse_decimal,
+    parse_document,
     parse_integer,
     parse_name,
     parse_pair,
@@ -55,102 +53,20 @@ from .kb import (
 )
 
 # --------------------------------------------------------------------------
-# Base ontology vocabulary
+# Base ontology: ``data/base.kb``, parsed once
 
-CLASS_NAMES = (
-    "PhysicalThing", "Human", "Machine", "Organization", "Task", "Context",
-    "Capability", "HumanCapability", "MachineCapability",
-    "Service", "HumanService", "MachineService",
-    "ServiceProvider", "ServiceConsumer",
-    "ServiceProfile", "ProcessModel", "ServiceGrounding",
-    "ServiceType", "AtomicService", "CompositeService",
-    "SensingService", "ActuatingService", "CommunicatingService",
-    "ProcessingService", "AdaptationService",
-    "Input", "Output", "Precondition", "Effect", "Property", "Limitation",
-    "QoS", "Characteristic", "Preference", "Ability", "PerformanceFactor",
-    "Qualification", "Skill", "Knowledge", "Education", "Experience",
-    "Potential", "PotentialService",
-    "MachineSpecification", "Hardware", "Software",
-)
+_BASE = parse_document(base_kb_text())
 
-PROPERTY_DEFS = (
-    # OWL-S style service triad and provision
-    ("presents", "Service", "ServiceProfile"),
-    ("describedBy", "Service", "ProcessModel"),
-    ("supports", "Service", "ServiceGrounding"),
-    ("providedBy", "Service", "PhysicalThing"),
-    ("provides", "PhysicalThing", "Service"),
-    ("consumes", "PhysicalThing", "Service"),
-    # top-level world structure
-    ("memberOf", "PhysicalThing", "Organization"),
-    ("performs", "PhysicalThing", "Task"),
-    ("hasContext", "PhysicalThing", "Context"),
-    ("requiresCapability", "Task", "Capability"),
-    ("hasCapability", "PhysicalThing", "Capability"),
-    # service profile structure
-    ("hasServiceType", "ServiceProfile", "ServiceType"),
-    ("hasInput", "ServiceProfile", "Input"),
-    ("hasOutput", "ServiceProfile", "Output"),
-    ("hasPrecondition", "ServiceProfile", "Precondition"),
-    ("hasEffect", "ServiceProfile", "Effect"),
-    ("hasProperty", "ServiceProfile", "Property"),
-    ("hasLimitation", "ServiceProfile", "Limitation"),
-    ("degreeOfParallelism", "ServiceProfile", "Property"),
-    ("includeCapability", "Property", "Capability"),
-    ("includeContext", "Property", "Context"),
-    ("includeQoS", "Property", "QoS"),
-    ("reputationValue", "QoS", "Property"),
-    ("costValue", "QoS", "Property"),
-    ("responseTimeValue", "QoS", "Property"),
-    ("composedOf", "CompositeService", "Service"),
-    # human capability model
-    ("hasCharacteristic", "HumanCapability", "Characteristic"),
-    ("hasQualification", "HumanCapability", "Qualification"),
-    ("hasPotential", "HumanCapability", "Potential"),
-    ("hasPreference", "Characteristic", "Preference"),
-    ("hasAbility", "Capability", "Ability"),
-    ("hasPerformanceFactor", "Capability", "PerformanceFactor"),
-    ("hasHumanSkill", "HumanCapability", "Skill"),
-    ("hasHumanKnowledge", "HumanCapability", "Knowledge"),
-    ("hasEducation", "HumanCapability", "Education"),
-    ("hasExperience", "HumanCapability", "Experience"),
-    ("hasPotentialService", "Potential", "PotentialService"),
-    ("experienceOf", "Experience", "Service"),
-    ("ratedBy", "Experience", "PhysicalThing"),
-    ("ratingValue", "Experience", "Property"),
-    # machine capability model
-    ("hasSpecification", "MachineCapability", "MachineSpecification"),
-    ("hasHardware", "MachineSpecification", "Hardware"),
-    ("hasSoftware", "MachineSpecification", "Software"),
-    ("hasLearnedKnowledge", "MachineCapability", "Knowledge"),
-    ("hasProgrammedSkill", "MachineCapability", "Skill"),
-)
 
-SUBCLASS_LINKS = (
-    ("Human", "PhysicalThing"),
-    ("Machine", "PhysicalThing"),
-    ("HumanService", "Service"),
-    ("MachineService", "Service"),
-    ("AtomicService", "ServiceType"),
-    ("CompositeService", "ServiceType"),
-    ("SensingService", "AtomicService"),
-    ("ActuatingService", "AtomicService"),
-    ("CommunicatingService", "AtomicService"),
-    ("AdaptationService", "CompositeService"),
-)
+def base_ontology() -> KnowledgeBase:
+    """A fresh copy of the base ontology, for the caller to change."""
+    return _BASE.copy()
 
-_RIGID_SORTALS = (
-    "PhysicalThing", "Human", "Machine", "Organization",
-    "Hardware", "Software", "MachineSpecification",
-)
-_ANTI_RIGID = (
-    "Service", "HumanService", "MachineService", "ServiceProvider",
-    "ServiceConsumer", "ServiceType", "AtomicService", "CompositeService",
-    "SensingService", "ActuatingService", "CommunicatingService",
-    "ProcessingService", "AdaptationService", "Task", "Context",
-    "Capability", "HumanCapability", "MachineCapability",
-    "Potential", "PotentialService",
-)
+
+def _individuals(cls: str) -> tuple:
+    """The base ontology's individuals of ``cls``, in term order."""
+    return tuple(sorted((ind for ind, c in _BASE.type_assertions if c == iri(cls)), key=term_sort_key))
+
 
 ATOMIC_KINDS = {
     "sensing": "SensingService",
@@ -162,7 +78,7 @@ ATOMIC_KINDS = {
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """Shipped subsets of an occupational vocabulary, plus education order."""
+    """The base ontology's taxonomy individuals, plus education order."""
 
     skills: tuple
     knowledge: tuple
@@ -173,24 +89,10 @@ class Taxonomy:
 
 
 TAXONOMY = Taxonomy(
-    skills=tuple(iri(t) for t in (
-        "Active_Listening", "Cardiac_output_CO_monitoring_units_or_accessories",
-        "Complex_Problem_Solving", "Conversational_Response", "Critical_Thinking",
-        "Equipment_Maintenance", "Judgment_and_Decision_Making", "Monitoring",
-        "Service_Orientation", "Troubleshooting",
-    )),
-    knowledge=tuple(iri(t) for t in (
-        "Biology", "Customer_and_Personal_Service", "English_Language",
-        "Medicine_and_Dentistry", "Psychology", "Therapy_and_Counseling",
-    )),
-    abilities=tuple(iri(t) for t in (
-        "Arm_Hand_Steadiness", "Deductive_Reasoning", "Oral_Comprehension",
-        "Oral_Expression", "Problem_Sensitivity", "Reaction_Time",
-    )),
-    performance_factors=tuple(iri(t) for t in (
-        "Adaptability_Flexibility", "Attention_to_Detail", "Dependability",
-        "Initiative", "Integrity", "Stress_Tolerance",
-    )),
+    skills=_individuals("Skill"),
+    knowledge=_individuals("Knowledge"),
+    abilities=_individuals("Ability"),
+    performance_factors=_individuals("PerformanceFactor"),
     education_levels=tuple(iri(t) for t in (
         "High_School_Diploma", "Associate_Degree", "Bachelor_Degree",
         "Master_Degree", "Doctoral_Degree",
@@ -200,39 +102,6 @@ TAXONOMY = Taxonomy(
 
 
 SKILL_SCALE = (1, 7)
-
-
-def base_ontology() -> KnowledgeBase:
-    kb = KnowledgeBase()
-    for name in CLASS_NAMES:
-        kb.add_class(iri(name))
-    for child, parent in SUBCLASS_LINKS:
-        kb.add_subclass(iri(child), iri(parent))
-    for prop, domain, range_ in PROPERTY_DEFS:
-        kb.add_property(iri(prop), iri(domain), iri(range_))
-    kb.add_disjoint(iri("Human"), iri("Machine"))
-    kb.add_axiom(ClassAxiom(
-        Conjunction((NamedClass(iri("PhysicalThing")), SomeValues(iri("hasCapability"), iri("HumanCapability")))),
-        iri("Human"),
-    ))
-    kb.add_axiom(ClassAxiom(
-        Conjunction((NamedClass(iri("Service")), SomeValues(iri("providedBy"), iri("Human")))),
-        iri("HumanService"),
-    ))
-    for name in CLASS_NAMES:
-        if name in _RIGID_SORTALS:
-            flags = ["+R", "+I", "+U"]
-        elif name in _ANTI_RIGID:
-            flags = ["~R"]
-        else:
-            flags = ["+R", "+I"]
-        kb.add_annotation(annotation_from_flags(iri(name), flags))
-    for cls, terms in (("Skill", TAXONOMY.skills), ("Knowledge", TAXONOMY.knowledge),
-                       ("Ability", TAXONOMY.abilities), ("PerformanceFactor", TAXONOMY.performance_factors),
-                       ("Education", TAXONOMY.education_levels)):
-        for term in terms:
-            kb.add_type(term, iri(cls))
-    return kb
 
 
 # Instance-level plumbing properties used by projections (not in the base 45).
@@ -404,9 +273,6 @@ def validate_machine_capability(cap: MachineCapability) -> None:
 # --------------------------------------------------------------------------
 # Flat pattern text (used in profile files and kb literal projections)
 
-_WORD = re.compile(_STRING + r"|\S+")
-
-
 def render_pattern(pattern: Pattern) -> str:
     def term(t):
         if t == TYPE_PRED:
@@ -431,7 +297,7 @@ def _parse_flat_term(text: str, lineno: int):
 
 
 def parse_flat_pattern(text: str, lineno: int = 1) -> Pattern:
-    words = _WORD.findall(text)
+    words = line_words(text)
     if len(words) != 3:
         raise ParseError(lineno, 1, "a three-term pattern")
     return Pattern(*(_parse_flat_term(w, lineno) for w in words))
@@ -489,8 +355,7 @@ _QOS_KEYS = ("reputation", "cost", "response_time")
 def parse_service_profile(text: str):
     """Parse a .srv document; returns (ServiceProfile, provider Iri or None)."""
     service_id = provider = None
-    service_type = None
-    qos = QoS(Decimal("0"), Decimal("0"), Decimal("0"))
+    service_type = qos = None
     contexts, inputs, outputs = [], [], []
     preconditions, effects_add, effects_remove, limitations, declarations = [], [], [], [], []
     capability_ref = None
@@ -521,9 +386,10 @@ def parse_service_profile(text: str):
         elif keyword == "CAPABILITY" and len(rest) == 1:
             capability_ref = graph_name(rest[0], lineno)
         elif keyword == "QOS":
-            kv = dict(parse_pair(word, lineno) for word in rest)
-            if not kv.keys() <= set(_QOS_KEYS):
-                raise ParseError(lineno, 1, "/".join(_QOS_KEYS))
+            pairs = [parse_pair(word, lineno) for word in rest]
+            kv = dict(pairs)
+            if qos is not None or not kv.keys() <= set(_QOS_KEYS) or len(kv) < len(pairs):
+                raise ParseError(lineno, 1, "one QOS line, each of " + "/".join(_QOS_KEYS) + " at most once")
             qos = QoS(*(parse_decimal(kv.get(key, "0"), lineno) for key in _QOS_KEYS))
         elif keyword == "PARALLELISM" and len(rest) == 1:
             dop = parse_integer(rest[0], lineno)
@@ -540,7 +406,8 @@ def parse_service_profile(text: str):
     profile = ServiceProfile(
         service_id=service_id,
         service_type=service_type,
-        properties=PropertyBundle(qos=qos, contexts=tuple(contexts), capability_ref=capability_ref),
+        properties=PropertyBundle(qos=qos or QoS(Decimal("0"), Decimal("0"), Decimal("0")),
+                                  contexts=tuple(contexts), capability_ref=capability_ref),
         inputs=tuple(inputs),
         outputs=tuple(outputs),
         preconditions=tuple(preconditions),
@@ -554,7 +421,7 @@ def parse_service_profile(text: str):
 
 
 def parse_flat_limitation(text: str, lineno: int = 1) -> Limitation:
-    words = text.split()
+    words = line_words(text)
     kind = words[0] if words else None
     if kind == "time_window" and len(words) == 3:
         start, end = parse_integer(words[1], lineno), parse_integer(words[2], lineno)

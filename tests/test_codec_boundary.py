@@ -12,14 +12,19 @@ import pytest
 
 from soa_hitlcps import registry, simulator
 from soa_hitlcps.kb import KnowledgeBase
-from soa_hitlcps.schema import PLUMBING_PROPERTIES, PROPERTY_DEFS
+from soa_hitlcps.schema import PLUMBING_PROPERTIES, base_ontology
 
 WRITE_METHODS = {name for name in vars(KnowledgeBase) if name.startswith(("add_", "remove_"))}
-PREDICATES = {name for name, _, _ in PROPERTY_DEFS + PLUMBING_PROPERTIES}
+PREDICATES = ({prop.local for prop in base_ontology().property_decls}
+              | {name for name, _, _ in PLUMBING_PROPERTIES})
 
 
 def test_the_write_methods_are_found():
     assert {"add_statement", "remove_statement", "add_type", "remove_type", "add_property"} <= WRITE_METHODS
+
+
+def test_the_predicates_are_found():
+    assert len(PREDICATES) == 45 + 5
 
 
 @pytest.mark.parametrize("module", [registry, simulator], ids=lambda module: module.__name__)

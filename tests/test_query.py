@@ -186,6 +186,22 @@ def test_comments_are_skipped():
     assert commented == parse_query("SELECT ?x WHERE { ?x a Human }")
 
 
+@pytest.mark.parametrize("first", ["?x a Human .", "?x a Human."])
+def test_a_dot_alone_or_ending_a_name_ends_a_pattern(first):
+    ast = parse_query(f"SELECT ?x WHERE {{ {first} ?x a Service }}")
+    assert ast.patterns == (QueryPattern(Var("x"), A, QueryName("Human")),
+                            QueryPattern(Var("x"), A, QueryName("Service")))
+
+
+def test_a_name_may_hold_an_inner_dot():
+    kb = parse_document("CLASS Version1.2\nINDIVIDUAL v1 TYPE Version1.2\nINDIVIDUAL v2 TYPE Human\n")
+    ast = parse_query("SELECT ?x WHERE { ?x a Version1.2 . ?x a ?c FILTER (?c IN (Version1.2, ex:a.b)) }")
+    assert ast.patterns[0] == QueryPattern(Var("x"), A, QueryName("Version1.2"))
+    assert ast.filter == InSet("c", (QueryName("Version1.2"), QueryName("ex:a.b")))
+    assert parse_query(format_query(ast)) == ast
+    assert evaluate(kb, parse_query("SELECT ?x WHERE { ?x a Version1.2 }")).rows == ((iri("v1"),),)
+
+
 def test_names_follow_the_kb_rule():
     for bad in ("Café", "9B", "zz:9B", "zz:"):
         with pytest.raises(ParseError) as err:

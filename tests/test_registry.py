@@ -455,6 +455,18 @@ def test_a_loaded_reputation_is_the_mean_of_the_graphs_ratings():
     assert reloaded.reputation_of(iri("chatDoctor")) == Decimal("1.50")
 
 
+def test_a_quoted_string_in_a_profile_keeps_its_whitespace_through_a_reload():
+    note = "two  spaces\tand tab"
+    registry = build_registry()
+    registry.publish_service(*parse_service_profile(
+        f'SERVICE noted\nPROVIDER David\nKIND processing\nPRECONDITION ?consumer hasNote "{note}"\n'
+        f'LIMITATION condition ?consumer hasNote "{note}"\n'))
+    live = registry.services[iri("noted")].profile
+    assert live.preconditions[0].object == live.limitations[0].pattern.object == string(note)
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
+    assert reloaded.services[iri("noted")].profile == live
+
+
 def test_from_kb_loads_withdrawn_services():
     # As the live table does: a withdrawn service keeps its record, so a
     # completed invocation of it can still be rated after a reload.

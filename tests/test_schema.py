@@ -4,6 +4,7 @@ from decimal import Decimal
 
 import pytest
 
+from soa_hitlcps.datafiles import base_kb_text
 from soa_hitlcps.errors import InvalidProfileError, ParseError, UnknownPrefixError, UnknownTaxonomyTermError
 from soa_hitlcps.kb import (
     Iri,
@@ -143,6 +144,20 @@ def test_taxonomy_terms_typed_in_base(base):
     assert iri("Knowledge") in base.types_of(iri("Medicine_and_Dentistry"))
     assert iri("Ability") in base.types_of(iri("Oral_Comprehension"))
     assert iri("Education") in base.types_of(iri("Doctoral_Degree"))
+    for cls, terms in (("Skill", TAXONOMY.skills), ("Knowledge", TAXONOMY.knowledge),
+                       ("Ability", TAXONOMY.abilities), ("PerformanceFactor", TAXONOMY.performance_factors),
+                       ("Education", TAXONOMY.education_levels)):
+        assert set(terms) == {ind for ind, of in base.type_assertions if of == iri(cls)}, cls
+
+
+def test_base_ontology_is_a_fresh_copy_of_the_shipped_file_on_every_call():
+    first, second = base_ontology(), base_ontology()
+    assert first == second == parse_document(base_kb_text())
+    first.add_type(iri("Nia"), iri("Human"))
+    first.add_property(iri("hasNote"), iri("PhysicalThing"), iri("PhysicalThing"))
+    first.add_statement(iri("Nia"), iri("hasNote"), string("x"))
+    assert second == base_ontology() == parse_document(base_kb_text())
+    assert (iri("Nia"), iri("Human")) not in base_ontology().type_assertions
 
 
 # -- capability files ---------------------------------------------------------
@@ -317,11 +332,17 @@ def test_parse_service_profile_requires_service_and_kind():
 
 
 @pytest.mark.parametrize("words", ["reputation=4 respone_time=9", "reputation=4 =3", "reputation=4 cost=",
-                                   "reputation=4 cost"])
+                                   "reputation=4 cost", "cost=1 cost=50"])
 def test_qos_takes_only_its_three_keys_each_with_a_value(words):
     with pytest.raises(ParseError) as err:
         parse_service_profile(f"SERVICE x\nKIND processing\nQOS {words}\n")
     assert err.value.line == 3
+
+
+def test_a_profile_has_one_qos_line():
+    with pytest.raises(ParseError) as err:
+        parse_service_profile("SERVICE x\nKIND processing\nQOS reputation=4\nQOS cost=1\n")
+    assert err.value.line == 4
 
 
 def test_parse_composite_profile():
