@@ -180,7 +180,8 @@ class Pattern:
 
 
 # The lexical syntax of names and numbers, shared by every text format.
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+# A "." joins two runs of name characters; it never ends a name or stands twice.
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*")
 _INT_RE = re.compile(r"-?[0-9]+")
 _NUMBER_RE = re.compile(r"-?[0-9]+(?:\.[0-9]+)?")
 
@@ -554,6 +555,17 @@ class KnowledgeBase:
         order = [first[name] for name in sorted(first)]
         rows = sorted(rows, key=lambda stmt: [term_sort_key(stmt[i]) for i in order])
         return [{name: stmt[i] for name, i in first.items()} for stmt in rows]
+
+    def estimate(self, terms: tuple) -> int:
+        """An upper bound on the rows ``match(terms)`` returns, read from the indexes alone.
+
+        It is the smallest index bucket among the constants of ``terms``
+        (0 when one is absent), or every triple when all three are variables.
+        """
+        index = self._indexes()
+        sizes = [len(index[i].get(term, _NO_STATEMENTS)) for i, term in enumerate(terms)
+                 if not isinstance(term, Var)]
+        return min(sizes) if sizes else len(self.type_assertions) + len(self.statements)
 
     def _indexes(self) -> tuple:
         if self._index is None:

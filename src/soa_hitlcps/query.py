@@ -14,10 +14,17 @@ prefix table at evaluation time, so one parsed query can run against any kb
 whose prefixes cover it.  Evaluation is set-semantics over asserted plus
 materialized triples of the kb it is given; result rows are deduplicated and
 sorted lexicographically by their bound terms.
+
+``evaluate`` plans the join before running it: the FILTER's top-level
+equalities seed it, and the patterns run most-bound first, ties going to the
+smallest index bucket (Neumann & Weikum, RDF-3X, VLDB 2008).  Since the rows
+are deduplicated and sorted, no plan shows in a result.  ``join`` keeps the
+order it is given, for callers such as ``invoke`` that take its first row.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -345,20 +352,73 @@ def join(kb: KnowledgeBase, patterns, binding: dict, filters=()) -> list[dict]:
     return [b for b in bindings if all(test(b) for _, test in pending)]
 
 
+def _seeds_and_filters(conjuncts, kb: KnowledgeBase) -> tuple:
+    """The bindings the FILTER's top-level equalities pin, and a test for every other conjunct.
+
+    An ``Eq`` pins its variable to one value and an ``InSet`` to each of its
+    values; a variable pinned twice keeps the values both allow, so two
+    different equalities leave no seed.  The seeds are every combination of
+    the pinned values, in ``term_sort_key`` order.  Names resolve in
+    conjunct order, as the tests compile.
+    """
+    allowed, filters = {}, []
+    for conjunct in conjuncts:
+        if isinstance(conjunct, Eq):
+            values = {resolve_name(conjunct.value, kb)}
+        elif isinstance(conjunct, InSet):
+            values = {resolve_name(v, kb) for v in conjunct.values}
+        else:
+            filters.append((_filter_vars(conjunct), _compile_filter(conjunct, kb)))
+            continue
+        allowed[conjunct.var] = allowed.get(conjunct.var, values) & values
+    names = list(allowed)
+    choices = [sorted(allowed[name], key=term_sort_key) for name in names]
+    return [dict(zip(names, values)) for values in itertools.product(*choices)], filters
+
+
+def _plan(kb: KnowledgeBase, patterns: list, seeded: set) -> list:
+    """``patterns`` in the order to join them once the ``seeded`` variables are bound.
+
+    Greedy: next comes the pattern with the most bound positions (constants,
+    seeded variables and variables an earlier pattern binds), then the one
+    whose own constants have the smallest index bucket (see
+    :meth:`KnowledgeBase.estimate`), then the first in source order.  The
+    seeded values do not enter the estimate, so one plan serves every seed.
+    """
+    terms = [(p.subject, p.predicate, p.object) for p in patterns]
+    sizes = [kb.estimate(t) for t in terms]
+    bound = set(seeded)
+    remaining = list(range(len(patterns)))
+    order = []
+    while remaining:
+        best = min(remaining, key=lambda i: (
+            -sum(not isinstance(t, Var) or t.name in bound for t in terms[i]), sizes[i], i))
+        remaining.remove(best)
+        order.append(patterns[best])
+        bound.update(patterns[best].variables())
+    return order
+
+
 def evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
     """Run ``ast`` against ``kb`` (materialize first if inference matters).
 
-    Each conjunct of a top-level ``&&`` FILTER (or the whole FILTER when it
-    is a single comparison or an ``||``) is applied right after the pattern
-    that binds the last of its variables (see :func:`join`).
+    The conjuncts of a top-level ``&&`` FILTER (or the whole FILTER when it
+    is one comparison) that are an ``Eq`` or an ``InSet`` seed the join: it
+    runs once from each binding they pin (see :func:`_seeds_and_filters`),
+    with the patterns in the order :func:`_plan` picks.  Every other
+    conjunct, such as an ``||``, is applied right after the pattern that
+    binds the last of its variables (see :func:`join`).  Every pattern name
+    and then every filter name resolves before any join, so an unknown
+    prefix raises even when no row matches.
     """
     patterns = [_resolve_pattern(p, kb) for p in ast.patterns]
     if ast.filter is None:
         conjuncts = ()
     else:
         conjuncts = ast.filter.parts if isinstance(ast.filter, And) else (ast.filter,)
-    filters = [(_filter_vars(c), _compile_filter(c, kb)) for c in conjuncts]
-    rows = {tuple(b[v] for v in ast.projected) for b in join(kb, patterns, {}, filters)}
+    seeds, filters = _seeds_and_filters(conjuncts, kb)
+    order = _plan(kb, patterns, set(seeds[0])) if seeds else ()
+    rows = {tuple(b[v] for v in ast.projected) for seed in seeds for b in join(kb, order, seed, filters)}
     ordered = tuple(sorted(rows, key=lambda row: tuple(term_sort_key(v) for v in row)))
     return ResultTable(tuple(ast.projected), ordered)
 

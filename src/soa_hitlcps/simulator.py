@@ -201,7 +201,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
 
 _YES_NO = ("yes", "no")
 # condition key -> the values it takes (None: any word)
-_CONDITIONS = {"event": ("request", "message", "signal", "tick"), "sentiment": None, "signal": None,
+_CONDITIONS = {"event": ("request", "message", "signal"), "sentiment": None, "signal": None,
                "topic-known": _YES_NO, "from-provider": _YES_NO}
 # action -> (the parameters it takes, those it requires); discover also takes every DISCOVER criterion
 _ACTIONS = {"invoke-requested": ((), ()), "answer": ((), ()), "acquire-knowledge": ((), ()),

@@ -3,7 +3,8 @@
 The oracle expands the full cross-product of per-pattern candidate bindings
 (每 pattern candidates found by scanning every triple) and keeps the
 assignments that are mutually consistent and pass the filter.  It shares no
-join machinery with the engine under test.
+join machinery with the engine under test.  ``source_order_evaluate`` is the
+planner's counterpart: the public ``join`` run with no seeds and no reordering.
 """
 
 import itertools
@@ -20,6 +21,10 @@ from soa_hitlcps.query import (
     QueryName,
     QueryPattern,
     ResultTable,
+    _compile_filter,
+    _filter_vars,
+    _resolve_pattern,
+    join,
     resolve_name,
 )
 
@@ -175,6 +180,24 @@ def oracle_evaluate(kb: KnowledgeBase, ast: QueryAst, product_cap: int = 400_000
         if ast.filter is not None and not _filter_holds(ast.filter, merged, kb):
             continue
         rows.add(tuple(merged[v] for v in ast.projected))
+    ordered = tuple(sorted(rows, key=lambda row: tuple(term_sort_key(v) for v in row)))
+    return ResultTable(tuple(ast.projected), ordered)
+
+
+def source_order_evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
+    """``evaluate`` without a plan: one ``join`` from the empty binding, patterns in source order.
+
+    Each conjunct of a top-level ``&&`` FILTER (or the whole FILTER) runs
+    right after the pattern that binds the last of its variables.  This is
+    the naive counterpart of the planned ``evaluate``.
+    """
+    patterns = [_resolve_pattern(p, kb) for p in ast.patterns]
+    if ast.filter is None:
+        conjuncts = ()
+    else:
+        conjuncts = ast.filter.parts if isinstance(ast.filter, And) else (ast.filter,)
+    filters = [(_filter_vars(c), _compile_filter(c, kb)) for c in conjuncts]
+    rows = {tuple(b[v] for v in ast.projected) for b in join(kb, patterns, {}, filters)}
     ordered = tuple(sorted(rows, key=lambda row: tuple(term_sort_key(v) for v in row)))
     return ResultTable(tuple(ast.projected), ordered)
 

@@ -84,7 +84,7 @@ MALFORMED_FILES = {
     "scenario-bad-node-kind": (["simulate", "{tmp}/s.scn"], {"s.scn": "# c\n\nNODE Nia ROBOT n.cap\n"}),
     "scenario-bad-time": (["simulate", "{tmp}/s.scn"], {"s.scn": "AT x TICK\n"}),
     "scenario-bad-rule": (["simulate", "{tmp}/s.scn"], {"s.scn": "RULE Nia WHEN event=tick answer\n"}),
-    "scenario-unknown-node": (["simulate", "{tmp}/s.scn"], {"s.scn": "RULE zz:Nia WHEN event=tick THEN answer\n"}),
+    "scenario-unknown-node": (["simulate", "{tmp}/s.scn"], {"s.scn": "RULE zz:Nia WHEN event=request THEN answer\n"}),
     "capability-bad-scale": (
         ["simulate", "{tmp}/s.scn"],
         {"s.scn": "NODE Nia HUMAN n.cap\n", "n.cap": "# c\nSKILL Monitoring x\n"},

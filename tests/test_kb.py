@@ -267,6 +267,10 @@ def _assert_index_agrees_with_scan(rng: random.Random, kb: KnowledgeBase, vocabu
         pattern = Pattern(*(Var(rng.choice("xyz")) if rng.random() < 0.5 else rng.choice(vocabulary)
                             for _ in range(3)))
         assert kb.match(pattern) == _oracle_match(kb, pattern)
+        terms = (pattern.subject, pattern.predicate, pattern.object)
+        scanned = [sum(stmt[i] == term for stmt in kb.triples())
+                   for i, term in enumerate(terms) if not isinstance(term, Var)]
+        assert kb.estimate(terms) == min(scanned, default=len(list(kb.triples())))
     for term in vocabulary:
         if isinstance(term, Iri):
             assert kb.types_of(term) == _scan_types_of(kb, term)
@@ -466,10 +470,18 @@ def test_parse_name_checks_the_prefix_then_the_local_name():
     assert kbm.parse_name("zz:A.b-c_1") == Iri("zz", "A.b-c_1")  # no table: resolved by the reader
     with pytest.raises(UnknownPrefixError):
         kbm.parse_name("zz:A", kbm.BUILTIN_PREFIXES)
-    for bad in ("", "9A", "-A", ".A", "Head/Discomfort", "Café", "A\n", "zz:", "zz:9"):
+    assert kbm.parse_name("Version1.2") == iri("Version1.2")
+    for bad in ("", "9A", "-A", ".A", "Head/Discomfort", "Café", "A\n", "zz:", "zz:9", "End.", "a..b", "zz:a."):
         with pytest.raises(ParseError) as err:
             kbm.parse_name(bad, None, 4, 7)
         assert (err.value.line, err.value.column, err.value.expected) == (4, 7, "a name"), bad
+
+
+@pytest.mark.parametrize("name", ["End.", "a..b"])
+def test_a_name_ending_in_a_dot_or_holding_two_fails_the_document(name):
+    with pytest.raises(ParseError) as err:
+        parse_document(f"CLASS {name}\n")
+    assert (err.value.line, err.value.column, err.value.expected) == (1, 7, "a name")
 
 
 def test_numbers_take_the_kb_literal_forms_only():

@@ -1,5 +1,7 @@
 """Query parsing, printing, and evaluation semantics."""
 
+import random
+
 import pytest
 
 import query_oracle
@@ -210,3 +212,104 @@ def test_names_follow_the_kb_rule():
         with pytest.raises(ParseError) as err:
             parse_query(f"SELECT ?x WHERE {{ ?x a Human FILTER (?x = {bad}) }}")
         assert err.value.expected == "a prefixed name", bad
+
+
+# -- the planned join against source order ------------------------------------------
+
+
+def test_planned_evaluation_matches_source_order_on_random_queries():
+    rng = random.Random(20261018)
+    over_cap = 0
+    shapes = set()
+    for case in range(600):
+        if case % 3:
+            kb = query_oracle.random_kb(rng)
+            ast = query_oracle.random_query(rng, kb)
+        else:
+            # a larger graph, and the patterns of two queries in one
+            kb = query_oracle.random_kb(rng, max_statements=800)
+            ast, more = query_oracle.random_query(rng, kb), query_oracle.random_query(rng, kb)
+            ast = QueryAst(ast.projected, ast.patterns + more.patterns, ast.filter)
+        assert evaluate(kb, ast) == query_oracle.source_order_evaluate(kb, ast), f"case {case}: {format_query(ast)}"
+        product = 1
+        for pattern in ast.patterns:
+            product *= len(query_oracle._pattern_candidates(kb, pattern))
+        over_cap += product > 400_000
+        shapes.add(type(ast.filter).__name__)
+    assert over_cap >= 15  # cases the cross-product oracle cannot check
+    assert shapes == {"NoneType", "Eq", "InSet", "And", "Or"}
+
+
+PLAN_KB = """
+PROPERTY knows DOMAIN Human RANGE Human
+PROPERTY note DOMAIN Human RANGE Human
+INDIVIDUAL ann TYPE Human
+INDIVIDUAL bob TYPE Human
+INDIVIDUAL cid TYPE Human
+FACT ann knows bob
+FACT bob knows cid
+FACT cid knows ann
+FACT ann note "a literal"
+FACT bob note cid
+"""
+
+
+@pytest.mark.parametrize("text, rows", [
+    # two equalities that disagree leave no seed, so no row
+    ("SELECT ?x WHERE { ?x knows ?y FILTER (?x=ann && ?x=bob) }", ()),
+    ("SELECT ?x WHERE { ?x knows ?y FILTER (?x=ann && ?x IN (bob, cid)) }", ()),
+    # a repeated or narrowing equality pins one value
+    ("SELECT ?x WHERE { ?x knows ?y FILTER (?x=ann && ?x=ann) }", (("ann",),)),
+    ("SELECT ?x WHERE { ?x knows ?y FILTER (?x IN (ann, bob) && ?x=bob) }", (("bob",),)),
+    # a duplicate value seeds once; a value absent from the graph seeds an empty join
+    ("SELECT ?x ?y WHERE { ?x knows ?y FILTER (?x IN (cid, ann, cid, nobody)) }",
+     (("ann", "bob"), ("cid", "ann"))),
+    # an equality on a variable a pattern binds to a literal never holds there
+    ("SELECT ?x ?o WHERE { ?x note ?o FILTER (?o=ann) }", ()),
+    ("SELECT ?x ?o WHERE { ?x note ?o FILTER (?o IN (cid, ann)) }", (("bob", "cid"),)),
+    # a top-level || stays a filter
+    ("SELECT ?x WHERE { ?x knows ?y FILTER (?x=ann || ?y=ann) }", (("ann",), ("cid",))),
+    ("SELECT ?x WHERE { ?x knows ?y . ?y knows ?z FILTER (?z=cid && ?x=ann || ?x=bob) }",
+     (("ann",), ("bob",))),
+])
+def test_planned_evaluation_edge_cases(text, rows):
+    kb = parse_document(PLAN_KB)
+    ast = parse_query(text)
+    table = evaluate(kb, ast)
+    assert table == query_oracle.source_order_evaluate(kb, ast)
+    assert tuple(tuple(str(term) for term in row) for row in table.rows) == rows
+
+
+@pytest.mark.parametrize("filter_", [
+    "?x=nosuch:a",
+    "?x=ann && ?x=bob && ?y=nosuch:a",
+    "?x IN (ann, nosuch:a)",
+    "?x=ann || ?y=nosuch:a",
+])
+def test_unknown_filter_prefix_raises_even_when_no_row_can_match(filter_):
+    kb = parse_document(PLAN_KB)
+    ast = parse_query(f"SELECT ?x WHERE {{ ?x knows ?y . ?y a Nothing FILTER ({filter_}) }}")
+    with pytest.raises(UnknownPrefixError):
+        evaluate(kb, ast)
+
+
+def test_a_pattern_prefix_is_reported_before_a_filter_prefix():
+    ast = parse_query("SELECT ?x WHERE { ?x pat:p ?y FILTER (?x=ann && ?x=bob && ?y=filt:a) }")
+    with pytest.raises(UnknownPrefixError) as err:
+        evaluate(parse_document(PLAN_KB), ast)
+    assert err.value.name == "pat"
+
+
+@pytest.mark.parametrize("name", ["Version1.2", "a.b.c", "End.", "a..b", ".a", "zz:a."])
+def test_a_query_reads_exactly_the_names_a_graph_can_hold(name):
+    try:
+        parse_document(f"@prefix zz: http://example.org/zz#\nCLASS {name}\n")
+        graph_holds = True
+    except ParseError:
+        graph_holds = False
+    try:
+        ast = parse_query(f"SELECT ?x WHERE {{ ?x a {name} }}")
+        query_names = ast.patterns[0].object == QueryName(name)
+    except ParseError:
+        query_names = False
+    assert graph_holds == query_names == (name in ("Version1.2", "a.b.c")), name

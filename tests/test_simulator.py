@@ -320,6 +320,7 @@ def test_rate_falls_back_to_the_last_completed_invocation_then_skips(tmp_path):
     ("RULE Nia WHEN event=signal THEN rate service=con/sult rating=3", ParseError),
     ("RULE Nia WHEN evnt=signal THEN answer", ParseError),
     ("RULE Nia WHEN event=signals THEN answer", ParseError),
+    ("RULE Nia WHEN event=tick THEN answer", ParseError),  # no tick reaches a node's inbox
     ("RULE Nia WHEN event=signal, THEN answer", ParseError),
     ("RULE Nia WHEN topic-known=maybe THEN answer", ParseError),
     ("RULE Nia WHEN from-provider=Yes THEN answer", ParseError),
