@@ -353,6 +353,11 @@ class ServiceBroker:
 
     def complete_invocation(self, invocation: Invocation, outcome: str = COMPLETED,
                             rating: Optional[Decimal] = None, timestamp: int = 0) -> None:
+        """End a running invocation, apply its effects if it completed, and record ``rating``.
+
+        ``timestamp`` is accepted for existing callers and ignored: no rating
+        stores the time it was given.
+        """
         if invocation.status != RUNNING:
             raise InvalidStateError(f"invocation {invocation.id} is {invocation.status}, not running")
         if outcome not in (COMPLETED, FAILED):
@@ -361,7 +366,7 @@ class ServiceBroker:
             self._apply_effects(invocation)
         invocation.status = outcome
         if rating is not None:
-            self.registry.record_experience_for(invocation, rating, timestamp=timestamp)
+            self.registry.record_experience_for(invocation, rating)
 
     def _apply_effects(self, invocation: Invocation) -> None:
         record = self.registry.services[invocation.service]

@@ -29,6 +29,14 @@ conflicting ones are errors.  Serialization is deterministic: equal knowledge
 bases serialize to identical bytes, and ``parse_document(serialize(kb))``
 reproduces ``kb`` exactly.
 
+``parse_document`` reads each line once, into plain words: only a line that
+holds a ``#`` is scanned for a comment, and one regex pass splits it.  A
+word's column is computed only when a ``ParseError`` reports it.  Once the
+``@prefix`` lines have fixed the prefix table, each distinct word is read as
+a name once per document; a word that fails is not kept, so it fails again
+wherever it recurs.  FACT and INDIVIDUAL lines, nearly all of a registry,
+are read by unpacking their four words.
+
 Every graph write goes through ``KnowledgeBase`` methods (``add_type``,
 ``remove_type``, ``add_statement``, ``remove_statement``); nothing else adds
 to or discards from ``statements`` or ``type_assertions``.  Those two sets
@@ -61,6 +69,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
@@ -688,14 +697,10 @@ _TOKEN_RE = re.compile(_STRING + r'?|[()]|[^\s()"]+')
 _COMMENT_RE = re.compile(r'(?:' + _OPEN_STRING + r'(?:"|$)|[^"])*?(?<!\S)#')
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
 def _strip_comment(raw: str) -> str:
+    """``raw`` up to its comment; only a line that holds a ``#`` is scanned for one."""
+    if "#" not in raw:
+        return raw
     comment = _COMMENT_RE.match(raw)
     return raw[:comment.end() - 1] if comment else raw
 
@@ -713,49 +718,55 @@ def content_lines(text: str) -> Iterator[tuple]:
             yield lineno, words
 
 
-def _tokenize_line(raw: str, lineno: int) -> list[_Token]:
-    text = _strip_comment(raw)
-    return [_Token(m.group(0), lineno, m.start() + 1) for m in _TOKEN_RE.finditer(text)]
+def _line_positions(lineno: int, text: str) -> list:
+    """The (line, column) of each word of a comment-free .kb line."""
+    return [(lineno, m.start() + 1) for m in _TOKEN_RE.finditer(text)]
 
 
 class _Cursor:
-    """Cursor over a token list with positioned errors.
+    """Cursor over a list of words with positioned errors.
 
-    Running out of tokens is an error just past the last token (line 1,
-    column 1 when there is none).
+    ``positions()`` gives the (line, column) of every word; it runs only to
+    report an error.  Running out of words is an error just past the last
+    word (line 1, column 1 when there is none).
     """
 
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, words: list, positions):
+        self.words = words
+        self.positions = positions
         self.pos = 0
 
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Optional[str]:
+        return self.words[self.pos] if self.pos < len(self.words) else None
 
-    def next(self, expected: str) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            column = (last.column + len(last.text)) if last else 1
-            raise ParseError(line, column, expected)
+    def next(self, expected: str) -> str:
+        word = self.peek()
+        if word is None:
+            raise self.error(expected, self.pos)
         self.pos += 1
-        return tok
+        return word
 
-    def expect(self, word: str) -> _Token:
-        tok = self.next(word)
-        if tok.text != word:
-            raise ParseError(tok.line, tok.column, word)
-        return tok
+    def expect(self, word: str) -> str:
+        if self.next(word) != word:
+            raise self.error(word)
+        return word
 
     def done(self, expected: str) -> None:
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(tok.line, tok.column, expected)
+        if self.pos < len(self.words):
+            raise self.error(expected, self.pos)
 
-
-def _parse_name(tok: _Token, prefixes: dict) -> Iri:
-    return parse_name(tok.text, prefixes, tok.line, tok.column)
+    def error(self, expected: str, i: Optional[int] = None) -> ParseError:
+        """A ParseError at word ``i``, by default the word last read."""
+        if i is None:
+            i = self.pos - 1
+        if i < len(self.words):
+            line, column = self.positions()[i]
+        elif self.words:
+            line, column = self.positions()[-1]
+            column += len(self.words[-1])
+        else:
+            line, column = 1, 1
+        return ParseError(line, column, expected)
 
 
 def _parse_term(text: str, prefixes, line: int = 1, column: int = 1) -> Term:
@@ -773,33 +784,33 @@ def _parse_term(text: str, prefixes, line: int = 1, column: int = 1) -> Term:
     return parse_name(text, prefixes, line, column)
 
 
-def _parse_class_expr(reader: _Cursor, prefixes: dict) -> ClassExpr:
+def _parse_class_expr(reader: _Cursor, name) -> ClassExpr:
+    """``( <expr> )`` from ``reader``; ``name(reader, i)`` reads its word ``i`` as a name."""
     reader.expect("(")
-    first = reader.next("a class expression")
-    if first.text == "(":
+    first = reader.pos
+    if reader.next("a class expression") == "(":
         reader.pos -= 1
-        operand: ClassExpr = _parse_class_expr(reader, prefixes)
+        operand: ClassExpr = _parse_class_expr(reader, name)
     else:
-        peek = reader.peek()
-        if peek is not None and peek.text == "SOME":
+        if reader.peek() == "SOME":
             reader.expect("SOME")
-            filler = _parse_name(reader.next("a class name"), prefixes)
+            reader.next("a class name")
+            filler = name(reader, reader.pos - 1)
             reader.expect(")")
-            return SomeValues(_parse_name(first, prefixes), filler)
-        operand = NamedClass(_parse_name(first, prefixes))
+            return SomeValues(name(reader, first), filler)
+        operand = NamedClass(name(reader, first))
     parts = [operand]
     while True:
-        tok = reader.next("AND or )")
-        if tok.text == ")":
+        word = reader.next("AND or )")
+        if word == ")":
             break
-        if tok.text != "AND":
-            raise ParseError(tok.line, tok.column, "AND or )")
-        nxt = reader.next("a class expression")
-        if nxt.text == "(":
+        if word != "AND":
+            raise reader.error("AND or )")
+        if reader.next("a class expression") == "(":
             reader.pos -= 1
-            parts.append(_parse_class_expr(reader, prefixes))
+            parts.append(_parse_class_expr(reader, name))
         else:
-            parts.append(NamedClass(_parse_name(nxt, prefixes)))
+            parts.append(NamedClass(name(reader, reader.pos - 1)))
     if len(parts) == 1:
         return parts[0]
     return Conjunction(tuple(parts))
@@ -808,100 +819,147 @@ def _parse_class_expr(reader: _Cursor, prefixes: dict) -> ClassExpr:
 def parse_document(text: str, base: Optional[KnowledgeBase] = None) -> KnowledgeBase:
     """Parse a document into a fresh kb (or an extension of a copy of ``base``)."""
     kb = base.copy() if base is not None else KnowledgeBase()
-    tokenized = [_tokenize_line(raw, i) for i, raw in enumerate(text.splitlines(), start=1)]
-    tokenized = [tokens for tokens in tokenized if tokens]
+    prefix_lines, declarations, rest = [], [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        raw = _strip_comment(raw)
+        words = _TOKEN_RE.findall(raw)
+        if words:
+            directive = words[0]
+            group = (prefix_lines if directive == "@prefix"
+                     else declarations if directive in ("CLASS", "PROPERTY") else rest)
+            group.append((lineno, raw, words))
 
     # Prefix table first: prefixed names may appear on any later line.
-    for tokens in tokenized:
-        if tokens[0].text != "@prefix":
-            continue
-        reader = _Cursor(tokens)
+    for lineno, raw, words in prefix_lines:
+        reader = _Cursor(words, partial(_line_positions, lineno, raw))
         reader.expect("@prefix")
-        name_tok = reader.next("a prefix name")
-        name = name_tok.text
+        name = reader.next("a prefix name")
         if not name.endswith(":") or len(name) < 2:
-            raise ParseError(name_tok.line, name_tok.column, "a prefix name ending in ':'")
-        expansion = reader.next("a prefix expansion").text
+            raise reader.error("a prefix name ending in ':'")
+        expansion = reader.next("a prefix expansion")
         reader.done("end of line")
         kb.add_prefix(name[:-1], expansion)
 
+    # The prefix table is fixed from here on, so each distinct word is read as
+    # a name once.  A word that fails is never stored: it fails again, at its
+    # own position, wherever it recurs.
+    prefixes = kb.prefixes
+    names: dict = {}     # word -> Iri
+    literals: dict = {}  # FACT object word -> Literal
+
+    def resolve(word: str, positions, i: int) -> Iri:
+        iri = names.get(word)
+        if iri is None:
+            try:
+                iri = parse_name(word, prefixes)
+            except ParseError as err:
+                raise ParseError(*positions()[i], err.expected) from None
+            names[word] = iri
+        return iri
+
+    def name(reader: _Cursor, i: int) -> Iri:
+        return resolve(reader.words[i], reader.positions, i)
+
+    def next_name(reader: _Cursor, expected: str) -> Iri:
+        reader.next(expected)
+        return name(reader, reader.pos - 1)
+
+    def fact_object(word: str, positions) -> Term:
+        try:
+            obj = _parse_term(word, prefixes)
+        except ParseError as err:
+            raise ParseError(*positions()[3], err.expected) from None
+        (names if isinstance(obj, Iri) else literals)[word] = obj
+        return obj
+
     # Declarations next so facts and axioms can reference them in any order.
-    for tokens in tokenized:
-        directive = tokens[0].text
-        reader = _Cursor(tokens)
-        if directive == "CLASS":
+    for lineno, raw, words in declarations:
+        reader = _Cursor(words, partial(_line_positions, lineno, raw))
+        if words[0] == "CLASS":
             reader.expect("CLASS")
-            cls = _parse_name(reader.next("a class name"), kb.prefixes)
+            cls = next_name(reader, "a class name")
             if reader.peek() is not None:
                 reader.expect("SUBCLASSOF")
-                parent = _parse_name(reader.next("a class name"), kb.prefixes)
+                parent = next_name(reader, "a class name")
                 reader.done("end of line")
                 kb.add_subclass(cls, parent)
             else:
                 kb.add_class(cls)
-        elif directive == "PROPERTY":
+        else:
             reader.expect("PROPERTY")
-            prop = _parse_name(reader.next("a property name"), kb.prefixes)
+            prop = next_name(reader, "a property name")
             reader.expect("DOMAIN")
-            domain = _parse_name(reader.next("a class name"), kb.prefixes)
+            domain = next_name(reader, "a class name")
             reader.expect("RANGE")
-            range_ = _parse_name(reader.next("a class name"), kb.prefixes)
+            range_ = next_name(reader, "a class name")
             reader.done("end of line")
             kb.add_property(prop, domain, range_)
 
-    # Everything else in document order.
-    for tokens in tokenized:
-        directive = tokens[0].text
-        if directive in ("@prefix", "CLASS", "PROPERTY"):
+    # Everything else in document order.  FACT and INDIVIDUAL lines, nearly
+    # all of a registry, are read by unpacking their four words.  Any other
+    # word count is an error, which the cursor reports at its position.
+    for lineno, raw, words in rest:
+        directive = words[0]
+        if len(words) == 4 and directive == "FACT":
+            _, subject, predicate, obj = words
+            positions = partial(_line_positions, lineno, raw)
+            subject = names.get(subject) or resolve(subject, positions, 1)
+            predicate = names.get(predicate) or resolve(predicate, positions, 2)
+            obj = names.get(obj) or literals.get(obj) or fact_object(obj, positions)
+            try:
+                kb.add_statement(subject, predicate, obj)
+            except DeclarationConflictError as exc:
+                raise ParseError(*positions()[0], str(exc))
             continue
-        reader = _Cursor(tokens)
+        if len(words) == 4 and directive == "INDIVIDUAL":
+            _, ind, keyword, cls = words
+            positions = partial(_line_positions, lineno, raw)
+            ind = names.get(ind) or resolve(ind, positions, 1)
+            if keyword != "TYPE":
+                raise ParseError(*positions()[2], "TYPE")
+            kb.add_type(ind, names.get(cls) or resolve(cls, positions, 3))
+            continue
+        reader = _Cursor(words, partial(_line_positions, lineno, raw))
         if directive == "DISJOINT":
             reader.expect("DISJOINT")
-            a = _parse_name(reader.next("a class name"), kb.prefixes)
-            b = _parse_name(reader.next("a class name"), kb.prefixes)
+            a = next_name(reader, "a class name")
+            b = next_name(reader, "a class name")
             reader.done("end of line")
             kb.add_disjoint(a, b)
         elif directive == "AXIOM":
             reader.expect("AXIOM")
-            body = _parse_class_expr(reader, kb.prefixes)
+            body = _parse_class_expr(reader, name)
             reader.expect("SUBCLASSOF")
-            head = _parse_name(reader.next("a class name"), kb.prefixes)
+            head = next_name(reader, "a class name")
             reader.done("end of line")
             try:
                 kb.add_axiom(ClassAxiom(body, head))
             except DeclarationConflictError as exc:
-                raise ParseError(tokens[0].line, tokens[0].column, str(exc))
+                raise reader.error(str(exc), 0)
         elif directive == "INDIVIDUAL":
             reader.expect("INDIVIDUAL")
-            ind = _parse_name(reader.next("an individual name"), kb.prefixes)
+            next_name(reader, "an individual name")
             reader.expect("TYPE")
-            cls = _parse_name(reader.next("a class name"), kb.prefixes)
+            next_name(reader, "a class name")
             reader.done("end of line")
-            kb.add_type(ind, cls)
         elif directive == "FACT":
             reader.expect("FACT")
-            subject = _parse_name(reader.next("a subject name"), kb.prefixes)
-            predicate = _parse_name(reader.next("a predicate name"), kb.prefixes)
-            tok = reader.next("an object term")
-            obj = _parse_term(tok.text, kb.prefixes, tok.line, tok.column)
+            next_name(reader, "a subject name")
+            next_name(reader, "a predicate name")
+            fact_object(reader.next("an object term"), reader.positions)
             reader.done("end of line")
-            try:
-                kb.add_statement(subject, predicate, obj)
-            except DeclarationConflictError as exc:
-                raise ParseError(tokens[0].line, tokens[0].column, str(exc))
         elif directive == "META":
             reader.expect("META")
-            cls = _parse_name(reader.next("a class name"), kb.prefixes)
+            cls = next_name(reader, "a class name")
             flags = []
             while reader.peek() is not None:
-                tok = reader.next("a metaproperty flag")
-                if tok.text not in ALL_FLAGS:
-                    raise ParseError(tok.line, tok.column, "one of " + " ".join(ALL_FLAGS))
-                flags.append(tok.text)
+                flag = reader.next("a metaproperty flag")
+                if flag not in ALL_FLAGS:
+                    raise reader.error("one of " + " ".join(ALL_FLAGS))
+                flags.append(flag)
             kb.add_annotation(annotation_from_flags(cls, flags))
         else:
-            tok = tokens[0]
-            raise ParseError(tok.line, tok.column, "a directive (@prefix, CLASS, PROPERTY, DISJOINT, AXIOM, INDIVIDUAL, FACT, META)")
+            raise reader.error("a directive (@prefix, CLASS, PROPERTY, DISJOINT, AXIOM, INDIVIDUAL, FACT, META)", 0)
     return kb
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Union
 
 from .errors import ParseError, UnboundFilterVarError, UnboundProjectionError
@@ -37,7 +38,6 @@ from .kb import (
     TYPE_PRED,
     Var,
     _Cursor,
-    _Token,
     parse_name,
     term_sort_key,
 )
@@ -129,69 +129,73 @@ class ResultTable:
 _QUERY_TOKEN = re.compile(r"\?\w[\w-]*|&&|\|\||[{}(),.=]|[^\s{}(),.=|&]+(?:\.[^\s{}(),.=|&]+)*")
 
 
-def _tokenize_query(text: str) -> list[_Token]:
-    tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _query_lines(text: str):
+    """Each line of a query up to its first ``#``."""
+    for raw in text.splitlines():
         hash_pos = raw.find("#")
-        if hash_pos >= 0:
-            raw = raw[:hash_pos]
-        for m in _QUERY_TOKEN.finditer(raw):
-            tokens.append(_Token(m.group(0), lineno, m.start() + 1))
-    return tokens
+        yield raw if hash_pos < 0 else raw[:hash_pos]
 
 
-def _query_name(tok: _Token, expected: str) -> QueryName:
-    """``tok`` as a name, its prefix resolved at evaluation; else a ParseError expecting ``expected``."""
+def _query_positions(text: str) -> list:
+    """The (line, column) of each word of a query."""
+    return [(lineno, m.start() + 1) for lineno, raw in enumerate(_query_lines(text), start=1)
+            for m in _QUERY_TOKEN.finditer(raw)]
+
+
+def _query_name(cursor: _Cursor, expected: str) -> QueryName:
+    """The word last read as a name, its prefix resolved at evaluation; else a ParseError expecting ``expected``."""
+    word = cursor.words[cursor.pos - 1]
     try:
-        parse_name(tok.text)
+        parse_name(word)
     except ParseError:
-        raise ParseError(tok.line, tok.column, expected) from None
-    return QueryName(tok.text)
+        raise cursor.error(expected) from None
+    return QueryName(word)
 
 
-def _parse_query_term(tok: _Token) -> QueryTerm:
-    if tok.text.startswith("?"):
-        return Var(tok.text[1:])
-    if tok.text == "a":
+def _parse_query_term(cursor: _Cursor) -> QueryTerm:
+    word = cursor.words[cursor.pos - 1]
+    if word.startswith("?"):
+        return Var(word[1:])
+    if word == "a":
         return A
-    return _query_name(tok, "a variable or prefixed name")
+    return _query_name(cursor, "a variable or prefixed name")
 
 
 def _parse_constant(cursor: _Cursor) -> QueryName:
-    return _query_name(cursor.next("a prefixed name"), "a prefixed name")
+    cursor.next("a prefixed name")
+    return _query_name(cursor, "a prefixed name")
 
 
 def _parse_cmp(cursor: _Cursor) -> FilterExpr:
-    var_tok = cursor.next("a variable")
-    if not var_tok.text.startswith("?"):
-        raise ParseError(var_tok.line, var_tok.column, "a variable")
-    var = var_tok.text[1:]
+    var = cursor.next("a variable")
+    if not var.startswith("?"):
+        raise cursor.error("a variable")
     op = cursor.next("= or IN")
-    if op.text == "=":
-        return Eq(var, _parse_constant(cursor))
-    if op.text == "IN":
+    if op == "=":
+        return Eq(var[1:], _parse_constant(cursor))
+    if op == "IN":
         cursor.expect("(")
         values = [_parse_constant(cursor)]
         while True:
-            tok = cursor.next(", or )")
-            if tok.text == ")":
+            word = cursor.next(", or )")
+            if word == ")":
                 break
-            if tok.text != ",":
-                raise ParseError(tok.line, tok.column, ", or )")
+            if word != ",":
+                raise cursor.error(", or )")
             values.append(_parse_constant(cursor))
-        return InSet(var, tuple(values))
-    raise ParseError(op.line, op.column, "= or IN")
+        return InSet(var[1:], tuple(values))
+    raise cursor.error("= or IN")
 
 
 def _parse_filter_expr(cursor: _Cursor) -> FilterExpr:
     groups = [[_parse_cmp(cursor)]]
     while True:
-        tok = cursor.peek()
-        if tok is None or tok.text not in ("&&", "||"):
+        op = cursor.peek()
+        if op not in ("&&", "||"):
             break
-        cursor.next(tok.text)
+        cursor.next(op)
         cmp_ = _parse_cmp(cursor)
-        if tok.text == "&&":
+        if op == "&&":
             groups[-1].append(cmp_)
         else:
             groups.append([cmp_])
@@ -202,38 +206,40 @@ def _parse_filter_expr(cursor: _Cursor) -> FilterExpr:
 
 
 def parse_query(text: str) -> QueryAst:
-    cursor = _Cursor(_tokenize_query(text))
+    words = [word for raw in _query_lines(text) for word in _QUERY_TOKEN.findall(raw)]
+    cursor = _Cursor(words, partial(_query_positions, text))
     cursor.expect("SELECT")
     projected = []
     while True:
-        tok = cursor.peek()
-        if tok is None or not tok.text.startswith("?"):
+        word = cursor.peek()
+        if word is None or not word.startswith("?"):
             break
-        projected.append(cursor.next("a variable").text[1:])
+        projected.append(cursor.next("a variable")[1:])
     if not projected:
-        tok = cursor.peek()
-        line, column = (tok.line, tok.column) if tok else (1, 7)
-        raise ParseError(line, column, "at least one projected variable")
+        if cursor.peek() is None:
+            raise ParseError(1, 7, "at least one projected variable")
+        raise cursor.error("at least one projected variable", cursor.pos)
     cursor.expect("WHERE")
     cursor.expect("{")
     patterns = []
     filter_expr: Optional[FilterExpr] = None
     while True:
-        tok = cursor.next("a pattern, FILTER or }")
-        if tok.text == "}":
+        word = cursor.next("a pattern, FILTER or }")
+        if word == "}":
             break
-        if tok.text == "FILTER":
+        if word == "FILTER":
             cursor.expect("(")
             filter_expr = _parse_filter_expr(cursor)
             cursor.expect(")")
             cursor.expect("}")
             break
-        subject = _parse_query_term(tok)
-        predicate = _parse_query_term(cursor.next("a pattern term"))
-        obj = _parse_query_term(cursor.next("a pattern term"))
+        subject = _parse_query_term(cursor)
+        cursor.next("a pattern term")
+        predicate = _parse_query_term(cursor)
+        cursor.next("a pattern term")
+        obj = _parse_query_term(cursor)
         patterns.append(QueryPattern(subject, predicate, obj))
-        nxt = cursor.peek()
-        if nxt is not None and nxt.text == ".":
+        if cursor.peek() == ".":
             cursor.next(".")
     if not patterns:
         raise ParseError(1, 1, "at least one pattern")

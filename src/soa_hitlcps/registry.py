@@ -191,17 +191,17 @@ class ServiceRegistry:
     # -- experience and reputation ----------------------------------------------
 
     def record_experience(self, service: Iri, requester: Iri, rating: Decimal,
-                          criteria=(), timestamp: int = 0) -> ExperienceRecord:
+                          criteria=()) -> ExperienceRecord:
         """Rate the most recent unrated terminal invocation of ``service``."""
         candidates = [inv for inv in self.invocations
                       if inv.service == service and inv.consumer == requester
                       and inv.status in TERMINAL and inv.rating is None]
         if not candidates:
             raise NoCompletedInvocationError(f"{requester} has no unrated terminal invocation of {service}")
-        return self.record_experience_for(candidates[-1], rating, criteria, timestamp)
+        return self.record_experience_for(candidates[-1], rating, criteria)
 
     def record_experience_for(self, invocation: Invocation, rating: Decimal,
-                              criteria=(), timestamp: int = 0) -> ExperienceRecord:
+                              criteria=()) -> ExperienceRecord:
         service = invocation.service
         record_entry = self.services.get(service)
         if record_entry is None:
@@ -212,7 +212,7 @@ class ServiceRegistry:
         if not Decimal("0") <= rating <= Decimal("5"):
             raise RatingOutOfRangeError(str(rating))
         invocation.rating = rating
-        record = ExperienceRecord(service, invocation.consumer, rating, tuple(criteria), timestamp)
+        record = ExperienceRecord(service, invocation.consumer, rating, tuple(criteria))
         ratings = service_ratings(self.kb, service) + [rating]
         project_experience(self.kb, record, record_entry.provider, len(ratings))
         record_entry.reputation = _reputation(ratings, record_entry.profile)

@@ -211,7 +211,6 @@ class ExperienceRecord:
     requester: Iri
     rating: Decimal
     criteria: tuple = ()  # ((name, Decimal), ...)
-    timestamp: int = 0
 
 
 @dataclass(frozen=True)

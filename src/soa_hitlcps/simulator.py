@@ -453,7 +453,7 @@ class Simulation:
                 selected.append(session)
         for session in sorted(selected, key=lambda s: s.id):
             invocation = self.registry.invocations[session.invocation_id - 1]
-            self.broker.complete_invocation(invocation, rating=rating, timestamp=time)
+            self.broker.complete_invocation(invocation, rating=rating)
             session.open = False
             detail = (f"service={invocation.service} consumer={invocation.consumer}"
                       f" rating={rating}" if rating is not None else
@@ -468,12 +468,12 @@ class Simulation:
         ]
         if open_invocations:
             invocation = open_invocations[0]
-            self.broker.complete_invocation(invocation, rating=rating, timestamp=time)
+            self.broker.complete_invocation(invocation, rating=rating)
             self.close_session_for(invocation.id)
             detail = f"service={service} rating={rating} invocation={invocation.id}"
         else:
             try:
-                self.registry.record_experience(service, loop.node, rating, timestamp=time)
+                self.registry.record_experience(service, loop.node, rating)
                 detail = f"service={service} rating={rating}"
             except NoCompletedInvocationError:
                 detail = f"service={service} rating={rating} skipped=no-invocation"

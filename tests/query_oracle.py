@@ -50,7 +50,8 @@ def random_kb(rng: random.Random, max_statements: int = 200) -> KnowledgeBase:
 
 
 def random_query(rng: random.Random, kb: KnowledgeBase) -> QueryAst:
-    triples = list(kb.triples())
+    # in term order, so that one seed draws the same query under any hash seed
+    triples = sorted(kb.triples(), key=lambda s: tuple(map(term_sort_key, s)))
     inds = sorted({s.subject for s in triples} | {iri(f"i{i}") for i in range(3)}, key=term_sort_key)
     classes = sorted(kb.class_decls, key=term_sort_key)
     props = sorted(kb.property_decls, key=term_sort_key)

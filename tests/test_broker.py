@@ -582,7 +582,7 @@ def test_closure_cache_matches_fresh_materialize_under_random_writes(monkeypatch
             if running:
                 with contextlib.suppress(SoaHitlcpsError):
                     broker.complete_invocation(rng.choice(running), rng.choice((COMPLETED, FAILED)),
-                                               rating=rng.choice((None, Decimal("3"))), timestamp=step)
+                                               rating=rng.choice((None, Decimal("3"))))
         assert broker._closure() == materialize(registry.kb)
         # reads with no write in between share the closure
         before = len(rebuilds)
@@ -637,7 +637,7 @@ def test_closure_is_built_once_per_registry_and_kept_current_by_replay(monkeypat
         service = ("chatDoctor", "grant", "revoke")[step % 3]
         invocation = broker.invoke(iri(service), iri("Cathy"), {"patient": iri("Zed")}, now=step)
         assert invocation.status == RUNNING
-        broker.complete_invocation(invocation, rating=Decimal(step % 5 + 1), timestamp=step)
+        broker.complete_invocation(invocation, rating=Decimal(step % 5 + 1))
         closed = broker._closure()
         assert closed == materialize(kb)
         human_service.add(iri("HumanService") in closed.types_of(iri("zedDesk")))

@@ -4,7 +4,9 @@ Each reader may reject its input only with a ``SoaHitlcpsError`` (a scenario
 loader may also raise ``OSError`` for a file it names).  The command line
 exits 0, 1 or 2 and never prints a traceback.  Every graph a scenario run
 leaves behind, and every graph a parsed capability or profile is written
-into, serializes to a document that parses back to it.
+into, serializes to a document that parses back to it.  The ``.kb`` reader
+agrees with the positioned-token reader in ``kb_oracle`` on every document:
+the same graph, or the same error at the same line and column.
 
 Inputs are the shipped files with a few words or lines replaced, inserted or
 deleted, and short documents of each format's own words.  Hypothesis runs
@@ -21,6 +23,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import kb_oracle
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -205,6 +208,42 @@ def test_parse_document(text):
     kb = _domain(parse_document, text)
     if kb is not None:
         _assert_graph_parses_back(kb)
+
+
+def _read_outcome(parse, text, base):
+    """The graph ``parse`` reads, or the type of its error with the error's position or message."""
+    try:
+        return parse(text, base)
+    except ParseError as err:
+        return ParseError, err.line, err.column, err.expected
+    except SoaHitlcpsError as err:
+        return type(err), str(err)
+
+
+KB_INDENTED = st.tuples(_document(KB_KEYWORDS, KB_WORDS, KB_BASE), st.sampled_from(("", " ", "\t  "))).map(
+    lambda parts: "\n".join(parts[1] + line for line in parts[0].splitlines()))
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.one_of(_document(KB_KEYWORDS, KB_WORDS, KB_BASE), KB_INDENTED), st.booleans())
+@example('PROPERTY p DOMAIN A RANGE A\nFACT a p "abc\\ #x\n', False)
+@example("CLASS B#c\n", False)
+@example('CLASS "a#b"\n', False)
+@example("AXIOM (#\n", False)
+@example('PROPERTY p DOMAIN A RANGE A\nFACT a p "abc\n', False)
+@example("PROPERTY p DOMAIN A RANGE A\nFACT a p\n", False)
+@example("PROPERTY p DOMAIN A RANGE A\nFACT a p b c\n", False)
+@example("INDIVIDUAL a TYPE\n", False)
+@example("INDIVIDUAL a TYPE C D\n", False)
+@example("INDIVIDUAL a KIND C\n", False)
+@example("PROPERTY p DOMAIN A RANGE A\n  FACT a q b\n", False)
+@example("PROPERTY p DOMAIN A RANGE A\nFACT a p b\nFACT zz:a p b\nFACT b p zz:a\n", False)
+@example("PROPERTY p DOMAIN A RANGE A\nFACT a p zz:b # a comment\nINDIVIDUAL zz:b TYPE A\n", True)
+@example(serialize(load_scenario(_shipped("scenario2_chat.scn"), SCENARIOS).registry.kb), True)
+def test_parse_document_matches_positioned_reader(text, on_base):
+    """The word reader agrees with the positioned-token reader: the same graph or the same error."""
+    base = parse_document(KB_BASE) if on_base else None
+    assert _read_outcome(parse_document, text, base) == _read_outcome(kb_oracle.parse_document, text, base)
 
 
 @FUZZ

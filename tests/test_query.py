@@ -1,10 +1,15 @@
 """Query parsing, printing, and evaluation semantics."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import query_oracle
+import soa_hitlcps
 from soa_hitlcps.errors import (
     ParseError,
     UnboundFilterVarError,
@@ -238,6 +243,27 @@ def test_planned_evaluation_matches_source_order_on_random_queries():
         shapes.add(type(ast.filter).__name__)
     assert over_cap >= 15  # cases the cross-product oracle cannot check
     assert shapes == {"NoneType", "Eq", "InSet", "And", "Or"}
+
+
+REPLAY = """
+import random, query_oracle
+from soa_hitlcps.query import format_query
+rng = random.Random(415)
+for _ in range(40):
+    print(format_query(query_oracle.random_query(rng, query_oracle.random_kb(rng))))
+"""
+
+
+def test_random_queries_replay_under_any_hash_seed():
+    """One seed draws the same queries in every process, so a printed failing case can be replayed."""
+    path = os.pathsep.join((str(Path(soa_hitlcps.__file__).parent.parent), str(Path(__file__).parent)))
+    outputs = [
+        subprocess.run([sys.executable, "-c", REPLAY], env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+                       capture_output=True, text=True, check=True).stdout
+        for seed in ("1", "777")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("\n") == 40
 
 
 PLAN_KB = """

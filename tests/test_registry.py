@@ -727,7 +727,7 @@ def test_a_registry_reloaded_from_its_graph_answers_as_the_live_one():
                 for target in (registry, reloaded):
                     invocation = target.new_invocation(service, consumer, {})
                     invocation.status = COMPLETED
-                    target.record_experience_for(invocation, rating, timestamp=step)
+                    target.record_experience_for(invocation, rating)
                 model.ratings[service].append(rating)
                 assert reloaded.kb == registry.kb
                 assert reloaded.reputation_of(service) == registry.reputation_of(service)
@@ -752,7 +752,7 @@ def test_a_registry_reloaded_from_its_graph_answers_as_the_live_one():
             invocation.status = COMPLETED
             criteria = [(name, Decimal(rng.randint(0, 10)) / 2) for name in _subset(rng, ("timeliness", "care"))]
             rating = Decimal(rng.randint(0, 10)) / 2
-            registry.record_experience_for(invocation, rating, criteria, timestamp=step)
+            registry.record_experience_for(invocation, rating, criteria)
             model.ratings[service].append(rating)
         elif action == "potential" and humans:
             template = _random_profile(rng, iri(f"potential{step}"), ())
