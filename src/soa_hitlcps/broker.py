@@ -2,7 +2,8 @@
 
 The broker turns a structured discovery request into a query over the
 materialized graph (built once, then kept current by replaying into it each
-write made to the registry graph), which also matches the service kind.  It
+write made to the registry graph, re-deriving only the individuals whose
+inferred types a write can change), which also matches the service kind.  It
 post-filters candidates on skill scale, IO signature, limitations, and QoS
 bounds, and ranks them with a weighted utility over reputation, cost, and
 response time.  Invocations move ``pending -> running -> completed|failed``;
@@ -23,7 +24,7 @@ from .errors import (
     ParseError,
     UnknownServiceError,
 )
-from .kb import (DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri, parse_decimal,
+from .kb import (DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, Var, iri, parse_decimal,
                  parse_integer, parse_name, parse_pair)
 from .query import A, And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate, join
 from .reasoner import materialize, refresh
@@ -210,9 +211,13 @@ class ServiceBroker:
     def _closure(self) -> KnowledgeBase:
         """The materialized registry graph, kept current by replaying the graph's writes.
 
-        It is built from scratch on first use, for a new ``registry.kb``,
-        when another follower took the journal over, or when a write needs
-        a rebuild (see :func:`refresh`).
+        A read after writes replays them all, but re-derives only the
+        subjects of type writes and of facts whose predicate an axiom
+        quantifies, with what reaches them through such facts: a rating
+        re-derives just its new Experience node.  The closure is built
+        from scratch on first use, for a new ``registry.kb``, when another
+        follower took the journal over, or when a write needs a rebuild
+        (see :func:`refresh`).
         """
         kb = self.registry.kb
         cached_kb, journal, closed = self._cache
@@ -383,10 +388,7 @@ class ServiceBroker:
         for pattern in additions:
             kb.check_statement(pattern.predicate, pattern.object)
         for pattern in removals:
-            if pattern.predicate == TYPE_PRED:
-                kb.remove_type(pattern.subject, pattern.object)
-            else:
-                kb.remove_statement(pattern.subject, pattern.predicate, pattern.object)
+            kb.remove_statement(pattern.subject, pattern.predicate, pattern.object)
         for pattern in additions:
             kb.add_statement(pattern.subject, pattern.predicate, pattern.object)
 

@@ -470,6 +470,9 @@ class KnowledgeBase:
             self._record("add_statement", stmt)
 
     def remove_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
+        if predicate == TYPE_PRED:
+            self.remove_type(subject, obj)
+            return
         stmt = Statement(subject, predicate, obj)
         self.statements.discard(stmt)
         if self._index is not None:

@@ -14,9 +14,15 @@ ancestors are computed once up front; type inheritance then runs once per
 assertion and whenever an axiom adds a type, and only axiom application is
 iterated.
 
+Axiom application runs in semi-naive rounds: the first tests every
+candidate, and each later one only what the round before can have changed
+(see ``_apply_axioms``), so no round is spent confirming the fixpoint.
+
 ``refresh`` keeps such a closure current without a rebuild: it replays into
 it the writes journaled on the knowledge base since (see ``kb``), then
-re-derives only the individuals those writes can reach.
+re-derives only the individuals whose inferred types those writes can
+change.  A type write can; a fact write can only when some axiom body
+quantifies over its predicate, so most writes re-derive nothing.
 """
 
 from __future__ import annotations
@@ -61,18 +67,39 @@ def _add_with_ancestors(out: KnowledgeBase, ancestors: dict, individual: Iri, cl
             out.add_type(individual, c)
 
 
-def _apply_axioms(out: KnowledgeBase, ancestors: dict, candidates) -> None:
-    """Give each candidate the head of every axiom it satisfies, to the fixpoint."""
-    changed = True
-    while changed:
-        changed = False
+def _quantified(axioms) -> set:
+    """The predicates some axiom body quantifies over (``p SOME C``)."""
+    props, exprs = set(), [axiom.body for axiom in axioms]
+    while exprs:
+        expr = exprs.pop()
+        if isinstance(expr, SomeValues):
+            props.add(expr.prop)
+        elif isinstance(expr, Conjunction):
+            exprs.extend(expr.parts)
+    return props
+
+
+def _apply_axioms(out: KnowledgeBase, ancestors: dict, candidates, quantified: set) -> None:
+    """Give each candidate the head of every axiom it satisfies, to the fixpoint.
+
+    The rounds are semi-naive (Bancilhon & Ramakrishnan 1986): after the
+    first, a round tests only the individuals that gained a type in the
+    round before and the subjects of ``quantified`` facts whose object
+    gained one, since no other individual's axiom bodies can have changed.
+    """
+    while candidates:
+        gained = set()
         for axiom in out.axioms:
             for individual in candidates:
                 if (individual, axiom.head) in out.type_assertions:
                     continue
                 if _satisfies(out, individual, axiom.body):
                     _add_with_ancestors(out, ancestors, individual, axiom.head)
-                    changed = True
+                    gained.add(individual)
+        candidates = set(gained)
+        for individual in gained:
+            candidates.update(stmt.subject for stmt in out.statements_to(individual)
+                              if stmt.predicate in quantified)
 
 
 def materialize(kb: KnowledgeBase) -> KnowledgeBase:
@@ -83,19 +110,12 @@ def materialize(kb: KnowledgeBase) -> KnowledgeBase:
     out.subclass_links.update((child, parent) for child in ancestors for parent in ancestors[child])
     for individual, cls in list(out.type_assertions):
         _add_with_ancestors(out, ancestors, individual, cls)
-    _apply_axioms(out, ancestors, out.individuals())
+    _apply_axioms(out, ancestors, out.individuals(), _quantified(out.axioms))
     return out
 
 
-def _quantified_props(expr: ClassExpr):
-    if isinstance(expr, SomeValues):
-        yield expr.prop
-    elif isinstance(expr, Conjunction):
-        for part in expr.parts:
-            yield from _quantified_props(part)
-
-
-_FACT_WRITES = frozenset(("add_type", "remove_type", "add_statement", "remove_statement"))
+_TYPE_WRITES = frozenset(("add_type", "remove_type"))
+_FACT_WRITES = frozenset(("add_statement", "remove_statement"))
 
 
 def refresh(closed: KnowledgeBase, kb: KnowledgeBase, writes) -> bool:
@@ -110,10 +130,13 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, writes) -> bool:
     limited to what a write can reach.  An individual's inferred types
     depend only on its own types, its own facts whose predicate some axiom
     body quantifies over (``p SOME C``), and the types of those facts'
-    objects.  So only the individuals with a path of such facts to a
-    written subject are re-derived: each is reset to its asserted types and
+    objects.  So every write is replayed, but only a type write or a write
+    of a quantified fact marks its subject; a rating's facts, for one, mark
+    nothing.  The marked individuals and those with a path of quantified
+    facts to one are re-derived: each is reset to its asserted types and
     their ancestors, then the axioms run over that set to a fixpoint.
     """
+    quantified = _quantified(closed.axioms)
     touched = set()
     for method, args in writes:
         if method == "add_subclass" and args not in closed.subclass_links:
@@ -121,19 +144,16 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, writes) -> bool:
         if method == "add_axiom" and args[0] not in closed.axioms:
             return False
         getattr(closed, method)(*args)
-        if method in _FACT_WRITES:
+        if method in _TYPE_WRITES or (method in _FACT_WRITES and args[1] in quantified):
             touched.add(args[0])
-    quantified = set()
-    for axiom in closed.axioms:
-        quantified.update(_quantified_props(axiom.body))
+    if not touched:
+        return True
     affected, frontier = set(touched), list(touched)
     while frontier:
         for stmt in closed.statements_to(frontier.pop()):
             if stmt.predicate in quantified and stmt.subject not in affected:
                 affected.add(stmt.subject)
                 frontier.append(stmt.subject)
-    if not affected:
-        return True
     # the closed links hold every ancestor of a class directly
     ancestors: dict = {}
     for child, parent in closed.subclass_links:
@@ -145,7 +165,7 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, writes) -> bool:
             closed.remove_type(individual, cls)
         for cls in keep - types:
             closed.add_type(individual, cls)
-    _apply_axioms(closed, ancestors, [i for i in affected if closed.statements_about(i)])
+    _apply_axioms(closed, ancestors, [i for i in affected if closed.statements_about(i)], quantified)
     return True
 
 

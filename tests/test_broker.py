@@ -9,6 +9,7 @@ import pytest
 from test_query import DISCOVERY_QUERY
 
 from soa_hitlcps import broker as broker_module
+from soa_hitlcps import reasoner as reasoner_module
 from soa_hitlcps.broker import (
     DiscoveryRequest,
     ScoringConfig,
@@ -662,6 +663,27 @@ def test_closure_is_built_once_per_registry_and_kept_current_by_replay(monkeypat
         assert broker._closure() == materialize(kb)
         assert len(rebuilds) == before + rebuilt
     assert iri("HumanService") in broker._closure().types_of(iri("zedDesk"))
+
+
+def test_a_rating_re_derives_only_its_new_experience_node(monkeypatch):
+    # A rating writes one Experience type and facts no axiom quantifies, so
+    # refreshing the closure re-derives that one node and nothing it reaches.
+    rederived = []
+    apply_axioms = reasoner_module._apply_axioms
+    monkeypatch.setattr(reasoner_module, "_apply_axioms", lambda out, ancestors, candidates, quantified: (
+        rederived.append(set(candidates)) or apply_axioms(out, ancestors, candidates, quantified)))
+    registry, broker = build_world()
+    kb = registry.kb
+    experiences = lambda: {i for i, c in kb.type_assertions if c == iri("Experience")}
+    invocation = broker.invoke(iri("erinWatch"), iri("Adam"), {})  # no effects
+    assert invocation.status == RUNNING
+    known = experiences()
+    rederived.clear()
+    broker.complete_invocation(invocation, rating=Decimal("4"))
+    (node,) = experiences() - known
+    closed = broker._closure()
+    assert rederived == [{node}]
+    assert closed == materialize(kb)
 
 
 def test_a_journal_is_never_shared_between_followers(monkeypatch):

@@ -462,6 +462,20 @@ def test_journal_records_each_successful_write_while_armed():
     assert kb.match((Var("s"), TYPE_PRED, b)) == kb.match(Pattern(Var("s"), TYPE_PRED, b)) == [{"s": x}]
 
 
+def test_remove_statement_of_a_type_removes_it_as_add_statement_adds_it():
+    kb = parse_document("CLASS A\n")
+    kb.journal = journal = []
+    x, a = iri("x"), iri("A")
+    kb.add_statement(x, TYPE_PRED, a)
+    assert kb.match(Pattern(x, TYPE_PRED, Var("c"))) == [{"c": a}]
+    kb.remove_statement(x, TYPE_PRED, a)
+    assert (x, a) not in kb.type_assertions
+    assert kb.match(Pattern(x, TYPE_PRED, Var("c"))) == []
+    assert kb.types_of(x) == set()
+    # journaled as the type writes they are, so a follower replays them
+    assert journal == [("add_type", (x, a)), ("remove_type", (x, a))]
+
+
 # -- the one lexical rule for names and numbers -----------------------------------------
 
 

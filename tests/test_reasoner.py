@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from soa_hitlcps import reasoner
 from soa_hitlcps.errors import CyclicSubclassError, UnannotatedClassError
 from soa_hitlcps.kb import (
     ClassAxiom,
@@ -140,6 +141,53 @@ def test_materialize_matches_naive_oracle_randomized():
         assert materialize(kb) == _naive_materialize(kb)
 
 
+def test_materialize_tests_each_individual_once_when_one_axiom_fires_once(monkeypatch):
+    # Semi-naive rounds: the second tests only the one individual that
+    # gained a type, and no round is spent confirming the fixpoint.
+    n = 40
+    kb = parse_document(
+        "CLASS Human SUBCLASSOF PhysicalThing\n"
+        "CLASS HumanCapability\n"
+        "PROPERTY hasCapability DOMAIN PhysicalThing RANGE HumanCapability\n"
+        "AXIOM ( PhysicalThing AND ( hasCapability SOME HumanCapability ) ) SUBCLASSOF Human\n"
+        "INDIVIDUAL skill TYPE HumanCapability\n"
+        + "".join(f"INDIVIDUAL x{i} TYPE PhysicalThing\n" for i in range(n - 1))
+        + "FACT x0 hasCapability skill\n"
+    )
+    (body,) = [axiom.body for axiom in kb.axioms]
+    asked = []
+    satisfies = reasoner._satisfies
+    monkeypatch.setattr(reasoner, "_satisfies", lambda kb, individual, expr: (
+        (expr is body and asked.append(individual)) or satisfies(kb, individual, expr)))
+    closed = materialize(kb)
+    assert len(kb.individuals()) == n
+    assert {i for i, c in closed.type_assertions if c == iri("Human")} == {iri("x0")}
+    assert closed == _naive_materialize(kb)
+    assert len(asked) <= n + 2
+
+
+def test_an_axiom_follows_a_chain_of_quantified_facts_in_materialize_and_refresh():
+    # each link of the chain gains the head only after the next one has: a
+    # round must retest the subjects of the facts whose object gained a type
+    n = 20
+    kb = parse_document(
+        "CLASS Node\nCLASS Marked\nPROPERTY next DOMAIN Node RANGE Node\n"
+        "AXIOM ( Node AND ( next SOME Marked ) ) SUBCLASSOF Marked\n"
+        + "".join(f"INDIVIDUAL x{i} TYPE Node\nFACT x{i} next x{i + 1}\n" for i in range(n))
+    )
+    marked = lambda closed: {i for i, c in closed.type_assertions if c == iri("Marked")}
+    kb.journal = journal = []
+    closed = materialize(kb)
+    assert marked(closed) == set()
+    for write in (kb.add_type, kb.remove_type, kb.add_type):
+        write(iri(f"x{n}"), iri("Marked"))
+        assert refresh(closed, kb, journal)
+        journal.clear()
+        assert closed == materialize(kb) == _naive_materialize(kb)
+        assert len(marked(closed)) in (0, n + 1)
+    assert len(marked(closed)) == n + 1
+
+
 def _chained_axiom_kb(rng) -> KnowledgeBase:
     """A random kb with a deep subclass chain and axioms that feed each other."""
     kb = KnowledgeBase()
@@ -240,19 +288,31 @@ def _index_agrees(kb: KnowledgeBase) -> bool:
     return every == triples == by_object
 
 
-def test_refresh_matches_materialize_and_naive_under_removal_heavy_writes():
+def test_refresh_matches_materialize_and_naive_under_removal_heavy_writes(monkeypatch):
     # A follower of each kb: refresh after every write, rebuild when refresh
-    # declines, and compare with both from-scratch closures.
+    # declines, and compare with both from-scratch closures.  Each kb also
+    # declares a property no axiom quantifies at first, so that some fact
+    # writes must re-derive nothing.
+    calls = []
+    apply_axioms = reasoner._apply_axioms
+    monkeypatch.setattr(reasoner, "_apply_axioms", lambda *args: calls.append(args) or apply_axioms(*args))
     rng = random.Random(9203)
     methods = []
     rebuilds = 0
+    fact_refreshes = {True: 0, False: 0}  # re-derived anything -> count
     for _ in range(20):
         kb = _chained_axiom_kb(rng)
+        kb.add_property(iri("note"), iri("C0"), iri("C0"))
         kb.journal = journal = []
         closed = materialize(kb)
         for _ in range(200):
-            methods.append(_removal_heavy_write(rng, kb, closed))
-            if not refresh(closed, kb, journal):
+            method = _removal_heavy_write(rng, kb, closed)
+            methods.append(method)
+            before = len(calls)
+            current = refresh(closed, kb, journal)
+            if current and method.endswith("_statement"):
+                fact_refreshes[len(calls) > before] += 1
+            if not current:
                 closed = materialize(kb)
                 rebuilds += 1
             journal.clear()
@@ -262,6 +322,7 @@ def test_refresh_matches_materialize_and_naive_under_removal_heavy_writes():
     assert removals * 2 >= len(methods)
     assert {"add_subclass", "add_axiom", "add_property"} <= set(methods)
     assert 0 < rebuilds < len(methods) // 10
+    assert fact_refreshes[True] > 0 and fact_refreshes[False] > 0
 
 
 def test_disjointness_violation_direct_and_inherited():
