@@ -506,6 +506,10 @@ class KnowledgeBase:
         """Every edge with this object, as :meth:`statements_about` (read only)."""
         return self._indexes()[2].get(obj, _NO_STATEMENTS)
 
+    def statements_with(self, predicate: Iri):
+        """Every edge with this predicate, as :meth:`statements_about` (read only)."""
+        return self._indexes()[1].get(predicate, _NO_STATEMENTS)
+
     def types_of(self, individual: Iri) -> set:
         return {s.object for s in self.statements_about(individual) if s.predicate == TYPE_PRED}
 

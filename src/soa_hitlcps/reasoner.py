@@ -11,12 +11,14 @@ Materialization computes the least fixpoint of three rules:
 ``materialize`` never mutates its input; rules only add, so the result is
 idempotent and monotone.  No rule adds a subclass link, so each class's
 ancestors are computed once up front; type inheritance then runs once per
-assertion and whenever an axiom adds a type, and only axiom application is
-iterated.
+assertion of a class that has an ancestor and whenever an axiom adds a
+type, and only axiom application is iterated.
 
-Axiom application runs in semi-naive rounds: the first tests every
-candidate, and each later one only what the round before can have changed
-(see ``_apply_axioms``), so no round is spent confirming the fixpoint.
+Axiom application runs in semi-naive rounds: the first tests only the
+seeds, the individuals that an index bucket of some axiom body holds (see
+``_seeds``), and each later one only what the round before can have
+changed (see ``_apply_axioms``), so no round is spent confirming the
+fixpoint.
 
 ``refresh`` keeps such a closure current without a rebuild: it replays into
 it the writes journaled on the knowledge base since (see ``kb``), then
@@ -67,6 +69,25 @@ def _add_with_ancestors(out: KnowledgeBase, ancestors: dict, individual: Iri, cl
             out.add_type(individual, c)
 
 
+def _instances(kb: KnowledgeBase, cls: Iri) -> list:
+    return [stmt.subject for stmt in kb.statements_to(cls) if stmt.predicate == TYPE_PRED]
+
+
+def _seeds(kb: KnowledgeBase, expr: ClassExpr) -> set:
+    """A set holding every individual that can satisfy ``expr``, read from ``kb``'s index.
+
+    Rete's alpha memories (Forgy 1982) index a rule by its condition in the
+    same way: a named class gives its instances, ``p SOME C`` the subjects
+    of ``p`` facts (none for ``TYPE_PRED``: type assertions are not facts),
+    and a conjunction the smallest of its parts' seeds.
+    """
+    if isinstance(expr, NamedClass):
+        return set(_instances(kb, expr.iri))
+    if isinstance(expr, SomeValues):
+        return set() if expr.prop == TYPE_PRED else {stmt.subject for stmt in kb.statements_with(expr.prop)}
+    return min((_seeds(kb, part) for part in expr.parts), key=len) if expr.parts else kb.individuals()
+
+
 def _quantified(axioms) -> set:
     """The predicates some axiom body quantifies over (``p SOME C``)."""
     props, exprs = set(), [axiom.body for axiom in axioms]
@@ -82,10 +103,12 @@ def _quantified(axioms) -> set:
 def _apply_axioms(out: KnowledgeBase, ancestors: dict, candidates, quantified: set) -> None:
     """Give each candidate the head of every axiom it satisfies, to the fixpoint.
 
-    The rounds are semi-naive (Bancilhon & Ramakrishnan 1986): after the
-    first, a round tests only the individuals that gained a type in the
-    round before and the subjects of ``quantified`` facts whose object
-    gained one, since no other individual's axiom bodies can have changed.
+    The rounds are semi-naive (Bancilhon & Ramakrishnan 1986): the first
+    tests ``candidates`` (a build passes only the seeds of the axiom
+    bodies), and each later round only the individuals that gained a type
+    in the round before and the subjects of ``quantified`` facts whose
+    object gained one, since no other individual's axiom bodies can have
+    changed.
     """
     while candidates:
         gained = set()
@@ -108,9 +131,11 @@ def materialize(kb: KnowledgeBase) -> KnowledgeBase:
     # no rule adds a subclass link: close them once, before the loop
     ancestors = {child: out.superclasses(child) for child, _ in out.subclass_links}
     out.subclass_links.update((child, parent) for child in ancestors for parent in ancestors[child])
-    for individual, cls in list(out.type_assertions):
-        _add_with_ancestors(out, ancestors, individual, cls)
-    _apply_axioms(out, ancestors, out.individuals(), _quantified(out.axioms))
+    for cls in ancestors:
+        for individual in _instances(out, cls):
+            _add_with_ancestors(out, ancestors, individual, cls)
+    seeds = set().union(*(_seeds(out, axiom.body) for axiom in out.axioms))
+    _apply_axioms(out, ancestors, seeds, _quantified(out.axioms))
     return out
 
 

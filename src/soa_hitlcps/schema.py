@@ -115,8 +115,15 @@ PLUMBING_PROPERTIES = (
 
 
 def ensure_plumbing(kb: KnowledgeBase) -> None:
-    for prop, domain, range_ in PLUMBING_PROPERTIES:
-        kb.add_property(iri(prop), iri(domain), iri(range_))
+    """Declare each plumbing property that ``kb`` does not declare with its signature yet.
+
+    Every projection calls this; skipping the declared ones keeps a rating
+    from journaling five no-op declarations for a follower to replay.
+    """
+    for name, domain, range_ in PLUMBING_PROPERTIES:
+        prop, signature = iri(name), (iri(domain), iri(range_))
+        if kb.property_decls.get(prop) != signature:
+            kb.add_property(prop, *signature)
 
 
 # --------------------------------------------------------------------------

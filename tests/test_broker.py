@@ -636,14 +636,17 @@ def test_closure_is_built_once_per_registry_and_kept_current_by_replay(monkeypat
     human_service = set()
     for step in range(12):
         service = ("chatDoctor", "grant", "revoke")[step % 3]
+        kb.add_property(iri(f"note{step}"), iri("PhysicalThing"), iri("Service"))
         invocation = broker.invoke(iri(service), iri("Cathy"), {"patient": iri("Zed")}, now=step)
         assert invocation.status == RUNNING
         broker.complete_invocation(invocation, rating=Decimal(step % 5 + 1))
+        # the plumbing properties are declared already: a rating declares none
+        assert "add_property" not in {method for method, _ in kb.journal}
         closed = broker._closure()
         assert closed == materialize(kb)
         human_service.add(iri("HumanService") in closed.types_of(iri("zedDesk")))
     assert human_service == {True, False}
-    # effects add and delete facts; ratings also re-declare the plumbing properties
+    # effects add and delete facts; each step also declares a new property
     assert {"add_statement", "remove_statement", "add_property"} <= replayed
     assert len(rebuilds) == 1
 

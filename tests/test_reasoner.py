@@ -13,6 +13,7 @@ from soa_hitlcps.kb import (
     NamedClass,
     Pattern,
     SomeValues,
+    TYPE_PRED,
     Var,
     annotation_from_flags,
     iri,
@@ -111,8 +112,38 @@ def _naive_satisfies(kb, ind, expr):
     return all(_naive_satisfies(kb, ind, p) for p in expr.parts)
 
 
+# The shapes of axiom body the random knowledge bases draw, one per way
+# ``reasoner._seeds`` reads a body's seeds from the index.
+BODY_KINDS = ("class", "class AND some", "some", "some AND class", "nested")
+
+
+def _random_body(rng, anchor, fillers, props):
+    """A random body of a random kind that mentions the class ``anchor``."""
+    named, some = NamedClass(anchor), SomeValues(rng.choice(props), rng.choice(fillers))
+    return {
+        "class": named,
+        "class AND some": Conjunction((named, some)),
+        "some": SomeValues(rng.choice(props), anchor),
+        "some AND class": Conjunction((some, named)),
+        "nested": Conjunction((some, Conjunction((named, SomeValues(rng.choice(props), rng.choice(fillers)))))),
+    }[rng.choice(BODY_KINDS)]
+
+
+def _body_kinds(kb: KnowledgeBase) -> set:
+    kinds = set()
+    for body in (axiom.body for axiom in kb.axioms):
+        if not isinstance(body, Conjunction):
+            kinds.add("class" if isinstance(body, NamedClass) else "some")
+        elif any(isinstance(part, Conjunction) for part in body.parts):
+            kinds.add("nested")
+        else:
+            kinds.add("some AND class" if isinstance(body.parts[0], SomeValues) else "class AND some")
+    return kinds
+
+
 def test_materialize_matches_naive_oracle_randomized():
     rng = random.Random(3021)
+    kinds = set()
     for _ in range(120):
         kb = KnowledgeBase()
         classes = [iri(f"C{i}") for i in range(rng.randint(2, 6))]
@@ -133,12 +164,10 @@ def test_materialize_matches_naive_oracle_randomized():
             else:
                 kb.add_statement(rng.choice(inds), rng.choice(props), rng.choice(inds))
         for _ in range(rng.randint(0, 2)):
-            body_parts = [NamedClass(rng.choice(classes))]
-            if rng.random() < 0.7:
-                body_parts.append(SomeValues(rng.choice(props), rng.choice(classes)))
-            body = body_parts[0] if len(body_parts) == 1 else Conjunction(tuple(body_parts))
-            kb.add_axiom(ClassAxiom(body, rng.choice(classes)))
+            kb.add_axiom(ClassAxiom(_random_body(rng, rng.choice(classes), classes, props), rng.choice(classes)))
+        kinds |= _body_kinds(kb)
         assert materialize(kb) == _naive_materialize(kb)
+    assert kinds == set(BODY_KINDS)
 
 
 def test_materialize_tests_each_individual_once_when_one_axiom_fires_once(monkeypatch):
@@ -163,7 +192,55 @@ def test_materialize_tests_each_individual_once_when_one_axiom_fires_once(monkey
     assert len(kb.individuals()) == n
     assert {i for i, c in closed.type_assertions if c == iri("Human")} == {iri("x0")}
     assert closed == _naive_materialize(kb)
-    assert len(asked) <= n + 2
+    # the first round tests only the seeds: x0 is the one hasCapability subject
+    assert len(asked) <= 3
+
+
+def test_an_individual_typed_only_by_a_subclass_is_a_seed_of_its_ancestor(monkeypatch):
+    # h is a PhysicalThing only through inheritance, and the PhysicalThing
+    # seeds are the smaller part of the body, so the seeds must be read
+    # after type inheritance for h to be tested at all
+    kb = parse_document(
+        "CLASS Human SUBCLASSOF PhysicalThing\n"
+        "CLASS HumanCapability\nCLASS Robot\nCLASS Skilled\n"
+        "PROPERTY hasCapability DOMAIN PhysicalThing RANGE HumanCapability\n"
+        "AXIOM ( PhysicalThing AND ( hasCapability SOME HumanCapability ) ) SUBCLASSOF Skilled\n"
+        "INDIVIDUAL skill TYPE HumanCapability\n"
+        "INDIVIDUAL h TYPE Human\nFACT h hasCapability skill\n"
+        + "".join(f"INDIVIDUAL r{i} TYPE Robot\nFACT r{i} hasCapability skill\n" for i in range(5))
+    )
+    (body,) = [axiom.body for axiom in kb.axioms]
+    asked = []
+    satisfies = reasoner._satisfies
+    monkeypatch.setattr(reasoner, "_satisfies", lambda kb, individual, expr: (
+        (expr is body and asked.append(individual)) or satisfies(kb, individual, expr)))
+    closed = materialize(kb)
+    assert {i for i, c in closed.type_assertions if c == iri("Skilled")} == {iri("h")}
+    assert closed == _naive_materialize(kb)
+    assert asked == [iri("h")]
+
+
+def test_seeds_of_each_body_kind():
+    kb = materialize(parse_document(
+        "CLASS Human SUBCLASSOF PhysicalThing\nCLASS HumanCapability\n"
+        "PROPERTY hasCapability DOMAIN PhysicalThing RANGE HumanCapability\n"
+        "INDIVIDUAL skill TYPE HumanCapability\nINDIVIDUAL h TYPE Human\n"
+        "INDIVIDUAL p TYPE PhysicalThing\nFACT h hasCapability skill\n"
+        "FACT r1 hasCapability skill\nFACT r2 hasCapability HumanCapability\n"
+    ))
+    named = NamedClass(iri("PhysicalThing"))
+    some = SomeValues(iri("hasCapability"), iri("HumanCapability"))
+    seeds = lambda expr: reasoner._seeds(kb, expr)
+    # a class's instances, inherited ones included; not the subjects of a
+    # fact whose object is the class
+    assert seeds(named) == {iri("h"), iri("p")}
+    assert seeds(NamedClass(iri("HumanCapability"))) == {iri("skill")}
+    assert seeds(some) == {iri("h"), iri("r1"), iri("r2")}
+    assert seeds(SomeValues(TYPE_PRED, iri("Human"))) == set()
+    # a conjunction, however nested, takes its smallest part's seeds
+    assert seeds(Conjunction((some, named))) == {iri("h"), iri("p")}
+    assert seeds(Conjunction((some, Conjunction((named, NamedClass(iri("Human"))))))) == {iri("h")}
+    assert seeds(Conjunction(())) == kb.individuals()
 
 
 def test_an_axiom_follows_a_chain_of_quantified_facts_in_materialize_and_refresh():
@@ -218,11 +295,7 @@ def _chained_axiom_kb(rng) -> KnowledgeBase:
     previous = rng.choice(classes)
     axioms = []
     for head in heads:
-        parts = [NamedClass(previous)]
-        if rng.random() < 0.6:
-            parts.append(SomeValues(rng.choice(props), rng.choice(classes + heads)))
-        body = parts[0] if len(parts) == 1 else Conjunction(tuple(parts))
-        axioms.append(ClassAxiom(body, head))
+        axioms.append(ClassAxiom(_random_body(rng, previous, classes + heads, props), head))
         previous = head
     for axiom in rng.sample(axioms, len(axioms)):
         kb.add_axiom(axiom)
@@ -231,9 +304,12 @@ def _chained_axiom_kb(rng) -> KnowledgeBase:
 
 def test_materialize_matches_naive_oracle_deep_chains_and_chained_axioms():
     rng = random.Random(4207)
+    kinds = set()
     for _ in range(80):
         kb = _chained_axiom_kb(rng)
+        kinds |= _body_kinds(kb)
         assert materialize(kb) == _naive_materialize(kb)
+    assert kinds == set(BODY_KINDS)
 
 
 def _removal_heavy_write(rng, kb: KnowledgeBase, closed: KnowledgeBase) -> str:
@@ -300,8 +376,10 @@ def test_refresh_matches_materialize_and_naive_under_removal_heavy_writes(monkey
     methods = []
     rebuilds = 0
     fact_refreshes = {True: 0, False: 0}  # re-derived anything -> count
+    kinds = set()
     for _ in range(20):
         kb = _chained_axiom_kb(rng)
+        kinds |= _body_kinds(kb)
         kb.add_property(iri("note"), iri("C0"), iri("C0"))
         kb.journal = journal = []
         closed = materialize(kb)
@@ -323,6 +401,7 @@ def test_refresh_matches_materialize_and_naive_under_removal_heavy_writes(monkey
     assert {"add_subclass", "add_axiom", "add_property"} <= set(methods)
     assert 0 < rebuilds < len(methods) // 10
     assert fact_refreshes[True] > 0 and fact_refreshes[False] > 0
+    assert kinds == set(BODY_KINDS)
 
 
 def test_disjointness_violation_direct_and_inherited():
