@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import EmptyTaskListError, InvalidStateError, ParseError
-from .kb import content_lines
+from .kb import content_lines, parse_decimal
 
 
 class Category(enum.Enum):
@@ -126,7 +126,10 @@ def recommend_allocation(category: Category,
 
 
 def parse_task_file(text: str):
-    """Parse ``TASK <id> <category> WEIGHT <d> ASSIGNEE human|machine`` lines."""
+    """Parse ``TASK <id> <category> WEIGHT <d> ASSIGNEE human|machine`` lines.
+
+    ``<d>`` is a non-negative .kb integer or decimal (see ``kb.parse_decimal``).
+    """
     tasks = []
     seen = set()
     for lineno, words in content_lines(text):
@@ -140,12 +143,7 @@ def parse_task_file(text: str):
             category = Category(category_text)
         except ValueError:
             raise ParseError(lineno, 1, "skill/rule/knowledge/expertise")
-        try:
-            weight = Decimal(weight_text)
-        except ArithmeticError:
-            raise ParseError(lineno, 1, "a decimal weight")
-        if not weight.is_finite():
-            raise ParseError(lineno, 1, "a finite weight")
+        weight = parse_decimal(weight_text, lineno, 1)
         if weight < 0:
             raise ParseError(lineno, 1, "a non-negative weight")
         try:

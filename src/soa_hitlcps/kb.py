@@ -30,8 +30,10 @@ bases serialize to identical bytes, and ``parse_document(serialize(kb))``
 reproduces ``kb`` exactly.
 
 ``parse_document`` reads each line once, into plain words: only a line that
-holds a ``#`` is scanned for a comment, and one regex pass splits it.  A
-word's column is computed only when a ``ParseError`` reports it.  Once the
+holds a ``#`` is scanned for a comment, and only a line that holds a ``"``,
+``(`` or ``)`` is split by a regex; ``str.split()`` splits the others, since
+its whitespace is the regex's ``\\s`` on every code point.  A word's column is
+computed only when a ``ParseError`` reports it, by the regex.  Once the
 ``@prefix`` lines have fixed the prefix table, each distinct word is read as
 a name once per document; a word that fails is not kept, so it fails again
 wherever it recurs.  FACT and INDIVIDUAL lines, nearly all of a registry,
@@ -44,7 +46,9 @@ are the only source of truth.  Reads go through hash indexes from subject,
 predicate and object to the statements holding them (a type assertion is
 indexed as the statement ``individual TYPE_PRED class``).  The indexes are
 derived data: built on the first read, kept current by the write methods
-from then on, and copied bucket by bucket with the knowledge base.
+from then on, and copied bucket by bucket with the knowledge base.  One
+helper, ``_index_add``, files a statement in all three, for the first build
+and for every write alike.
 
 A follower of the graph (such as the broker's closure) arms ``journal`` by
 setting it to an empty list.  From then on every write method that
@@ -56,10 +60,13 @@ Unarmed, as while loading, the journal costs one attribute test per write.
 
 ``Iri`` and ``Statement`` are named tuples, so set and dict lookups hash
 and compare them in C; ``Literal``, ``Var`` and ``Pattern`` stay separate
-types that never equal them.  ``match`` reads the smallest bucket of the
-pattern's constants, compares the other constants by position and builds
-each binding straight from the variable positions, with no per-row
-unification.
+types that never equal them.  ``match`` serves a pattern by how many of its
+positions are variables.  With none it tests one membership in the subject
+bucket; with one it filters the smaller of the two constants' buckets by the
+other constant and sorts the bare values.  Otherwise it reads the smallest
+bucket of the pattern's constants, compares the other constants by position
+and builds each binding straight from the variable positions.  No row is
+unified.
 
 The structure is single-writer: no internal locking is performed.
 """
@@ -538,6 +545,24 @@ class KnowledgeBase:
         """
         terms = pattern if isinstance(pattern, tuple) else (pattern.subject, pattern.predicate, pattern.object)
         index = self._indexes()
+        s, p, o = terms
+        shape = (isinstance(s, Var), isinstance(p, Var), isinstance(o, Var))
+        if shape == _NO_VARIABLE:
+            return [{}] if Statement(s, p, o) in index[0].get(s, _NO_STATEMENTS) else []
+        positions = _ONE_VARIABLE.get(shape)
+        if positions is not None:
+            # Every match a discover makes has one variable or none: filter
+            # the smaller constant's bucket by the other constant and sort the
+            # bare values, which differ as their statements do.
+            v, i, j = positions
+            rows, other = index[i].get(terms[i]), index[j].get(terms[j])
+            if rows is None or other is None:
+                return []
+            if len(other) < len(rows):
+                rows, i, j = other, j, i
+            term, name = terms[j], terms[v].name
+            return [{name: value}
+                    for value in sorted([stmt[v] for stmt in rows if stmt[j] == term], key=term_sort_key)]
         buckets, first, repeats = [], {}, []
         for i, term in enumerate(terms):
             if isinstance(term, Var):
@@ -549,8 +574,6 @@ class KnowledgeBase:
                 if bucket is None:
                     return []
                 buckets.append((len(bucket), i, bucket))
-        if not first:
-            return [{}] if Statement(*terms) in buckets[0][2] else []
         if buckets:
             _, smallest, rows = min(buckets)
             for _, i, _ in buckets:
@@ -563,11 +586,6 @@ class KnowledgeBase:
             rows = [stmt for stmt in rows if stmt[i] == stmt[j]]
         # Distinct statements bind their variables differently, so no row
         # needs a dedup.
-        if len(first) == 1:
-            # Most matches in a discover bind one variable; sorting the bare
-            # values skips a key list per row (about 12% of a discover).
-            ((name, i),) = first.items()
-            return [{name: value} for value in sorted([stmt[i] for stmt in rows], key=term_sort_key)]
         order = [first[name] for name in sorted(first)]
         rows = sorted(rows, key=lambda stmt: [term_sort_key(stmt[i]) for i in order])
         return [{name: stmt[i] for name, i in first.items()} for stmt in rows]
@@ -647,26 +665,54 @@ class KnowledgeBase:
 
 
 _NO_STATEMENTS: frozenset = frozenset()
+# Which positions of a pattern are variables, for the two shapes ``match``
+# serves apart; a one-variable shape maps to (variable, constant, constant).
+_NO_VARIABLE = (False, False, False)
+_ONE_VARIABLE = {(True, False, False): (0, 1, 2), (False, True, False): (1, 0, 2), (False, False, True): (2, 0, 1)}
 # Writes a journal holds at most; past it the knowledge base disarms it.
 JOURNAL_LIMIT = 4096
 
 
 def _index_add(index: tuple, stmt: Statement) -> None:
-    for term, by_term in zip((stmt.subject, stmt.predicate, stmt.object), index):
-        bucket = by_term.get(term)
-        if bucket is None:
-            by_term[term] = {stmt}
-        else:
-            bucket.add(stmt)
+    """File ``stmt`` in its subject, predicate and object buckets."""
+    by_subject, by_predicate, by_object = index
+    subject, predicate, obj = stmt
+    bucket = by_subject.get(subject)
+    if bucket is None:
+        by_subject[subject] = {stmt}
+    else:
+        bucket.add(stmt)
+    bucket = by_predicate.get(predicate)
+    if bucket is None:
+        by_predicate[predicate] = {stmt}
+    else:
+        bucket.add(stmt)
+    bucket = by_object.get(obj)
+    if bucket is None:
+        by_object[obj] = {stmt}
+    else:
+        bucket.add(stmt)
 
 
 def _index_discard(index: tuple, stmt: Statement) -> None:
-    for term, by_term in zip((stmt.subject, stmt.predicate, stmt.object), index):
-        bucket = by_term.get(term)
-        if bucket is not None:
-            bucket.discard(stmt)
-            if not bucket:
-                del by_term[term]
+    """Take ``stmt`` out of its buckets, dropping a bucket it leaves empty."""
+    by_subject, by_predicate, by_object = index
+    subject, predicate, obj = stmt
+    bucket = by_subject.get(subject)
+    if bucket is not None:
+        bucket.discard(stmt)
+        if not bucket:
+            del by_subject[subject]
+    bucket = by_predicate.get(predicate)
+    if bucket is not None:
+        bucket.discard(stmt)
+        if not bucket:
+            del by_predicate[predicate]
+    bucket = by_object.get(obj)
+    if bucket is not None:
+        bucket.discard(stmt)
+        if not bucket:
+            del by_object[obj]
 
 
 # --------------------------------------------------------------------------
@@ -712,9 +758,17 @@ def _strip_comment(raw: str) -> str:
     return raw[:comment.end() - 1] if comment else raw
 
 
+def _kb_words(text: str) -> list:
+    """The tokens of a comment-free .kb line, as ``_TOKEN_RE.findall(text)`` gives them."""
+    # Only a quote or a parenthesis makes a token that is not a run of
+    # non-space, and str.split() and the regex's \s agree on every code point.
+    return _TOKEN_RE.findall(text) if '"' in text or "(" in text or ")" in text else text.split()
+
+
 def line_words(text: str) -> list:
     """The words of a line: a closed double-quoted string, as in .kb, or a run of non-space."""
-    return _WORD_RE.findall(text)
+    # as _kb_words: a line with no quote needs no regex
+    return _WORD_RE.findall(text) if '"' in text else text.split()
 
 
 def content_lines(text: str) -> Iterator[tuple]:
@@ -829,7 +883,7 @@ def parse_document(text: str, base: Optional[KnowledgeBase] = None) -> Knowledge
     prefix_lines, declarations, rest = [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         raw = _strip_comment(raw)
-        words = _TOKEN_RE.findall(raw)
+        words = _kb_words(raw)
         if words:
             directive = words[0]
             group = (prefix_lines if directive == "@prefix"

@@ -128,6 +128,18 @@ def test_parse_task_file_errors():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("weight", ["1_0", "1e1", "\u0663", "+1", ".5", "5."])
+def test_task_weight_is_read_as_a_kb_number(weight):
+    """A weight takes the .kb number forms only, as the numbers of every other text format do."""
+    def tasks(second):
+        return f"TASK t0 rule WEIGHT 2.50 ASSIGNEE machine\nTASK t1 skill WEIGHT {second} ASSIGNEE human\n"
+
+    with pytest.raises(ParseError) as err:
+        parse_task_file(tasks(weight))
+    assert (err.value.line, err.value.column, err.value.expected) == (2, 1, "a decimal")
+    assert [t.weight for t in parse_task_file(tasks("7"))] == [Decimal("2.50"), Decimal("7")]
+
+
 # -- randomized properties ----------------------------------------------------------------
 
 

@@ -359,7 +359,7 @@ def test_loa_non_finite_task_weight_is_domain_error(tmp_path, capsys):
         )
         assert main(["loa", str(tasks)]) == 1
         err = capsys.readouterr().err
-        assert "ParseError: line 2, column 1: expected a finite weight" in err and "Traceback" not in err
+        assert "ParseError: line 2, column 1: expected a decimal" in err and "Traceback" not in err
 
 
 def test_loa_non_finite_category_weight_is_domain_error(tmp_path, capsys):

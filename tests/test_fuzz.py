@@ -34,7 +34,8 @@ from soa_hitlcps.broker import ServiceBroker, parse_discovery_request
 from soa_hitlcps.cli import main
 from soa_hitlcps.datafiles import scenario_dir
 from soa_hitlcps.errors import EmptyCriteriaError, ParseError, SoaHitlcpsError
-from soa_hitlcps.kb import iri, parse_document, read_document, serialize
+from soa_hitlcps import kb as kb_module
+from soa_hitlcps.kb import iri, line_words, parse_document, read_document, serialize
 from soa_hitlcps.query import evaluate, parse_query
 from soa_hitlcps.reasoner import materialize
 from soa_hitlcps.registry import ServiceRegistry
@@ -220,8 +221,20 @@ def _read_outcome(parse, text, base):
         return type(err), str(err)
 
 
-KB_INDENTED = st.tuples(_document(KB_KEYWORDS, KB_WORDS, KB_BASE), st.sampled_from(("", " ", "\t  "))).map(
-    lambda parts: "\n".join(parts[1] + line for line in parts[0].splitlines()))
+# ASCII and Unicode whitespace, which the line readers split on as their regexes' \s does.
+SPACES = (" ", "\t", "\xa0", "\u2003", "\u3000")
+KB_INDENTED = st.tuples(_document(KB_KEYWORDS, KB_WORDS, KB_BASE), st.sampled_from(("", " ", "\t  ", "\u3000")),
+                        st.sampled_from(SPACES + (" \t",))).map(
+    lambda parts: "\n".join(parts[1] + parts[2].join(line.split(" ")) for line in parts[0].splitlines()))
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.text(alphabet=st.sampled_from(tuple("aZ09_-.:é") + ('"', "\\", "(", ")", "#") + SPACES), max_size=24))
+@example('FACT\u3000a\xa0p "b\\" c"\t( d)')
+def test_line_readers_split_as_their_regexes(line):
+    """Lines with no quote (and, in .kb, no parenthesis) skip the regex and get the same words."""
+    assert kb_module._kb_words(line) == kb_module._TOKEN_RE.findall(line)
+    assert line_words(line) == kb_module._WORD_RE.findall(line)
 
 
 @settings(FUZZ, max_examples=300)

@@ -217,8 +217,30 @@ def _oracle_match(kb: KnowledgeBase, pattern: Pattern):
     return out
 
 
+# Pattern shapes the oracle tests must draw: each count of variable
+# positions, a repeated variable, a literal constant, and a constant absent
+# from its position with no variable and with one.
+MATCH_SHAPES = {"0 variables", "1 variables", "2 variables", "3 variables", "repeated variable",
+                "literal constant", "absent constant, 0 variables", "absent constant, 1 variables"}
+
+
+def _match_shapes(kb: KnowledgeBase, pattern: Pattern) -> set:
+    terms = (pattern.subject, pattern.predicate, pattern.object)
+    names = [term.name for term in terms if isinstance(term, Var)]
+    shapes = {f"{len(names)} variables"}
+    if len(set(names)) < len(names):
+        shapes.add("repeated variable")
+    constants = [(i, term) for i, term in enumerate(terms) if not isinstance(term, Var)]
+    if any(isinstance(term, Literal) for _, term in constants):
+        shapes.add("literal constant")
+    if any(all(stmt[i] != term for stmt in kb.triples()) for i, term in constants):
+        shapes.add(f"absent constant, {len(names)} variables")
+    return shapes
+
+
 def test_match_pattern_against_bruteforce_oracle():
     rng = random.Random(20240817)
+    shapes = set()
     for _ in range(300):
         kb = _random_kb(rng)
         terms = list({t for s in kb.triples() for t in (s.subject, s.predicate, s.object)})
@@ -231,6 +253,8 @@ def test_match_pattern_against_bruteforce_oracle():
             return rng.choice(terms)
         pattern = Pattern(pick_term(), pick_term(), pick_term())
         assert kb.match(pattern) == _oracle_match(kb, pattern)
+        shapes |= _match_shapes(kb, pattern)
+    assert MATCH_SHAPES <= shapes, MATCH_SHAPES - shapes
 
 
 def _scan_types_of(kb: KnowledgeBase, individual: Iri) -> set:
@@ -262,11 +286,13 @@ def _mutate(rng: random.Random, kb: KnowledgeBase, inds, props, classes, objects
             kb.remove_type(rng.choice(inds), rng.choice(classes))
 
 
-def _assert_index_agrees_with_scan(rng: random.Random, kb: KnowledgeBase, vocabulary) -> None:
+def _assert_index_agrees_with_scan(rng: random.Random, kb: KnowledgeBase, vocabulary, shapes: set) -> None:
+    """Reads through the indexes equal full scans; adds the shapes of the patterns drawn to ``shapes``."""
     for _ in range(4):
         pattern = Pattern(*(Var(rng.choice("xyz")) if rng.random() < 0.5 else rng.choice(vocabulary)
                             for _ in range(3)))
         assert kb.match(pattern) == _oracle_match(kb, pattern)
+        shapes |= _match_shapes(kb, pattern)
         terms = (pattern.subject, pattern.predicate, pattern.object)
         scanned = [sum(stmt[i] == term for stmt in kb.triples())
                    for i, term in enumerate(terms) if not isinstance(term, Var)]
@@ -291,13 +317,14 @@ def test_index_agrees_with_scan_under_random_mutation(index_first):
     classes = [iri(f"C{i}") for i in range(4)]
     objects = inds + [integer(1), integer(7), decimal("2.5"), string("x")]
     vocabulary = objects + props + classes + [TYPE_PRED]
+    shapes = set()
     for _ in range(40):
         kb = _random_kb(rng)
         for prop in props:
             if prop not in kb.property_decls:
                 kb.add_property(prop, classes[0], classes[-1])
         if index_first:
-            _assert_index_agrees_with_scan(rng, kb, vocabulary)
+            _assert_index_agrees_with_scan(rng, kb, vocabulary, shapes)
         graphs = [kb]
         for _ in range(25):
             if rng.random() < 0.15:
@@ -306,9 +333,10 @@ def test_index_agrees_with_scan_under_random_mutation(index_first):
                 _mutate(rng, rng.choice(graphs), inds, props, classes, objects)
             if index_first:
                 for graph in graphs:
-                    _assert_index_agrees_with_scan(rng, graph, vocabulary)
+                    _assert_index_agrees_with_scan(rng, graph, vocabulary, shapes)
         for graph in graphs:
-            _assert_index_agrees_with_scan(rng, graph, vocabulary)
+            _assert_index_agrees_with_scan(rng, graph, vocabulary, shapes)
+    assert MATCH_SHAPES <= shapes, MATCH_SHAPES - shapes
 
 
 def _random_full_kb(rng: random.Random) -> KnowledgeBase:
