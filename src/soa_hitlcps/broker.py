@@ -25,7 +25,7 @@ from .errors import (
     UnknownServiceError,
 )
 from .kb import (DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, Var, iri, parse_decimal,
-                 parse_integer, parse_name, parse_pair)
+                 parse_integer, parse_name, parse_pair, term_sort_key)
 from .query import A, And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate, join
 from .reasoner import materialize, refresh
 from .registry import (
@@ -347,7 +347,9 @@ class ServiceBroker:
         joint = join(closed, profile.preconditions, env)
         if not joint:
             return self._reject(invocation, "precondition")
-        invocation.bindings = {var: value for var, value in joint[0].items() if var not in env}
+        # the least joint binding, so no precondition order (a reload reads them in term order) shows
+        least = min(joint, key=lambda b: [term_sort_key(b[var]) for var in sorted(b) if var not in env])
+        invocation.bindings = {var: value for var, value in least.items() if var not in env}
         invocation.status = RUNNING
         return invocation
 

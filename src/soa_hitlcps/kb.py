@@ -563,24 +563,16 @@ class KnowledgeBase:
             term, name = terms[j], terms[v].name
             return [{name: value}
                     for value in sorted([stmt[v] for stmt in rows if stmt[j] == term], key=term_sort_key)]
-        buckets, first, repeats = [], {}, []
+        # Two or three variable positions: at most one constant, whose bucket holds the rows.
+        rows, first, repeats = None, {}, []
         for i, term in enumerate(terms):
             if isinstance(term, Var):
                 j = first.setdefault(term.name, i)
                 if j != i:
                     repeats.append((i, j))
             else:
-                bucket = index[i].get(term)
-                if bucket is None:
-                    return []
-                buckets.append((len(bucket), i, bucket))
-        if buckets:
-            _, smallest, rows = min(buckets)
-            for _, i, _ in buckets:
-                if i != smallest:
-                    term = terms[i]
-                    rows = [stmt for stmt in rows if stmt[i] == term]
-        else:
+                rows = index[i].get(term, _NO_STATEMENTS)
+        if rows is None:
             rows = chain.from_iterable(index[0].values())
         for i, j in repeats:
             rows = [stmt for stmt in rows if stmt[i] == stmt[j]]

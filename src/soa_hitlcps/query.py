@@ -19,7 +19,8 @@ sorted lexicographically by their bound terms.
 equalities seed it, and the patterns run most-bound first, ties going to the
 smallest index bucket (Neumann & Weikum, RDF-3X, VLDB 2008).  Since the rows
 are deduplicated and sorted, no plan shows in a result.  ``join`` keeps the
-order it is given, for callers such as ``invoke`` that take its first row.
+order it is given, and ``invoke`` takes the least of its rows, so no
+precondition order shows in what an invocation writes.
 """
 
 from __future__ import annotations
@@ -326,8 +327,9 @@ def join(kb: KnowledgeBase, patterns, binding: dict, filters=()) -> list[dict]:
     """Every extension of ``binding`` that matches all ``patterns``, in join order.
 
     Patterns join left to right, each extending the bindings so far in
-    ``kb.match`` order, so the first result is the one a depth-first search
-    finds first.  ``filters`` are ``(variables, test)`` pairs; each test runs
+    ``kb.match`` order, so the result order depends on the pattern order; a
+    caller that needs one row whatever that order takes the least, as
+    ``invoke`` does.  ``filters`` are ``(variables, test)`` pairs; each test runs
     right after the pattern that binds the last of its variables, so it
     narrows the later joins.
     """

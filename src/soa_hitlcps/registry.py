@@ -98,8 +98,7 @@ class ServiceRegistry:
         self.kb = kb if kb is not None else base_ontology()
         self.services: dict = {}
         self.potentials: dict = {}  # person -> [PotentialService]
-        self.invocations: list = []
-        self._next_invocation_id = 1
+        self.invocations: list = []  # in id order; never shrinks
 
     # -- participants --------------------------------------------------------
 
@@ -139,7 +138,7 @@ class ServiceRegistry:
             bundle = dataclasses.replace(profile.properties, capability_ref=capability_node(provider))
             profile = dataclasses.replace(profile, properties=bundle)
         service = profile.service_id
-        if holds_profile(self.kb, service):  # published before: present it again if unchanged
+        if holds_profile(self.kb, service):  # published before: present it again if unchanged, by its provider
             if self.is_published(service):
                 raise DuplicateIndividualError(f"{service} is already published")
             held = self._read_record(service)
@@ -148,6 +147,8 @@ class ServiceRegistry:
             kept = held.profile.properties.qos.reputation if rated else None
             if held is None or held.profile != stored_profile(self.kb, profile, provider, kept):
                 raise DuplicateIndividualError(f"{service} was withdrawn with a different profile")
+            if held.provider != provider:
+                raise DuplicateIndividualError(f"{service} was withdrawn by {held.provider}")
             present(self.kb, service)
             self.services[service] = held
             return
@@ -180,8 +181,7 @@ class ServiceRegistry:
     # -- invocations -----------------------------------------------------------
 
     def new_invocation(self, service: Iri, consumer: Iri, inputs: dict) -> Invocation:
-        invocation = Invocation(self._next_invocation_id, service, consumer, dict(inputs))
-        self._next_invocation_id += 1
+        invocation = Invocation(len(self.invocations) + 1, service, consumer, dict(inputs))
         self.invocations.append(invocation)
         return invocation
 

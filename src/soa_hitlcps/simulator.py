@@ -7,8 +7,9 @@ At every distinct event time the pending events are delivered to node inboxes
 and each node runs one monitor/analyze/plan/execute loop, in ascending node
 order.  All state lives in one shared registry/knowledge base, so discovery,
 invocation, effects, ratings, and knowledge acquisition during a run are
-visible to every later step.  Traces are plain TSV and byte-stable across
-runs.
+visible to every later step.  A session is an invocation that ran, with its
+provider and the node it serves; it is open while its invocation runs.
+Traces are plain TSV and byte-stable across runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .broker import DiscoveryRequest, ServiceBroker, parse_discovery_request
 from .errors import (EmptyCriteriaError, NoCompletedInvocationError, ParseError, UnknownNodeError,
                      UnknownServiceError)
 from .kb import Iri, content_lines, parse_decimal, parse_integer, parse_name, parse_pair, read_document
-from .registry import RUNNING, ServiceRegistry
+from .registry import RUNNING, Invocation, ServiceRegistry
 from .schema import (
     graph_name,
     knows,
@@ -43,7 +44,6 @@ EXECUTE = "execute"
 @dataclass(frozen=True)
 class SimEvent:
     time: int
-    seq: int
     kind: str  # request | message | signal | tick
     payload: tuple  # ((key, value), ...) with Iri/str values
 
@@ -75,17 +75,14 @@ class NodeLoop:
     inbox: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Session:
-    id: int
-    consumer: Iri
+    invocation: Invocation
     provider: Iri
     origin: Iri
-    invocation_id: int
-    open: bool = True
 
     def members(self):
-        return {self.consumer, self.provider, self.origin}
+        return {self.invocation.consumer, self.provider, self.origin}
 
 
 @dataclass(frozen=True)
@@ -162,7 +159,6 @@ def load_scenario(text: str, base_dir) -> Scenario:
     events: list = []
     expectations: list = []
     pending_rules: list = []
-    seq = 0
     for lineno, words in content_lines(text):
         keyword = words[0]
         if keyword == "NODE" and len(words) == 4 and words[2] in (HUMAN, MACHINE):
@@ -185,8 +181,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
             pending_rules.append(_compile_rule(words, lineno))
         elif keyword == "AT" and len(words) >= 3 and words[2] in _EVENT_KINDS:
             time = parse_integer(words[1], lineno)
-            events.append(_parse_event(time, seq, words[2], words[3:], lineno))
-            seq += 1
+            events.append(_parse_event(time, words[2], words[3:], lineno))
         elif keyword == "EXPECT" and len(words) >= 3:
             expectations.append(_parse_expectation(words[1], words[2:], lineno))
         else:
@@ -254,10 +249,10 @@ def _rule_input(text: str, lineno: int) -> tuple:
     return name, None if value == "@from" else graph_name(value, lineno)
 
 
-def _parse_event(time: int, seq: int, kind: str, rest, lineno: int) -> SimEvent:
+def _parse_event(time: int, kind: str, rest, lineno: int) -> SimEvent:
     if kind == "REQUEST" and len(rest) == 2:
         payload = (("requester", graph_name(rest[0], lineno)), ("service", parse_name(rest[1], None, lineno)))
-        return SimEvent(time, seq, "request", payload)
+        return SimEvent(time, "request", payload)
     if kind == "MESSAGE" and len(rest) == 5:
         payload = (
             ("sender", graph_name(rest[0], lineno)),
@@ -266,12 +261,12 @@ def _parse_event(time: int, seq: int, kind: str, rest, lineno: int) -> SimEvent:
             ("sentiment", rest[3]),
             ("topic", graph_name(rest[4], lineno)),
         )
-        return SimEvent(time, seq, "message", payload)
+        return SimEvent(time, "message", payload)
     if kind == "SIGNAL" and len(rest) == 2:
         payload = (("node", parse_name(rest[0], None, lineno)), ("signal", rest[1]))
-        return SimEvent(time, seq, "signal", payload)
+        return SimEvent(time, "signal", payload)
     if kind == "TICK" and not rest:
-        return SimEvent(time, seq, "tick", ())
+        return SimEvent(time, "tick", ())
     raise ParseError(lineno, 1, f"a well-formed {kind} event")
 
 
@@ -296,25 +291,16 @@ class Simulation:
         self.registry = scenario.registry
         self.broker = ServiceBroker(self.registry)
         self.nodes = scenario.nodes
-        self.events = sorted(scenario.events, key=lambda e: (e.time, e.seq))
+        self.events = sorted(scenario.events, key=lambda e: e.time)  # stable: file order within a time
         self.expectations = scenario.expectations
         self.sessions: list = []
         self.trace = ScenarioTrace()
 
     # -- sessions ----------------------------------------------------------
 
-    def open_session(self, consumer: Iri, provider: Iri, origin: Iri, invocation_id: int) -> Session:
-        session = Session(len(self.sessions) + 1, consumer, provider, origin, invocation_id)
-        self.sessions.append(session)
-        return session
-
-    def close_session_for(self, invocation_id: int) -> None:
-        for session in self.sessions:
-            if session.invocation_id == invocation_id:
-                session.open = False
-
     def open_sessions_with(self, node: Iri):
-        return [s for s in self.sessions if s.open and node in s.members()]
+        """The sessions whose invocation runs and that ``node`` takes part in, in the order they opened."""
+        return [s for s in self.sessions if s.invocation.status == RUNNING and node in s.members()]
 
     # -- delivery ----------------------------------------------------------
 
@@ -402,7 +388,7 @@ class Simulation:
         """Invoke ``service`` for ``consumer``, open a session if it runs, and trace the outcome."""
         invocation = self.broker.invoke(service, consumer, inputs, now=time)
         if invocation.status == RUNNING:
-            self.open_session(consumer, self.registry.services[service].provider, origin, invocation.id)
+            self.sessions.append(Session(invocation, self.registry.services[service].provider, origin))
         detail += f" invocation={invocation.id} status={invocation.status}"
         if invocation.reason:
             detail += f" reason={invocation.reason}"
@@ -416,9 +402,6 @@ class Simulation:
     def _act_answer(self, loop, rule, event, time):
         detail = f"id={event.get('id')} topic={event.get('topic')}"
         self.trace.add(time, loop.node, EXECUTE, "answer", detail)
-
-    def _request_from_params(self, rule: Rule) -> DiscoveryRequest:
-        return rule.request
 
     def _act_discover(self, loop, rule, event, time):
         ranked = self.broker.discover(rule.request, now=time)
@@ -449,12 +432,11 @@ class Simulation:
             if origin is not None:
                 if session.origin == origin:
                     selected.append(session)
-            elif session.consumer == loop.node:
+            elif session.invocation.consumer == loop.node:
                 selected.append(session)
-        for session in sorted(selected, key=lambda s: s.id):
-            invocation = self.registry.invocations[session.invocation_id - 1]
+        for session in selected:
+            invocation = session.invocation
             self.broker.complete_invocation(invocation, rating=rating)
-            session.open = False
             detail = (f"service={invocation.service} consumer={invocation.consumer}"
                       f" rating={rating}" if rating is not None else
                       f"service={invocation.service} consumer={invocation.consumer}")
@@ -462,14 +444,10 @@ class Simulation:
 
     def _act_rate(self, loop, rule, event, time):
         service, rating = rule.service, rule.rating
-        open_invocations = [
-            inv for inv in self.registry.invocations
-            if inv.service == service and inv.consumer == loop.node and inv.status == RUNNING
-        ]
-        if open_invocations:
-            invocation = open_invocations[0]
+        invocation = next((s.invocation for s in self.open_sessions_with(loop.node)
+                           if s.invocation.service == service and s.invocation.consumer == loop.node), None)
+        if invocation is not None:
             self.broker.complete_invocation(invocation, rating=rating)
-            self.close_session_for(invocation.id)
             detail = f"service={service} rating={rating} invocation={invocation.id}"
         else:
             try:

@@ -27,7 +27,7 @@ from soa_hitlcps.reasoner import (
     materialize,
 )
 from soa_hitlcps.schema import base_ontology
-from soa_hitlcps.simulator import Simulation, load_scenario, run_scenario
+from soa_hitlcps.simulator import load_scenario, run_scenario
 
 
 @contextmanager
@@ -70,7 +70,7 @@ def test_c2_chat_scenario_delegation_and_adaptation(capsys):
         # the rule-compiled discovery must be the reference query
         cathy = scenario.nodes[iri("Cathy")]
         rule = next(r for r in cathy.rules if r.action == "discover")
-        request = Simulation(scenario)._request_from_params(rule)
+        request = rule.request
         assert query_equivalent(compile_request(request), parse_query(DISCOVERY_QUERY))
 
         # and it must match exactly one service: the physician's
@@ -102,7 +102,7 @@ def test_c3_monitoring_scenario_discovery_and_mutual_ratings(capsys):
         scenario = _load("scenario1_ecg.scn")
 
         rule = next(r for r in scenario.nodes[iri("EcgDev")].rules if r.action == "discover")
-        request = Simulation(scenario)._request_from_params(rule)
+        request = rule.request
         ranked = ServiceBroker(scenario.registry).discover(request)
         assert [r.service for r in ranked] == [iri("actuatingBySisy")]
 

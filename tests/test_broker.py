@@ -50,7 +50,9 @@ from soa_hitlcps.schema import (
     QoS,
     ServiceProfile,
     UnlockRule,
+    capability_node,
     parse_human_capability,
+    parse_machine_capability,
     parse_service_profile,
 )
 
@@ -292,6 +294,28 @@ def test_withdrawn_service_not_discovered():
 # -- invocation -----------------------------------------------------------------------
 
 
+def test_a_presented_service_the_registry_holds_no_record_for_is_skipped():
+    # A .kb file may present a service with no provider, so from_kb reads no record for it.
+    registry, _ = build_world()
+    registry.kb.remove_statement(iri("erinWatch"), iri("providedBy"), iri("Erin"))
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
+    assert iri("erinWatch") not in reloaded.services
+    request = DiscoveryRequest(service_kind="sensing")
+    assert materialize(reloaded.kb).match(Pattern(iri("erinWatch"), iri("presents"), Var("profile")))
+    assert ServiceBroker(reloaded).discover(request) == []
+
+
+def test_a_minimum_scale_passes_a_provider_that_is_not_a_human():
+    # Scales describe human proficiency only: a machine whose capability the
+    # graph links to a skill keeps its service under any minimum.
+    registry, broker = build_world()
+    registry.register_machine(iri("Robo"), parse_machine_capability("PROGRAMMED_SKILL Monitoring\n")[0])
+    registry.kb.add_statement(capability_node(iri("Robo")), iri("hasHumanSkill"), iri("Complex_Problem_Solving"))
+    registry.publish_service(*parse_service_profile("SERVICE roboTriage\nPROVIDER Robo\nKIND processing\n"))
+    strict = DiscoveryRequest(required_skills=((iri("Complex_Problem_Solving"), 7),))
+    assert [r.service for r in broker.discover(strict)] == [iri("roboTriage")]
+
+
 def test_invoke_complete_applies_effects_and_rating():
     registry, broker = build_world()
     invocation = broker.invoke(iri("chatDoctor"), iri("Cathy"), {"patient": iri("Adam")})
@@ -352,6 +376,15 @@ def test_invoke_location_limitation():
     assert accepted.status == RUNNING
 
 
+def test_invoke_max_distance_limitation_by_co_location_with_its_anchor():
+    registry, broker = build_world()
+    registry.publish_service(*parse_service_profile(
+        "SERVICE nearbyHelp\nPROVIDER David\nKIND processing\nLIMITATION max_distance 40 siteB\n"))
+    rejected = broker.invoke(iri("nearbyHelp"), iri("Adam"), {})  # Adam is at siteQ
+    assert (rejected.status, rejected.reason) == (REJECTED, "limitation")
+    assert broker.invoke(iri("nearbyHelp"), iri("Erin"), {}).status == RUNNING  # Erin is at siteB
+
+
 def test_invoke_time_window_limitation():
     registry, broker = build_world()
     profile, _ = parse_service_profile(
@@ -404,6 +437,30 @@ def test_preconditions_are_one_join_whatever_their_order():
         invocation = ServiceBroker(each).invoke(iri("watch"), iri("Pat"))
         assert invocation.status == RUNNING
         assert invocation.bindings == {"site": iri("siteB"), "a": iri("Nia")}
+
+
+def test_a_reload_books_what_the_live_registry_books():
+    # Adam's two sites each hold a room, so the preconditions bind twice;
+    # the reload reads them back in another order, yet the invocation must
+    # capture, and its effect write, the same room.
+    registry = ServiceRegistry()
+    registry.register_human(iri("Nia"), parse_human_capability("")[0])
+    registry.register_human(iri("Adam"), parse_human_capability("")[0], (iri("siteQ"), iri("siteR")))
+    registry.publish_service(*parse_service_profile(
+        "SERVICE booking\nPROVIDER Nia\nKIND processing\n"
+        "PRECONDITION ?room inSite ?site\nPRECONDITION ?consumer hasContext ?site\n"
+        "EFFECT ADD ?consumer bookedRoom ?room\n"
+        "DECLARE inSite Thing Thing\nDECLARE bookedRoom Thing Thing\n"
+    ))
+    registry.kb.add_statement(iri("roomA"), iri("inSite"), iri("siteR"))
+    registry.kb.add_statement(iri("roomB"), iri("inSite"), iri("siteQ"))
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
+    for each in (registry, reloaded):
+        broker = ServiceBroker(each)
+        invocation = broker.invoke(iri("booking"), iri("Adam"))
+        assert invocation.bindings == {"room": iri("roomA"), "site": iri("siteR")}
+        broker.complete_invocation(invocation)
+        assert each.kb.match(Pattern(iri("Adam"), iri("bookedRoom"), Var("room"))) == [{"room": iri("roomA")}]
 
 
 def test_republishing_after_a_reload_compares_the_profile_the_graph_stores():
@@ -502,6 +559,35 @@ def test_complete_requires_running():
         broker.complete_invocation(invocation)
     with pytest.raises(InvalidStateError):
         broker.complete_invocation(invocation, outcome="teleported")
+
+
+def test_complete_rejects_an_unknown_outcome():
+    registry, broker = build_world()
+    invocation = broker.invoke(iri("chatDoctor"), iri("Cathy"), {"patient": iri("Adam")})
+    before = serialize(registry.kb)
+    with pytest.raises(InvalidStateError, match="unknown outcome"):
+        broker.complete_invocation(invocation, outcome="teleported")
+    assert invocation.status == RUNNING
+    assert serialize(registry.kb) == before
+
+
+def test_an_unbound_effect_variable_raises_before_any_write():
+    # Publishing rejects such a profile; from_kb does not validate the profiles it reads.
+    registry, _ = build_world()
+    registry.kb.add_statement(iri("Adam"), iri("consumes"), iri("oldService"))
+    registry.publish_service(*parse_service_profile(
+        "SERVICE swap\nPROVIDER David\nKIND processing\n"
+        "EFFECT ADD ?consumer advisedBy David\nEFFECT DEL ?consumer consumes oldService\n"))
+    text = serialize(registry.kb)
+    assert text.count('"DEL ?consumer consumes oldService"') == 1
+    reloaded = ServiceRegistry.from_kb(parse_document(text.replace("DEL ?consumer", "DEL ?nobody")))
+    broker = ServiceBroker(reloaded)
+    invocation = broker.invoke(iri("swap"), iri("Adam"))
+    before = serialize(reloaded.kb)
+    with pytest.raises(InvalidStateError, match=r"effect variable \?nobody is unbound"):
+        broker.complete_invocation(invocation)
+    assert serialize(reloaded.kb) == before
+    assert invocation.status == RUNNING
 
 
 def test_invocation_ledger_is_conserved():

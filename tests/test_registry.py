@@ -439,6 +439,20 @@ def test_republishing_a_different_profile_is_refused(ratings, old, new):
     assert not registry.is_published(iri("chatDoctor"))
 
 
+def test_republishing_under_another_provider_is_refused():
+    # The explicit CAPABILITY line keeps the profile equal; the provider differs.
+    registry = build_registry()
+    registry.register_human(iri("Erin"), *parse_human_capability(HUMAN_CAP))
+    text = SERVICE_PROFILE.replace("KIND", "CAPABILITY davidCapability\nKIND")
+    registry.withdraw_service(iri("chatDoctor"))
+    registry.publish_service(*parse_service_profile(text))
+    registry.withdraw_service(iri("chatDoctor"))
+    with pytest.raises(DuplicateIndividualError):
+        registry.publish_service(parse_service_profile(text)[0], iri("Erin"))
+    assert not registry.is_published(iri("chatDoctor"))
+    assert registry.services[iri("chatDoctor")].provider == iri("David")
+
+
 def test_a_loaded_reputation_is_the_mean_of_the_graphs_ratings():
     # A .kb file may hold ratings beside a declared reputation that no rating replaced.
     kb = build_registry().kb

@@ -50,8 +50,8 @@ def test_the_loop_calls_no_reader():
 @pytest.mark.parametrize("old, new, where", [
     ("service, rating = rule.service, rule.rating",
      "service, rating = rule.service, parse_decimal(dict(rule.params)['rating'])", "_act_rate"),
-    ("return rule.request", "return parse_discovery_request('DISCOVER ' + _plan_detail(rule))",
-     "_request_from_params"),
+    ("discover(rule.request,", "discover(parse_discovery_request('DISCOVER ' + _plan_detail(rule)),",
+     "_act_discover"),
     ("for k, v in rule.params if k", "for k, v in map(parse_pair, rule.params) if k", "_plan_detail"),
 ], ids=["action", "request", "module-helper"])
 def test_the_guard_sees_a_reader_put_back(old, new, where):

@@ -52,7 +52,7 @@ def test_node_tick_with_empty_inbox_emits_nothing():
 def test_node_tick_without_matching_rule_logs_observation_only():
     sim = Simulation(_empty_scenario())
     loop = NodeLoop(node=iri("Nia"))
-    loop.inbox.append(SimEvent(1, 0, "signal", (("node", iri("Nia")), ("signal", "ping"))))
+    loop.inbox.append(SimEvent(1, "signal", (("node", iri("Nia")), ("signal", "ping"))))
     node_tick(sim, loop, 1)
     phases = [(e.phase, e.action) for e in sim.trace.entries]
     assert phases == [("monitor", "observe"), ("analyze", "no-rule")]
@@ -62,7 +62,7 @@ def test_node_tick_without_matching_rule_logs_observation_only():
 def test_node_tick_drains_the_inbox():
     sim = Simulation(_empty_scenario())
     loop = NodeLoop(node=iri("Nia"))
-    loop.inbox.append(SimEvent(1, 0, "signal", (("node", iri("Nia")), ("signal", "ping"))))
+    loop.inbox.append(SimEvent(1, "signal", (("node", iri("Nia")), ("signal", "ping"))))
     node_tick(sim, loop, 1)
     assert loop.inbox == []
     node_tick(sim, loop, 2)
@@ -77,7 +77,7 @@ def test_first_matching_rule_wins():
         Rule((("event", "signal"),), "answer", ()),
     )
     loop = NodeLoop(node=iri("Nia"), rules=rules)
-    event = SimEvent(1, 0, "signal", (("node", iri("Nia")), ("signal", "ping")))
+    event = SimEvent(1, "signal", (("node", iri("Nia")), ("signal", "ping")))
     assert sim.match_rule(loop, event) is rules[1]
 
 
