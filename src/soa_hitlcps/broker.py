@@ -35,6 +35,7 @@ from .registry import (
     REJECTED,
     RUNNING,
     ServiceRegistry,
+    check_rating,
 )
 from .schema import (
     ATOMIC_KINDS,
@@ -145,45 +146,56 @@ def parse_discovery_request(text: str) -> DiscoveryRequest:
 
 
 def _query_name(term: Iri) -> QueryName:
-    return QueryName(f"{term.prefix}:{term.local}")
+    """``term`` as a discovery query prints it, carrying ``term`` when the print reads back as it."""
+    # a prefix that holds a ":" reads back otherwise, so such a name is read from its print
+    return QueryName(f"{term.prefix}:{term.local}", None if ":" in term.prefix else term)
+
+
+def _vocabulary(local: str) -> QueryName:
+    """A name of the base ontology as a discovery query prints it, with its Iri."""
+    return QueryName(f"{DEFAULT_PREFIX}:{local}", iri(local))
+
+
+# The patterns every discovery query starts with, and those a criterion adds.
+_SERVICE_PATTERNS = (
+    QueryPattern(Var("service"), _vocabulary("presents"), Var("serviceprofile")),
+    QueryPattern(Var("serviceprofile"), _vocabulary("hasProperty"), Var("property")),
+    QueryPattern(Var("property"), _vocabulary("includeCapability"), Var("capability")),
+)
+_CONTEXT_PATTERN = QueryPattern(Var("property"), _vocabulary("includeContext"), Var("context"))
+_KNOWLEDGE_PATTERN = QueryPattern(Var("capability"), _vocabulary("hasHumanKnowledge"), Var("knowledge"))
+_HAS_SKILL, _HAS_ABILITY = _vocabulary("hasHumanSkill"), _vocabulary("hasAbility")
+_KIND_PATTERNS = {kind: QueryPattern(Var("service"), A, _vocabulary(cls)) for kind, cls in _KIND_CLASSES.items()}
 
 
 def compile_request(request: DiscoveryRequest) -> Optional[QueryAst]:
     """Build the discovery query for the graph-matching part of a request; None when nothing can match."""
-    prefix = DEFAULT_PREFIX
-    patterns = [
-        QueryPattern(Var("service"), QueryName(f"{prefix}:presents"), Var("serviceprofile")),
-        QueryPattern(Var("serviceprofile"), QueryName(f"{prefix}:hasProperty"), Var("property")),
-        QueryPattern(Var("property"), QueryName(f"{prefix}:includeCapability"), Var("capability")),
-    ]
+    patterns = list(_SERVICE_PATTERNS)
     conjuncts = []
     if request.context_constraints:
-        patterns.append(QueryPattern(Var("property"), QueryName(f"{prefix}:includeContext"), Var("context")))
+        patterns.append(_CONTEXT_PATTERN)
         if len(request.context_constraints) == 1:
             conjuncts.append(Eq("context", _query_name(request.context_constraints[0])))
         else:
-            conjuncts.append(InSet("context", tuple(_query_name(c) for c in request.context_constraints)))
-    skill_conjuncts = []
+            conjuncts.append(InSet("context", tuple(map(_query_name, request.context_constraints))))
     for index, (skill, _minimum) in enumerate(request.required_skills):
         var = "skill" if index == 0 else f"skill{index + 1}"
-        patterns.append(QueryPattern(Var("capability"), QueryName(f"{prefix}:hasHumanSkill"), Var(var)))
-        skill_conjuncts.append(Eq(var, _query_name(skill)))
-    conjuncts.extend(skill_conjuncts)
+        patterns.append(QueryPattern(Var("capability"), _HAS_SKILL, Var(var)))
+        conjuncts.append(Eq(var, _query_name(skill)))
     if request.required_knowledge:
-        patterns.append(QueryPattern(Var("capability"), QueryName(f"{prefix}:hasHumanKnowledge"), Var("knowledge")))
+        patterns.append(_KNOWLEDGE_PATTERN)
         if len(request.required_knowledge) == 1:
             conjuncts.append(Eq("knowledge", _query_name(request.required_knowledge[0])))
         else:
-            conjuncts.append(InSet("knowledge", tuple(_query_name(k) for k in request.required_knowledge)))
+            conjuncts.append(InSet("knowledge", tuple(map(_query_name, request.required_knowledge))))
     for index, ability in enumerate(request.required_abilities):
         var = "ability" if index == 0 else f"ability{index + 1}"
-        patterns.append(QueryPattern(Var("capability"), QueryName(f"{prefix}:hasAbility"), Var(var)))
+        patterns.append(QueryPattern(Var("capability"), _HAS_ABILITY, Var(var)))
         conjuncts.append(Eq(var, _query_name(ability)))
     if request.service_kind is not None:
-        if request.service_kind not in _KIND_CLASSES:
+        if request.service_kind not in _KIND_PATTERNS:
             return None  # no service is of an unknown kind
-        kind_class = QueryName(f"{prefix}:{_KIND_CLASSES[request.service_kind]}")
-        patterns.append(QueryPattern(Var("service"), A, kind_class))
+        patterns.append(_KIND_PATTERNS[request.service_kind])
     if not conjuncts:
         filter_expr = None
     elif len(conjuncts) == 1:
@@ -369,6 +381,8 @@ class ServiceBroker:
             raise InvalidStateError(f"invocation {invocation.id} is {invocation.status}, not running")
         if outcome not in (COMPLETED, FAILED):
             raise InvalidStateError(f"unknown outcome {outcome!r}")
+        if rating is not None:
+            check_rating(rating)  # before the first write, so that a rejected rating changes nothing
         if outcome == COMPLETED:
             self._apply_effects(invocation)
         invocation.status = outcome

@@ -541,14 +541,15 @@ class KnowledgeBase:
         ``pattern`` is a :class:`Pattern` or a tuple of its three terms.
         Result order is deterministic: lexicographic by the bound values in
         variable-name order.  A fully-constant pattern yields one empty map
-        when the triple is present.
+        when the triple is present; a one-variable pattern sorts its values
+        only when it finds more than one.
         """
         terms = pattern if isinstance(pattern, tuple) else (pattern.subject, pattern.predicate, pattern.object)
-        index = self._indexes()
+        index = self._index or self._indexes()
         s, p, o = terms
         shape = (isinstance(s, Var), isinstance(p, Var), isinstance(o, Var))
         if shape == _NO_VARIABLE:
-            return [{}] if Statement(s, p, o) in index[0].get(s, _NO_STATEMENTS) else []
+            return [{}] if terms in index[0].get(s, _NO_STATEMENTS) else []
         positions = _ONE_VARIABLE.get(shape)
         if positions is not None:
             # Every match a discover makes has one variable or none: filter
@@ -561,8 +562,10 @@ class KnowledgeBase:
             if len(other) < len(rows):
                 rows, i, j = other, j, i
             term, name = terms[j], terms[v].name
-            return [{name: value}
-                    for value in sorted([stmt[v] for stmt in rows if stmt[j] == term], key=term_sort_key)]
+            values = [stmt[v] for stmt in rows if stmt[j] == term]
+            if len(values) > 1:
+                values.sort(key=term_sort_key)
+            return [{name: value} for value in values]
         # Two or three variable positions: at most one constant, whose bucket holds the rows.
         rows, first, repeats = None, {}, []
         for i, term in enumerate(terms):

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Union
 
-from .errors import ParseError, UnboundFilterVarError, UnboundProjectionError
+from .errors import ParseError, UnboundFilterVarError, UnboundProjectionError, UnknownPrefixError
 from .kb import (
     Iri,
     KnowledgeBase,
@@ -39,6 +39,7 @@ from .kb import (
     TYPE_PRED,
     Var,
     _Cursor,
+    _NAME_RE,
     parse_name,
     term_sort_key,
 )
@@ -46,9 +47,20 @@ from .kb import (
 
 @dataclass(frozen=True)
 class QueryName:
-    """An unresolved constant; ``raw`` is ``local`` or ``prefix:local``."""
+    """An unresolved constant; ``raw`` is ``local`` or ``prefix:local``.
+
+    ``term``, when given, is a ``raw`` of the form ``prefix:local`` (split at
+    its first ``:``) as an Iri, so that :func:`resolve_name` need not split
+    ``raw`` again; it takes no part in equality, hashing or printing.
+    """
 
     raw: str
+    term: Optional[Iri] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        term = self.term
+        if term is not None and self.raw.partition(":") != (term.prefix, ":", term.local):
+            raise ValueError(f"{self.raw!r} does not read as {term!r}")
 
     def __str__(self) -> str:
         return self.raw
@@ -295,7 +307,19 @@ def format_query(ast: QueryAst) -> str:
 
 
 def resolve_name(name: QueryName, kb: KnowledgeBase) -> Iri:
-    return parse_name(name.raw, kb.prefixes)
+    """The Iri ``name`` denotes in ``kb``, with the errors :func:`parse_name` raises for ``raw``.
+
+    A ``term`` is what ``raw`` reads as, so its prefix and local part are
+    checked as :func:`parse_name` checks them, in the same order.
+    """
+    term = name.term
+    if term is None:
+        return parse_name(name.raw, kb.prefixes)
+    if term.prefix not in kb.prefixes:
+        raise UnknownPrefixError(term.prefix)
+    if not _NAME_RE.fullmatch(term.local):
+        raise ParseError(1, 1, "a name")
+    return term
 
 
 def _resolve_pattern(pattern: QueryPattern, kb: KnowledgeBase) -> Pattern:
@@ -332,29 +356,32 @@ def join(kb: KnowledgeBase, patterns, binding: dict, filters=()) -> list[dict]:
     ``invoke`` does.  ``filters`` are ``(variables, test)`` pairs; each test runs
     right after the pattern that binds the last of its variables, so it
     narrows the later joins.
+
+    Every binding so far binds the same variables, so each pattern is read
+    once: which of its positions a binding fills is known before the first
+    probe, and a probe's rows extend its binding in one dict build.
     """
     bound = set(binding)
     pending = list(filters)
     bindings = [dict(binding)]
+    match = kb.match
     for pattern in patterns:
-        # a variable's value is looked up by its name; a constant, which no
-        # binding holds as a key, looks itself up and stays
-        s, p, o = (
-            term.name if isinstance(term, Var) else term
-            for term in (pattern.subject, pattern.predicate, pattern.object)
-        )
+        terms = [pattern.subject, pattern.predicate, pattern.object]
+        # the variable positions every binding so far fills
+        filled = [(i, term.name) for i, term in enumerate(terms)
+                  if isinstance(term, Var) and term.name in bound]
         next_bindings = []
         for partial in bindings:
-            terms = (partial.get(s, pattern.subject), partial.get(p, pattern.predicate),
-                     partial.get(o, pattern.object))
-            for extension in kb.match(terms):
-                merged = dict(partial)
-                merged.update(extension)
-                next_bindings.append(merged)
+            for i, name in filled:
+                terms[i] = partial[name]
+            for extension in match(tuple(terms)):
+                next_bindings.append(partial | extension)
         bound.update(pattern.variables())
         ready = [test for needs, test in pending if needs <= bound]
-        pending = [(needs, test) for needs, test in pending if not needs <= bound]
-        bindings = [b for b in next_bindings if all(test(b) for test in ready)]
+        if ready:
+            pending = [(needs, test) for needs, test in pending if not needs <= bound]
+            next_bindings = [b for b in next_bindings if all(test(b) for test in ready)]
+        bindings = next_bindings
         if not bindings:
             break
     return [b for b in bindings if all(test(b) for _, test in pending)]
@@ -392,18 +419,30 @@ def _plan(kb: KnowledgeBase, patterns: list, seeded: set) -> list:
     whose own constants have the smallest index bucket (see
     :meth:`KnowledgeBase.estimate`), then the first in source order.  The
     seeded values do not enter the estimate, so one plan serves every seed.
+    Each pattern's terms are read once: its bound positions are counted
+    up front and raised as each chosen pattern binds its variables.
     """
-    terms = [(p.subject, p.predicate, p.object) for p in patterns]
-    sizes = [kb.estimate(t) for t in terms]
+    names, keys = [], []
+    for index, pattern in enumerate(patterns):
+        terms = (pattern.subject, pattern.predicate, pattern.object)
+        own = [term.name for term in terms if isinstance(term, Var)]
+        names.append(own)
+        # minus the bound positions, so that the least key is the most bound
+        keys.append([len(own) - 3 - len([name for name in own if name in seeded]),
+                     kb.estimate(terms), index])
     bound = set(seeded)
     remaining = list(range(len(patterns)))
     order = []
     while remaining:
-        best = min(remaining, key=lambda i: (
-            -sum(not isinstance(t, Var) or t.name in bound for t in terms[i]), sizes[i], i))
+        best = min(remaining, key=keys.__getitem__)
         remaining.remove(best)
         order.append(patterns[best])
-        bound.update(patterns[best].variables())
+        fresh = set(names[best]) - bound
+        bound |= fresh
+        for i in remaining:
+            for name in names[i]:
+                if name in fresh:
+                    keys[i][0] -= 1
     return order
 
 

@@ -86,6 +86,17 @@ class Invocation:
     bindings: dict = field(default_factory=dict)
 
 
+_LOWEST_RATING, _HIGHEST_RATING = Decimal("0"), Decimal("5")
+
+
+def check_rating(rating) -> Decimal:
+    """``rating`` as a Decimal from 0 to 5; any other is a :class:`RatingOutOfRangeError`."""
+    rating = Decimal(rating)
+    if not _LOWEST_RATING <= rating <= _HIGHEST_RATING:
+        raise RatingOutOfRangeError(str(rating))
+    return rating
+
+
 def _reputation(ratings, profile: ServiceProfile) -> Decimal:
     """The mean rating, rounded half up to cents; while there is none, the one ``profile`` declares."""
     if not ratings:
@@ -208,9 +219,7 @@ class ServiceRegistry:
             raise UnknownServiceError(str(service))
         if invocation.status not in TERMINAL:
             raise InvalidStateError(f"invocation {invocation.id} is {invocation.status}, not terminal")
-        rating = Decimal(rating)
-        if not Decimal("0") <= rating <= Decimal("5"):
-            raise RatingOutOfRangeError(str(rating))
+        rating = check_rating(rating)
         invocation.rating = rating
         record = ExperienceRecord(service, invocation.consumer, rating, tuple(criteria))
         ratings = service_ratings(self.kb, service) + [rating]

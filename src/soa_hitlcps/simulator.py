@@ -20,10 +20,10 @@ from pathlib import Path
 from typing import Optional
 
 from .broker import DiscoveryRequest, ServiceBroker, parse_discovery_request
-from .errors import (EmptyCriteriaError, NoCompletedInvocationError, ParseError, UnknownNodeError,
-                     UnknownServiceError)
+from .errors import (EmptyCriteriaError, NoCompletedInvocationError, ParseError, RatingOutOfRangeError,
+                     UnknownNodeError, UnknownServiceError)
 from .kb import Iri, content_lines, parse_decimal, parse_integer, parse_name, parse_pair, read_document
-from .registry import RUNNING, Invocation, ServiceRegistry
+from .registry import RUNNING, Invocation, ServiceRegistry, check_rating
 from .schema import (
     graph_name,
     knows,
@@ -237,6 +237,11 @@ def _compile_rule(words, lineno: int) -> tuple:
     inputs = tuple(_rule_input(item, lineno) for item in given["inputs"].split(",")) if "inputs" in given else ()
     notify, service = (parse_name(given[k], None, lineno) if k in given else None for k in ("notify", "service"))
     rating = parse_decimal(given["rating"], lineno) if "rating" in given else None
+    if rating is not None:
+        try:
+            check_rating(rating)
+        except RatingOutOfRangeError:
+            raise ParseError(lineno, 1, "a rating from 0 to 5") from None
     return node, Rule(conditions, action, params, request, given.get("invoke") == "yes", inputs,
                       notify, service, rating)
 

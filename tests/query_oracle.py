@@ -5,6 +5,8 @@ The oracle expands the full cross-product of per-pattern candidate bindings
 assignments that are mutually consistent and pass the filter.  It shares no
 join machinery with the engine under test.  ``source_order_evaluate`` is the
 planner's counterpart: the public ``join`` run with no seeds and no reordering.
+``brute_join`` is the counterpart of ``join`` itself: it tries every
+assignment of the graph's terms to the variables and never calls ``match``.
 """
 
 import itertools
@@ -201,6 +203,33 @@ def source_order_evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
     rows = {tuple(b[v] for v in ast.projected) for b in join(kb, patterns, {}, filters)}
     ordered = tuple(sorted(rows, key=lambda row: tuple(term_sort_key(v) for v in row)))
     return ResultTable(tuple(ast.projected), ordered)
+
+
+def brute_join(kb: KnowledgeBase, patterns, binding: dict, filters=()) -> list:
+    """Every full binding ``join(kb, patterns, binding, filters)`` returns, found by brute force.
+
+    Each variable of ``patterns`` that ``binding`` leaves free takes every
+    term of the graph in turn; an assignment is kept when every pattern,
+    with its variables replaced, is a triple of the graph, and every filter
+    test holds.  Each kept binding extends ``binding``.
+    """
+    triples = set(kb.triples())
+    terms = sorted({term for triple in triples for term in triple}, key=term_sort_key)
+    free = sorted({term.name for pattern in patterns
+                   for term in (pattern.subject, pattern.predicate, pattern.object)
+                   if isinstance(term, Var)} - set(binding))
+    out = []
+    for values in itertools.product(terms, repeat=len(free)):
+        full = dict(binding)
+        full.update(zip(free, values))
+
+        def value(term):
+            return full[term.name] if isinstance(term, Var) else term
+
+        if all((value(p.subject), value(p.predicate), value(p.object)) in triples for p in patterns) \
+                and all(test(full) for _, test in filters):
+            out.append(full)
+    return out
 
 
 def run_randomized_comparison(n_cases: int, seed: int):

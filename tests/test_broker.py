@@ -1,7 +1,9 @@
 """Discovery compilation, ranking, invocation lifecycle, and composition."""
 
 import contextlib
+import dataclasses
 import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -22,10 +24,14 @@ from soa_hitlcps.errors import (
     EmptyCriteriaError,
     InputSignatureMismatchError,
     InvalidStateError,
+    ParseError,
+    RatingOutOfRangeError,
     SoaHitlcpsError,
+    UnknownPrefixError,
     UnknownServiceError,
 )
 from soa_hitlcps.kb import (
+    DEFAULT_PREFIX,
     JOURNAL_LIMIT,
     Iri,
     ClassAxiom,
@@ -40,7 +46,8 @@ from soa_hitlcps.kb import (
     string,
     term_sort_key,
 )
-from soa_hitlcps.query import A, And, Eq, InSet, QueryName, QueryPattern, Var, parse_query, query_equivalent
+from soa_hitlcps.query import (A, And, Eq, InSet, QueryName, QueryPattern, Var, format_query, parse_query,
+                               query_equivalent)
 from soa_hitlcps.reasoner import materialize, refresh
 from soa_hitlcps.registry import COMPLETED, FAILED, REJECTED, RUNNING, ServiceRegistry
 from soa_hitlcps.schema import (
@@ -571,6 +578,22 @@ def test_complete_rejects_an_unknown_outcome():
     assert serialize(registry.kb) == before
 
 
+@pytest.mark.parametrize("outcome", [COMPLETED, FAILED])
+@pytest.mark.parametrize("rating", ["7", "-1", "5.01"])
+def test_a_rating_out_of_range_changes_nothing(outcome, rating):
+    # The effects once applied and the status changed before the rating was refused.
+    registry, broker = build_world()
+    invocation = broker.invoke(iri("chatDoctor"), iri("Cathy"), {"patient": iri("Adam")})
+    before = serialize(registry.kb)
+    with pytest.raises(RatingOutOfRangeError):
+        broker.complete_invocation(invocation, outcome=outcome, rating=Decimal(rating))
+    assert (invocation.status, invocation.rating) == (RUNNING, None)
+    assert serialize(registry.kb) == before
+    broker.complete_invocation(invocation, outcome=outcome, rating=Decimal("5"))
+    assert invocation.status == outcome
+    assert registry.reputation_of(iri("chatDoctor")) == Decimal("5.00")
+
+
 def test_an_unbound_effect_variable_raises_before_any_write():
     # Publishing rejects such a profile; from_kb does not validate the profiles it reads.
     registry, _ = build_world()
@@ -883,3 +906,62 @@ def test_effect_deleting_a_type_assertion():
     broker.complete_invocation(invocation)
     assert (iri("Adam"), iri("Waiting")) not in registry.kb.type_assertions
     assert (iri("Adam"), iri("PhysicalThing")) in registry.kb.type_assertions
+
+
+# -- the errors a discover raises for the names of its request --------------------------
+
+
+@pytest.mark.parametrize("criteria", ["skill=zz:Bar", "knowledge=zz:Bar", "context=zz:Bar",
+                                      "knowledge=Psychology,zz:Bar", "skill=Monitoring context=siteB,zz:Bar"])
+def test_discover_of_an_undeclared_prefix_raises(criteria):
+    _, broker = build_world()
+    with pytest.raises(UnknownPrefixError, match="unknown prefix: 'zz'"):
+        broker.discover(parse_discovery_request(f"DISCOVER {criteria}"))
+
+
+@pytest.mark.parametrize("criterion, value", [
+    ("required_skills", ((Iri(DEFAULT_PREFIX, "Not a name"), None),)),
+    ("required_knowledge", (iri("Psychology"), iri("Head/Discomfort"))),
+    ("context_constraints", (iri("9x"),)),
+    ("required_abilities", (iri(""),)),
+])
+def test_discover_of_a_request_built_around_a_name_that_is_not_one_raises(criterion, value):
+    _, broker = build_world()
+    with pytest.raises(ParseError, match="expected a name"):
+        broker.discover(DiscoveryRequest(**{criterion: value}))
+    parsed = parse_discovery_request("DISCOVER skill=Monitoring")
+    with pytest.raises(ParseError, match="expected a name"):
+        broker.discover(dataclasses.replace(parsed, **{criterion: value}))
+
+
+def test_a_parsed_request_compiles_and_ranks_as_the_same_request_built_in_python():
+    _, broker = build_world()
+    parsed = parse_discovery_request(
+        "DISCOVER skill=Complex_Problem_Solving:6,Monitoring knowledge=Medicine_and_Dentistry,Psychology "
+        "context=siteA,siteB ability=Reaction_Time kind=processing")
+    built = dataclasses.replace(parsed)
+    assert built == parsed
+    query = compile_request(parsed)
+    assert query == compile_request(built)
+    assert repr(query) == repr(compile_request(built))
+    assert format_query(query) == format_query(compile_request(built))
+    assert [name.term for name in query.filter.parts[0].values] == [iri("siteA"), iri("siteB")]
+    for line in ("DISCOVER skill=Complex_Problem_Solving knowledge=Medicine_and_Dentistry,Psychology",
+                 "DISCOVER context=siteB kind=sensing", "DISCOVER skill=Monitoring:3"):
+        parsed = parse_discovery_request(line)
+        assert broker.discover(parsed) == broker.discover(dataclasses.replace(parsed))
+
+
+@pytest.mark.parametrize("prefix, error", [("zz:q", UnknownPrefixError("zz")), (f"{DEFAULT_PREFIX}:q", ParseError(1, 1, "a name"))])
+def test_discover_of_a_prefix_holding_a_colon_raises_what_its_print_reads_as(prefix, error):
+    # "zz:q:Bar" reads as prefix "zz" and local "q:Bar", as it did before names carried their Iris
+    _, broker = build_world()
+    with pytest.raises(type(error), match=re.escape(str(error))):
+        broker.discover(DiscoveryRequest(required_knowledge=(Iri(prefix, "Bar"),)))
+
+
+def test_a_query_name_carries_only_the_iri_its_raw_reads_as():
+    assert QueryName("ex:a", Iri("ex", "a")).term == Iri("ex", "a")
+    for raw, term in [("ex:a", Iri("ex", "b")), ("a", iri("a")), ("zz:q:Bar", Iri("zz:q", "Bar"))]:
+        with pytest.raises(ValueError):
+            QueryName(raw, term)

@@ -153,6 +153,13 @@ def test_discover_skill_scale_outside_the_integer_rule_is_one_criteria_error(wor
     assert captured.err == f"error: EmptyCriteriaError: malformed criterion 'skill=Monitoring:{scale}'\n"
 
 
+def test_discover_of_an_undeclared_prefix_is_a_domain_error(world_kb, capsys):
+    assert main(["discover", str(world_kb), "DISCOVER skill=zz:Bar"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: UnknownPrefixError: unknown prefix: 'zz'\n"
+
+
 def test_discover_skill_takes_a_comma_list(world_kb, capsys):
     spec = "DISCOVER skill=Complex_Problem_Solving:6,Active_Listening:5"
     assert main(["discover", str(world_kb), spec]) == 0
@@ -260,6 +267,8 @@ def test_simulate_profile_number_outside_the_kb_forms_is_a_parse_error_at_its_li
     ("scenario1_ecg.scn", "invoke=yes", "invoke=Yes", 8),
     ("scenario1_ecg.scn", "context=siteA", "context=siteA colour=red", 8),
     ("scenario1_ecg.scn", "THEN complete-sessions", "THEN complete-session", 9),
+    ("scenario1_ecg.scn", "complete-sessions rating=5", "complete-sessions rating=7", 9),
+    ("scenario1_ecg.scn", "service=ecgAlert rating=5", "service=ecgAlert rating=-1", 10),
     ("ecg_alert.srv", "response_time=1", "respone_time=1", 6),
     ("ecg_alert.srv", "response_time=1", "=1", 6),
 ])

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from soa_hitlcps.errors import (
     UnboundProjectionError,
     UnknownPrefixError,
 )
-from soa_hitlcps.kb import KnowledgeBase, iri, parse_document
+from soa_hitlcps.kb import KnowledgeBase, iri, parse_document, term_sort_key
 from soa_hitlcps.query import (
     A,
     And,
@@ -27,8 +28,12 @@ from soa_hitlcps.query import (
     QueryName,
     QueryPattern,
     Var,
+    _compile_filter,
+    _filter_vars,
+    _resolve_pattern,
     evaluate,
     format_query,
+    join,
     parse_query,
     query_equivalent,
 )
@@ -243,6 +248,53 @@ def test_planned_evaluation_matches_source_order_on_random_queries():
         shapes.add(type(ast.filter).__name__)
     assert over_cap >= 15  # cases the cross-product oracle cannot check
     assert shapes == {"NoneType", "Eq", "InSet", "And", "Or"}
+
+
+def _join_case(rng: random.Random):
+    """A random graph, patterns with their FILTER conjuncts as tests, and a start binding for ``join``."""
+    kb = query_oracle.random_kb(rng, max_statements=rng.choice((0, 15, 40)))
+    ast = query_oracle.random_query(rng, kb)
+    patterns = [_resolve_pattern(p, kb) for p in ast.patterns]
+    if ast.filter is None or rng.random() < 0.5:  # most filters leave no row
+        conjuncts = ()
+    else:
+        conjuncts = ast.filter.parts if isinstance(ast.filter, And) else (ast.filter,)
+    filters = [(_filter_vars(c), _compile_filter(c, kb)) for c in conjuncts]
+    names = sorted({name for p in patterns for name in p.variables()})
+    terms = sorted({term for triple in kb.triples() for term in triple}, key=term_sort_key) or [iri("i0")]
+    start = {}
+    for name in names:
+        if rng.random() < 0.15:  # pinned to a term of the graph, or to one it lacks
+            start[name] = rng.choice(terms) if rng.random() < 0.9 else iri("nobody")
+    if rng.random() < 0.3:  # a variable no pattern names rides along
+        start["extra"] = rng.choice(terms)
+    return kb, patterns, start, filters
+
+
+def test_join_matches_a_brute_force_join_on_random_patterns():
+    rng = random.Random(20261019)
+    seen = Counter()
+    checked = 0
+    while checked < 500:
+        kb, patterns, start, filters = _join_case(rng)
+        n_terms = len({term for triple in kb.triples() for term in triple})
+        free = {name for p in patterns for name in p.variables()} - set(start)
+        if n_terms ** len(free) > 20_000:
+            continue  # too many assignments to try; draw another case
+        got = join(kb, patterns, start, filters)
+        want = query_oracle.brute_join(kb, patterns, start, filters)
+        assert Counter(frozenset(b.items()) for b in got) == Counter(frozenset(b.items()) for b in want), \
+            f"case {checked}: {[str(p) for p in patterns]} from {start}"
+        checked += 1
+        seen["repeated in a pattern"] += any(len(p.variables()) > len(set(p.variables())) for p in patterns)
+        seen["repeated across patterns"] += sum(len(set(p.variables())) for p in patterns) > len(
+            {name for p in patterns for name in p.variables()})
+        seen["constant"] += any(len(p.variables()) < 3 for p in patterns)
+        seen["start binding"] += bool(start)
+        seen["filter"] += bool(filters)
+        seen["empty"] += not got
+        seen["rows"] += bool(got)
+    assert min(seen.values()) >= 20 and len(seen) == 7, seen
 
 
 REPLAY = """

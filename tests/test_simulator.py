@@ -311,6 +311,9 @@ def test_rate_falls_back_to_the_last_completed_invocation_then_skips(tmp_path):
     ("EXPECT COUNT answer 1e0", ParseError),
     ("RULE Nia WHEN event=signal THEN rate service=consult rating=Infinity", ParseError),
     ("RULE Nia WHEN event=signal THEN rate service=consult rating=.5", ParseError),
+    ("RULE Nia WHEN event=signal THEN rate service=consult rating=5.01", ParseError),
+    ("RULE Nia WHEN event=signal THEN complete-sessions rating=7", ParseError),
+    ("RULE Nia WHEN event=signal THEN complete-sessions rating=-1", ParseError),
     # every part of a rule is read at its line, not when the rule fires
     ("RULE Nia WHEN event=signal THEN discover skill=Monitoring invoke=yes inputs=patient:An/dy", ParseError),
     ("RULE Nia WHEN event=signal THEN discover skill=Monitoring invoke=yes inputs=patient:zz:Andy",
@@ -342,6 +345,14 @@ def test_a_name_or_number_outside_the_kb_rule_fails_the_load(tmp_path, line, err
         load_scenario("NODE Nia HUMAN n.cap\nNODE David HUMAN d.cap\nSERVICE p.srv\n" + line + "\n", tmp_path)
     if error is ParseError:
         assert err.value.line == 4
+
+
+@pytest.mark.parametrize("rating", ["0", "5", "2.5"])
+def test_a_rating_from_0_to_5_loads(tmp_path, rating):
+    _write(tmp_path, NIA_DAVID)
+    scenario = load_scenario(f"NODE Nia HUMAN n.cap\nRULE Nia WHEN event=signal THEN complete-sessions rating={rating}\n",
+                             tmp_path)
+    assert scenario.nodes[iri("Nia")].rules[0].rating == Decimal(rating)
 
 
 def test_names_only_looked_up_keep_any_prefix(tmp_path):
