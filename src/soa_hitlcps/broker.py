@@ -253,9 +253,9 @@ class ServiceBroker:
             return []
         closed = self._closure()
         table = evaluate(closed, query)
-        candidates = sorted({row[0] for row in table.rows if isinstance(row[0], Iri)})
+        candidates = {row[0] for row in table.rows if isinstance(row[0], Iri)}
         ranked = []
-        for service in candidates:
+        for service in candidates:  # in any order: the sort below orders them alone
             record = self.registry.services.get(service)
             if record is None:  # presented, but not a service the registry holds
                 continue

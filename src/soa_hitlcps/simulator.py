@@ -4,20 +4,21 @@ A scenario file declares participant nodes (with capability files), published
 services (profile files), per-node reaction rules, a scripted event timeline,
 and expectations over the resulting trace.  Time is a logical integer clock.
 At every distinct event time the pending events are delivered to node inboxes
-and each node runs one monitor/analyze/plan/execute loop, in ascending node
-order.  All state lives in one shared registry/knowledge base, so discovery,
-invocation, effects, ratings, and knowledge acquisition during a run are
-visible to every later step.  A session is an invocation that ran, with its
-provider and the node it serves; it is open while its invocation runs.
-Traces are plain TSV and byte-stable across runs.
+and each node with mail runs one monitor/analyze/plan/execute loop, in
+ascending node order.  All state lives in one shared registry/knowledge base,
+so discovery, invocation, effects, ratings, and knowledge acquisition during a
+run are visible to every later step.  A session is an invocation that ran,
+with its provider and the node it serves; it is open while its invocation
+runs.  Traces are plain TSV and byte-stable across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .broker import DiscoveryRequest, ServiceBroker, parse_discovery_request
 from .errors import (EmptyCriteriaError, NoCompletedInvocationError, ParseError, RatingOutOfRangeError,
@@ -47,11 +48,25 @@ class SimEvent:
     kind: str  # request | message | signal | tick
     payload: tuple  # ((key, value), ...) with Iri/str values
 
+    @cached_property
+    def _fields(self) -> dict:
+        return dict(self.payload)
+
     def get(self, key):
-        for k, v in self.payload:
-            if k == key:
-                return v
-        return None
+        return self._fields.get(key)
+
+    @cached_property
+    def observation(self) -> str:
+        """The monitor phase's trace detail, the same at every node that observes the event."""
+        get = self.get
+        if self.kind == "request":
+            return f"from={get('requester')} service={get('service')}"
+        if self.kind == "message":
+            return (f"from={get('sender')} to={get('recipient')} id={get('id')}"
+                    f" sentiment={get('sentiment')} topic={get('topic')}")
+        if self.kind == "signal":
+            return f"signal={get('signal')}"
+        return ""
 
 
 @dataclass(frozen=True)
@@ -81,12 +96,10 @@ class Session:
     provider: Iri
     origin: Iri
 
-    def members(self):
-        return {self.invocation.consumer, self.provider, self.origin}
 
+class TraceEntry(NamedTuple):
+    """A named tuple, so building one per trace row stays in C."""
 
-@dataclass(frozen=True)
-class TraceEntry:
     time: int
     node: str
     phase: str
@@ -296,74 +309,74 @@ class Simulation:
         self.registry = scenario.registry
         self.broker = ServiceBroker(self.registry)
         self.nodes = scenario.nodes
+        self.loops = [self.nodes[node] for node in sorted(self.nodes)]  # the nodes are fixed for a run
         self.events = sorted(scenario.events, key=lambda e: e.time)  # stable: file order within a time
         self.expectations = scenario.expectations
-        self.sessions: list = []
+        self.sessions: dict = {}  # node -> the sessions it takes part in, in the order they opened
         self.trace = ScenarioTrace()
 
     # -- sessions ----------------------------------------------------------
 
     def open_sessions_with(self, node: Iri):
         """The sessions whose invocation runs and that ``node`` takes part in, in the order they opened."""
-        return [s for s in self.sessions if s.invocation.status == RUNNING and node in s.members()]
+        return [s for s in self.sessions.get(node, ()) if s.invocation.status == RUNNING]
 
     # -- delivery ----------------------------------------------------------
 
     def deliver(self, event: SimEvent) -> None:
-        if event.kind == "tick":
+        kind, get = event.kind, event.get
+        if kind == "tick":
             return
-        if event.kind == "signal":
-            target = event.get("node")
-            if target in self.nodes:
-                self.nodes[target].inbox.append(event)
-            return
-        if event.kind == "request":
-            record = self.registry.services.get(event.get("service"))
+        if kind == "signal":
+            targets = (get("node"),)
+        elif kind == "request":
+            record = self.registry.services.get(get("service"))
             if record is None:
-                raise UnknownServiceError(str(event.get("service")))
-            if record.provider in self.nodes:
-                self.nodes[record.provider].inbox.append(event)
-            return
-        # message: recipient plus everyone sharing an open session with the
-        # sender or the recipient, except the sender
-        sender = event.get("sender")
-        recipient = event.get("recipient")
-        targets = {recipient}
-        for endpoint in (sender, recipient):
-            for session in self.open_sessions_with(endpoint):
-                targets |= session.members()
-        targets.discard(sender)
-        for node in sorted(targets):
-            if node in self.nodes:
-                self.nodes[node].inbox.append(event)
+                raise UnknownServiceError(str(get("service")))
+            targets = (record.provider,)
+        else:
+            # message: recipient plus everyone sharing an open session with
+            # the sender or the recipient, except the sender
+            sender, recipient = get("sender"), get("recipient")
+            targets = {recipient}
+            for endpoint in (sender, recipient):
+                for session in self.open_sessions_with(endpoint):
+                    targets.update((session.invocation.consumer, session.provider, session.origin))
+            targets.discard(sender)
+        for node in targets:  # each inbox keeps its own order, so the order of targets is free
+            loop = self.nodes.get(node)
+            if loop is not None:
+                loop.inbox.append(event)
 
     # -- condition evaluation -------------------------------------------------
 
-    def _from_provider(self, node: Iri, sender: Iri) -> bool:
-        return any(s.provider == sender for s in self.open_sessions_with(node))
-
-    def condition_holds(self, node: Iri, event: SimEvent, key: str, value: str) -> bool:
+    def _reading(self, node: Iri, event: SimEvent, key: str) -> Optional[str]:
+        """What condition ``key`` reads of ``event`` at ``node``: ``key=value`` holds when it reads ``value``."""
+        kind, get = event.kind, event.get
         if key == "event":
-            return event.kind == value
-        if key == "sentiment":
-            return event.kind == "message" and event.get("sentiment") == value
-        if key == "signal":
-            return event.kind == "signal" and event.get("signal") == value
-        if key == "topic-known":
-            if event.kind != "message":
-                return False
-            known = knows(self.registry.kb, node, event.get("topic"))
-            return known if value == "yes" else not known
-        if key == "from-provider":
-            if event.kind != "message":
-                return False
-            holds = self._from_provider(node, event.get("sender"))
-            return holds if value == "yes" else not holds
-        return False
+            return kind
+        if kind == "message":
+            if key == "sentiment":
+                return get("sentiment")
+            if key == "topic-known":
+                return "yes" if knows(self.registry.kb, node, get("topic")) else "no"
+            if key == "from-provider":
+                sender = get("sender")
+                return "yes" if any(s.provider == sender for s in self.open_sessions_with(node)) else "no"
+        elif kind == "signal" and key == "signal":
+            return get("signal")
+        return None
 
     def match_rule(self, loop: NodeLoop, event: SimEvent) -> Optional[Rule]:
+        """The first of ``loop``'s rules whose conditions all hold; each condition key is read at most once."""
+        readings: dict = {}
         for rule in loop.rules:
-            if all(self.condition_holds(loop.node, event, k, v) for k, v in rule.conditions):
+            for key, value in rule.conditions:
+                if key not in readings:
+                    readings[key] = self._reading(loop.node, event, key)
+                if readings[key] != value:
+                    break
+            else:
                 return rule
         return None
 
@@ -381,8 +394,9 @@ class Simulation:
         return ScenarioResult(trace=self.trace, checks=checks)
 
     def tick(self, time: int) -> None:
-        for node in sorted(self.nodes):
-            node_tick(self, self.nodes[node], time)
+        for loop in self.loops:
+            if loop.inbox:  # a node without mail would trace nothing
+                node_tick(self, loop, time)
 
     # -- actions -------------------------------------------------------------
 
@@ -393,7 +407,9 @@ class Simulation:
         """Invoke ``service`` for ``consumer``, open a session if it runs, and trace the outcome."""
         invocation = self.broker.invoke(service, consumer, inputs, now=time)
         if invocation.status == RUNNING:
-            self.sessions.append(Session(invocation, self.registry.services[service].provider, origin))
+            session = Session(invocation, self.registry.services[service].provider, origin)
+            for member in {consumer, session.provider, origin}:
+                self.sessions.setdefault(member, []).append(session)
         detail += f" invocation={invocation.id} status={invocation.status}"
         if invocation.reason:
             detail += f" reason={invocation.reason}"
@@ -497,29 +513,18 @@ def _plan_detail(rule: Rule) -> str:
     return " ".join(f"{k}={v}" for k, v in rule.params if k not in _ACTIONS["discover"][0])
 
 
-def _observation_detail(event: SimEvent) -> str:
-    if event.kind == "request":
-        return f"from={event.get('requester')} service={event.get('service')}"
-    if event.kind == "message":
-        return (f"from={event.get('sender')} to={event.get('recipient')}"
-                f" id={event.get('id')} sentiment={event.get('sentiment')}"
-                f" topic={event.get('topic')}")
-    if event.kind == "signal":
-        return f"signal={event.get('signal')}"
-    return ""
-
-
 def node_tick(sim: Simulation, loop: NodeLoop, time: int) -> None:
     """Run one monitor/analyze/plan/execute pass over a node's inbox."""
     pending, loop.inbox = loop.inbox, []
+    name, add = str(loop.node), sim.trace.entries.append
     for event in pending:
-        sim.trace.add(time, loop.node, MONITOR, "observe", _observation_detail(event))
+        add(TraceEntry(time, name, MONITOR, "observe", event.observation))
         rule = sim.match_rule(loop, event)
         if rule is None:
-            sim.trace.add(time, loop.node, ANALYZE, "no-rule", "")
+            add(TraceEntry(time, name, ANALYZE, "no-rule", ""))
             continue
-        sim.trace.add(time, loop.node, ANALYZE, "match", rule.action)
-        sim.trace.add(time, loop.node, PLAN, rule.action, _plan_detail(rule))
+        add(TraceEntry(time, name, ANALYZE, "match", rule.action))
+        add(TraceEntry(time, name, PLAN, rule.action, _plan_detail(rule)))
         sim.act(loop, rule, event, time)
 
 

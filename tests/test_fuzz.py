@@ -20,14 +20,12 @@ from __future__ import annotations
 import contextlib
 import io
 import shutil
-import tempfile
 from pathlib import Path
 
 import kb_oracle
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from soa_hitlcps.allocation import parse_task_file
 from soa_hitlcps.broker import ServiceBroker, parse_discovery_request
@@ -48,9 +46,6 @@ from soa_hitlcps.schema import (
 )
 from soa_hitlcps.simulator import load_scenario, run_scenario
 
-# Even without a database, Hypothesis caches the constants it finds in source
-# files; keep that cache out of the working tree.
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "soa-hitlcps-hypothesis")
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                 suppress_health_check=[HealthCheck.too_slow])
 SLOW = settings(FUZZ, max_examples=25)  # each example loads and runs a scenario

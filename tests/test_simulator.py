@@ -2,7 +2,11 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import sim_oracle
+from soa_hitlcps import simulator
 from soa_hitlcps.datafiles import scenario_dir
 from soa_hitlcps.errors import ParseError, UnknownNodeError, UnknownPrefixError, UnknownServiceError
 from soa_hitlcps.kb import Iri, Pattern, Var, iri
@@ -400,3 +404,88 @@ def test_a_rejected_notify_prints_its_reason(tmp_path):
         "RULE Nia WHEN signal=go THEN discover kind=processing notify=alert\nAT 1 SIGNAL Nia go\n", tmp_path))
     assert [e.detail for e in result.trace.entries if e.action == "notify"] == [
         "service=alert consumer=David invocation=1 status=rejected reason=precondition"]
+
+
+# -- the fast loop against the naive one -----------------------------------------
+
+
+def test_tick_visits_only_nodes_with_mail(monkeypatch):
+    scenario = _load("scenario2_chat.scn")
+    sim = Simulation(scenario)
+    visited = []
+    monkeypatch.setattr(simulator, "node_tick", lambda sim, loop, time: visited.append(str(loop.node)))
+    sim.tick(1)
+    assert visited == []
+    sim.deliver(sim.events[0])  # Adam asks Cathy's chatbotService
+    sim.tick(1)
+    assert visited == ["Cathy"]
+
+
+def test_the_node_order_comes_from_the_names_not_the_file():
+    directory = Path(scenario_dir())
+    text = (directory / "scenario2_chat.scn").read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    nodes = [line for line in lines if line.startswith("NODE ")]
+    assert len(nodes) == 3
+    start = lines.index(nodes[0])
+    reordered = "".join(lines[:start] + nodes[::-1] + lines[start + len(nodes):])
+    assert reordered != text
+    assert (run_scenario(load_scenario(reordered, directory)).trace.to_tsv()
+            == run_scenario(load_scenario(text, directory)).trace.to_tsv())
+
+
+def _fast_and_naive(text, directory):
+    fast = sim_oracle.run_by_event_time(Simulation(load_scenario(text, directory)))
+    naive = sim_oracle.run_by_event_time(sim_oracle.NaiveSimulation(load_scenario(text, directory)))
+    return fast, naive
+
+
+@pytest.mark.parametrize("name", ["scenario1_ecg.scn", "scenario2_chat.scn"])
+def test_the_loop_runs_a_bundled_scenario_as_the_naive_loop_does(name):
+    directory = Path(scenario_dir())
+    fast, naive = _fast_and_naive((directory / name).read_text(encoding="utf-8"), directory)
+    assert fast == naive
+    assert any(sessions for _, _, held in fast for _, sessions in held)
+
+
+# Rules whose action reads what its conditions guarantee: invoke-requested a
+# request's service, acquire-knowledge and discover a message's topic and sender.
+# Only a machine learns, so acquire-knowledge is Cathy's.
+_RULE_ACTIONS = (
+    ("event=request", "invoke-requested"), (None, "answer"), ("event=message", "acquire-knowledge"),
+    (None, "complete-sessions"), (None, "complete-sessions rating=4"), (None, "rate service=chatDoctor rating=3"),
+    ("event=message", "discover skill=Complex_Problem_Solving invoke=yes inputs=patient:@from"),
+    ("event=message", "discover knowledge=Medicine_and_Dentistry notify=chatbotService"),
+)
+_READINGS = ("topic-known=yes", "topic-known=no", "from-provider=yes", "from-provider=no")  # read the graph or sessions
+_CONDITIONS = ("event=message", "event=signal", "sentiment=upset", "sentiment=satisfied", "signal=done") + _READINGS
+_NODES = ("NODE Adam HUMAN adam.cap", "NODE Cathy MACHINE cathy.cap", "NODE David HUMAN david.cap")
+_PEOPLE = ("Adam", "Cathy", "David", "Eve")  # Eve is no node
+_TOPICS = ("HeadDiscomfort", "ClinicServices", "Farewell")
+
+_rule = st.tuples(st.sampled_from(_PEOPLE[:3]), st.sampled_from(_RULE_ACTIONS), st.sampled_from(_READINGS + ("",)),
+                  st.lists(st.sampled_from(_CONDITIONS), max_size=2))
+_message = st.tuples(st.just("MESSAGE"), st.sampled_from(_PEOPLE), st.sampled_from(_PEOPLE), st.just("m"),
+                     st.sampled_from(("upset", "satisfied", "calm")), st.sampled_from(_TOPICS))
+_event = st.one_of(  # mostly messages: they fan out to sessions and test the conditions that read them
+    _message, _message, _message,
+    st.tuples(st.just("REQUEST"), st.sampled_from(_PEOPLE), st.just("chatbotService")),
+    st.tuples(st.just("SIGNAL"), st.sampled_from(_PEOPLE), st.sampled_from(("done", "ping"))),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.permutations(_NODES), st.lists(_rule, min_size=3, max_size=10),
+       st.lists(st.tuples(st.integers(1, 6), _event), min_size=4, max_size=16))
+def test_the_loop_runs_a_drawn_scenario_as_the_naive_loop_does(nodes, rules, events):
+    # Cathy serves every request first, so most runs hold sessions that messages fan out to
+    lines = list(nodes) + ["SERVICE chatbot_service.srv", "SERVICE chat_doctor.srv",
+                           "RULE Cathy WHEN event=request THEN invoke-requested"]
+    for node, (required, action), reading, conditions in rules:
+        conditions = [c for c in (required, reading) if c] + conditions or ["event=message"]
+        node = "Cathy" if action == "acquire-knowledge" else node
+        lines.append(f"RULE {node} WHEN {','.join(conditions)} THEN {action}")
+    lines += ["AT 0 REQUEST Adam chatbotService"] + [f"AT {time} {' '.join(event)}" for time, event in events]
+    fast, naive = _fast_and_naive("\n".join(lines) + "\n", scenario_dir())
+    assert fast == naive
