@@ -114,14 +114,17 @@ PLUMBING_PROPERTIES = (
 )
 
 
+# (property, (domain, range)) of each plumbing property, built once
+_PLUMBING_SIGNATURES = tuple((iri(name), (iri(domain), iri(range_))) for name, domain, range_ in PLUMBING_PROPERTIES)
+
+
 def ensure_plumbing(kb: KnowledgeBase) -> None:
     """Declare each plumbing property that ``kb`` does not declare with its signature yet.
 
     Every projection calls this; skipping the declared ones keeps a rating
     from journaling five no-op declarations for a follower to replay.
     """
-    for name, domain, range_ in PLUMBING_PROPERTIES:
-        prop, signature = iri(name), (iri(domain), iri(range_))
+    for prop, signature in _PLUMBING_SIGNATURES:
         if kb.property_decls.get(prop) != signature:
             kb.add_property(prop, *signature)
 
@@ -685,10 +688,13 @@ def project_human(kb: KnowledgeBase, person: Iri, cap: HumanCapability, contexts
     return node
 
 
+_HUMAN_KNOWLEDGE, _LEARNED_KNOWLEDGE = iri("hasHumanKnowledge"), iri("hasLearnedKnowledge")
+
+
 def knows(kb: KnowledgeBase, owner: Iri, topic: Iri) -> bool:
     """Whether ``owner``'s capability holds ``topic`` as human or learned knowledge."""
-    return any(Statement(capability_node(owner), iri(predicate), topic) in kb.statements
-               for predicate in ("hasHumanKnowledge", "hasLearnedKnowledge"))
+    node, statements = capability_node(owner), kb.statements
+    return (node, _HUMAN_KNOWLEDGE, topic) in statements or (node, _LEARNED_KNOWLEDGE, topic) in statements
 
 
 def is_human(kb: KnowledgeBase, owner: Iri) -> bool:

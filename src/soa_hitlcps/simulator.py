@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -42,20 +41,40 @@ PLAN = "plan"
 EXECUTE = "execute"
 
 
+class _kept:
+    """A value computed on its first read and kept in the instance's ``__dict__``.
+
+    ``functools.cached_property`` does the same, but on Python 3.10 and 3.11 it
+    takes a lock on every first read.  This is a non-data descriptor, so once
+    the value is stored every later read finds it before reaching this class.
+    """
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 @dataclass(frozen=True)
 class SimEvent:
+    """A scripted event.  Its field map and monitor row are built at their first
+    read, in the event time that delivers the event, not when the scenario loads."""
+
     time: int
     kind: str  # request | message | signal | tick
     payload: tuple  # ((key, value), ...) with Iri/str values
 
-    @cached_property
-    def _fields(self) -> dict:
-        return dict(self.payload)
+    @_kept
+    def get(self):
+        """``event.get(key)``: the field ``key``, or None.  The first read builds a dict
+        of the payload and keeps that dict's own ``get``, so every lookup runs in C."""
+        return dict(self.payload).get
 
-    def get(self, key):
-        return self._fields.get(key)
-
-    @cached_property
+    @_kept
     def observation(self) -> str:
         """The monitor phase's trace detail, the same at every node that observes the event."""
         get = self.get
@@ -98,7 +117,8 @@ class Session:
 
 
 class TraceEntry(NamedTuple):
-    """A named tuple, so building one per trace row stays in C."""
+    """One trace row.  As a named tuple it hashes and compares in C, but its generated
+    constructor runs in Python, so the loop builds rows with ``tuple.__new__``."""
 
     time: int
     node: str
@@ -115,7 +135,7 @@ class ScenarioTrace:
     entries: list = field(default_factory=list)
 
     def add(self, time: int, node, phase: str, action: str, detail: str) -> None:
-        self.entries.append(TraceEntry(time, str(node), phase, action, detail))
+        self.entries.append(tuple.__new__(TraceEntry, (time, str(node), phase, action, detail)))
 
     def to_tsv(self) -> str:
         return "".join(entry.to_tsv() + "\n" for entry in self.entries)
@@ -340,8 +360,9 @@ class Simulation:
             sender, recipient = get("sender"), get("recipient")
             targets = {recipient}
             for endpoint in (sender, recipient):
-                for session in self.open_sessions_with(endpoint):
-                    targets.update((session.invocation.consumer, session.provider, session.origin))
+                for session in self.sessions.get(endpoint, ()):
+                    if session.invocation.status == RUNNING:  # open, as ``open_sessions_with`` reads it
+                        targets.update((session.invocation.consumer, session.provider, session.origin))
             targets.discard(sender)
         for node in targets:  # each inbox keeps its own order, so the order of targets is free
             loop = self.nodes.get(node)
@@ -516,15 +537,15 @@ def _plan_detail(rule: Rule) -> str:
 def node_tick(sim: Simulation, loop: NodeLoop, time: int) -> None:
     """Run one monitor/analyze/plan/execute pass over a node's inbox."""
     pending, loop.inbox = loop.inbox, []
-    name, add = str(loop.node), sim.trace.entries.append
+    name, add, row = str(loop.node), sim.trace.entries.append, tuple.__new__
     for event in pending:
-        add(TraceEntry(time, name, MONITOR, "observe", event.observation))
+        add(row(TraceEntry, (time, name, MONITOR, "observe", event.observation)))
         rule = sim.match_rule(loop, event)
         if rule is None:
-            add(TraceEntry(time, name, ANALYZE, "no-rule", ""))
+            add(row(TraceEntry, (time, name, ANALYZE, "no-rule", "")))
             continue
-        add(TraceEntry(time, name, ANALYZE, "match", rule.action))
-        add(TraceEntry(time, name, PLAN, rule.action, _plan_detail(rule)))
+        add(row(TraceEntry, (time, name, ANALYZE, "match", rule.action)))
+        add(row(TraceEntry, (time, name, PLAN, rule.action, _plan_detail(rule))))
         sim.act(loop, rule, event, time)
 
 

@@ -1,4 +1,6 @@
+import sys
 from decimal import Decimal
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from soa_hitlcps.errors import ParseError, UnknownNodeError, UnknownPrefixError,
 from soa_hitlcps.kb import Iri, Pattern, Var, iri
 from soa_hitlcps.query import join
 from soa_hitlcps.registry import COMPLETED
+from soa_hitlcps.schema import capability_node, knows
 from soa_hitlcps.simulator import (
     NodeLoop,
     Rule,
@@ -71,6 +74,16 @@ def test_node_tick_drains_the_inbox():
     assert loop.inbox == []
     node_tick(sim, loop, 2)
     assert len(sim.trace.entries) == 2
+
+
+def test_an_event_reads_an_absent_field_as_none_and_keeps_its_monitor_row():
+    event = SimEvent(1, "message", (("sender", iri("Adam")), ("recipient", iri("Cathy")), ("id", "m1"),
+                                    ("sentiment", "upset"), ("topic", iri("Farewell"))))
+    assert event.get("signal") is None
+    assert event.get("sender") == iri("Adam")
+    first = event.observation
+    assert first == "from=Adam to=Cathy id=m1 sentiment=upset topic=Farewell"
+    assert event.observation is first
 
 
 def test_first_matching_rule_wins():
@@ -152,6 +165,57 @@ def test_loading_a_scenario_reads_no_index(name):
     # Registration and publication check the graph by set lookups only, so
     # the S/P/O index is first built when the run reads it.
     assert _load(name).registry.kb._index is None
+
+
+def _generated(seed, directory):
+    """The benchmark's generated chat scenario for ``seed``, loaded from files written to ``directory``."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workload_gen
+
+    for name, text in workload_gen.build_scenario(seed).files.items():
+        (directory / name).write_text(text, encoding="utf-8")
+    return load_scenario((directory / "chat.scn").read_text(encoding="utf-8"), directory)
+
+
+_BUILT_AT_FIRST_READ = {"get", "observation"}  # what a SimEvent keeps in its __dict__ once read
+
+
+@pytest.mark.parametrize("name", ["scenario1_ecg.scn", "scenario2_chat.scn", "generated"])
+def test_loading_a_scenario_builds_no_event_field_map_or_monitor_row(tmp_path, name):
+    # Building them at load would move their objects, and the collections they
+    # set off, into the set-up and the first event time.
+    scenario = _generated(1, tmp_path) if name == "generated" else _load(name)
+    sim = Simulation(scenario)
+    assert not any(_BUILT_AT_FIRST_READ & vars(event).keys() for event in scenario.events)
+    sim.run()
+    assert any(_BUILT_AT_FIRST_READ <= vars(event).keys() for event in scenario.events)
+
+
+_KNOWLEDGE_LINKS = {iri("hasHumanKnowledge"), iri("hasLearnedKnowledge")}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_knows_reads_what_a_scan_of_the_statements_finds(tmp_path, seed):
+    sim = Simulation(_generated(seed, tmp_path))
+    kb = sim.registry.kb
+    topics = {event.get("topic") for event in sim.events if event.kind == "message"}
+    topics |= {s.object for s in kb.statements if s.predicate in _KNOWLEDGE_LINKS}
+    seen = set()
+    for time, batch in groupby(sim.events, key=lambda event: event.time):
+        for event in batch:
+            sim.deliver(event)
+        sim.tick(time)
+        scanned = {(s.subject, s.object) for s in kb.statements if s.predicate in _KNOWLEDGE_LINKS}
+        for node in sim.nodes:
+            for topic in topics:
+                held = (capability_node(node), topic) in scanned
+                assert knows(kb, node, topic) == held, (time, node, topic)
+                seen.add((node, topic, held))
+    # both answers occur, and some pair turns from unknown to known during the run
+    assert any(held for _, _, held in seen) and any(not held for _, _, held in seen)
+    assert any((node, topic, True) in seen and (node, topic, False) in seen for node, topic, _ in seen)
 
 
 # -- the monitoring scenario ----------------------------------------------------
