@@ -24,9 +24,9 @@ from .errors import (
     ParseError,
     UnknownServiceError,
 )
-from .kb import (DEFAULT_PREFIX, Iri, KnowledgeBase, Pattern, Var, iri, parse_decimal,
+from .kb import (Iri, KnowledgeBase, Pattern, TYPE_PRED, Var, iri, parse_decimal,
                  parse_integer, parse_name, parse_pair, term_sort_key)
-from .query import A, And, Eq, InSet, QueryAst, QueryName, QueryPattern, evaluate, join
+from .query import And, Eq, InSet, QueryAst, evaluate, join
 from .reasoner import materialize, refresh
 from .registry import (
     COMPLETED,
@@ -145,27 +145,16 @@ def parse_discovery_request(text: str) -> DiscoveryRequest:
     )
 
 
-def _query_name(term: Iri) -> QueryName:
-    """``term`` as a discovery query prints it, carrying ``term`` when the print reads back as it."""
-    # a prefix that holds a ":" reads back otherwise, so such a name is read from its print
-    return QueryName(f"{term.prefix}:{term.local}", None if ":" in term.prefix else term)
-
-
-def _vocabulary(local: str) -> QueryName:
-    """A name of the base ontology as a discovery query prints it, with its Iri."""
-    return QueryName(f"{DEFAULT_PREFIX}:{local}", iri(local))
-
-
 # The patterns every discovery query starts with, and those a criterion adds.
 _SERVICE_PATTERNS = (
-    QueryPattern(Var("service"), _vocabulary("presents"), Var("serviceprofile")),
-    QueryPattern(Var("serviceprofile"), _vocabulary("hasProperty"), Var("property")),
-    QueryPattern(Var("property"), _vocabulary("includeCapability"), Var("capability")),
+    Pattern(Var("service"), iri("presents"), Var("serviceprofile")),
+    Pattern(Var("serviceprofile"), iri("hasProperty"), Var("property")),
+    Pattern(Var("property"), iri("includeCapability"), Var("capability")),
 )
-_CONTEXT_PATTERN = QueryPattern(Var("property"), _vocabulary("includeContext"), Var("context"))
-_KNOWLEDGE_PATTERN = QueryPattern(Var("capability"), _vocabulary("hasHumanKnowledge"), Var("knowledge"))
-_HAS_SKILL, _HAS_ABILITY = _vocabulary("hasHumanSkill"), _vocabulary("hasAbility")
-_KIND_PATTERNS = {kind: QueryPattern(Var("service"), A, _vocabulary(cls)) for kind, cls in _KIND_CLASSES.items()}
+_CONTEXT_PATTERN = Pattern(Var("property"), iri("includeContext"), Var("context"))
+_KNOWLEDGE_PATTERN = Pattern(Var("capability"), iri("hasHumanKnowledge"), Var("knowledge"))
+_HAS_SKILL, _HAS_ABILITY = iri("hasHumanSkill"), iri("hasAbility")
+_KIND_PATTERNS = {kind: Pattern(Var("service"), TYPE_PRED, iri(cls)) for kind, cls in _KIND_CLASSES.items()}
 
 
 def compile_request(request: DiscoveryRequest) -> Optional[QueryAst]:
@@ -175,23 +164,23 @@ def compile_request(request: DiscoveryRequest) -> Optional[QueryAst]:
     if request.context_constraints:
         patterns.append(_CONTEXT_PATTERN)
         if len(request.context_constraints) == 1:
-            conjuncts.append(Eq("context", _query_name(request.context_constraints[0])))
+            conjuncts.append(Eq("context", request.context_constraints[0]))
         else:
-            conjuncts.append(InSet("context", tuple(map(_query_name, request.context_constraints))))
+            conjuncts.append(InSet("context", tuple(request.context_constraints)))
     for index, (skill, _minimum) in enumerate(request.required_skills):
         var = "skill" if index == 0 else f"skill{index + 1}"
-        patterns.append(QueryPattern(Var("capability"), _HAS_SKILL, Var(var)))
-        conjuncts.append(Eq(var, _query_name(skill)))
+        patterns.append(Pattern(Var("capability"), _HAS_SKILL, Var(var)))
+        conjuncts.append(Eq(var, skill))
     if request.required_knowledge:
         patterns.append(_KNOWLEDGE_PATTERN)
         if len(request.required_knowledge) == 1:
-            conjuncts.append(Eq("knowledge", _query_name(request.required_knowledge[0])))
+            conjuncts.append(Eq("knowledge", request.required_knowledge[0]))
         else:
-            conjuncts.append(InSet("knowledge", tuple(map(_query_name, request.required_knowledge))))
+            conjuncts.append(InSet("knowledge", tuple(request.required_knowledge)))
     for index, ability in enumerate(request.required_abilities):
         var = "ability" if index == 0 else f"ability{index + 1}"
-        patterns.append(QueryPattern(Var("capability"), _HAS_ABILITY, Var(var)))
-        conjuncts.append(Eq(var, _query_name(ability)))
+        patterns.append(Pattern(Var("capability"), _HAS_ABILITY, Var(var)))
+        conjuncts.append(Eq(var, ability))
     if request.service_kind is not None:
         if request.service_kind not in _KIND_PATTERNS:
             return None  # no service is of an unknown kind

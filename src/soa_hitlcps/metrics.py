@@ -17,8 +17,8 @@ from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
 from .errors import ZeroRelationsError
-from .kb import KnowledgeBase, TYPE_PRED, read_document
-from .query import QueryAst, QueryName, TypePredicate, evaluate, parse_query, resolve_name
+from .kb import Iri, KnowledgeBase, TYPE_PRED, read_document
+from .query import QueryAst, check_name, evaluate, parse_query
 from .reasoner import (
     axiom_inference_check,
     check_consistency,
@@ -76,19 +76,16 @@ def vocabulary_gaps(kb: KnowledgeBase, ast: QueryAst):
     missing = set()
     for pattern in ast.patterns:
         predicate = pattern.predicate
-        if isinstance(predicate, TypePredicate):
-            is_type = True
-        elif isinstance(predicate, QueryName):
-            term = resolve_name(predicate, kb)
-            is_type = term == TYPE_PRED
-            if not is_type and term not in kb.property_decls:
-                missing.add(term)
-        else:
-            is_type = False  # a variable predicate matches whatever exists
-        if is_type and isinstance(pattern.object, QueryName):
-            cls = resolve_name(pattern.object, kb)
-            if cls not in kb.class_decls:
-                missing.add(cls)
+        if not isinstance(predicate, Iri):
+            continue  # a variable predicate matches whatever exists
+        check_name(predicate, kb)
+        if predicate != TYPE_PRED:
+            if predicate not in kb.property_decls:
+                missing.add(predicate)
+        elif isinstance(pattern.object, Iri):
+            check_name(pattern.object, kb)
+            if pattern.object not in kb.class_decls:
+                missing.add(pattern.object)
     return sorted(missing)
 
 

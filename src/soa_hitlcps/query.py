@@ -9,7 +9,9 @@ Grammar::
     Cmp        := Var = prefixed-name
                 | Var IN ( prefixed-name, ... )
 
-Prefixed names are kept raw in the AST and resolved against the target kb's
+The AST holds what its names denote: a name is an ``Iri`` (a bare name has
+the built-in prefix), the keyword ``a`` reads as ``TYPE_PRED``, and a pattern
+is a ``kb.Pattern``.  A name's prefix is checked against the target kb's
 prefix table at evaluation time, so one parsed query can run against any kb
 whose prefixes cover it.  Evaluation is set-semantics over asserted plus
 materialized triples of the kb it is given; result rows are deduplicated and
@@ -27,15 +29,16 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Union
 
-from .errors import ParseError, UnboundFilterVarError, UnboundProjectionError, UnknownPrefixError
+from .errors import ParseError, UnboundFilterVarError, UnboundProjectionError
 from .kb import (
     Iri,
     KnowledgeBase,
     Pattern,
+    PatternTerm,
     TYPE_PRED,
     Var,
     _Cursor,
@@ -46,53 +49,9 @@ from .kb import (
 
 
 @dataclass(frozen=True)
-class QueryName:
-    """An unresolved constant; ``raw`` is ``local`` or ``prefix:local``.
-
-    ``term``, when given, is a ``raw`` of the form ``prefix:local`` (split at
-    its first ``:``) as an Iri, so that :func:`resolve_name` need not split
-    ``raw`` again; it takes no part in equality, hashing or printing.
-    """
-
-    raw: str
-    term: Optional[Iri] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        term = self.term
-        if term is not None and self.raw.partition(":") != (term.prefix, ":", term.local):
-            raise ValueError(f"{self.raw!r} does not read as {term!r}")
-
-    def __str__(self) -> str:
-        return self.raw
-
-
-@dataclass(frozen=True)
-class TypePredicate:
-    """The ``a`` keyword in predicate position."""
-
-    def __str__(self) -> str:
-        return "a"
-
-
-A = TypePredicate()
-
-QueryTerm = Union[Var, QueryName, TypePredicate]
-
-
-@dataclass(frozen=True)
-class QueryPattern:
-    subject: QueryTerm
-    predicate: QueryTerm
-    object: QueryTerm
-
-    def variables(self) -> list[str]:
-        return [t.name for t in (self.subject, self.predicate, self.object) if isinstance(t, Var)]
-
-
-@dataclass(frozen=True)
 class Eq:
     var: str
-    value: QueryName
+    value: Iri
 
 
 @dataclass(frozen=True)
@@ -155,26 +114,24 @@ def _query_positions(text: str) -> list:
             for m in _QUERY_TOKEN.finditer(raw)]
 
 
-def _query_name(cursor: _Cursor, expected: str) -> QueryName:
-    """The word last read as a name, its prefix resolved at evaluation; else a ParseError expecting ``expected``."""
-    word = cursor.words[cursor.pos - 1]
+def _query_name(cursor: _Cursor, expected: str) -> Iri:
+    """The word last read as a name, its prefix checked at evaluation; else a ParseError expecting ``expected``."""
     try:
-        parse_name(word)
+        return parse_name(cursor.words[cursor.pos - 1])
     except ParseError:
         raise cursor.error(expected) from None
-    return QueryName(word)
 
 
-def _parse_query_term(cursor: _Cursor) -> QueryTerm:
+def _parse_query_term(cursor: _Cursor) -> PatternTerm:
     word = cursor.words[cursor.pos - 1]
     if word.startswith("?"):
         return Var(word[1:])
     if word == "a":
-        return A
+        return TYPE_PRED
     return _query_name(cursor, "a variable or prefixed name")
 
 
-def _parse_constant(cursor: _Cursor) -> QueryName:
+def _parse_constant(cursor: _Cursor) -> Iri:
     cursor.next("a prefixed name")
     return _query_name(cursor, "a prefixed name")
 
@@ -251,7 +208,7 @@ def parse_query(text: str) -> QueryAst:
         predicate = _parse_query_term(cursor)
         cursor.next("a pattern term")
         obj = _parse_query_term(cursor)
-        patterns.append(QueryPattern(subject, predicate, obj))
+        patterns.append(Pattern(subject, predicate, obj))
         if cursor.peek() == ".":
             cursor.next(".")
     if not patterns:
@@ -284,11 +241,22 @@ def _filter_vars(expr: FilterExpr) -> set:
 # Printing (canonical single-line form; parse(format_query(q)) == q)
 
 
+def _format_name(name: Iri) -> str:
+    """``prefix:local``, which reads back as ``name`` even when its local part is ``a``."""
+    return f"{name.prefix}:{name.local}"
+
+
+def _format_term(term: PatternTerm) -> str:
+    if term == TYPE_PRED:
+        return "a"
+    return _format_name(term) if isinstance(term, Iri) else str(term)
+
+
 def _format_filter(expr: FilterExpr) -> str:
     if isinstance(expr, Eq):
-        return f"?{expr.var}={expr.value}"
+        return f"?{expr.var}={_format_name(expr.value)}"
     if isinstance(expr, InSet):
-        return f"?{expr.var} IN ({', '.join(str(v) for v in expr.values)})"
+        return f"?{expr.var} IN ({', '.join(map(_format_name, expr.values))})"
     if isinstance(expr, And):
         return " && ".join(_format_filter(p) for p in expr.parts)
     return " || ".join(_format_filter(p) for p in expr.parts)
@@ -296,7 +264,7 @@ def _format_filter(expr: FilterExpr) -> str:
 
 def format_query(ast: QueryAst) -> str:
     parts = ["SELECT " + " ".join(f"?{v}" for v in ast.projected), "WHERE {"]
-    body = [f"{p.subject} {p.predicate} {p.object} ." for p in ast.patterns]
+    body = [" ".join(map(_format_term, (p.subject, p.predicate, p.object))) + " ." for p in ast.patterns]
     if ast.filter is not None:
         body.append(f"FILTER ({_format_filter(ast.filter)})")
     return parts[0] + " " + parts[1] + " " + " ".join(body) + " }"
@@ -306,42 +274,47 @@ def format_query(ast: QueryAst) -> str:
 # Evaluation
 
 
-def resolve_name(name: QueryName, kb: KnowledgeBase) -> Iri:
-    """The Iri ``name`` denotes in ``kb``, with the errors :func:`parse_name` raises for ``raw``.
+def check_name(name: Iri, kb: KnowledgeBase) -> None:
+    """Raise what :func:`parse_name` raises for the print of ``name`` when it does not read back in ``kb``.
 
-    A ``term`` is what ``raw`` reads as, so its prefix and local part are
-    checked as :func:`parse_name` checks them, in the same order.
+    A name passes when ``kb`` declares its prefix and its local part is a
+    name.  Otherwise its print ``prefix:local`` is read against ``kb``'s
+    prefixes, which raises: an :class:`UnknownPrefixError` for an undeclared
+    prefix (cut at its first ``:``), or else a :class:`ParseError`.
     """
-    term = name.term
-    if term is None:
-        return parse_name(name.raw, kb.prefixes)
-    if term.prefix not in kb.prefixes:
-        raise UnknownPrefixError(term.prefix)
-    if not _NAME_RE.fullmatch(term.local):
-        raise ParseError(1, 1, "a name")
-    return term
+    if ":" in name.prefix or name.prefix not in kb.prefixes or not _NAME_RE.fullmatch(name.local):
+        parse_name(_format_name(name), kb.prefixes)
 
 
-def _resolve_pattern(pattern: QueryPattern, kb: KnowledgeBase) -> Pattern:
-    def conv(term: QueryTerm):
-        if isinstance(term, Var):
-            return term
-        if isinstance(term, TypePredicate):
-            return TYPE_PRED
-        return resolve_name(term, kb)
-
-    return Pattern(conv(pattern.subject), conv(pattern.predicate), conv(pattern.object))
-
-
-def _compile_filter(expr: FilterExpr, kb: KnowledgeBase):
-    """A test over one binding, with every constant resolved once."""
+def _filter_names(expr: FilterExpr) -> tuple:
+    """The names of ``expr`` in the order it is written."""
     if isinstance(expr, Eq):
-        var, value = expr.var, resolve_name(expr.value, kb)
+        return (expr.value,)
+    if isinstance(expr, InSet):
+        return expr.values
+    return tuple(name for part in expr.parts for name in _filter_names(part))
+
+
+def _check_names(kb: KnowledgeBase, ast: QueryAst) -> None:
+    """:func:`check_name` on every name of ``ast``: the patterns' first, then the FILTER's, each in order."""
+    for pattern in ast.patterns:
+        for term in (pattern.subject, pattern.predicate, pattern.object):
+            if isinstance(term, Iri):
+                check_name(term, kb)
+    if ast.filter is not None:
+        for name in _filter_names(ast.filter):
+            check_name(name, kb)
+
+
+def _compile_filter(expr: FilterExpr):
+    """A test over one binding."""
+    if isinstance(expr, Eq):
+        var, value = expr.var, expr.value
         return lambda binding: binding[var] == value
     if isinstance(expr, InSet):
-        var, values = expr.var, {resolve_name(v, kb) for v in expr.values}
+        var, values = expr.var, set(expr.values)
         return lambda binding: binding[var] in values
-    parts = [_compile_filter(p, kb) for p in expr.parts]
+    parts = [_compile_filter(p) for p in expr.parts]
     if isinstance(expr, And):
         return lambda binding: all(test(binding) for test in parts)
     return lambda binding: any(test(binding) for test in parts)
@@ -387,23 +360,22 @@ def join(kb: KnowledgeBase, patterns, binding: dict, filters=()) -> list[dict]:
     return [b for b in bindings if all(test(b) for _, test in pending)]
 
 
-def _seeds_and_filters(conjuncts, kb: KnowledgeBase) -> tuple:
+def _seeds_and_filters(conjuncts) -> tuple:
     """The bindings the FILTER's top-level equalities pin, and a test for every other conjunct.
 
     An ``Eq`` pins its variable to one value and an ``InSet`` to each of its
     values; a variable pinned twice keeps the values both allow, so two
     different equalities leave no seed.  The seeds are every combination of
-    the pinned values, in ``term_sort_key`` order.  Names resolve in
-    conjunct order, as the tests compile.
+    the pinned values, in ``term_sort_key`` order.
     """
     allowed, filters = {}, []
     for conjunct in conjuncts:
         if isinstance(conjunct, Eq):
-            values = {resolve_name(conjunct.value, kb)}
+            values = {conjunct.value}
         elif isinstance(conjunct, InSet):
-            values = {resolve_name(v, kb) for v in conjunct.values}
+            values = set(conjunct.values)
         else:
-            filters.append((_filter_vars(conjunct), _compile_filter(conjunct, kb)))
+            filters.append((_filter_vars(conjunct), _compile_filter(conjunct)))
             continue
         allowed[conjunct.var] = allowed.get(conjunct.var, values) & values
     names = list(allowed)
@@ -411,7 +383,7 @@ def _seeds_and_filters(conjuncts, kb: KnowledgeBase) -> tuple:
     return [dict(zip(names, values)) for values in itertools.product(*choices)], filters
 
 
-def _plan(kb: KnowledgeBase, patterns: list, seeded: set) -> list:
+def _plan(kb: KnowledgeBase, patterns: tuple, seeded: set) -> list:
     """``patterns`` in the order to join them once the ``seeded`` variables are bound.
 
     Greedy: next comes the pattern with the most bound positions (constants,
@@ -449,22 +421,23 @@ def _plan(kb: KnowledgeBase, patterns: list, seeded: set) -> list:
 def evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
     """Run ``ast`` against ``kb`` (materialize first if inference matters).
 
-    The conjuncts of a top-level ``&&`` FILTER (or the whole FILTER when it
-    is one comparison) that are an ``Eq`` or an ``InSet`` seed the join: it
-    runs once from each binding they pin (see :func:`_seeds_and_filters`),
-    with the patterns in the order :func:`_plan` picks.  Every other
-    conjunct, such as an ``||``, is applied right after the pattern that
-    binds the last of its variables (see :func:`join`).  Every pattern name
-    and then every filter name resolves before any join, so an unknown
-    prefix raises even when no row matches.
+    Every name is checked once before any join (see :func:`check_name`),
+    the patterns' first and then the FILTER's, so an unknown prefix raises
+    even when no row matches.  The conjuncts of a top-level ``&&`` FILTER
+    (or the whole FILTER when it is one comparison) that are an ``Eq`` or an
+    ``InSet`` seed the join: it runs once from each binding they pin (see
+    :func:`_seeds_and_filters`), with the patterns in the order
+    :func:`_plan` picks.  Every other conjunct, such as an ``||``, is
+    applied right after the pattern that binds the last of its variables
+    (see :func:`join`).
     """
-    patterns = [_resolve_pattern(p, kb) for p in ast.patterns]
+    _check_names(kb, ast)
     if ast.filter is None:
         conjuncts = ()
     else:
         conjuncts = ast.filter.parts if isinstance(ast.filter, And) else (ast.filter,)
-    seeds, filters = _seeds_and_filters(conjuncts, kb)
-    order = _plan(kb, patterns, set(seeds[0])) if seeds else ()
+    seeds, filters = _seeds_and_filters(conjuncts)
+    order = _plan(kb, ast.patterns, set(seeds[0])) if seeds else ()
     rows = {tuple(b[v] for v in ast.projected) for seed in seeds for b in join(kb, order, seed, filters)}
     ordered = tuple(sorted(rows, key=lambda row: tuple(term_sort_key(v) for v in row)))
     return ResultTable(tuple(ast.projected), ordered)

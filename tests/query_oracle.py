@@ -12,22 +12,18 @@ assignment of the graph's terms to the variables and never calls ``match``.
 import itertools
 import random
 
-from soa_hitlcps.kb import KnowledgeBase, Var, integer, iri, string, term_sort_key
+from soa_hitlcps.kb import TYPE_PRED, KnowledgeBase, Pattern, Var, integer, iri, string, term_sort_key
 from soa_hitlcps.query import (
-    A,
     And,
     Eq,
     InSet,
     Or,
     QueryAst,
-    QueryName,
-    QueryPattern,
     ResultTable,
+    _check_names,
     _compile_filter,
     _filter_vars,
-    _resolve_pattern,
     join,
-    resolve_name,
 )
 
 
@@ -71,37 +67,37 @@ def random_query(rng: random.Random, kb: KnowledgeBase) -> QueryAst:
     for _ in range(n_patterns):
         if triples and rng.random() < 0.7:
             base = rng.choice(triples)  # seed from an existing triple so joins hit
-            subject = var() if rng.random() < 0.6 else QueryName(str(base.subject))
+            subject = var() if rng.random() < 0.6 else base.subject
             if base.predicate.local == "type" and rng.random() < 0.8:
-                predicate = A
+                predicate = TYPE_PRED
             else:
-                predicate = QueryName(str(base.predicate)) if rng.random() < 0.8 else var()
+                predicate = base.predicate if rng.random() < 0.8 else var()
             if rng.random() < 0.6 or not hasattr(base.object, "local"):
                 obj = var()
             else:
-                obj = QueryName(str(base.object))
+                obj = base.object
         else:
-            subject = var() if rng.random() < 0.7 else QueryName(str(rng.choice(inds)))
+            subject = var() if rng.random() < 0.7 else rng.choice(inds)
             roll = rng.random()
             if roll < 0.3 and classes:
-                predicate = A
+                predicate = TYPE_PRED
             elif roll < 0.8 and props:
-                predicate = QueryName(str(rng.choice(props)))
+                predicate = rng.choice(props)
             else:
                 predicate = var()
-            if isinstance(predicate, A.__class__) and classes:
-                obj = var() if rng.random() < 0.5 else QueryName(str(rng.choice(classes)))
+            if predicate == TYPE_PRED and classes:
+                obj = var() if rng.random() < 0.5 else rng.choice(classes)
             else:
-                obj = var() if rng.random() < 0.7 else QueryName(str(rng.choice(inds)))
-        patterns.append(QueryPattern(subject, predicate, obj))
+                obj = var() if rng.random() < 0.7 else rng.choice(inds)
+        patterns.append(Pattern(subject, predicate, obj))
     if not used_vars:
-        patterns[0] = QueryPattern(Var("s"), patterns[0].predicate, patterns[0].object)
+        patterns[0] = Pattern(Var("s"), patterns[0].predicate, patterns[0].object)
         used_vars.append("s")
     k = rng.randint(1, len(used_vars))
     projected = tuple(rng.sample(used_vars, k))
     filt = None
     if rng.random() < 0.6:
-        constants = [QueryName(str(i)) for i in inds] + [QueryName(str(c)) for c in classes]
+        constants = inds + classes
         def one_cmp():
             v = rng.choice(used_vars)
             if rng.random() < 0.6:
@@ -118,7 +114,7 @@ def random_query(rng: random.Random, kb: KnowledgeBase) -> QueryAst:
     return QueryAst(projected, tuple(patterns), filt)
 
 
-def _pattern_candidates(kb: KnowledgeBase, pattern: QueryPattern):
+def _pattern_candidates(kb: KnowledgeBase, pattern: Pattern):
     out = []
     for stmt in kb.triples():
         binding = {}
@@ -133,29 +129,22 @@ def _pattern_candidates(kb: KnowledgeBase, pattern: QueryPattern):
                     ok = False
                     break
                 binding[term.name] = value
-            else:
-                from soa_hitlcps.kb import TYPE_PRED
-
-                if isinstance(term, A.__class__):
-                    expected = TYPE_PRED
-                else:
-                    expected = resolve_name(term, kb)
-                if expected != value:
-                    ok = False
-                    break
+            elif term != value:
+                ok = False
+                break
         if ok:
             out.append(binding)
     return out
 
 
-def _filter_holds(expr, binding, kb):
+def _filter_holds(expr, binding):
     if isinstance(expr, Eq):
-        return binding[expr.var] == resolve_name(expr.value, kb)
+        return binding[expr.var] == expr.value
     if isinstance(expr, InSet):
-        return binding[expr.var] in {resolve_name(v, kb) for v in expr.values}
+        return binding[expr.var] in expr.values
     if isinstance(expr, And):
-        return all(_filter_holds(p, binding, kb) for p in expr.parts)
-    return any(_filter_holds(p, binding, kb) for p in expr.parts)
+        return all(_filter_holds(p, binding) for p in expr.parts)
+    return any(_filter_holds(p, binding) for p in expr.parts)
 
 
 def oracle_evaluate(kb: KnowledgeBase, ast: QueryAst, product_cap: int = 400_000):
@@ -180,7 +169,7 @@ def oracle_evaluate(kb: KnowledgeBase, ast: QueryAst, product_cap: int = 400_000
                 break
         if not ok:
             continue
-        if ast.filter is not None and not _filter_holds(ast.filter, merged, kb):
+        if ast.filter is not None and not _filter_holds(ast.filter, merged):
             continue
         rows.add(tuple(merged[v] for v in ast.projected))
     ordered = tuple(sorted(rows, key=lambda row: tuple(term_sort_key(v) for v in row)))
@@ -194,13 +183,13 @@ def source_order_evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
     right after the pattern that binds the last of its variables.  This is
     the naive counterpart of the planned ``evaluate``.
     """
-    patterns = [_resolve_pattern(p, kb) for p in ast.patterns]
+    _check_names(kb, ast)
     if ast.filter is None:
         conjuncts = ()
     else:
         conjuncts = ast.filter.parts if isinstance(ast.filter, And) else (ast.filter,)
-    filters = [(_filter_vars(c), _compile_filter(c, kb)) for c in conjuncts]
-    rows = {tuple(b[v] for v in ast.projected) for b in join(kb, patterns, {}, filters)}
+    filters = [(_filter_vars(c), _compile_filter(c)) for c in conjuncts]
+    rows = {tuple(b[v] for v in ast.projected) for b in join(kb, ast.patterns, {}, filters)}
     ordered = tuple(sorted(rows, key=lambda row: tuple(term_sort_key(v) for v in row)))
     return ResultTable(tuple(ast.projected), ordered)
 
@@ -233,18 +222,25 @@ def brute_join(kb: KnowledgeBase, patterns, binding: dict, filters=()) -> list:
 
 
 def run_randomized_comparison(n_cases: int, seed: int):
-    """Yield (kb, ast) pairs and assert engine == oracle for each."""
-    from soa_hitlcps.query import evaluate
+    """Draw random (kb, ast) cases until ``n_cases`` of them pass the cross-product oracle; return that count.
+
+    Every drawn case also prints and reads back as itself, and the planned
+    ``evaluate`` agrees with ``source_order_evaluate`` on it, even when its
+    cross-product is too large for the oracle.
+    """
+    from soa_hitlcps.query import evaluate, format_query, parse_query
 
     rng = random.Random(seed)
     done = 0
     while done < n_cases:
         kb = random_kb(rng)
         ast = random_query(rng, kb)
+        assert parse_query(format_query(ast)) == ast, f"case {done}: {format_query(ast)}"
+        got = evaluate(kb, ast)
+        assert got == source_order_evaluate(kb, ast), f"case {done}: {format_query(ast)}"
         expected = oracle_evaluate(kb, ast)
         if expected is None:
             continue  # cross-product too large; draw another case
-        got = evaluate(kb, ast)
         assert got == expected, f"case {done}: {ast} -> {got} != {expected}"
         done += 1
     return done

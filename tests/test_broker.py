@@ -33,6 +33,7 @@ from soa_hitlcps.errors import (
 from soa_hitlcps.kb import (
     DEFAULT_PREFIX,
     JOURNAL_LIMIT,
+    TYPE_PRED,
     Iri,
     ClassAxiom,
     Conjunction,
@@ -46,8 +47,7 @@ from soa_hitlcps.kb import (
     string,
     term_sort_key,
 )
-from soa_hitlcps.query import (A, And, Eq, InSet, QueryName, QueryPattern, Var, format_query, parse_query,
-                               query_equivalent)
+from soa_hitlcps.query import And, Eq, InSet, Var, format_query, parse_query, query_equivalent
 from soa_hitlcps.reasoner import materialize, refresh
 from soa_hitlcps.registry import COMPLETED, FAILED, REJECTED, RUNNING, ServiceRegistry
 from soa_hitlcps.schema import (
@@ -135,18 +135,16 @@ def test_compile_context_variant():
     compiled = compile_request(request)
     predicates = [p.predicate for p in compiled.patterns]
     assert predicates == [
-        QueryName("soa-hitlcps:presents"),
-        QueryName("soa-hitlcps:hasProperty"),
-        QueryName("soa-hitlcps:includeCapability"),
-        QueryName("soa-hitlcps:includeContext"),
-        QueryName("soa-hitlcps:hasHumanSkill"),
+        iri("presents"),
+        iri("hasProperty"),
+        iri("includeCapability"),
+        iri("includeContext"),
+        iri("hasHumanSkill"),
     ]
-    assert compiled.patterns[3] == QueryPattern(
-        Var("property"), QueryName("soa-hitlcps:includeContext"), Var("context")
-    )
+    assert compiled.patterns[3] == Pattern(Var("property"), iri("includeContext"), Var("context"))
     assert compiled.filter == And((
-        Eq("context", QueryName("soa-hitlcps:siteA")),
-        Eq("skill", QueryName("soa-hitlcps:Cardiac_output_CO_monitoring_units_or_accessories")),
+        Eq("context", iri("siteA")),
+        Eq("skill", iri("Cardiac_output_CO_monitoring_units_or_accessories")),
     ))
 
 
@@ -158,17 +156,17 @@ def test_compile_multi_skill_vars():
     assert compiled.patterns[-2].object == Var("skill")
     assert compiled.patterns[-1].object == Var("skill2")
     assert compiled.filter == And((
-        Eq("skill", QueryName("soa-hitlcps:Monitoring")),
-        Eq("skill2", QueryName("soa-hitlcps:Troubleshooting")),
+        Eq("skill", iri("Monitoring")),
+        Eq("skill2", iri("Troubleshooting")),
     ))
 
 
 def test_compile_kind_pattern():
     compiled = compile_request(DiscoveryRequest(service_kind="composite", context_constraints=(iri("siteB"),)))
-    assert compiled.patterns[-1] == QueryPattern(Var("service"), A, QueryName("soa-hitlcps:CompositeService"))
-    assert compiled.filter == Eq("context", QueryName("soa-hitlcps:siteB"))
+    assert compiled.patterns[-1] == Pattern(Var("service"), TYPE_PRED, iri("CompositeService"))
+    assert compiled.filter == Eq("context", iri("siteB"))
     sensing = compile_request(DiscoveryRequest(service_kind="sensing"))
-    assert sensing.patterns[3:] == (QueryPattern(Var("service"), A, QueryName("soa-hitlcps:SensingService")),)
+    assert sensing.patterns[3:] == (Pattern(Var("service"), TYPE_PRED, iri("SensingService")),)
     # an unknown kind matches no service, so there is no query to run
     assert compile_request(DiscoveryRequest(service_kind="Service")) is None
     _, broker = build_world()
@@ -945,7 +943,7 @@ def test_a_parsed_request_compiles_and_ranks_as_the_same_request_built_in_python
     assert query == compile_request(built)
     assert repr(query) == repr(compile_request(built))
     assert format_query(query) == format_query(compile_request(built))
-    assert [name.term for name in query.filter.parts[0].values] == [iri("siteA"), iri("siteB")]
+    assert query.filter.parts[0].values == (iri("siteA"), iri("siteB"))
     for line in ("DISCOVER skill=Complex_Problem_Solving knowledge=Medicine_and_Dentistry,Psychology",
                  "DISCOVER context=siteB kind=sensing", "DISCOVER skill=Monitoring:3"):
         parsed = parse_discovery_request(line)
@@ -959,9 +957,3 @@ def test_discover_of_a_prefix_holding_a_colon_raises_what_its_print_reads_as(pre
     with pytest.raises(type(error), match=re.escape(str(error))):
         broker.discover(DiscoveryRequest(required_knowledge=(Iri(prefix, "Bar"),)))
 
-
-def test_a_query_name_carries_only_the_iri_its_raw_reads_as():
-    assert QueryName("ex:a", Iri("ex", "a")).term == Iri("ex", "a")
-    for raw, term in [("ex:a", Iri("ex", "b")), ("a", iri("a")), ("zz:q:Bar", Iri("zz:q", "Bar"))]:
-        with pytest.raises(ValueError):
-            QueryName(raw, term)

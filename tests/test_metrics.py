@@ -5,7 +5,7 @@ from decimal import Decimal
 import pytest
 
 from soa_hitlcps import datafiles
-from soa_hitlcps.errors import ZeroRelationsError
+from soa_hitlcps.errors import UnknownPrefixError, ZeroRelationsError
 from soa_hitlcps.kb import KnowledgeBase, iri, parse_document, serialize
 from soa_hitlcps.metrics import (
     CqVerdict,
@@ -148,6 +148,16 @@ def test_unknown_individuals_are_not_vocabulary():
     verdict = run_cq(hscd, "q", "SELECT ?x WHERE { ?x a Human FILTER (?x=MrNobody) }")
     assert verdict.status == INSTANT
     assert verdict.rows == ()
+
+
+def test_only_vocabulary_names_have_their_prefix_checked_before_evolution_is_read():
+    hscd = parse_document(datafiles.fixture_text("hscd.kb"))
+    # a subject names an individual: its prefix is not checked, so the missing class still shows
+    verdict = run_cq(hscd, "q", "SELECT ?y WHERE { zz:someone performs ?y . ?y a Unicorn }")
+    assert (verdict.status, verdict.missing) == (REQUIRES_EVOLUTION, (iri("Unicorn"),))
+    for query in ("SELECT ?y WHERE { ?x zz:performs ?y }", "SELECT ?x WHERE { ?x a zz:Unicorn }"):
+        with pytest.raises(UnknownPrefixError, match="'zz'"):
+            run_cq(hscd, "q", query)
 
 
 def test_verdict_lines():

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -17,20 +18,26 @@ from soa_hitlcps.errors import (
     UnboundProjectionError,
     UnknownPrefixError,
 )
-from soa_hitlcps.kb import KnowledgeBase, iri, parse_document, term_sort_key
+from soa_hitlcps.kb import (
+    DEFAULT_PREFIX,
+    TYPE_PRED,
+    Iri,
+    KnowledgeBase,
+    Pattern,
+    iri,
+    parse_document,
+    parse_name,
+    term_sort_key,
+)
 from soa_hitlcps.query import (
-    A,
     And,
     Eq,
     InSet,
     Or,
     QueryAst,
-    QueryName,
-    QueryPattern,
     Var,
     _compile_filter,
     _filter_vars,
-    _resolve_pattern,
     evaluate,
     format_query,
     join,
@@ -57,16 +64,11 @@ def test_parse_discovery_query_shape():
     ast = parse_query(DISCOVERY_QUERY)
     assert ast.projected == ("service",)
     assert len(ast.patterns) == 5
-    assert ast.patterns[0] == QueryPattern(
-        Var("service"), QueryName("soa-hitlcps:presents"), Var("serviceprofile")
-    )
+    assert ast.patterns[0] == Pattern(Var("service"), iri("presents"), Var("serviceprofile"))
     assert isinstance(ast.filter, And)
     eq, inset = ast.filter.parts
-    assert eq == Eq("skill", QueryName("soa-hitlcps:Complex_Problem_Solving"))
-    assert inset == InSet(
-        "knowledge",
-        (QueryName("soa-hitlcps:Medicine_and_Dentistry"), QueryName("soa-hitlcps:Therapy_and_Counseling")),
-    )
+    assert eq == Eq("skill", iri("Complex_Problem_Solving"))
+    assert inset == InSet("knowledge", (iri("Medicine_and_Dentistry"), iri("Therapy_and_Counseling")))
 
 
 PROFILE_KB = """
@@ -178,6 +180,13 @@ def test_format_parse_roundtrip():
     assert parse_query(format_query(ast)) == ast
     simple = parse_query("SELECT ?x WHERE { ?x a Service . FILTER (?x=chatDoctor || ?x IN (a, b)) }")
     assert parse_query(format_query(simple)) == simple
+    # the built-in local name `a` is printed with its prefix, so it does not read back as the type keyword
+    for text in ("SELECT ?x WHERE { soa-hitlcps:a ?p ?x . ?x ?q soa-hitlcps:a }",
+                 "SELECT ?x WHERE { ?x soa-hitlcps:type Service FILTER (?x IN (a, soa-hitlcps:type)) }"):
+        ast = parse_query(text)
+        assert parse_query(format_query(ast)) == ast, text
+    assert format_query(parse_query("SELECT ?x WHERE { ?x soa-hitlcps:type a . ?x type ex:a }")) == \
+        "SELECT ?x WHERE { ?x a a . ?x a ex:a . }"
 
 
 def test_query_equivalence_modulo_pattern_order():
@@ -201,15 +210,15 @@ def test_comments_are_skipped():
 @pytest.mark.parametrize("first", ["?x a Human .", "?x a Human."])
 def test_a_dot_alone_or_ending_a_name_ends_a_pattern(first):
     ast = parse_query(f"SELECT ?x WHERE {{ {first} ?x a Service }}")
-    assert ast.patterns == (QueryPattern(Var("x"), A, QueryName("Human")),
-                            QueryPattern(Var("x"), A, QueryName("Service")))
+    assert ast.patterns == (Pattern(Var("x"), TYPE_PRED, iri("Human")),
+                            Pattern(Var("x"), TYPE_PRED, iri("Service")))
 
 
 def test_a_name_may_hold_an_inner_dot():
     kb = parse_document("CLASS Version1.2\nINDIVIDUAL v1 TYPE Version1.2\nINDIVIDUAL v2 TYPE Human\n")
     ast = parse_query("SELECT ?x WHERE { ?x a Version1.2 . ?x a ?c FILTER (?c IN (Version1.2, ex:a.b)) }")
-    assert ast.patterns[0] == QueryPattern(Var("x"), A, QueryName("Version1.2"))
-    assert ast.filter == InSet("c", (QueryName("Version1.2"), QueryName("ex:a.b")))
+    assert ast.patterns[0] == Pattern(Var("x"), TYPE_PRED, iri("Version1.2"))
+    assert ast.filter == InSet("c", (iri("Version1.2"), Iri("ex", "a.b")))
     assert parse_query(format_query(ast)) == ast
     assert evaluate(kb, parse_query("SELECT ?x WHERE { ?x a Version1.2 }")).rows == ((iri("v1"),),)
 
@@ -254,12 +263,12 @@ def _join_case(rng: random.Random):
     """A random graph, patterns with their FILTER conjuncts as tests, and a start binding for ``join``."""
     kb = query_oracle.random_kb(rng, max_statements=rng.choice((0, 15, 40)))
     ast = query_oracle.random_query(rng, kb)
-    patterns = [_resolve_pattern(p, kb) for p in ast.patterns]
+    patterns = list(ast.patterns)
     if ast.filter is None or rng.random() < 0.5:  # most filters leave no row
         conjuncts = ()
     else:
         conjuncts = ast.filter.parts if isinstance(ast.filter, And) else (ast.filter,)
-    filters = [(_filter_vars(c), _compile_filter(c, kb)) for c in conjuncts]
+    filters = [(_filter_vars(c), _compile_filter(c)) for c in conjuncts]
     names = sorted({name for p in patterns for name in p.variables()})
     terms = sorted({term for triple in kb.triples() for term in triple}, key=term_sort_key) or [iri("i0")]
     start = {}
@@ -369,6 +378,8 @@ def test_unknown_filter_prefix_raises_even_when_no_row_can_match(filter_):
     ast = parse_query(f"SELECT ?x WHERE {{ ?x knows ?y . ?y a Nothing FILTER ({filter_}) }}")
     with pytest.raises(UnknownPrefixError):
         evaluate(kb, ast)
+    with pytest.raises(UnknownPrefixError):
+        query_oracle.source_order_evaluate(kb, ast)
 
 
 def test_a_pattern_prefix_is_reported_before_a_filter_prefix():
@@ -387,7 +398,24 @@ def test_a_query_reads_exactly_the_names_a_graph_can_hold(name):
         graph_holds = False
     try:
         ast = parse_query(f"SELECT ?x WHERE {{ ?x a {name} }}")
-        query_names = ast.patterns[0].object == QueryName(name)
+        query_names = ast.patterns[0].object == iri(name)
     except ParseError:
         query_names = False
     assert graph_holds == query_names == (name in ("Version1.2", "a.b.c")), name
+
+
+@pytest.mark.parametrize("name, error", [(Iri("zz:q", "Bar"), UnknownPrefixError("zz")),
+                                         (Iri(DEFAULT_PREFIX, "Not a name"), ParseError(1, 1, "a name"))])
+@pytest.mark.parametrize("place", ["pattern", "filter"])
+def test_a_query_built_in_python_raises_what_the_print_of_its_name_reads_as(name, error, place):
+    # the graph declares the prefix "zz:q", but the print "zz:q:Bar" reads as prefix "zz"
+    kb = parse_document("@prefix zz:q: http://example.org/zzq#\n" + PLAN_KB)
+    assert "zz:q" in kb.prefixes
+    if place == "pattern":
+        ast = QueryAst(("x",), (Pattern(Var("x"), iri("knows"), name),))
+    else:
+        ast = QueryAst(("x",), (Pattern(Var("x"), iri("knows"), Var("y")),), InSet("y", (iri("ann"), name)))
+    for read in (lambda: parse_name(f"{name.prefix}:{name.local}", kb.prefixes),
+                 lambda: evaluate(kb, ast), lambda: query_oracle.source_order_evaluate(kb, ast)):
+        with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
+            read()
