@@ -3,6 +3,11 @@
 A knowledge base holds class and property declarations, a subclass DAG,
 disjointness pairs, restricted class axioms, OntoClean metaproperty
 annotations, type assertions and plain (subject, predicate, object) facts.
+Each table holds what it means: a disjointness is stored once, as its pair
+in ``term_sort_key`` order, and the axioms are a set that keeps document
+order (a dict from each axiom to None).  Equality and ``copy`` are derived
+from the dataclass's field list, so a table added to the class is compared
+and copied with the others.
 
 Documents are UTF-8 text, one directive per line, ``#`` starts a comment::
 
@@ -74,10 +79,11 @@ The structure is single-writer: no internal locking is performed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 from functools import partial
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
@@ -354,8 +360,8 @@ class KnowledgeBase:
     class_decls: set = field(default_factory=set)
     property_decls: dict = field(default_factory=dict)  # Iri -> (domain, range)
     subclass_links: set = field(default_factory=set)  # {(child, parent)}
-    disjoint_pairs: set = field(default_factory=set)  # symmetric-closed
-    axioms: list = field(default_factory=list)
+    disjoint_pairs: set = field(default_factory=set)  # {(a, b)}, a before b in term_sort_key order
+    axioms: dict = field(default_factory=dict)  # ClassAxiom -> None: a set in document order
     annotations: dict = field(default_factory=dict)  # Iri -> MetaAnnotation
     type_assertions: set = field(default_factory=set)  # {(individual, class)}
     statements: set = field(default_factory=set)
@@ -383,8 +389,9 @@ class KnowledgeBase:
 
     def add_subclass(self, child: Iri, parent: Iri) -> None:
         if (child, parent) not in self.subclass_links:
-            if child == parent or self._reachable(parent, child):
-                raise CyclicSubclassError(self._cycle_path(parent, child) + [parent])
+            path = self._subclass_path(parent, child)
+            if path is not None:
+                raise CyclicSubclassError(path + [parent])
             self.subclass_links.add((child, parent))
         self.class_decls.add(child)
         self.class_decls.add(parent)
@@ -404,16 +411,14 @@ class KnowledgeBase:
     def add_disjoint(self, a: Iri, b: Iri) -> None:
         self.class_decls.add(a)
         self.class_decls.add(b)
-        self.disjoint_pairs.add((a, b))
-        self.disjoint_pairs.add((b, a))
+        self.disjoint_pairs.add(tuple(sorted((a, b), key=term_sort_key)))
         if self.journal is not None:
             self._record("add_disjoint", (a, b))
 
     def add_axiom(self, axiom: ClassAxiom) -> None:
         self._check_expr_declared(axiom.body)
         self.class_decls.add(axiom.head)
-        if axiom not in self.axioms:
-            self.axioms.append(axiom)
+        self.axioms.setdefault(axiom)
         if self.journal is not None:
             self._record("add_axiom", (axiom,))
 
@@ -607,56 +612,38 @@ class KnowledgeBase:
     # -- bookkeeping -------------------------------------------------------
 
     def copy(self) -> "KnowledgeBase":
-        out = KnowledgeBase(
-            prefixes=dict(self.prefixes),
-            class_decls=set(self.class_decls),
-            property_decls=dict(self.property_decls),
-            subclass_links=set(self.subclass_links),
-            disjoint_pairs=set(self.disjoint_pairs),
-            axioms=list(self.axioms),
-            annotations=dict(self.annotations),
-            type_assertions=set(self.type_assertions),
-            statements=set(self.statements),
-        )
+        """A copy of every table and of the index; the journal is not copied."""
+        out = KnowledgeBase(*[table.copy() for table in _tables(self)])
         if self._index is not None:
             out._index = tuple(
                 {term: set(bucket) for term, bucket in by_term.items()} for by_term in self._index
             )
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KnowledgeBase):
-            return NotImplemented
-        return (
-            self.prefixes == other.prefixes
-            and self.class_decls == other.class_decls
-            and self.property_decls == other.property_decls
-            and self.subclass_links == other.subclass_links
-            and self.disjoint_pairs == other.disjoint_pairs
-            and set(self.axioms) == set(other.axioms)
-            and self.annotations == other.annotations
-            and self.type_assertions == other.type_assertions
-            and self.statements == other.statements
-        )
+    def _subclass_path(self, start: Iri, goal: Iri) -> Optional[list]:
+        """A subclass path start -> ... -> goal, or None when there is none.
 
-    def _reachable(self, start: Iri, goal: Iri) -> bool:
-        return goal == start or goal in self.superclasses(start)
-
-    def _cycle_path(self, start: Iri, goal: Iri) -> list:
-        """A subclass path start -> ... -> goal (exists when _reachable)."""
+        The walk is depth first and expands each class's parents in
+        ``term_sort_key`` order, so the path a cycle error reports is fixed.
+        """
         if start == goal:
             return [start]
+        links = sorted(self.subclass_links, key=lambda l: term_sort_key(l[1]))
         stack = [(start, [start])]
         visited = set()
         while stack:
             node, path = stack.pop()
-            for child, parent in sorted(self.subclass_links, key=lambda l: term_sort_key(l[1])):
+            for child, parent in links:
                 if child == node and parent not in visited:
                     if parent == goal:
                         return path + [parent]
                     visited.add(parent)
                     stack.append((parent, path + [parent]))
-        return [start, goal]
+        return None
+
+
+# The tables of a knowledge base, its init fields in order: copy() copies each.
+_tables = attrgetter(*(f.name for f in fields(KnowledgeBase) if f.init))
 
 
 _NO_STATEMENTS: frozenset = frozenset()
@@ -1039,8 +1026,7 @@ def serialize(kb: KnowledgeBase) -> str:
     for prop in sorted(kb.property_decls, key=term_sort_key):
         domain, range_ = kb.property_decls[prop]
         lines.append(f"PROPERTY {prop} DOMAIN {domain} RANGE {range_}")
-    canonical_pairs = {tuple(sorted(pair, key=term_sort_key)) for pair in kb.disjoint_pairs}
-    for a, b in sorted(canonical_pairs, key=lambda p: (term_sort_key(p[0]), term_sort_key(p[1]))):
+    for a, b in sorted(kb.disjoint_pairs, key=lambda p: (term_sort_key(p[0]), term_sort_key(p[1]))):
         lines.append(f"DISJOINT {a} {b}")
     lines.extend(sorted(_axiom_line(ax) for ax in kb.axioms))
     meta_lines = []

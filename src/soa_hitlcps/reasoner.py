@@ -229,11 +229,6 @@ class ConsistencyReport:
         )
 
 
-def _canonical_disjoint_pairs(kb: KnowledgeBase) -> list:
-    pairs = {tuple(sorted(p, key=term_sort_key)) for p in kb.disjoint_pairs}
-    return sorted(pairs, key=lambda p: (term_sort_key(p[0]), term_sort_key(p[1])))
-
-
 def _conjunction_named_parts(axiom: ClassAxiom):
     """Named conjunct Iris if the body is a pure conjunction of named classes."""
     body = axiom.body
@@ -245,10 +240,20 @@ def _conjunction_named_parts(axiom: ClassAxiom):
 
 
 def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
-    """Disjointness violations and unsatisfiable classes over the materialized kb."""
+    """Disjointness violations and unsatisfiable classes over the materialized kb.
+
+    An individual violates disjointness when its asserted or inferred types
+    hold both classes of a pair.  A class is unsatisfiable when a fresh
+    instance of it would: its types are the class and its ancestors, grown
+    to a fixpoint by every axiom whose body is a named class or a flat
+    conjunction of named classes all among them, each adding its head and
+    the head's ancestors.  An axiom with an existential never fires on such
+    an instance, which has no facts; a nested conjunction of named classes
+    would, but is not read here.
+    """
     m = materialize(kb)
     report = ConsistencyReport()
-    pairs = _canonical_disjoint_pairs(m)
+    pairs = sorted(m.disjoint_pairs, key=lambda p: (term_sort_key(p[0]), term_sort_key(p[1])))
     for individual in sorted(m.individuals(), key=term_sort_key):
         types = m.types_of(individual)
         for a, b in pairs:
@@ -262,6 +267,7 @@ def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
             for axiom in m.axioms:
                 named = _conjunction_named_parts(axiom)
                 if named and set(named) <= supers and axiom.head not in supers:
+                    supers |= m.superclasses(axiom.head)
                     supers.add(axiom.head)
                     grown = True
         for a, b in pairs:

@@ -93,7 +93,7 @@ class Rule:
     """A reaction rule with every value read at its line, so the loop only evaluates it."""
     conditions: tuple  # ((key, value), ...)
     action: str
-    params: tuple  # ((key, value), ...) as written; the plan trace prints them
+    plan: str  # the plan trace's detail: the parameters as written; a discover rule's are its criteria
     request: Optional[DiscoveryRequest] = None  # discover: every parameter but invoke, inputs, notify
     invoke: bool = False
     inputs: tuple = ()  # ((input name, graph Iri, or None for the event's sender), ...)
@@ -259,6 +259,7 @@ def _compile_rule(words, lineno: int) -> tuple:
     if not given.keys() >= set(requires):
         raise ParseError(lineno, 1, f"{action} " + " ".join(f"{key}=<value>" for key in requires))
     criteria = " ".join(f"{k}={v}" for k, v in params if k not in takes)
+    plan = " ".join(f"{k}={v}" for k, v in params if k not in _ACTIONS["discover"][0])
     if criteria and action != "discover":
         raise ParseError(lineno, 1, f"{action} parameters {'/'.join(takes) or '(none)'}")
     try:
@@ -275,7 +276,7 @@ def _compile_rule(words, lineno: int) -> tuple:
             check_rating(rating)
         except RatingOutOfRangeError:
             raise ParseError(lineno, 1, "a rating from 0 to 5") from None
-    return node, Rule(conditions, action, params, request, given.get("invoke") == "yes", inputs,
+    return node, Rule(conditions, action, plan, request, given.get("invoke") == "yes", inputs,
                       notify, service, rating)
 
 
@@ -529,11 +530,6 @@ class Simulation:
         return CheckResult(expectation, False, "unknown expectation")
 
 
-def _plan_detail(rule: Rule) -> str:
-    """A rule's parameters as written; a discover rule's are its DISCOVER criteria."""
-    return " ".join(f"{k}={v}" for k, v in rule.params if k not in _ACTIONS["discover"][0])
-
-
 def node_tick(sim: Simulation, loop: NodeLoop, time: int) -> None:
     """Run one monitor/analyze/plan/execute pass over a node's inbox."""
     pending, loop.inbox = loop.inbox, []
@@ -545,7 +541,7 @@ def node_tick(sim: Simulation, loop: NodeLoop, time: int) -> None:
             add(row(TraceEntry, (time, name, ANALYZE, "no-rule", "")))
             continue
         add(row(TraceEntry, (time, name, ANALYZE, "match", rule.action)))
-        add(row(TraceEntry, (time, name, PLAN, rule.action, _plan_detail(rule))))
+        add(row(TraceEntry, (time, name, PLAN, rule.action, rule.plan)))
         sim.act(loop, rule, event, time)
 
 

@@ -23,7 +23,7 @@ from soa_hitlcps.errors import UnknownServiceError
 from soa_hitlcps.kb import Iri
 from soa_hitlcps.registry import RUNNING
 from soa_hitlcps.schema import knows
-from soa_hitlcps.simulator import ANALYZE, EXECUTE, MONITOR, PLAN, Session, Simulation, _plan_detail
+from soa_hitlcps.simulator import ANALYZE, EXECUTE, MONITOR, PLAN, Session, Simulation
 
 
 def event_field(event, key):
@@ -124,7 +124,7 @@ class NaiveSimulation(Simulation):
                     self.trace.add(time, loop.node, ANALYZE, "no-rule", "")
                     continue
                 self.trace.add(time, loop.node, ANALYZE, "match", rule.action)
-                self.trace.add(time, loop.node, PLAN, rule.action, _plan_detail(rule))
+                self.trace.add(time, loop.node, PLAN, rule.action, rule.plan)
                 self.act(loop, rule, event, time)
 
 

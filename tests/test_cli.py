@@ -1,3 +1,4 @@
+import io
 from pathlib import Path
 
 import pytest
@@ -49,8 +50,51 @@ def test_validate_quiet_relies_on_exit_code(tmp_path, capsys):
 
 
 def test_validate_missing_file_is_usage_error(capsys):
-    assert main(["validate", "/nowhere/none.kb"]) == 2
-    assert "no such file" in capsys.readouterr().err
+    for argv in (["validate", "/nowhere/none.kb"], ["simulate", "/nowhere/none.scn"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no such file: {argv[1]}\n"
+
+
+def test_validate_reads_a_kb_from_stdin_as_from_its_file(tmp_path, monkeypatch, capsys):
+    kb = tmp_path / "bad.kb"
+    kb.write_text(VIOLATION_KB, encoding="utf-8")
+    assert main(["validate", str(kb)]) == 1
+    from_file = capsys.readouterr()
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(VIOLATION_KB.encode("utf-8"))))
+    assert main(["validate", "-"]) == 1
+    assert capsys.readouterr() == from_file and "VIOLATION disjointness x Human Machine" in from_file.out
+
+
+def test_validate_finds_a_class_unsatisfiable_through_an_axiom_heads_superclass(tmp_path, capsys):
+    # C is an A and a B, so the axiom makes it a D, and every D is an E,
+    # which no A is: reason types an instance of C as both A and E
+    text = ("CLASS D SUBCLASSOF E\nDISJOINT A E\nCLASS C SUBCLASSOF A\nCLASS C SUBCLASSOF B\n"
+            "AXIOM ( A AND B ) SUBCLASSOF D\n")
+    kb = tmp_path / "unsatisfiable.kb"
+    kb.write_text(text, encoding="utf-8")
+    assert main(["validate", str(kb)]) == 1
+    assert capsys.readouterr().out == "VIOLATION unsatisfiable C\n"
+    kb.write_text(text + "INDIVIDUAL c TYPE C\n", encoding="utf-8")
+    assert main(["reason", str(kb)]) == 0
+    types = {line.split()[3] for line in capsys.readouterr().out.splitlines() if line.startswith("INDIVIDUAL c ")}
+    assert {"A", "E"} <= types
+
+
+def test_validate_prints_each_kind_of_violation_in_report_order(tmp_path, capsys):
+    kb = tmp_path / "every.kb"
+    kb.write_text(
+        VIOLATION_KB + "CLASS Cyborg SUBCLASSOF Human\nCLASS Cyborg SUBCLASSOF Machine\n"
+        "META Cyborg\nMETA Human ~R\nMETA Machine ~R\n",
+        encoding="utf-8",
+    )
+    assert main(["validate", str(kb)]) == 1
+    assert capsys.readouterr().out == (
+        "VIOLATION disjointness x Human Machine\n"
+        "VIOLATION unsatisfiable Cyborg\n"
+        "VIOLATION ontoclean Cyborg Human ~R\n"
+        "VIOLATION ontoclean Cyborg Machine ~R\n"
+    )
 
 
 def test_validate_parse_error_is_domain_error(tmp_path, capsys):
@@ -393,6 +437,8 @@ def test_loa_bad_weights_are_usage_errors(tmp_path, capsys):
     tasks.write_text("TASK a skill WEIGHT 1 ASSIGNEE machine\n", encoding="utf-8")
     assert main(["loa", str(tasks), "--category-weights", "1,2"]) == 2
     assert "four comma-separated weights" in capsys.readouterr().err
+    assert main(["loa", str(tasks), "--category-weights", "1,x,3,4"]) == 2
+    assert capsys.readouterr() == ("", "error: weights must be decimals: 1,x,3,4\n")
 
 
 def test_loa_help_carries_oversight_note():

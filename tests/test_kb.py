@@ -1,6 +1,7 @@
 """Knowledge-base core: parsing, matching, serialization round-trips."""
 
 import random
+from dataclasses import fields
 from decimal import Decimal
 
 import pytest
@@ -102,10 +103,21 @@ def test_syntax_error_has_position():
 
 
 def test_cyclic_subclass_rejected():
-    text = "CLASS A SUBCLASSOF B\nCLASS B SUBCLASSOF C\nCLASS C SUBCLASSOF A\n"
-    with pytest.raises(CyclicSubclassError) as err:
-        parse_document(text)
-    assert len(err.value.path) >= 2
+    # the path is the first the depth-first walk from the new parent finds,
+    # expanding each class's parents in term order: A -> C before A -> B
+    cases = {
+        "CLASS A SUBCLASSOF A\n": "A -> A",
+        "CLASS A SUBCLASSOF B\nCLASS B SUBCLASSOF C\nCLASS C SUBCLASSOF A\n": "A -> B -> C -> A",
+        "CLASS A SUBCLASSOF B\nCLASS A SUBCLASSOF C\nCLASS B SUBCLASSOF D\nCLASS C SUBCLASSOF D\n"
+        "CLASS D SUBCLASSOF A\n": "A -> C -> D -> A",
+        "CLASS A SUBCLASSOF C\nCLASS A SUBCLASSOF B\nCLASS C SUBCLASSOF E\nCLASS B SUBCLASSOF E\n"
+        "CLASS E SUBCLASSOF F\nCLASS B SUBCLASSOF F\nCLASS F SUBCLASSOF A\n": "A -> C -> E -> F -> A",
+    }
+    for text, chain in cases.items():
+        with pytest.raises(CyclicSubclassError) as err:
+            parse_document(text)
+        assert str(err.value) == f"cyclic subclass chain: {chain}"
+        assert err.value.path == [iri(name) for name in chain.split(" -> ")]
 
 
 def test_duplicate_declarations_idempotent():
@@ -125,7 +137,7 @@ def test_axiom_parsing():
         "PROPERTY hasCapability DOMAIN PhysicalThing RANGE Capability\n"
         "AXIOM ( PhysicalThing AND ( hasCapability SOME HumanCapability ) ) SUBCLASSOF Human\n"
     )
-    assert kb.axioms == [
+    assert list(kb.axioms) == [
         ClassAxiom(
             Conjunction((NamedClass(iri("PhysicalThing")), SomeValues(iri("hasCapability"), iri("HumanCapability")))),
             iri("Human"),
@@ -397,6 +409,74 @@ def test_parse_extends_base_without_mutating_it():
     assert Statement(iri("a"), iri("knows"), iri("b")) in extended.statements
 
 
+# -- tables, equality and copy ---------------------------------------------------------
+
+TABLES_KB = (
+    "CLASS A\nCLASS B\nCLASS C SUBCLASSOF A\nPROPERTY p DOMAIN A RANGE B\nDISJOINT B C\n"
+    "AXIOM ( A AND ( p SOME B ) ) SUBCLASSOF C\nMETA A +R\nINDIVIDUAL x TYPE A\nFACT x p y\n"
+)
+# one write per table that changes that table alone
+TABLE_WRITES = {
+    "prefixes": lambda kb: kb.add_prefix("ex", "http://example.org/"),
+    "class_decls": lambda kb: kb.add_class(iri("D")),
+    "property_decls": lambda kb: kb.add_property(iri("q"), iri("A"), iri("A")),
+    "subclass_links": lambda kb: kb.add_subclass(iri("B"), iri("A")),
+    "disjoint_pairs": lambda kb: kb.add_disjoint(iri("A"), iri("B")),
+    "axioms": lambda kb: kb.add_axiom(ClassAxiom(NamedClass(iri("B")), iri("A"))),
+    "annotations": lambda kb: kb.add_annotation(kbm.annotation_from_flags(iri("B"), ["+I"])),
+    "type_assertions": lambda kb: kb.add_type(iri("y"), iri("B")),
+    "statements": lambda kb: kb.add_statement(iri("y"), iri("p"), iri("x")),
+}
+COMPARED = [f.name for f in fields(KnowledgeBase) if f.compare]
+
+
+def test_a_kb_that_differs_in_one_table_compares_unequal():
+    assert COMPARED == list(TABLE_WRITES)
+    base = parse_document(TABLES_KB)
+    for name, write in TABLE_WRITES.items():
+        other = base.copy()
+        assert other == base
+        write(other)
+        assert [f for f in COMPARED if getattr(other, f) != getattr(base, f)] == [name]
+        assert other != base and base != other
+
+
+def test_axioms_keep_document_order_and_compare_as_a_set():
+    head = "CLASS A\nCLASS B\nCLASS C\nPROPERTY p DOMAIN A RANGE B\n"
+    first, second = "AXIOM ( A AND B ) SUBCLASSOF C\n", "AXIOM ( p SOME B ) SUBCLASSOF A\n"
+    one, two = parse_document(head + first + second), parse_document(head + second + first + first)
+    assert list(one.axioms) == list(reversed(list(two.axioms))) and len(one.axioms) == 2
+    assert one == two
+    assert serialize(one) == serialize(two)
+
+
+def test_a_disjointness_is_stored_once_as_its_pair_in_term_order():
+    # term order is by prefix, then local name
+    kb = parse_document("@prefix ex: http://example.org/\nDISJOINT B A\nDISJOINT A B\nDISJOINT Y ex:Z\n")
+    assert kb.disjoint_pairs == {(iri("A"), iri("B")), (Iri("ex", "Z"), iri("Y"))}
+    assert [line for line in serialize(kb).splitlines() if line.startswith("DISJOINT")] == [
+        "DISJOINT ex:Z Y", "DISJOINT A B"]
+
+
+def test_a_copy_shares_no_container_and_carries_no_journal():
+    kb = parse_document(TABLES_KB)
+    kb.match(Pattern(Var("s"), TYPE_PRED, iri("A")))  # builds the index, which is copied too
+    kb.journal = journal = []
+    before = serialize(kb), {name: getattr(kb, name).copy() for name in COMPARED}
+    for name in COMPARED:
+        copied = kb.copy()
+        assert copied.journal is None and copied == kb
+        getattr(copied, name).clear()
+        assert (serialize(kb), {name: getattr(kb, name) for name in COMPARED}) == before
+    # the index is copied bucket by bucket: writes to the copy leave the original's alone
+    copied = kb.copy()
+    copied.add_statement(iri("z"), iri("p"), iri("x"))
+    copied.remove_type(iri("x"), iri("A"))
+    assert kb.statements_to(iri("x")) == set() and kb.types_of(iri("x")) == {iri("A")}
+    assert copied.statements_to(iri("x")) == {Statement(iri("z"), iri("p"), iri("x"))} and not copied.types_of(iri("x"))
+    assert journal == []
+
+
 # -- term identity ------------------------------------------------------------------
 
 
@@ -551,5 +631,5 @@ def test_nested_conjunction_in_first_position_parses_and_roundtrips():
     text = "CLASS A\nCLASS B\nCLASS C\nCLASS D\nAXIOM ( ( A AND B ) AND C ) SUBCLASSOF D\n"
     kb = parse_document(text)
     inner = Conjunction((NamedClass(iri("A")), NamedClass(iri("B"))))
-    assert kb.axioms == [ClassAxiom(Conjunction((inner, NamedClass(iri("C")))), iri("D"))]
+    assert list(kb.axioms) == [ClassAxiom(Conjunction((inner, NamedClass(iri("C")))), iri("D"))]
     assert parse_document(serialize(kb)) == kb

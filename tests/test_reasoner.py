@@ -344,7 +344,7 @@ def _removal_heavy_write(rng, kb: KnowledgeBase, closed: KnowledgeBase) -> str:
         return "add_subclass"
     if roll < 0.97:
         if kb.axioms and rng.random() < 0.5:
-            axiom = rng.choice(kb.axioms)
+            axiom = rng.choice(list(kb.axioms))
         else:
             body = Conjunction((NamedClass(rng.choice(classes)), SomeValues(rng.choice(props), rng.choice(classes))))
             axiom = ClassAxiom(body, rng.choice(classes))
@@ -435,6 +435,48 @@ def test_unsatisfiable_via_conjunction_axiom():
     )
     report = check_consistency(kb)
     assert iri("Impossible") in report.unsatisfiable_classes
+
+
+def test_unsatisfiable_classes_are_those_whose_fresh_instance_materializes_into_a_disjoint_pair():
+    # An instance with no facts fires only named-class bodies, so for kbs
+    # whose bodies are named classes, flat conjunctions of them or hold an
+    # existential, the check decides exactly what materialize would infer.
+    rng = random.Random(2417)
+    witness, found = iri("fresh_witness"), 0
+    for _ in range(150):
+        kb = KnowledgeBase()
+        classes = [iri(f"C{i}") for i in range(rng.randint(3, 8))]
+        prop = iri("p")
+        for c in classes:
+            kb.add_class(c)
+        kb.add_property(prop, classes[0], classes[-1])
+        for _ in range(rng.randint(0, 8)):
+            try:
+                kb.add_subclass(rng.choice(classes), rng.choice(classes))
+            except CyclicSubclassError:
+                pass
+        for _ in range(rng.randint(1, 3)):
+            kb.add_disjoint(*rng.sample(classes, 2))
+        for _ in range(rng.randint(1, 4)):
+            # the named parts are a class and some of its ancestors, so that a conjunction can fire
+            anchor = rng.choice(classes)
+            ancestors = sorted(kb.superclasses(anchor))
+            named = [NamedClass(c) for c in (anchor, *rng.sample(ancestors, min(len(ancestors), 2)))]
+            body = rng.choice((named[0], Conjunction(tuple(named)) if len(named) > 1 else named[0],
+                               SomeValues(prop, rng.choice(classes)),
+                               Conjunction((named[0], SomeValues(prop, rng.choice(classes))))))
+            kb.add_axiom(ClassAxiom(body, rng.choice(classes)))
+        kb.add_type(iri("x"), rng.choice(classes))
+        expected = []
+        for cls in sorted(kb.class_decls):
+            scratch = kb.copy()
+            scratch.add_type(witness, cls)
+            types = materialize(scratch).types_of(witness)
+            if any(a in types and b in types for a, b in kb.disjoint_pairs):
+                expected.append(cls)
+        assert check_consistency(kb).unsatisfiable_classes == expected
+        found += len(expected)
+    assert found > 50
 
 
 def test_consistent_kb_clean_report():

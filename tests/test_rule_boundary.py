@@ -47,16 +47,18 @@ def test_the_loop_calls_no_reader():
     assert _loop_readers(SOURCE) == {}
 
 
-@pytest.mark.parametrize("old, new, where", [
+@pytest.mark.parametrize("old, new, helper, where", [
     ("service, rating = rule.service, rule.rating",
-     "service, rating = rule.service, parse_decimal(dict(rule.params)['rating'])", "_act_rate"),
-    ("discover(rule.request,", "discover(parse_discovery_request('DISCOVER ' + _plan_detail(rule)),",
+     "service, rating = rule.service, parse_decimal(rule.plan.split('rating=')[1])", "", "_act_rate"),
+    ("discover(rule.request,", "discover(parse_discovery_request('DISCOVER ' + rule.plan),", "",
      "_act_discover"),
-    ("for k, v in rule.params if k", "for k, v in map(parse_pair, rule.params) if k", "_plan_detail"),
+    ("discover(rule.request,", "discover(_request_of(rule),",
+     "\n\ndef _request_of(rule):\n    return parse_discovery_request('DISCOVER ' + rule.plan)\n",
+     "_request_of"),
 ], ids=["action", "request", "module-helper"])
-def test_the_guard_sees_a_reader_put_back(old, new, where):
+def test_the_guard_sees_a_reader_put_back(old, new, helper, where):
     assert SOURCE.count(old) == 1
-    assert where in _loop_readers(SOURCE.replace(old, new))
+    assert where in _loop_readers(SOURCE.replace(old, new) + helper)
 
 
 def test_every_action_has_a_handler():

@@ -89,9 +89,9 @@ def test_an_event_reads_an_absent_field_as_none_and_keeps_its_monitor_row():
 def test_first_matching_rule_wins():
     sim = Simulation(_empty_scenario())
     rules = (
-        Rule((("event", "signal"), ("signal", "other")), "answer", ()),
-        Rule((("event", "signal"),), "acquire-knowledge", ()),
-        Rule((("event", "signal"),), "answer", ()),
+        Rule((("event", "signal"), ("signal", "other")), "answer", ""),
+        Rule((("event", "signal"),), "acquire-knowledge", ""),
+        Rule((("event", "signal"),), "answer", ""),
     )
     loop = NodeLoop(node=iri("Nia"), rules=rules)
     event = SimEvent(1, "signal", (("node", iri("Nia")), ("signal", "ping")))
