@@ -2,8 +2,9 @@
 
 The broker turns a structured discovery request into a query over the
 materialized graph (built once, then kept current by replaying into it each
-write made to the registry graph, re-deriving only the individuals whose
-inferred types a write can change), which also matches the service kind.  It
+graph edit made to the registry graph, re-deriving only the individuals
+whose inferred types an edit can change, and rebuilt on the next read after
+a declaration), which also matches the service kind.  It
 post-filters candidates on skill scale, IO signature, limitations, and QoS
 bounds, and ranks them with a weighted utility over reputation, cost, and
 response time.  Invocations move ``pending -> running -> completed|failed``;
@@ -205,33 +206,32 @@ class RankedService:
 class ServiceBroker:
     registry: ServiceRegistry
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    # (kb, the journal armed on it, closure).  Each read shares the one
-    # closure and only ``refresh`` mutates it: do not hold it across a write.
-    _cache: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
+    # (the journal this broker armed, closure); only the kb the closure was
+    # built from can hold that journal.  Each read shares the one closure and
+    # only ``refresh`` mutates it: do not hold it across a write.
+    _cache: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def _closure(self) -> KnowledgeBase:
-        """The materialized registry graph, kept current by replaying the graph's writes.
+        """The materialized registry graph, kept current by replaying the graph's edits.
 
-        A read after writes replays them all, but re-derives only the
-        subjects of type writes and of facts whose predicate an axiom
+        A read after graph edits replays them all, but re-derives only the
+        subjects of type edits and of facts whose predicate an axiom
         quantifies, with what reaches them through such facts: a rating
         re-derives just its new Experience node.  The closure is built
         from scratch on first use, for a new ``registry.kb``, when another
-        follower took the journal over, or when a write needs a rebuild
-        (see :func:`refresh`).
+        follower took the journal over, and after a declaration, which
+        disarms the journal (see :func:`refresh`).
         """
         kb = self.registry.kb
-        cached_kb, journal, closed = self._cache
-        if cached_kb is kb and kb.journal is journal:
-            if not journal:
-                return closed
-            current = refresh(closed, kb, journal)
-            journal.clear()
-            if current:
-                return closed
+        journal, closed = self._cache
+        if journal is not None and kb.journal is journal:
+            if journal:
+                refresh(closed, kb, journal)
+                journal.clear()
+            return closed
         kb.journal = journal = []
         closed = materialize(kb)
-        self._cache = (kb, journal, closed)
+        self._cache = (journal, closed)
         return closed
 
     # -- discovery -------------------------------------------------------------

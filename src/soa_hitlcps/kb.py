@@ -56,12 +56,13 @@ helper, ``_index_add``, files a statement in all three, for the first build
 and for every write alike.
 
 A follower of the graph (such as the broker's closure) arms ``journal`` by
-setting it to an empty list.  From then on every write method that
-succeeds, declarations included, appends ``(method name, args)`` to it, and
-the follower drains it to bring its derived data up to date.  A knowledge
-base writes to the list it was given and to no other; a follower that finds
-a different list there (or None) has been taken over and must rebuild.
-Unarmed, as while loading, the journal costs one attribute test per write.
+setting it to an empty list.  From then on each graph edit appends
+``(added, Statement)`` to that list, a type as the statement the index
+files, and the follower drains it to bring its derived data up to date.  A
+declaration that succeeds disarms the journal (sets it to None); one that
+raises leaves it as it was.  A follower that finds another list there (or
+None) has been taken over or outdated and must rebuild.  Unarmed, as while
+loading, the journal costs one attribute test per write.
 
 ``Iri`` and ``Statement`` are named tuples, so set and dict lookups hash
 and compare them in C; ``Literal``, ``Var`` and ``Pattern`` stay separate
@@ -368,24 +369,22 @@ class KnowledgeBase:
     # (by subject, by predicate, by object): term -> set of Statements; None
     # until the first read builds it
     _index: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    # (method, args) of each write since the follower that armed it (set it
-    # to a list) last drained it; None while unarmed.  Never copied.
+    # (added, Statement) of each graph edit since the follower that armed it
+    # (set it to a list) last drained it; None while unarmed.  Never copied.
     journal: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
-    # -- declarations ------------------------------------------------------
+    # -- declarations: each that succeeds disarms the journal --------------
 
     def add_prefix(self, name: str, expansion: str) -> None:
         existing = self.prefixes.get(name)
         if existing is not None and existing != expansion:
             raise DeclarationConflictError(f"prefix {name!r} redeclared with a different expansion")
         self.prefixes[name] = expansion
-        if self.journal is not None:
-            self._record("add_prefix", (name, expansion))
+        self.journal = None
 
     def add_class(self, cls: Iri) -> None:
         self.class_decls.add(cls)
-        if self.journal is not None:
-            self._record("add_class", (cls,))
+        self.journal = None
 
     def add_subclass(self, child: Iri, parent: Iri) -> None:
         if (child, parent) not in self.subclass_links:
@@ -395,8 +394,7 @@ class KnowledgeBase:
             self.subclass_links.add((child, parent))
         self.class_decls.add(child)
         self.class_decls.add(parent)
-        if self.journal is not None:
-            self._record("add_subclass", (child, parent))
+        self.journal = None
 
     def add_property(self, prop: Iri, domain: Iri, range_: Iri) -> None:
         existing = self.property_decls.get(prop)
@@ -405,22 +403,19 @@ class KnowledgeBase:
         self.property_decls[prop] = (domain, range_)
         self.class_decls.add(domain)
         self.class_decls.add(range_)
-        if self.journal is not None:
-            self._record("add_property", (prop, domain, range_))
+        self.journal = None
 
     def add_disjoint(self, a: Iri, b: Iri) -> None:
         self.class_decls.add(a)
         self.class_decls.add(b)
         self.disjoint_pairs.add(tuple(sorted((a, b), key=term_sort_key)))
-        if self.journal is not None:
-            self._record("add_disjoint", (a, b))
+        self.journal = None
 
     def add_axiom(self, axiom: ClassAxiom) -> None:
         self._check_expr_declared(axiom.body)
         self.class_decls.add(axiom.head)
         self.axioms.setdefault(axiom)
-        if self.journal is not None:
-            self._record("add_axiom", (axiom,))
+        self.journal = None
 
     def add_annotation(self, ann: MetaAnnotation) -> None:
         existing = self.annotations.get(ann.cls)
@@ -428,8 +423,7 @@ class KnowledgeBase:
             raise DeclarationConflictError(f"conflicting META annotations for {ann.cls}")
         self.class_decls.add(ann.cls)
         self.annotations[ann.cls] = ann
-        if self.journal is not None:
-            self._record("add_annotation", (ann,))
+        self.journal = None
 
     def _check_expr_declared(self, expr: ClassExpr) -> None:
         if isinstance(expr, NamedClass):
@@ -449,17 +443,13 @@ class KnowledgeBase:
     def add_type(self, individual: Iri, cls: Iri) -> None:
         self.class_decls.add(cls)
         self.type_assertions.add((individual, cls))
-        if self._index is not None:
-            _index_add(self._index, Statement(individual, TYPE_PRED, cls))
-        if self.journal is not None:
-            self._record("add_type", (individual, cls))
+        if self._index is not None or self.journal is not None:
+            self._edit(True, Statement(individual, TYPE_PRED, cls))
 
     def remove_type(self, individual: Iri, cls: Iri) -> None:
         self.type_assertions.discard((individual, cls))
-        if self._index is not None:
-            _index_discard(self._index, Statement(individual, TYPE_PRED, cls))
-        if self.journal is not None:
-            self._record("remove_type", (individual, cls))
+        if self._index is not None or self.journal is not None:
+            self._edit(False, Statement(individual, TYPE_PRED, cls))
 
     def check_statement(self, predicate: Iri, obj: Term) -> None:
         """Raise unless ``add_statement`` accepts this predicate and object."""
@@ -476,10 +466,8 @@ class KnowledgeBase:
             return
         stmt = Statement(subject, predicate, obj)
         self.statements.add(stmt)
-        if self._index is not None:
-            _index_add(self._index, stmt)
-        if self.journal is not None:
-            self._record("add_statement", stmt)
+        if self._index is not None or self.journal is not None:
+            self._edit(True, stmt)
 
     def remove_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
         if predicate == TYPE_PRED:
@@ -487,17 +475,19 @@ class KnowledgeBase:
             return
         stmt = Statement(subject, predicate, obj)
         self.statements.discard(stmt)
-        if self._index is not None:
-            _index_discard(self._index, stmt)
-        if self.journal is not None:
-            self._record("remove_statement", stmt)
+        if self._index is not None or self.journal is not None:
+            self._edit(False, stmt)
 
-    def _record(self, method: str, args: tuple) -> None:
-        self.journal.append((method, args))
-        if len(self.journal) > JOURNAL_LIMIT:
-            # its follower stopped reading: disarm, so that the journal stops
-            # growing and the follower rebuilds on its next read
-            self.journal = None
+    def _edit(self, added: bool, stmt: Statement) -> None:
+        """File one graph edit in the index, once built, and in the journal, while armed."""
+        if self._index is not None:
+            (_index_add if added else _index_discard)(self._index, stmt)
+        if self.journal is not None:
+            self.journal.append((added, stmt))
+            if len(self.journal) > JOURNAL_LIMIT:
+                # its follower stopped reading: disarm, so that the journal stops
+                # growing and the follower rebuilds on its next read
+                self.journal = None
 
     # -- views -------------------------------------------------------------
 

@@ -21,10 +21,11 @@ changed (see ``_apply_axioms``), so no round is spent confirming the
 fixpoint.
 
 ``refresh`` keeps such a closure current without a rebuild: it replays into
-it the writes journaled on the knowledge base since (see ``kb``), then
-re-derives only the individuals whose inferred types those writes can
-change.  A type write can; a fact write can only when some axiom body
-quantifies over its predicate, so most writes re-derive nothing.
+it the graph edits journaled on the knowledge base since, each one statement
+(see ``kb``), then re-derives only the individuals whose inferred types
+those edits can change.  A type edit can; a fact edit can only when some
+axiom body quantifies over its predicate, so most edits re-derive nothing.
+A declaration disarms the journal, so its follower rebuilds instead.
 """
 
 from __future__ import annotations
@@ -139,40 +140,35 @@ def materialize(kb: KnowledgeBase) -> KnowledgeBase:
     return out
 
 
-_TYPE_WRITES = frozenset(("add_type", "remove_type"))
-_FACT_WRITES = frozenset(("add_statement", "remove_statement"))
+def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> None:
+    """Bring ``closed``, a closure of ``kb``, up to date with ``edits`` made to ``kb``.
 
-
-def refresh(closed: KnowledgeBase, kb: KnowledgeBase, writes) -> bool:
-    """Bring ``closed``, a closure of ``kb``, up to date with ``writes`` made to ``kb``.
-
-    ``writes`` are ``kb``'s journal entries since ``closed`` last equalled
-    ``materialize(kb)``; afterwards it equals it again.  The result is False,
-    and ``closed`` must be rebuilt, when a write adds a subclass link that
-    the closed links do not already hold, or a new axiom.
+    ``edits`` are ``kb``'s journal entries, ``(added, Statement)``, since
+    ``closed`` last equalled ``materialize(kb)``; afterwards it equals it
+    again.  They hold no declaration: one disarms the journal, and the
+    closure must then be rebuilt.
 
     This is delete-and-re-derive (Gupta, Mumick & Subrahmanian, SIGMOD 1993)
-    limited to what a write can reach.  An individual's inferred types
+    limited to what an edit can reach.  An individual's inferred types
     depend only on its own types, its own facts whose predicate some axiom
     body quantifies over (``p SOME C``), and the types of those facts'
-    objects.  So every write is replayed, but only a type write or a write
-    of a quantified fact marks its subject; a rating's facts, for one, mark
+    objects.  So every edit is replayed, but only a type edit or an edit of
+    a quantified fact marks its subject; a rating's facts, for one, mark
     nothing.  The marked individuals and those with a path of quantified
     facts to one are re-derived: each is reset to its asserted types and
     their ancestors, then the axioms run over that set to a fixpoint.
     """
     quantified = _quantified(closed.axioms)
     touched = set()
-    for method, args in writes:
-        if method == "add_subclass" and args not in closed.subclass_links:
-            return False
-        if method == "add_axiom" and args[0] not in closed.axioms:
-            return False
-        getattr(closed, method)(*args)
-        if method in _TYPE_WRITES or (method in _FACT_WRITES and args[1] in quantified):
-            touched.add(args[0])
+    for added, (subject, predicate, obj) in edits:
+        if added:
+            closed.add_statement(subject, predicate, obj)
+        else:
+            closed.remove_statement(subject, predicate, obj)
+        if predicate == TYPE_PRED or predicate in quantified:
+            touched.add(subject)
     if not touched:
-        return True
+        return
     affected, frontier = set(touched), list(touched)
     while frontier:
         for stmt in closed.statements_to(frontier.pop()):
@@ -191,7 +187,6 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, writes) -> bool:
         for cls in keep - types:
             closed.add_type(individual, cls)
     _apply_axioms(closed, ancestors, [i for i in affected if closed.statements_about(i)], quantified)
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -230,13 +225,20 @@ class ConsistencyReport:
 
 
 def _conjunction_named_parts(axiom: ClassAxiom):
-    """Named conjunct Iris if the body is a pure conjunction of named classes."""
-    body = axiom.body
-    if isinstance(body, NamedClass):
-        return (body.iri,)
-    if isinstance(body, Conjunction) and all(isinstance(p, NamedClass) for p in body.parts):
-        return tuple(p.iri for p in body.parts)
-    return None
+    """The set of named classes in the body, or None when it holds an existential.
+
+    A conjunction, however nested, is flattened into its named conjuncts.
+    """
+    named, exprs = set(), [axiom.body]
+    while exprs:
+        expr = exprs.pop()
+        if isinstance(expr, NamedClass):
+            named.add(expr.iri)
+        elif isinstance(expr, Conjunction):
+            exprs.extend(expr.parts)
+        else:
+            return None
+    return named
 
 
 def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
@@ -245,11 +247,10 @@ def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
     An individual violates disjointness when its asserted or inferred types
     hold both classes of a pair.  A class is unsatisfiable when a fresh
     instance of it would: its types are the class and its ancestors, grown
-    to a fixpoint by every axiom whose body is a named class or a flat
-    conjunction of named classes all among them, each adding its head and
-    the head's ancestors.  An axiom with an existential never fires on such
-    an instance, which has no facts; a nested conjunction of named classes
-    would, but is not read here.
+    to a fixpoint by every axiom whose body is a named class or a
+    conjunction, however nested, of named classes all among them, each
+    adding its head and the head's ancestors.  An axiom with an existential
+    never fires on such an instance, which has no facts.
     """
     m = materialize(kb)
     report = ConsistencyReport()
@@ -259,16 +260,16 @@ def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
         for a, b in pairs:
             if a in types and b in types:
                 report.disjointness_violations.append(DisjointnessViolation(individual, a, b))
+    bodies = [(_conjunction_named_parts(axiom), axiom.head) for axiom in m.axioms]
     for cls in sorted(m.class_decls, key=term_sort_key):
         supers = m.superclasses(cls) | {cls}
         grown = True
         while grown:
             grown = False
-            for axiom in m.axioms:
-                named = _conjunction_named_parts(axiom)
-                if named and set(named) <= supers and axiom.head not in supers:
-                    supers |= m.superclasses(axiom.head)
-                    supers.add(axiom.head)
+            for named, head in bodies:
+                if named is not None and named <= supers and head not in supers:
+                    supers |= m.superclasses(head)
+                    supers.add(head)
                     grown = True
         for a, b in pairs:
             if a in supers and b in supers:

@@ -122,7 +122,8 @@ def ensure_plumbing(kb: KnowledgeBase) -> None:
     """Declare each plumbing property that ``kb`` does not declare with its signature yet.
 
     Every projection calls this; skipping the declared ones keeps a rating
-    from journaling five no-op declarations for a follower to replay.
+    from disarming the write journal with a no-op declaration, which would
+    make a follower of the graph (the broker's closure) rebuild.
     """
     for prop, signature in _PLUMBING_SIGNATURES:
         if kb.property_decls.get(prop) != signature:

@@ -68,17 +68,19 @@ def test_validate_reads_a_kb_from_stdin_as_from_its_file(tmp_path, monkeypatch, 
 
 def test_validate_finds_a_class_unsatisfiable_through_an_axiom_heads_superclass(tmp_path, capsys):
     # C is an A and a B, so the axiom makes it a D, and every D is an E,
-    # which no A is: reason types an instance of C as both A and E
-    text = ("CLASS D SUBCLASSOF E\nDISJOINT A E\nCLASS C SUBCLASSOF A\nCLASS C SUBCLASSOF B\n"
-            "AXIOM ( A AND B ) SUBCLASSOF D\n")
-    kb = tmp_path / "unsatisfiable.kb"
-    kb.write_text(text, encoding="utf-8")
-    assert main(["validate", str(kb)]) == 1
-    assert capsys.readouterr().out == "VIOLATION unsatisfiable C\n"
-    kb.write_text(text + "INDIVIDUAL c TYPE C\n", encoding="utf-8")
-    assert main(["reason", str(kb)]) == 0
-    types = {line.split()[3] for line in capsys.readouterr().out.splitlines() if line.startswith("INDIVIDUAL c ")}
-    assert {"A", "E"} <= types
+    # which no A is: reason types an instance of C as both A and E, and
+    # does so as well when the axiom's conjunction is nested
+    for body in ("A AND B", "( A AND B ) AND C"):
+        text = ("CLASS D SUBCLASSOF E\nDISJOINT A E\nCLASS C SUBCLASSOF A\nCLASS C SUBCLASSOF B\n"
+                f"AXIOM ( {body} ) SUBCLASSOF D\n")
+        kb = tmp_path / "unsatisfiable.kb"
+        kb.write_text(text, encoding="utf-8")
+        assert main(["validate", str(kb)]) == 1
+        assert capsys.readouterr().out == "VIOLATION unsatisfiable C\n"
+        kb.write_text(text + "INDIVIDUAL c TYPE C\n", encoding="utf-8")
+        assert main(["reason", str(kb)]) == 0
+        types = {line.split()[3] for line in capsys.readouterr().out.splitlines() if line.startswith("INDIVIDUAL c ")}
+        assert {"A", "E"} <= types
 
 
 def test_validate_prints_each_kind_of_violation_in_report_order(tmp_path, capsys):

@@ -542,30 +542,55 @@ def test_an_iri_and_a_literal_with_the_same_fields_are_two_statements():
 
 
 def test_journal_records_each_successful_write_while_armed():
-    kb = parse_document("CLASS A\nPROPERTY p DOMAIN A RANGE A\n")
+    kb = parse_document("CLASS A\nPROPERTY p DOMAIN A RANGE A\nMETA A +R\n")
     assert kb.journal is None  # loading leaves it unarmed
     kb.journal = journal = []
     x, y, a, b, p = iri("x"), iri("y"), iri("A"), iri("B"), iri("p")
     kb.add_type(x, a)
-    kb.add_statement(x, TYPE_PRED, b)  # one entry, as the add_type it is
+    kb.add_statement(x, TYPE_PRED, b)  # one entry, the statement the index files
     kb.add_statement(x, p, y)
     with pytest.raises(DeclarationConflictError):
-        kb.add_property(p, b, a)
-    with pytest.raises(CyclicSubclassError):
-        kb.add_subclass(a, a)
-    kb.add_property(p, a, a)
+        kb.add_statement(x, iri("q"), y)  # an undeclared property edits nothing
     kb.remove_statement(x, p, y)
-    assert journal == [
-        ("add_type", (x, a)),
-        ("add_type", (x, b)),
-        ("add_statement", Statement(x, p, y)),
-        ("add_property", (p, a, a)),
-        ("remove_statement", Statement(x, p, y)),
+    kb.remove_type(x, a)
+    edits = [
+        (True, Statement(x, TYPE_PRED, a)),
+        (True, Statement(x, TYPE_PRED, b)),
+        (True, Statement(x, p, y)),
+        (False, Statement(x, p, y)),
+        (False, Statement(x, TYPE_PRED, a)),
     ]
+    assert journal == edits
+    # a declaration that raises changes nothing, the journal included
+    before = kb.copy()
+    for declare in (
+        lambda: kb.add_prefix(kbm.DEFAULT_PREFIX, "http://example.org/other#"),
+        lambda: kb.add_subclass(a, a),
+        lambda: kb.add_property(p, b, a),
+        lambda: kb.add_axiom(ClassAxiom(NamedClass(iri("Undeclared")), a)),
+        lambda: kb.add_annotation(kbm.MetaAnnotation(a, rigidity="~R")),
+    ):
+        with pytest.raises((CyclicSubclassError, DeclarationConflictError)):
+            declare()
+        assert kb.journal is journal and journal == edits and kb == before
+    # each one that succeeds disarms it, a redeclaration of what is held too
+    for declare in (
+        lambda: kb.add_prefix("ex", "http://example.org/"),
+        lambda: kb.add_class(b),
+        lambda: kb.add_subclass(b, a),
+        lambda: kb.add_property(p, a, a),
+        lambda: kb.add_disjoint(a, iri("C")),
+        lambda: kb.add_axiom(ClassAxiom(NamedClass(b), a)),
+        lambda: kb.add_annotation(kbm.MetaAnnotation(a, rigidity="+R")),
+    ):
+        kb.journal = journal = []
+        declare()
+        assert kb.journal is None and journal == []
+    kb.journal = journal = []
     copied = kb.copy()
     assert copied.journal is None and copied == kb
     copied.add_type(y, a)
-    assert len(journal) == 5
+    assert journal == []
     # the matcher also takes a pattern's terms as a tuple
     assert kb.match((Var("s"), TYPE_PRED, b)) == kb.match(Pattern(Var("s"), TYPE_PRED, b)) == [{"s": x}]
 
@@ -580,8 +605,10 @@ def test_remove_statement_of_a_type_removes_it_as_add_statement_adds_it():
     assert (x, a) not in kb.type_assertions
     assert kb.match(Pattern(x, TYPE_PRED, Var("c"))) == []
     assert kb.types_of(x) == set()
-    # journaled as the type writes they are, so a follower replays them
-    assert journal == [("add_type", (x, a)), ("remove_type", (x, a))]
+    # journaled as the statements the index files, as add_type and remove_type journal them
+    kb.add_type(x, a)
+    kb.remove_type(x, a)
+    assert journal == [(True, Statement(x, TYPE_PRED, a)), (False, Statement(x, TYPE_PRED, a))] * 2
 
 
 # -- the one lexical rule for names and numbers -----------------------------------------
