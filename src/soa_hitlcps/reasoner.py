@@ -224,21 +224,15 @@ class ConsistencyReport:
         )
 
 
-def _conjunction_named_parts(axiom: ClassAxiom):
-    """The set of named classes in the body, or None when it holds an existential.
+def _declarations(kb: KnowledgeBase) -> KnowledgeBase:
+    """A knowledge base holding copies of ``kb``'s declarations and no individual.
 
-    A conjunction, however nested, is flattened into its named conjuncts.
+    A fresh instance made here meets none of ``kb``'s facts or types, so its
+    closure holds exactly what its own types and facts imply.
     """
-    named, exprs = set(), [axiom.body]
-    while exprs:
-        expr = exprs.pop()
-        if isinstance(expr, NamedClass):
-            named.add(expr.iri)
-        elif isinstance(expr, Conjunction):
-            exprs.extend(expr.parts)
-        else:
-            return None
-    return named
+    return KnowledgeBase(dict(kb.prefixes), set(kb.class_decls), dict(kb.property_decls),
+                         set(kb.subclass_links), set(kb.disjoint_pairs), dict(kb.axioms),
+                         dict(kb.annotations))
 
 
 def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
@@ -246,11 +240,10 @@ def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
 
     An individual violates disjointness when its asserted or inferred types
     hold both classes of a pair.  A class is unsatisfiable when a fresh
-    instance of it would: its types are the class and its ancestors, grown
-    to a fixpoint by every axiom whose body is a named class or a
-    conjunction, however nested, of named classes all among them, each
-    adding its head and the head's ancestors.  An axiom with an existential
-    never fires on such an instance, which has no facts.
+    instance of it would (Baader et al., *The Description Logic Handbook*,
+    2003, ch. 2): each class is given one, named by the class itself, in a
+    knowledge base holding ``kb``'s declarations only, and one
+    ``materialize`` of that gives every instance's types.
     """
     m = materialize(kb)
     report = ConsistencyReport()
@@ -260,21 +253,14 @@ def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
         for a, b in pairs:
             if a in types and b in types:
                 report.disjointness_violations.append(DisjointnessViolation(individual, a, b))
-    bodies = [(_conjunction_named_parts(axiom), axiom.head) for axiom in m.axioms]
-    for cls in sorted(m.class_decls, key=term_sort_key):
-        supers = m.superclasses(cls) | {cls}
-        grown = True
-        while grown:
-            grown = False
-            for named, head in bodies:
-                if named is not None and named <= supers and head not in supers:
-                    supers |= m.superclasses(head)
-                    supers.add(head)
-                    grown = True
-        for a, b in pairs:
-            if a in supers and b in supers:
-                report.unsatisfiable_classes.append(cls)
-                break
+    fresh = _declarations(kb)
+    for cls in kb.class_decls:
+        fresh.add_type(cls, cls)
+    fresh = materialize(fresh)
+    for cls in sorted(kb.class_decls, key=term_sort_key):
+        types = fresh.types_of(cls)
+        if any(a in types and b in types for a, b in pairs):
+            report.unsatisfiable_classes.append(cls)
     return report
 
 
@@ -338,11 +324,12 @@ def render_report(report: ConsistencyReport) -> str:
 def axiom_inference_check(kb: KnowledgeBase, axiom: ClassAxiom) -> bool:
     """True when a fresh witness satisfying the body is inferred the head type.
 
-    Builds a scratch copy of ``kb``, adds a synthetic individual typed per
-    the body's named conjuncts with synthetic fillers for existentials, and
-    checks materialization assigns the head with no direct head typing.
+    The witness lives in a knowledge base holding ``kb``'s declarations only:
+    it is typed per the body's named conjuncts and given one fresh filler per
+    existential, and passes when materialization assigns it the head that
+    the body did not already assert.
     """
-    scratch = kb.copy()
+    scratch = _declarations(kb)
     witness = Iri("soa-hitlcps", "axiom_check_witness")
 
     def assert_body(expr: ClassExpr, subject: Iri, counter=[0]) -> None:

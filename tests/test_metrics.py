@@ -224,3 +224,11 @@ def test_eval_report_without_annotations_skips_ontoclean():
     report = eval_report(kb)  # no annotation records anywhere: no ontoclean section errors
     assert report.consistency == ("clean",)
     assert report.accuracy == ("no class axioms",)
+
+
+def test_an_axiom_check_meets_no_individual_of_the_kb():
+    # the witness lives in a kb of the declarations only, so an individual
+    # that shares its name does not hold the head before inference
+    kb = parse_document("CLASS A SUBCLASSOF T\nCLASS B\nAXIOM ( A ) SUBCLASSOF B\n"
+                        "INDIVIDUAL axiom_check_witness TYPE B\n")
+    assert eval_report(kb).accuracy == ("PASS B",)

@@ -445,45 +445,62 @@ def test_unsatisfiable_via_conjunction_axiom():
     assert iri("Impossible") in report.unsatisfiable_classes
 
 
+def _random_unsatisfiability_kb(rng: random.Random) -> KnowledgeBase:
+    """A small random kb in which subclass links and axioms can make classes unsatisfiable.
+
+    Axiom bodies are named classes, conjunctions of them, flat or nested, or
+    hold an existential.  The kb also holds an individual named like one of
+    its classes, with a type and a fact, and a fact whose object is a class
+    Iri: a fresh instance of a class must meet neither.
+    """
+    kb = KnowledgeBase()
+    classes = [iri(f"C{i}") for i in range(rng.randint(3, 8))]
+    prop = iri("p")
+    for c in classes:
+        kb.add_class(c)
+    kb.add_property(prop, classes[0], classes[-1])
+    for _ in range(rng.randint(0, 8)):
+        try:
+            kb.add_subclass(rng.choice(classes), rng.choice(classes))
+        except CyclicSubclassError:
+            pass
+    for _ in range(rng.randint(1, 3)):
+        kb.add_disjoint(*rng.sample(classes, 2))
+    for _ in range(rng.randint(1, 4)):
+        # the named parts are a class and some of its ancestors, so that a conjunction can fire
+        anchor = rng.choice(classes)
+        ancestors = sorted(kb.superclasses(anchor))
+        named = [NamedClass(c) for c in (anchor, *rng.sample(ancestors, min(len(ancestors), 2)))]
+        body = rng.choice((named[0], Conjunction(tuple(named)) if len(named) > 1 else named[0],
+                           Conjunction((Conjunction(tuple(named[:2])), named[-1])),
+                           SomeValues(prop, rng.choice(classes)),
+                           Conjunction((named[0], SomeValues(prop, rng.choice(classes))))))
+        kb.add_axiom(ClassAxiom(body, rng.choice(classes)))
+    kb.add_type(iri("x"), rng.choice(classes))
+    kb.add_statement(iri("x"), prop, rng.choice(classes))
+    namesake = rng.choice(classes)
+    kb.add_type(namesake, rng.choice(classes))
+    kb.add_statement(namesake, prop, rng.choice(classes))
+    return kb
+
+
+def _witness_unsatisfiable(kb: KnowledgeBase) -> list:
+    """The classes, sorted, whose fresh instance added to a copy of ``kb`` materializes into a disjoint pair."""
+    witness, expected = iri("fresh_witness"), []
+    for cls in sorted(kb.class_decls):
+        scratch = kb.copy()
+        scratch.add_type(witness, cls)
+        types = materialize(scratch).types_of(witness)
+        if any(a in types and b in types for a, b in kb.disjoint_pairs):
+            expected.append(cls)
+    return expected
+
+
 def test_unsatisfiable_classes_are_those_whose_fresh_instance_materializes_into_a_disjoint_pair():
-    # An instance with no facts fires only named-class bodies, so for kbs
-    # whose bodies are named classes, conjunctions of them, flat or nested,
-    # or hold an existential, the check decides exactly what materialize
-    # would infer.
-    rng = random.Random(2417)
-    witness, found = iri("fresh_witness"), 0
+    rng, found = random.Random(2417), 0
     for _ in range(150):
-        kb = KnowledgeBase()
-        classes = [iri(f"C{i}") for i in range(rng.randint(3, 8))]
-        prop = iri("p")
-        for c in classes:
-            kb.add_class(c)
-        kb.add_property(prop, classes[0], classes[-1])
-        for _ in range(rng.randint(0, 8)):
-            try:
-                kb.add_subclass(rng.choice(classes), rng.choice(classes))
-            except CyclicSubclassError:
-                pass
-        for _ in range(rng.randint(1, 3)):
-            kb.add_disjoint(*rng.sample(classes, 2))
-        for _ in range(rng.randint(1, 4)):
-            # the named parts are a class and some of its ancestors, so that a conjunction can fire
-            anchor = rng.choice(classes)
-            ancestors = sorted(kb.superclasses(anchor))
-            named = [NamedClass(c) for c in (anchor, *rng.sample(ancestors, min(len(ancestors), 2)))]
-            body = rng.choice((named[0], Conjunction(tuple(named)) if len(named) > 1 else named[0],
-                               Conjunction((Conjunction(tuple(named[:2])), named[-1])),
-                               SomeValues(prop, rng.choice(classes)),
-                               Conjunction((named[0], SomeValues(prop, rng.choice(classes))))))
-            kb.add_axiom(ClassAxiom(body, rng.choice(classes)))
-        kb.add_type(iri("x"), rng.choice(classes))
-        expected = []
-        for cls in sorted(kb.class_decls):
-            scratch = kb.copy()
-            scratch.add_type(witness, cls)
-            types = materialize(scratch).types_of(witness)
-            if any(a in types and b in types for a, b in kb.disjoint_pairs):
-                expected.append(cls)
+        kb = _random_unsatisfiability_kb(rng)
+        expected = _witness_unsatisfiable(kb)
         assert check_consistency(kb).unsatisfiable_classes == expected
         found += len(expected)
     assert found > 50

@@ -8,14 +8,26 @@ import pytest
 
 from soa_hitlcps.broker import ServiceBroker, parse_discovery_request
 from soa_hitlcps.errors import (
+    DeclarationConflictError,
     DuplicateIndividualError,
+    InvalidProfileError,
     InvalidStateError,
     NoCompletedInvocationError,
     RatingOutOfRangeError,
     UnknownProviderError,
     UnknownServiceError,
 )
-from soa_hitlcps.kb import TYPE_PRED, Pattern, Var, decimal, iri, parse_document, serialize, string
+from soa_hitlcps.kb import (
+    TYPE_PRED,
+    Pattern,
+    Var,
+    annotation_from_flags,
+    decimal,
+    iri,
+    parse_document,
+    serialize,
+    string,
+)
 from soa_hitlcps.reasoner import check_consistency, materialize
 from soa_hitlcps.registry import COMPLETED, RUNNING, ServiceRegistry
 from soa_hitlcps.schema import (
@@ -103,6 +115,42 @@ def test_register_duplicate_rejected():
         registry.register_human(iri("David"), cap)
     with pytest.raises(DuplicateIndividualError):
         registry.register_machine(iri("David"), parse_machine_capability(MACHINE_CAP)[0])
+
+
+def _publish(line):
+    return lambda registry: registry.publish_service(
+        *parse_service_profile(f"SERVICE newService\nPROVIDER David\nKIND processing\n{line}\n"))
+
+
+def _annotate(*flags):
+    return lambda registry: registry.kb.add_annotation(annotation_from_flags(iri("Human"), flags))
+
+
+# case -> (error, what its message names, call)
+REJECTED_CALLS = {
+    "conflicting-identity-flags": (DeclarationConflictError, "conflicting identity", _annotate("+I", "-I")),
+    "conflicting-unity-flags": (DeclarationConflictError, "conflicting unity", _annotate("+U", "~U")),
+    "unknown-flag": (DeclarationConflictError, "unknown metaproperty flag", _annotate("+X")),
+    "skill-scale-on-a-machine": (UnknownProviderError, "Cathy",
+                                 lambda registry: registry.set_skill_scale(iri("Cathy"), iri("Active_Listening"), 3)),
+    "learned-knowledge-on-a-human": (UnknownProviderError, "David",
+                                     lambda registry: registry.add_learned_knowledge(iri("David"), iri("HeadDiscomfort"))),
+    "reputation-of-an-unknown-service": (UnknownServiceError, "ghost",
+                                         lambda registry: registry.reputation_of(iri("ghost"))),
+    "parallelism-0": (InvalidProfileError, "parallelism", _publish("PARALLELISM 0")),
+    "negative-cost": (InvalidProfileError, "non-negative", _publish("QOS reputation=4 cost=-1")),
+    "negative-response-time": (InvalidProfileError, "non-negative", _publish("QOS reputation=4 response_time=-1")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_CALLS))
+def test_a_rejected_call_raises_and_leaves_the_kb_as_it_was(case):
+    error, message, call = REJECTED_CALLS[case]
+    registry = build_registry()
+    before = registry.kb.copy()
+    with pytest.raises(error, match=message):
+        call(registry)
+    assert registry.kb == before
 
 
 def test_registry_kb_stays_consistent():
