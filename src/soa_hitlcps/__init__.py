@@ -21,7 +21,6 @@ from .allocation import (
 from .broker import (
     DiscoveryRequest,
     RankedService,
-    ScoringConfig,
     ServiceBroker,
     compile_request,
     parse_discovery_request,
@@ -91,7 +90,6 @@ __all__ = [
     "Recommendation",
     "ResultTable",
     "ScenarioResult",
-    "ScoringConfig",
     "ServiceBroker",
     "ServiceProfile",
     "ServiceRegistry",

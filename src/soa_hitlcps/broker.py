@@ -6,10 +6,11 @@ graph edit made to the registry graph, re-deriving only the individuals
 whose inferred types an edit can change, and rebuilt on the next read after
 a declaration), which also matches the service kind.  It
 post-filters candidates on skill scale, IO signature, limitations, and QoS
-bounds, and ranks them with a weighted utility over reputation, cost, and
-response time.  Invocations move ``pending -> running -> completed|failed``;
-a pending invocation can be ``rejected`` with a reason (``at_capacity``,
-``limitation``, ``precondition``).  Effects apply atomically on completion.
+bounds, and ranks them with :func:`score`, a fixed weighted utility over
+reputation, cost, and response time.  Invocations move
+``pending -> running -> completed|failed``; a pending invocation can be
+``rejected`` with a reason (``at_capacity``, ``limitation``,
+``precondition``).  Effects apply atomically on completion.
 """
 
 from __future__ import annotations
@@ -47,25 +48,20 @@ from .schema import (
 )
 
 _KIND_CLASSES = dict(ATOMIC_KINDS, composite="CompositeService")  # kind= value -> class
+_COST_CAP, _RESPONSE_TIME_CAP = Decimal("100"), Decimal("60")
 
 
-@dataclass(frozen=True)
-class ScoringConfig:
-    reputation_weight: Decimal = Decimal("0.5")
-    cost_weight: Decimal = Decimal("0.25")
-    response_time_weight: Decimal = Decimal("0.25")
-    reputation_scale: Decimal = Decimal("5")
-    cost_cap: Decimal = Decimal("100")
-    response_time_cap: Decimal = Decimal("60")
+def score(reputation: Decimal, cost: Decimal, response_time: Decimal) -> Decimal:
+    """The ranking utility: 0.5 reputation/5 + 0.25 (1 - cost/100) + 0.25 (1 - response time/60).
 
-    def score(self, reputation: Decimal, cost: Decimal, response_time: Decimal) -> Decimal:
-        reputation_term = self.reputation_weight * (reputation / self.reputation_scale)
-        cost_term = self.cost_weight * (1 - min(cost, self.cost_cap) / self.cost_cap)
-        response_term = self.response_time_weight * (
-            1 - min(response_time, self.response_time_cap) / self.response_time_cap
-        )
-        total = reputation_term + cost_term + response_term
-        return total.quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP)
+    Cost and response time are capped at 100 and 60, so beyond them the
+    penalty stops growing; the total is rounded half up to 4 places.
+    """
+    reputation_term = Decimal("0.5") * (reputation / 5)
+    cost_term = Decimal("0.25") * (1 - min(cost, _COST_CAP) / _COST_CAP)
+    response_term = Decimal("0.25") * (1 - min(response_time, _RESPONSE_TIME_CAP) / _RESPONSE_TIME_CAP)
+    total = reputation_term + cost_term + response_term
+    return total.quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP)
 
 
 @dataclass(frozen=True)
@@ -205,7 +201,6 @@ class RankedService:
 @dataclass
 class ServiceBroker:
     registry: ServiceRegistry
-    scoring: ScoringConfig = field(default_factory=ScoringConfig)
     # (the journal this broker armed, closure); only the kb the closure was
     # built from can hold that journal.  Each read shares the one closure and
     # only ``refresh`` mutates it: do not hold it across a write.
@@ -256,12 +251,9 @@ class ServiceBroker:
                 continue
             if not self._qos_holds(record, request.qos_constraints):
                 continue
-            score = self.scoring.score(
-                record.reputation,
-                record.profile.properties.qos.cost,
-                record.profile.properties.qos.response_time,
-            )
-            ranked.append(RankedService(service, record.provider, score))
+            qos = record.profile.properties.qos
+            ranked.append(RankedService(service, record.provider,
+                                        score(record.reputation, qos.cost, qos.response_time)))
         ranked.sort(key=lambda r: (-r.score, r.service))
         return ranked
 
@@ -391,7 +383,7 @@ class ServiceBroker:
                 raise InvalidStateError(f"effect variable ?{unbound[0]} is unbound")
         kb = self.registry.kb
         for pattern in additions:
-            kb.check_statement(pattern.predicate, pattern.object)
+            kb.check_statement(pattern.subject, pattern.predicate, pattern.object)
         for pattern in removals:
             kb.remove_statement(pattern.subject, pattern.predicate, pattern.object)
         for pattern in additions:

@@ -310,10 +310,10 @@ def _axiom_line(axiom: ClassAxiom) -> str:
 # --------------------------------------------------------------------------
 # OntoClean metaproperty annotations
 
-RIGIDITY_FLAGS = ("+R", "~R")
-IDENTITY_FLAGS = ("+I", "-I")
-UNITY_FLAGS = ("+U", "~U", "-U")
-ALL_FLAGS = RIGIDITY_FLAGS + IDENTITY_FLAGS + UNITY_FLAGS
+# flag -> the MetaAnnotation dimension it sets
+_FLAG_DIMENSIONS = {"+R": "rigidity", "~R": "rigidity", "+I": "identity", "-I": "identity",
+                    "+U": "unity", "~U": "unity", "-U": "unity"}
+ALL_FLAGS = tuple(_FLAG_DIMENSIONS)
 
 
 @dataclass(frozen=True)
@@ -330,23 +330,14 @@ class MetaAnnotation:
 
 
 def annotation_from_flags(cls: Iri, flags: Iterable[str]) -> MetaAnnotation:
-    rigidity = identity = unity = None
+    chosen: dict = {}
     for flag in flags:
-        if flag in RIGIDITY_FLAGS:
-            if rigidity and rigidity != flag:
-                raise DeclarationConflictError(f"conflicting rigidity flags for {cls}")
-            rigidity = flag
-        elif flag in IDENTITY_FLAGS:
-            if identity and identity != flag:
-                raise DeclarationConflictError(f"conflicting identity flags for {cls}")
-            identity = flag
-        elif flag in UNITY_FLAGS:
-            if unity and unity != flag:
-                raise DeclarationConflictError(f"conflicting unity flags for {cls}")
-            unity = flag
-        else:
+        dimension = _FLAG_DIMENSIONS.get(flag)
+        if dimension is None:
             raise DeclarationConflictError(f"unknown metaproperty flag {flag!r} for {cls}")
-    return MetaAnnotation(cls, rigidity, identity, unity)
+        if chosen.setdefault(dimension, flag) != flag:
+            raise DeclarationConflictError(f"conflicting {dimension} flags for {cls}")
+    return MetaAnnotation(cls, **chosen)
 
 
 # --------------------------------------------------------------------------
@@ -451,8 +442,10 @@ class KnowledgeBase:
         if self._index is not None or self.journal is not None:
             self._edit(False, Statement(individual, TYPE_PRED, cls))
 
-    def check_statement(self, predicate: Iri, obj: Term) -> None:
-        """Raise unless ``add_statement`` accepts this predicate and object."""
+    def check_statement(self, subject: Term, predicate: Iri, obj: Term) -> None:
+        """Raise unless ``add_statement`` accepts this fact; a subject must be an Iri to parse back."""
+        if not isinstance(subject, Iri):
+            raise DeclarationConflictError(f"fact subject {subject} is not an Iri")
         if predicate == TYPE_PRED:
             if not isinstance(obj, Iri):
                 raise DeclarationConflictError("type assertions require a class Iri object")
@@ -460,7 +453,7 @@ class KnowledgeBase:
             raise DeclarationConflictError(f"fact uses undeclared property {predicate}")
 
     def add_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
-        self.check_statement(predicate, obj)
+        self.check_statement(subject, predicate, obj)
         if predicate == TYPE_PRED:
             self.add_type(subject, obj)
             return
@@ -817,13 +810,20 @@ def _parse_term(text: str, prefixes, line: int = 1, column: int = 1) -> Term:
     return parse_name(text, prefixes, line, column)
 
 
-def _parse_class_expr(reader: _Cursor, name) -> ClassExpr:
-    """``( <expr> )`` from ``reader``; ``name(reader, i)`` reads its word ``i`` as a name."""
+# The deepest parenthesis nesting a class expression may have: the readers,
+# the reasoner and the writer all recurse once per level.
+MAX_CLASS_EXPR_DEPTH = 100
+
+
+def _parse_class_expr(reader: _Cursor, name, depth: int = 1) -> ClassExpr:
+    """``( <expr> )`` from ``reader``, its ``(`` at nesting ``depth``; ``name(reader, i)`` reads word ``i`` as a name."""
     reader.expect("(")
+    if depth > MAX_CLASS_EXPR_DEPTH:
+        raise reader.error(f"at most {MAX_CLASS_EXPR_DEPTH} nested parentheses")
     first = reader.pos
     if reader.next("a class expression") == "(":
         reader.pos -= 1
-        operand: ClassExpr = _parse_class_expr(reader, name)
+        operand: ClassExpr = _parse_class_expr(reader, name, depth + 1)
     else:
         if reader.peek() == "SOME":
             reader.expect("SOME")
@@ -841,7 +841,7 @@ def _parse_class_expr(reader: _Cursor, name) -> ClassExpr:
             raise reader.error("AND or )")
         if reader.next("a class expression") == "(":
             reader.pos -= 1
-            parts.append(_parse_class_expr(reader, name))
+            parts.append(_parse_class_expr(reader, name, depth + 1))
         else:
             parts.append(NamedClass(name(reader, reader.pos - 1)))
     if len(parts) == 1:

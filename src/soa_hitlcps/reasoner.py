@@ -39,7 +39,6 @@ from .kb import (
     Conjunction,
     Iri,
     KnowledgeBase,
-    MetaAnnotation,
     NamedClass,
     SomeValues,
     TYPE_PRED,
@@ -271,31 +270,24 @@ def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
 _PROPAGATED_FLAGS = ("~R", "~U", "+I", "+U")
 
 
-def annotations_from_kb(kb: KnowledgeBase) -> list[MetaAnnotation]:
-    return [kb.annotations[cls] for cls in sorted(kb.annotations, key=term_sort_key)]
-
-
-def check_ontoclean(kb: KnowledgeBase, annotations=None) -> list:
+def check_ontoclean(kb: KnowledgeBase) -> list:
     """Metaproperty violations over the kb's direct subclass links.
 
     For each link ``p SUBCLASSOF q``: if q carries ~R, ~U, +I or +U then p
     must carry the same flag; each missing flag is one violation
     ``(child, parent, flag)``.  Every class appearing in a link must have an
-    annotation record (possibly with all dimensions unset), otherwise
-    :class:`UnannotatedClassError` is raised.
+    annotation in ``kb.annotations`` (possibly with all dimensions unset),
+    otherwise :class:`UnannotatedClassError` is raised.
     """
-    if annotations is None:
-        annotations = annotations_from_kb(kb)
-    by_class = {ann.cls: ann for ann in annotations}
     links = sorted(kb.subclass_links, key=lambda l: (term_sort_key(l[0]), term_sort_key(l[1])))
     for child, parent in links:
         for cls in (child, parent):
-            if cls not in by_class:
+            if cls not in kb.annotations:
                 raise UnannotatedClassError(cls)
     violations = []
     for child, parent in links:
-        child_ann = by_class[child]
-        parent_ann = by_class[parent]
+        child_ann = kb.annotations[child]
+        parent_ann = kb.annotations[parent]
         child_flags = set(child_ann.flags())
         for flag in _PROPAGATED_FLAGS:
             if flag in parent_ann.flags() and flag not in child_flags:

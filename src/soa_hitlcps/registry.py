@@ -27,7 +27,6 @@ from .errors import (
 from .kb import Iri, KnowledgeBase
 from .schema import (
     CompositeType,
-    ExperienceRecord,
     HumanCapability,
     MachineCapability,
     PotentialService,
@@ -201,18 +200,16 @@ class ServiceRegistry:
 
     # -- experience and reputation ----------------------------------------------
 
-    def record_experience(self, service: Iri, requester: Iri, rating: Decimal,
-                          criteria=()) -> ExperienceRecord:
+    def record_experience(self, service: Iri, requester: Iri, rating: Decimal, criteria=()) -> None:
         """Rate the most recent unrated terminal invocation of ``service``."""
         candidates = [inv for inv in self.invocations
                       if inv.service == service and inv.consumer == requester
                       and inv.status in TERMINAL and inv.rating is None]
         if not candidates:
             raise NoCompletedInvocationError(f"{requester} has no unrated terminal invocation of {service}")
-        return self.record_experience_for(candidates[-1], rating, criteria)
+        self.record_experience_for(candidates[-1], rating, criteria)
 
-    def record_experience_for(self, invocation: Invocation, rating: Decimal,
-                              criteria=()) -> ExperienceRecord:
+    def record_experience_for(self, invocation: Invocation, rating: Decimal, criteria=()) -> None:
         service = invocation.service
         record_entry = self.services.get(service)
         if record_entry is None:
@@ -221,12 +218,11 @@ class ServiceRegistry:
             raise InvalidStateError(f"invocation {invocation.id} is {invocation.status}, not terminal")
         rating = check_rating(rating)
         invocation.rating = rating
-        record = ExperienceRecord(service, invocation.consumer, rating, tuple(criteria))
         ratings = service_ratings(self.kb, service) + [rating]
-        project_experience(self.kb, record, record_entry.provider, len(ratings))
+        project_experience(self.kb, service, invocation.consumer, rating, criteria,
+                           record_entry.provider, len(ratings))
         record_entry.reputation = _reputation(ratings, record_entry.profile)
         project_reputation(self.kb, service, record_entry.reputation)
-        return record
 
     def reputation_of(self, service: Iri) -> Decimal:
         record = self.services.get(service)

@@ -12,11 +12,12 @@ is parsed once, at import; ``base_ontology()`` hands out copies and
 This module also defines the capability (.cap) and service-profile (.srv)
 file formats, whose names follow the .kb rule, and the graph codec: the one
 place that knows how registry facts are encoded.  One field table per record
-type drives the writers; the readers return a profile or one answer (a
-skill's level, a known topic, a service's ratings).  Scales, preferences,
-parameter signatures and rating criteria are string literals on a handful of
-instance-level plumbing properties (``hasSkillLevel`` and friends) that are
-declared on demand and are deliberately not part of the base ontology's 45.
+type drives the writers, and a rating is written from its values; the
+readers return a profile or one answer (a skill's level, a known topic, a
+service's ratings).  Scales, preferences, parameter signatures and rating
+criteria are string literals on a handful of instance-level plumbing
+properties (``hasSkillLevel`` and friends) that are declared on demand and
+are deliberately not part of the base ontology's 45.
 A service is published exactly when its ``presents`` link is in the graph.
 """
 
@@ -214,14 +215,6 @@ class ServiceProfile:
     degree_of_parallelism: int = 1
     limitations: tuple = ()
     declarations: tuple = ()  # extra (property, domain, range) for effects
-
-
-@dataclass(frozen=True)
-class ExperienceRecord:
-    service: Iri
-    requester: Iri
-    rating: Decimal
-    criteria: tuple = ()  # ((name, Decimal), ...)
 
 
 @dataclass(frozen=True)
@@ -463,6 +456,8 @@ def validate_profile(profile: ServiceProfile) -> None:
     for pattern in profile.preconditions:
         bound |= set(pattern.variables())
     for pattern in profile.effects_add + profile.effects_remove:
+        if isinstance(pattern.subject, Literal):
+            raise InvalidProfileError(f"effect subject {pattern.subject} is a literal, not a name")
         for var in pattern.variables():
             if var not in bound:
                 raise InvalidProfileError(f"effect variable ?{var} is not bound by inputs or preconditions")
@@ -535,7 +530,6 @@ def _effect(verb: str) -> _Codec:
 _LEVEL = _text(lambda pair: f"{pair[0]}:{pair[1]}", _parse_level)  # term:level
 _PARAMETER = _text(lambda param: f"{param.name}:{param.type}", _parse_parameter)
 _PREFERENCE = _Codec(lambda pair: string_literal(f"{pair[0]}:{pair[1]}"), None)
-_CRITERIA = _Codec(lambda criteria: string_literal(";".join(f"{name}={value}" for name, value in criteria)), None)
 
 
 def _one(value) -> tuple:
@@ -595,12 +589,6 @@ _QOS = (
     _REPUTATION,
     _single("cost", "costValue", _DECIMAL, Decimal("0")),
     _single("response_time", "responseTimeValue", _DECIMAL, Decimal("0")),
-)
-_EXPERIENCE = (
-    _single("service", "experienceOf"),
-    _single("requester", "ratedBy"),
-    _single("rating", "ratingValue", _DECIMAL, Decimal("0")),
-    _Field("criteria", "hasCriteria", _CRITERIA, values=lambda criteria: (criteria,) if criteria else ()),
 )
 
 _PRESENTS = iri("presents")
@@ -814,17 +802,21 @@ def project_reputation(kb: KnowledgeBase, service: Iri, reputation: Decimal) -> 
     _add(kb, qos_node, _REPUTATION, (reputation,))
 
 
-def project_experience(kb: KnowledgeBase, record: ExperienceRecord, provider: Iri, index: int) -> Iri:
-    """Store ``record`` on the first unused experience node from ``index`` on."""
+def project_experience(kb: KnowledgeBase, service: Iri, requester: Iri, rating: Decimal, criteria,
+                       provider: Iri, index: int) -> None:
+    """Store a rating, with its ``(name, value)`` criteria, on the first unused experience node from ``index`` on."""
     ensure_plumbing(kb)
-    service = record.service
     while kb.statements_about(Iri(service.prefix, f"{service.local}Exp{index}")):
         index += 1
     node = Iri(service.prefix, f"{service.local}Exp{index}")
     kb.add_type(node, iri("Experience"))
-    _write(kb, node, record, _EXPERIENCE)
+    kb.add_statement(node, iri("experienceOf"), service)
+    kb.add_statement(node, iri("ratedBy"), requester)
+    kb.add_statement(node, iri("ratingValue"), decimal_literal(rating))
+    if criteria:
+        kb.add_statement(node, iri("hasCriteria"),
+                         string_literal(";".join(f"{name}={value}" for name, value in criteria)))
     kb.add_statement(capability_node(provider), iri("hasExperience"), node)
-    return node
 
 
 def service_ratings(kb: KnowledgeBase, service: Iri) -> list:

@@ -21,6 +21,7 @@ from soa_hitlcps.kb import (
     ClassExpr,
     Conjunction,
     KnowledgeBase,
+    MAX_CLASS_EXPR_DEPTH,
     NamedClass,
     SomeValues,
     _COMMENT_RE,
@@ -88,12 +89,14 @@ def _parse_name(tok: _Token, prefixes: dict):
     return parse_name(tok.text, prefixes, tok.line, tok.column)
 
 
-def _parse_class_expr(reader: _Cursor, prefixes: dict) -> ClassExpr:
-    reader.expect("(")
+def _parse_class_expr(reader: _Cursor, prefixes: dict, depth: int = 1) -> ClassExpr:
+    opening = reader.expect("(")
+    if depth > MAX_CLASS_EXPR_DEPTH:
+        raise ParseError(opening.line, opening.column, f"at most {MAX_CLASS_EXPR_DEPTH} nested parentheses")
     first = reader.next("a class expression")
     if first.text == "(":
         reader.pos -= 1
-        operand: ClassExpr = _parse_class_expr(reader, prefixes)
+        operand: ClassExpr = _parse_class_expr(reader, prefixes, depth + 1)
     else:
         peek = reader.peek()
         if peek is not None and peek.text == "SOME":
@@ -112,7 +115,7 @@ def _parse_class_expr(reader: _Cursor, prefixes: dict) -> ClassExpr:
         nxt = reader.next("a class expression")
         if nxt.text == "(":
             reader.pos -= 1
-            parts.append(_parse_class_expr(reader, prefixes))
+            parts.append(_parse_class_expr(reader, prefixes, depth + 1))
         else:
             parts.append(NamedClass(_parse_name(nxt, prefixes)))
     if len(parts) == 1:

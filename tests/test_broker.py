@@ -14,10 +14,10 @@ from soa_hitlcps import broker as broker_module
 from soa_hitlcps import reasoner as reasoner_module
 from soa_hitlcps.broker import (
     DiscoveryRequest,
-    ScoringConfig,
     ServiceBroker,
     compile_request,
     parse_discovery_request,
+    score,
 )
 from soa_hitlcps.errors import (
     CyclicSubclassError,
@@ -212,12 +212,11 @@ def test_reference_discovery_finds_chat_doctor():
 
 
 def test_score_oracle_values():
-    scoring = ScoringConfig()
-    assert scoring.score(Decimal("4.5"), Decimal("10"), Decimal("5")) == Decimal("0.9042")
-    assert scoring.score(Decimal("5"), Decimal("0"), Decimal("0")) == Decimal("1.0000")
-    assert scoring.score(Decimal("0"), Decimal("100"), Decimal("60")) == Decimal("0.0000")
+    assert score(Decimal("4.5"), Decimal("10"), Decimal("5")) == Decimal("0.9042")
+    assert score(Decimal("5"), Decimal("0"), Decimal("0")) == Decimal("1.0000")
+    assert score(Decimal("0"), Decimal("100"), Decimal("60")) == Decimal("0.0000")
     # saturation: beyond the caps the penalty stops growing
-    assert scoring.score(Decimal("5"), Decimal("200"), Decimal("120")) == Decimal("0.5000")
+    assert score(Decimal("5"), Decimal("200"), Decimal("120")) == Decimal("0.5000")
 
 
 def test_ranking_and_tiebreak():
@@ -555,6 +554,24 @@ def test_failed_effects_leave_the_graph_unchanged():
     broker.complete_invocation(invocation, outcome=FAILED)
     assert invocation.status == FAILED
     assert serialize(registry.kb) == before
+
+
+def test_an_effect_bound_to_a_literal_subject_raises_before_any_write():
+    # Once written, ``FACT "a note" knows David`` no longer parsed back.
+    registry, broker = build_world()
+    registry.publish_service(*parse_service_profile(
+        "SERVICE noteTaker\nPROVIDER David\nKIND processing\n"
+        "PRECONDITION ?consumer hasNote ?n\nEFFECT ADD ?n knows David\n"
+        "EFFECT DEL Adam hasNote ?n\nDECLARE hasNote Thing Thing\nDECLARE knows Thing Thing\n"))
+    registry.kb.add_statement(iri("Adam"), iri("hasNote"), string("a note"))
+    invocation = broker.invoke(iri("noteTaker"), iri("Adam"))
+    assert invocation.bindings == {"n": string("a note")}
+    before = registry.kb.copy()
+    with pytest.raises(DeclarationConflictError, match="not an Iri"):
+        broker.complete_invocation(invocation)
+    assert registry.kb == before
+    assert invocation.status == RUNNING
+    assert parse_document(serialize(registry.kb)) == registry.kb
 
 
 def test_complete_requires_running():

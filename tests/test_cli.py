@@ -5,7 +5,7 @@ import pytest
 
 from soa_hitlcps.cli import build_parser, main
 from soa_hitlcps.datafiles import base_kb_text, scenario_dir
-from soa_hitlcps.kb import serialize
+from soa_hitlcps.kb import MAX_CLASS_EXPR_DEPTH, serialize
 from soa_hitlcps.simulator import load_scenario
 
 BASE_KB = Path(scenario_dir()).parent / "base.kb"
@@ -104,6 +104,31 @@ def test_validate_parse_error_is_domain_error(tmp_path, capsys):
     kb.write_text("CLASS\n", encoding="utf-8")
     assert main(["validate", str(kb)]) == 1
     assert "ParseError" in capsys.readouterr().err
+
+
+def _nested_axiom_kb(body: str) -> str:
+    return f"CLASS A SUBCLASSOF C\nCLASS B\nINDIVIDUAL x TYPE A\nAXIOM {body} SUBCLASSOF B\n"
+
+
+def _nested_conjunction(depth: int) -> str:
+    """``( A AND ( A AND … ( A ) … ) )``, ``depth`` parentheses deep."""
+    return "( A AND " * (depth - 1) + "( A )" + " )" * (depth - 1)
+
+
+@pytest.mark.parametrize("command", ["validate", "reason", "metrics"])
+def test_a_class_expression_nested_past_the_bound_is_a_parse_error(tmp_path, capsys, command):
+    # 330 deep once overflowed the stack in the reasoner, 1,200 plain parentheses in the parser
+    kb = tmp_path / "deep.kb"
+    for level, body in (("( A AND ", _nested_conjunction(330)), ("( ", "( " * 1200 + "A" + " )" * 1200)):
+        kb.write_text(_nested_axiom_kb(body), encoding="utf-8")
+        assert main([command, str(kb)]) == 1
+        column = len("AXIOM ") + MAX_CLASS_EXPR_DEPTH * len(level) + 1  # the first ( past the bound
+        assert capsys.readouterr().err == (f"error: ParseError: line 4, column {column}: "
+                                           f"expected at most {MAX_CLASS_EXPR_DEPTH} nested parentheses\n")
+    kb.write_text(_nested_axiom_kb(_nested_conjunction(MAX_CLASS_EXPR_DEPTH)), encoding="utf-8")
+    assert main([command, str(kb)]) == 0
+    if command == "reason":
+        assert "INDIVIDUAL x TYPE B" in capsys.readouterr().out
 
 
 # -- reason / query -------------------------------------------------------------

@@ -238,6 +238,7 @@ def test_line_readers_split_as_their_regexes(line):
 @example("CLASS B#c\n", False)
 @example('CLASS "a#b"\n', False)
 @example("AXIOM (#\n", False)
+@example("AXIOM " + "( " * 101 + "A" + " )" * 101 + " SUBCLASSOF B\n", False)
 @example('PROPERTY p DOMAIN A RANGE A\nFACT a p "abc\n', False)
 @example("PROPERTY p DOMAIN A RANGE A\nFACT a p\n", False)
 @example("PROPERTY p DOMAIN A RANGE A\nFACT a p b c\n", False)

@@ -15,13 +15,11 @@ from soa_hitlcps.kb import (
     SomeValues,
     TYPE_PRED,
     Var,
-    annotation_from_flags,
     iri,
     parse_document,
 )
 from soa_hitlcps.reasoner import (
     OntocleanViolation,
-    annotations_from_kb,
     axiom_inference_check,
     check_consistency,
     check_ontoclean,
@@ -549,12 +547,10 @@ def test_ontoclean_explicitly_unset_annotation_is_not_missing():
 
 
 def test_ontoclean_annotations_argument_overrides_kb():
-    kb = parse_document("CLASS A SUBCLASSOF B\n")
-    anns = [annotation_from_flags(iri("A"), ["~R"]), annotation_from_flags(iri("B"), ["~R"])]
-    assert check_ontoclean(kb, anns) == []
-    anns = [annotation_from_flags(iri("A"), []), annotation_from_flags(iri("B"), ["~R"])]
-    assert check_ontoclean(kb, anns) == [OntocleanViolation(iri("A"), iri("B"), "~R")]
-    assert annotations_from_kb(kb) == []
+    kb = parse_document("CLASS A SUBCLASSOF B\nMETA A ~R\nMETA B ~R\n")
+    assert check_ontoclean(kb) == []
+    kb = parse_document("CLASS A SUBCLASSOF B\nMETA A\nMETA B ~R\n")
+    assert check_ontoclean(kb) == [OntocleanViolation(iri("A"), iri("B"), "~R")]
 
 
 def test_axiom_inference_check_positive_and_negative():

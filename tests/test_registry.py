@@ -128,6 +128,7 @@ def _annotate(*flags):
 
 # case -> (error, what its message names, call)
 REJECTED_CALLS = {
+    "conflicting-rigidity-flags": (DeclarationConflictError, "conflicting rigidity", _annotate("+R", "~R")),
     "conflicting-identity-flags": (DeclarationConflictError, "conflicting identity", _annotate("+I", "-I")),
     "conflicting-unity-flags": (DeclarationConflictError, "conflicting unity", _annotate("+U", "~U")),
     "unknown-flag": (DeclarationConflictError, "unknown metaproperty flag", _annotate("+X")),
@@ -140,6 +141,8 @@ REJECTED_CALLS = {
     "parallelism-0": (InvalidProfileError, "parallelism", _publish("PARALLELISM 0")),
     "negative-cost": (InvalidProfileError, "non-negative", _publish("QOS reputation=4 cost=-1")),
     "negative-response-time": (InvalidProfileError, "non-negative", _publish("QOS reputation=4 response_time=-1")),
+    # a literal subject would be written as a fact that no longer parses back
+    "literal-effect-subject": (InvalidProfileError, "literal", _publish('EFFECT ADD "a note" knows David')),
 }
 
 
