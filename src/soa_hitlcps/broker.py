@@ -40,14 +40,13 @@ from .registry import (
     check_rating,
 )
 from .schema import (
-    ATOMIC_KINDS,
+    SERVICE_KINDS,
     Condition,
     LocationAt,
     TimeWindow,
     skill_level,
 )
 
-_KIND_CLASSES = dict(ATOMIC_KINDS, composite="CompositeService")  # kind= value -> class
 _COST_CAP, _RESPONSE_TIME_CAP = Decimal("100"), Decimal("60")
 
 
@@ -151,7 +150,7 @@ _SERVICE_PATTERNS = (
 _CONTEXT_PATTERN = Pattern(Var("property"), iri("includeContext"), Var("context"))
 _KNOWLEDGE_PATTERN = Pattern(Var("capability"), iri("hasHumanKnowledge"), Var("knowledge"))
 _HAS_SKILL, _HAS_ABILITY = iri("hasHumanSkill"), iri("hasAbility")
-_KIND_PATTERNS = {kind: Pattern(Var("service"), TYPE_PRED, iri(cls)) for kind, cls in _KIND_CLASSES.items()}
+_KIND_PATTERNS = {kind: Pattern(Var("service"), TYPE_PRED, cls) for kind, cls in SERVICE_KINDS.items()}
 
 
 def compile_request(request: DiscoveryRequest) -> Optional[QueryAst]:
@@ -251,7 +250,7 @@ class ServiceBroker:
                 continue
             if not self._qos_holds(record, request.qos_constraints):
                 continue
-            qos = record.profile.properties.qos
+            qos = record.profile.qos
             ranked.append(RankedService(service, record.provider,
                                         score(record.reputation, qos.cost, qos.response_time)))
         ranked.sort(key=lambda r: (-r.score, r.service))
@@ -297,7 +296,7 @@ class ServiceBroker:
         return True
 
     def _qos_holds(self, record, qos_constraints) -> bool:
-        qos = record.profile.properties.qos
+        qos = record.profile.qos
         for name, bound in qos_constraints:
             if name == "min_reputation" and record.reputation < bound:
                 return False

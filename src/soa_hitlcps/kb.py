@@ -513,15 +513,7 @@ class KnowledgeBase:
 
     def superclasses(self, cls: Iri) -> set:
         """Transitive ancestors of ``cls`` via subclass links."""
-        seen: set = set()
-        frontier = [cls]
-        while frontier:
-            current = frontier.pop()
-            for child, parent in self.subclass_links:
-                if child == current and parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        return seen
+        return ancestors(self.subclass_links).get(cls, set())
 
     def match(self, pattern) -> list[dict]:
         """All binding maps under which the substituted triple is present.
@@ -611,18 +603,42 @@ class KnowledgeBase:
         """
         if start == goal:
             return [start]
-        links = sorted(self.subclass_links, key=lambda l: term_sort_key(l[1]))
+        parents = subclass_parents(self.subclass_links)
         stack = [(start, [start])]
         visited = set()
         while stack:
             node, path = stack.pop()
-            for child, parent in links:
-                if child == node and parent not in visited:
+            for parent in sorted(parents.get(node, ()), key=term_sort_key):
+                if parent not in visited:
                     if parent == goal:
                         return path + [parent]
                     visited.add(parent)
                     stack.append((parent, path + [parent]))
         return None
+
+
+def subclass_parents(links) -> dict:
+    """Each child's parents, in no order, of the ``(child, parent)`` pairs in ``links``."""
+    parents: dict = {}
+    for child, parent in links:
+        parents.setdefault(child, []).append(parent)
+    return parents
+
+
+def ancestors(links) -> dict:
+    """Each child's transitive ancestors, of the ``(child, parent)`` pairs in ``links``: one walk each."""
+    parents = subclass_parents(links)
+    closed: dict = {}
+    for cls in parents:
+        seen: set = set()
+        frontier = [cls]
+        while frontier:
+            for parent in parents.get(frontier.pop(), ()):
+                if parent not in seen:
+                    seen.add(parent)
+                    frontier.append(parent)
+        closed[cls] = seen
+    return closed
 
 
 # The tables of a knowledge base, its init fields in order: copy() copies each.
@@ -849,9 +865,9 @@ def _parse_class_expr(reader: _Cursor, name, depth: int = 1) -> ClassExpr:
     return Conjunction(tuple(parts))
 
 
-def parse_document(text: str, base: Optional[KnowledgeBase] = None) -> KnowledgeBase:
-    """Parse a document into a fresh kb (or an extension of a copy of ``base``)."""
-    kb = base.copy() if base is not None else KnowledgeBase()
+def parse_document(text: str) -> KnowledgeBase:
+    """Parse a document into a fresh kb."""
+    kb = KnowledgeBase()
     prefix_lines, declarations, rest = [], [], []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         raw = _strip_comment(raw)

@@ -42,6 +42,8 @@ from .kb import (
     NamedClass,
     SomeValues,
     TYPE_PRED,
+    ancestors,
+    subclass_parents,
     term_sort_key,
 )
 
@@ -63,8 +65,8 @@ def _satisfies(kb: KnowledgeBase, individual: Iri, expr: ClassExpr) -> bool:
     return all(_satisfies(kb, individual, part) for part in expr.parts)
 
 
-def _add_with_ancestors(out: KnowledgeBase, ancestors: dict, individual: Iri, cls: Iri) -> None:
-    for c in (cls, *ancestors.get(cls, ())):
+def _add_with_ancestors(out: KnowledgeBase, above: dict, individual: Iri, cls: Iri) -> None:
+    for c in (cls, *above.get(cls, ())):
         if (individual, c) not in out.type_assertions:
             out.add_type(individual, c)
 
@@ -100,7 +102,7 @@ def _quantified(axioms) -> set:
     return props
 
 
-def _apply_axioms(out: KnowledgeBase, ancestors: dict, candidates, quantified: set) -> None:
+def _apply_axioms(out: KnowledgeBase, above: dict, candidates, quantified: set) -> None:
     """Give each candidate the head of every axiom it satisfies, to the fixpoint.
 
     The rounds are semi-naive (Bancilhon & Ramakrishnan 1986): the first
@@ -117,7 +119,7 @@ def _apply_axioms(out: KnowledgeBase, ancestors: dict, candidates, quantified: s
                 if (individual, axiom.head) in out.type_assertions:
                     continue
                 if _satisfies(out, individual, axiom.body):
-                    _add_with_ancestors(out, ancestors, individual, axiom.head)
+                    _add_with_ancestors(out, above, individual, axiom.head)
                     gained.add(individual)
         candidates = set(gained)
         for individual in gained:
@@ -129,13 +131,13 @@ def materialize(kb: KnowledgeBase) -> KnowledgeBase:
     """Return a copy of ``kb`` extended to the least inference fixpoint."""
     out = kb.copy()
     # no rule adds a subclass link: close them once, before the loop
-    ancestors = {child: out.superclasses(child) for child, _ in out.subclass_links}
-    out.subclass_links.update((child, parent) for child in ancestors for parent in ancestors[child])
-    for cls in ancestors:
+    above = ancestors(out.subclass_links)
+    out.subclass_links.update((child, parent) for child in above for parent in above[child])
+    for cls in above:
         for individual in _instances(out, cls):
-            _add_with_ancestors(out, ancestors, individual, cls)
+            _add_with_ancestors(out, above, individual, cls)
     seeds = set().union(*(_seeds(out, axiom.body) for axiom in out.axioms))
-    _apply_axioms(out, ancestors, seeds, _quantified(out.axioms))
+    _apply_axioms(out, above, seeds, _quantified(out.axioms))
     return out
 
 
@@ -174,18 +176,15 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> None:
             if stmt.predicate in quantified and stmt.subject not in affected:
                 affected.add(stmt.subject)
                 frontier.append(stmt.subject)
-    # the closed links hold every ancestor of a class directly
-    ancestors: dict = {}
-    for child, parent in closed.subclass_links:
-        ancestors.setdefault(child, []).append(parent)
+    above = subclass_parents(closed.subclass_links)  # the closed links hold every ancestor directly
     for individual in affected:
         types = closed.types_of(individual)
-        keep = {c for t in types if (individual, t) in kb.type_assertions for c in (t, *ancestors.get(t, ()))}
+        keep = {c for t in types if (individual, t) in kb.type_assertions for c in (t, *above.get(t, ()))}
         for cls in types - keep:
             closed.remove_type(individual, cls)
         for cls in keep - types:
             closed.add_type(individual, cls)
-    _apply_axioms(closed, ancestors, [i for i in affected if closed.statements_about(i)], quantified)
+    _apply_axioms(closed, above, [i for i in affected if closed.statements_about(i)], quantified)
 
 
 # --------------------------------------------------------------------------

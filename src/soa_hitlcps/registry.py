@@ -26,7 +26,6 @@ from .errors import (
 )
 from .kb import Iri, KnowledgeBase
 from .schema import (
-    CompositeType,
     HumanCapability,
     MachineCapability,
     PotentialService,
@@ -99,7 +98,7 @@ def check_rating(rating) -> Decimal:
 def _reputation(ratings, profile: ServiceProfile) -> Decimal:
     """The mean rating, rounded half up to cents; while there is none, the one ``profile`` declares."""
     if not ratings:
-        return profile.properties.qos.reputation
+        return profile.qos.reputation
     return (sum(ratings) / len(ratings)).quantize(Decimal("0.01"), rounding=ROUND_HALF_UP)
 
 
@@ -144,9 +143,8 @@ class ServiceRegistry:
         if not self._is_registered(provider):
             raise UnknownProviderError(str(provider))
         validate_profile(profile)
-        if profile.properties.capability_ref is None:
-            bundle = dataclasses.replace(profile.properties, capability_ref=capability_node(provider))
-            profile = dataclasses.replace(profile, properties=bundle)
+        if profile.capability_ref is None:
+            profile = dataclasses.replace(profile, capability_ref=capability_node(provider))
         service = profile.service_id
         if holds_profile(self.kb, service):  # published before: present it again if unchanged, by its provider
             if self.is_published(service):
@@ -154,7 +152,7 @@ class ServiceRegistry:
             held = self._read_record(service)
             # once rated, the graph's reputation is not the declared one: compare the rest
             rated = held is not None and service_ratings(self.kb, service)
-            kept = held.profile.properties.qos.reputation if rated else None
+            kept = held.profile.qos.reputation if rated else None
             if held is None or held.profile != stored_profile(self.kb, profile, provider, kept):
                 raise DuplicateIndividualError(f"{service} was withdrawn with a different profile")
             if held.provider != provider:
@@ -162,12 +160,11 @@ class ServiceRegistry:
             present(self.kb, service)
             self.services[service] = held
             return
-        if isinstance(profile.service_type, CompositeType):
-            for part in profile.service_type.parts:
-                if not holds_profile(self.kb, part):
-                    raise UnknownServiceError(str(part))
+        for part in profile.parts:
+            if not holds_profile(self.kb, part):
+                raise UnknownServiceError(str(part))
         project_profile(self.kb, profile, provider)
-        self.services[service] = ServiceRecord(profile, provider, profile.properties.qos.reputation)
+        self.services[service] = ServiceRecord(profile, provider, profile.qos.reputation)
 
     def _read_record(self, service: Iri) -> Optional[ServiceRecord]:
         held = read_profile(self.kb, service)

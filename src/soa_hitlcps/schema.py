@@ -14,11 +14,14 @@ file formats, whose names follow the .kb rule, and the graph codec: the one
 place that knows how registry facts are encoded.  One field table per record
 type drives the writers, and a rating is written from its values; the
 readers return a profile or one answer (a skill's level, a known topic, a
-service's ratings).  Scales, preferences, parameter signatures and rating
-criteria are string literals on a handful of instance-level plumbing
-properties (``hasSkillLevel`` and friends) that are declared on demand and
-are deliberately not part of the base ontology's 45.
-A service is published exactly when its ``presents`` link is in the graph.
+service's ratings).  A ``ServiceProfile`` is one flat record: ``SERVICE_KINDS``
+alone maps its kind to a class, and only the codec nests its QoS, contexts
+and capability under a Property node (the OWL-S profile shape).
+Scales, preferences, parameter signatures and rating criteria are string
+literals on a handful of instance-level plumbing properties
+(``hasSkillLevel`` and friends) that are declared on demand and are
+deliberately not part of the base ontology's 45.  A service is published
+exactly when its ``presents`` link is in the graph.
 """
 
 from __future__ import annotations
@@ -69,12 +72,14 @@ def _individuals(cls: str) -> tuple:
     return tuple(sorted((ind for ind, c in _BASE.type_assertions if c == iri(cls)), key=term_sort_key))
 
 
-ATOMIC_KINDS = {
-    "sensing": "SensingService",
-    "actuating": "ActuatingService",
-    "communicating": "CommunicatingService",
-    "processing": "ProcessingService",
+SERVICE_KINDS = {
+    "sensing": iri("SensingService"),
+    "actuating": iri("ActuatingService"),
+    "communicating": iri("CommunicatingService"),
+    "processing": iri("ProcessingService"),
+    "composite": iri("CompositeService"),
 }
+_ATOMIC = sorted(kind for kind in SERVICE_KINDS if kind != "composite")  # the kinds a KIND line names
 
 
 @dataclass(frozen=True)
@@ -186,27 +191,13 @@ Limitation = Union[TimeWindow, MaxDistance, LocationAt, Condition]
 
 
 @dataclass(frozen=True)
-class PropertyBundle:
-    qos: QoS
-    contexts: tuple = ()
-    capability_ref: Optional[Iri] = None
-
-
-@dataclass(frozen=True)
-class AtomicType:
-    kind: str  # sensing | actuating | communicating | processing
-
-
-@dataclass(frozen=True)
-class CompositeType:
-    parts: tuple
-
-
-@dataclass(frozen=True)
 class ServiceProfile:
     service_id: Iri
-    service_type: Union[AtomicType, CompositeType]
-    properties: PropertyBundle
+    kind: str  # a key of SERVICE_KINDS
+    qos: QoS
+    parts: tuple = ()  # the services a composite is composed of; empty for any other kind
+    contexts: tuple = ()
+    capability_ref: Optional[Iri] = None
     inputs: tuple = ()
     outputs: tuple = ()
     preconditions: tuple = ()
@@ -357,11 +348,9 @@ _QOS_KEYS = ("reputation", "cost", "response_time")
 
 def parse_service_profile(text: str):
     """Parse a .srv document; returns (ServiceProfile, provider Iri or None)."""
-    service_id = provider = None
-    service_type = qos = None
-    contexts, inputs, outputs = [], [], []
+    service_id = provider = kind = qos = capability_ref = None
+    parts, contexts, inputs, outputs = (), [], [], []
     preconditions, effects_add, effects_remove, limitations, declarations = [], [], [], [], []
-    capability_ref = None
     dop = 1
     for lineno, words in content_lines(text):
         keyword, rest = words[0], words[1:]
@@ -370,11 +359,11 @@ def parse_service_profile(text: str):
         elif keyword == "PROVIDER" and len(rest) == 1:
             provider = graph_name(rest[0], lineno)
         elif keyword == "KIND" and len(rest) == 1:
-            if rest[0] not in ATOMIC_KINDS:
-                raise ParseError(lineno, 1, "one of " + "/".join(sorted(ATOMIC_KINDS)))
-            service_type = AtomicType(rest[0])
+            if rest[0] not in _ATOMIC:
+                raise ParseError(lineno, 1, "one of " + "/".join(_ATOMIC))
+            kind, parts = rest[0], ()
         elif keyword == "COMPOSITE" and rest:
-            service_type = CompositeType(tuple(graph_name(w, lineno) for w in rest))
+            kind, parts = "composite", tuple(graph_name(w, lineno) for w in rest)
         elif keyword == "INPUT" and len(rest) == 2:
             inputs.append(TypedParameter(rest[0], graph_name(rest[1], lineno)))
         elif keyword == "OUTPUT" and len(rest) == 2:
@@ -404,13 +393,14 @@ def parse_service_profile(text: str):
             raise ParseError(lineno, 1, "a profile directive")
     if service_id is None:
         raise ParseError(1, 1, "a SERVICE line")
-    if service_type is None:
+    if kind is None:
         raise ParseError(1, 1, "a KIND or COMPOSITE line")
     profile = ServiceProfile(
         service_id=service_id,
-        service_type=service_type,
-        properties=PropertyBundle(qos=qos or QoS(Decimal("0"), Decimal("0"), Decimal("0")),
-                                  contexts=tuple(contexts), capability_ref=capability_ref),
+        kind=kind,
+        qos=qos or QoS(Decimal("0"), Decimal("0"), Decimal("0")),
+        parts=parts,
+        contexts=tuple(contexts), capability_ref=capability_ref,
         inputs=tuple(inputs),
         outputs=tuple(outputs),
         preconditions=tuple(preconditions),
@@ -444,9 +434,13 @@ def parse_flat_limitation(text: str, lineno: int = 1) -> Limitation:
 
 
 def validate_profile(profile: ServiceProfile) -> None:
+    if profile.kind not in SERVICE_KINDS:
+        raise InvalidProfileError(f"service kind {profile.kind!r} is not one of " + "/".join(sorted(SERVICE_KINDS)))
+    if profile.parts and profile.kind != "composite":
+        raise InvalidProfileError("only a composite service has parts")
     if profile.degree_of_parallelism < 1:
         raise InvalidProfileError("degree of parallelism must be >= 1")
-    qos = profile.properties.qos
+    qos = profile.qos
     if not Decimal("0") <= qos.reputation <= Decimal("5"):
         raise InvalidProfileError("reputation must be within 0..5")
     if qos.cost < 0 or qos.response_time < 0:
@@ -484,7 +478,7 @@ def capability_node(owner: Iri) -> Iri:
 
 
 def profile_nodes(service: Iri):
-    """Deterministic (profile, property bundle, qos) node names for a service."""
+    """Deterministic (profile, property, qos) node names for a service."""
     return tuple(Iri(service.prefix, service.local + part) for part in ("Profile", "Properties", "Qos"))
 
 
@@ -580,7 +574,7 @@ _PROFILE = (
     _Field("effects_remove", "hasEffect", _effect("DEL")),
     _Field("limitations", "hasLimitation", _text(lambda limitation: limitation.render(), parse_flat_limitation)),
 )
-_BUNDLE = (
+_PROPERTY = (
     _Field("contexts", "includeContext", cls="Context"),
     _single("capability_ref", "includeCapability"),
 )
@@ -712,19 +706,18 @@ def project_learned_knowledge(kb: KnowledgeBase, machine: Iri, topic: Iri) -> No
 
 def project_profile(kb: KnowledgeBase, profile: ServiceProfile, provider: Iri) -> None:
     """Store ``profile`` as published by ``provider`` (a Machine's is a MachineService)."""
-    service = profile.service_id
+    service, type_class = profile.service_id, SERVICE_KINDS[profile.kind]
     profile_node, props_node, qos_node = profile_nodes(service)
-    for prop, domain, range_ in profile.declarations:
-        kb.add_property(prop, domain, range_)
-    composite = isinstance(profile.service_type, CompositeType)
-    type_class = iri("CompositeService" if composite else ATOMIC_KINDS[profile.service_type.kind])
+    # the declarations are made on a scratch copy first, so one that conflicts raises before kb changes
+    for target in (KnowledgeBase(property_decls=dict(kb.property_decls)), kb):
+        for declaration in profile.declarations:
+            target.add_property(*declaration)
     kb.add_type(service, iri("Service"))
     kb.add_type(service, type_class)
     if (provider, iri("Machine")) in kb.type_assertions:
         kb.add_type(service, iri("MachineService"))
-    if composite:
-        for part in profile.service_type.parts:
-            kb.add_statement(service, iri("composedOf"), part)
+    for part in profile.parts:
+        kb.add_statement(service, iri("composedOf"), part)
     kb.add_statement(service, iri("providedBy"), provider)
     kb.add_statement(provider, iri("provides"), service)
     present(kb, service)
@@ -733,10 +726,10 @@ def project_profile(kb: KnowledgeBase, profile: ServiceProfile, provider: Iri) -
     _write(kb, profile_node, profile, _PROFILE)
     kb.add_statement(profile_node, iri("hasProperty"), props_node)
     kb.add_type(props_node, iri("Property"))
-    _write(kb, props_node, profile.properties, _BUNDLE)
+    _write(kb, props_node, profile, _PROPERTY)
     kb.add_statement(props_node, iri("includeQoS"), qos_node)
     kb.add_type(qos_node, iri("QoS"))
-    _write(kb, qos_node, profile.properties.qos, _QOS)
+    _write(kb, qos_node, profile.qos, _QOS)
 
 
 def read_profile(kb: KnowledgeBase, service: Iri):
@@ -745,17 +738,12 @@ def read_profile(kb: KnowledgeBase, service: Iri):
     own, objects = _objects(kb, service), _objects(kb, profile_node)
     providers = _decoded(own, "providedBy")
     type_class = (_decoded(objects, "hasServiceType") or [None])[0]
-    if type_class == iri("CompositeService"):
-        service_type = CompositeType(tuple(_decoded(own, "composedOf")))
-    else:
-        kinds = [kind for kind, cls in ATOMIC_KINDS.items() if iri(cls) == type_class]
-        service_type = AtomicType(kinds[0]) if kinds else None
-    if not providers or service_type is None:
+    kinds = [kind for kind, cls in SERVICE_KINDS.items() if cls == type_class]
+    if not providers or not kinds:
         return None
-    bundle = PropertyBundle(qos=QoS(**_read(_objects(kb, qos_node), _QOS)),
-                            **_read(_objects(kb, props_node), _BUNDLE))
-    profile = ServiceProfile(service_id=service, service_type=service_type, properties=bundle,
-                             **_read(objects, _PROFILE))
+    parts = tuple(_decoded(own, "composedOf")) if kinds[0] == "composite" else ()
+    profile = ServiceProfile(service_id=service, kind=kinds[0], qos=QoS(**_read(_objects(kb, qos_node), _QOS)),
+                             parts=parts, **_read(_objects(kb, props_node), _PROPERTY), **_read(objects, _PROFILE))
     return profile, providers[0]
 
 

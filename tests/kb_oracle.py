@@ -123,9 +123,9 @@ def _parse_class_expr(reader: _Cursor, prefixes: dict, depth: int = 1) -> ClassE
     return Conjunction(tuple(parts))
 
 
-def parse_document(text: str, base: Optional[KnowledgeBase] = None) -> KnowledgeBase:
-    """Parse a document into a fresh kb (or an extension of a copy of ``base``)."""
-    kb = base.copy() if base is not None else KnowledgeBase()
+def parse_document(text: str) -> KnowledgeBase:
+    """Parse a document into a fresh kb."""
+    kb = KnowledgeBase()
     tokenized = [_tokenize_line(raw, i) for i, raw in enumerate(text.splitlines(), start=1)]
     tokenized = [tokens for tokens in tokenized if tokens]
 

@@ -5,6 +5,7 @@ import dataclasses
 import random
 import re
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -52,9 +53,7 @@ from soa_hitlcps.query import And, Eq, InSet, Var, format_query, parse_query, qu
 from soa_hitlcps.reasoner import materialize, refresh
 from soa_hitlcps.registry import COMPLETED, FAILED, REJECTED, RUNNING, ServiceRegistry
 from soa_hitlcps.schema import (
-    AtomicType,
     PotentialService,
-    PropertyBundle,
     QoS,
     ServiceProfile,
     UnlockRule,
@@ -492,8 +491,7 @@ def test_an_effect_written_capability_fact_reaches_discovery_and_unlock_rules():
         "SERVICE study\nKIND processing\nEFFECT ADD davidCapability hasHumanKnowledge Psychology\n"
     )
     registry.publish_service(profile, iri("Erin"))
-    template = ServiceProfile(iri("counseling"), AtomicType("communicating"),
-                              PropertyBundle(qos=QoS(Decimal("4"), Decimal("5"), Decimal("10"))))
+    template = ServiceProfile(iri("counseling"), "communicating", QoS(Decimal("4"), Decimal("5"), Decimal("10")))
     rule = UnlockRule(required_knowledge=(iri("Psychology"),))
     registry.add_potential(iri("David"), PotentialService(template, rule))
     psychology = parse_discovery_request("DISCOVER knowledge=Psychology")
@@ -981,3 +979,10 @@ def test_discover_of_a_prefix_holding_a_colon_raises_what_its_print_reads_as(pre
     with pytest.raises(type(error), match=re.escape(str(error))):
         broker.discover(DiscoveryRequest(required_knowledge=(Iri(prefix, "Bar"),)))
 
+
+def test_the_readme_quick_start_runs_and_prints_its_ranking(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out == "chatDoctor David 0.9042\n"

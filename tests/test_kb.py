@@ -120,6 +120,59 @@ def test_cyclic_subclass_rejected():
         assert err.value.path == [iri(name) for name in chain.split(" -> ")]
 
 
+def _naive_ancestors(links, cls) -> set:
+    """The classes reached from ``cls`` by one or more links, grown to a fixpoint."""
+    reached = {parent for child, parent in links if child == cls}
+    while True:
+        more = {parent for child, parent in links if child in reached} - reached
+        if not more:
+            return reached
+        reached |= more
+
+
+def _scanning_subclass_path(links, start, goal):
+    """The depth-first walk of ``_subclass_path`` as it was, sorting and scanning every link."""
+    if start == goal:
+        return [start]
+    links = sorted(links, key=lambda l: kbm.term_sort_key(l[1]))
+    stack = [(start, [start])]
+    visited = set()
+    while stack:
+        node, path = stack.pop()
+        for child, parent in links:
+            if child == node and parent not in visited:
+                if parent == goal:
+                    return path + [parent]
+                visited.add(parent)
+                stack.append((parent, path + [parent]))
+    return None
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ancestors_and_subclass_paths_match_their_oracles_on_random_dags(seed):
+    rng = random.Random(seed)
+    names = [iri(f"C{i}") for i in range(rng.randint(2, 30))] + [Iri("ex", "C")]
+    rng.shuffle(names)
+    kb = KnowledgeBase()
+    for _ in range(rng.randint(0, 60)):  # a link from a later name to an earlier one keeps it acyclic
+        i, j = sorted(rng.sample(range(len(names)), 2))
+        kb.add_subclass(names[j], names[i])
+    links = set(kb.subclass_links)
+    closed = kbm.ancestors(links)
+    assert set(closed) == {child for child, _ in links}
+    for cls in names:
+        assert closed.get(cls, set()) == kb.superclasses(cls) == _naive_ancestors(links, cls)
+        for goal in names:
+            assert kb._subclass_path(cls, goal) == _scanning_subclass_path(links, cls, goal)
+    for child, parent in (rng.sample(names, 2) for _ in range(10)):
+        path = _scanning_subclass_path(links, parent, child)
+        if path is not None:
+            with pytest.raises(CyclicSubclassError) as err:
+                kb.add_subclass(child, parent)
+            assert err.value.path == path + [parent]
+    assert kb.subclass_links == links
+
+
 def test_duplicate_declarations_idempotent():
     kb = parse_document("CLASS Human\nCLASS Human\nCLASS Human SUBCLASSOF PhysicalThing\nCLASS Human SUBCLASSOF PhysicalThing\n")
     assert len([c for c in kb.class_decls if c == iri("Human")]) == 1
@@ -399,14 +452,6 @@ def test_decimal_literals_roundtrip_exactly():
     kb.add_statement(iri("x"), iri("v"), decimal("5"))
     again = parse_document(serialize(kb))
     assert again == kb
-
-
-def test_parse_extends_base_without_mutating_it():
-    base = parse_document("CLASS Human\nPROPERTY knows DOMAIN Human RANGE Human\n")
-    before = base.copy()
-    extended = parse_document("FACT a knows b\n", base=base)
-    assert base == before
-    assert Statement(iri("a"), iri("knows"), iri("b")) in extended.statements
 
 
 # -- tables, equality and copy ---------------------------------------------------------

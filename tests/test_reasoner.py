@@ -42,14 +42,13 @@ AXIOM ( Service AND ( providedBy SOME Human ) ) SUBCLASSOF HumanService
 
 
 def test_axiom_inference_human_and_humanservice():
-    kb = parse_document(AXIOM_KB)
     kb = parse_document(
-        "INDIVIDUAL David TYPE PhysicalThing\n"
+        AXIOM_KB
+        + "INDIVIDUAL David TYPE PhysicalThing\n"
         "INDIVIDUAL davidCapability TYPE HumanCapability\n"
         "FACT David hasCapability davidCapability\n"
         "INDIVIDUAL chatDoctor TYPE Service\n"
-        "FACT chatDoctor providedBy David\n",
-        base=kb,
+        "FACT chatDoctor providedBy David\n"
     )
     assert (iri("David"), iri("Human")) not in kb.type_assertions
     m = materialize(kb)

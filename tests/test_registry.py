@@ -32,15 +32,12 @@ from soa_hitlcps.reasoner import check_consistency, materialize
 from soa_hitlcps.registry import COMPLETED, RUNNING, ServiceRegistry
 from soa_hitlcps.schema import (
     TAXONOMY,
-    AtomicType,
-    CompositeType,
     Condition,
     HumanCapability,
     LocationAt,
     MachineCapability,
     MaxDistance,
     PotentialService,
-    PropertyBundle,
     QoS,
     ServiceProfile,
     TimeWindow,
@@ -143,6 +140,20 @@ REJECTED_CALLS = {
     "negative-response-time": (InvalidProfileError, "non-negative", _publish("QOS reputation=4 response_time=-1")),
     # a literal subject would be written as a fact that no longer parses back
     "literal-effect-subject": (InvalidProfileError, "literal", _publish('EFFECT ADD "a note" knows David')),
+    # every declaration is checked before the first is written
+    "declare-conflicting-with-the-kb": (DeclarationConflictError, "presents redeclared",
+                                        _publish("DECLARE zzz PhysicalThing PhysicalThing\n"
+                                                 "DECLARE presents Service Output")),
+    "declare-conflicting-with-an-earlier-declare": (DeclarationConflictError, "zzz redeclared",
+                                                    _publish("DECLARE aaa PhysicalThing PhysicalThing\n"
+                                                             "DECLARE zzz PhysicalThing PhysicalThing\n"
+                                                             "DECLARE zzz PhysicalThing Output")),
+    "unknown-kind": (InvalidProfileError, "bogus", lambda registry: registry.publish_service(ServiceProfile(
+        iri("newService"), "bogus", QoS(Decimal("4"), Decimal("1"), Decimal("1")),
+        declarations=((iri("zzz"), iri("PhysicalThing"), iri("PhysicalThing")),)), iri("David"))),
+    "parts-of-an-atomic-kind": (InvalidProfileError, "composite", lambda registry: registry.publish_service(
+        ServiceProfile(iri("newService"), "sensing", QoS(Decimal("4"), Decimal("1"), Decimal("1")),
+                       parts=(iri("chatDoctor"),)), iri("David"))),
 }
 
 
@@ -188,7 +199,7 @@ def test_publish_requires_registered_provider():
 def test_publish_defaults_capability_ref():
     registry = build_registry()
     record = registry.services[iri("chatDoctor")]
-    assert record.profile.properties.capability_ref == iri("davidCapability")
+    assert record.profile.capability_ref == iri("davidCapability")
     props_node = iri("chatDoctorProperties")
     assert registry.kb.match(Pattern(props_node, iri("includeCapability"), iri("davidCapability")))
 
@@ -224,15 +235,17 @@ def test_composite_requires_parts():
     registry = build_registry()
     missing = ServiceProfile(
         service_id=iri("combo"),
-        service_type=CompositeType((iri("chatDoctor"), iri("ghost"))),
-        properties=PropertyBundle(qos=QoS(Decimal("3"), Decimal("1"), Decimal("1"))),
+        kind="composite",
+        qos=QoS(Decimal("3"), Decimal("1"), Decimal("1")),
+        parts=(iri("chatDoctor"), iri("ghost")),
     )
     with pytest.raises(UnknownServiceError):
         registry.publish_service(missing, iri("David"))
     valid = ServiceProfile(
         service_id=iri("combo"),
-        service_type=CompositeType((iri("chatDoctor"),)),
-        properties=PropertyBundle(qos=QoS(Decimal("3"), Decimal("1"), Decimal("1"))),
+        kind="composite",
+        qos=QoS(Decimal("3"), Decimal("1"), Decimal("1")),
+        parts=(iri("chatDoctor"),),
     )
     registry.publish_service(valid, iri("David"))
     assert registry.kb.match(Pattern(iri("combo"), iri("composedOf"), iri("chatDoctor")))
@@ -341,8 +354,8 @@ def test_learned_knowledge_appends():
 def make_potential(rule):
     template = ServiceProfile(
         service_id=iri("counseling"),
-        service_type=AtomicType("communicating"),
-        properties=PropertyBundle(qos=QoS(Decimal("4"), Decimal("5"), Decimal("10"))),
+        kind="communicating",
+        qos=QoS(Decimal("4"), Decimal("5"), Decimal("10")),
     )
     return PotentialService(template=template, unlock_rule=rule)
 
@@ -423,11 +436,11 @@ def test_from_kb_round_trip():
     record = rebuilt.services[iri("chatDoctor")]
     original = registry.services[iri("chatDoctor")]
     assert record.provider == iri("David")
-    assert record.profile.service_type == AtomicType("processing")
+    assert record.profile.kind == "processing" and record.profile.parts == ()
     assert record.profile.inputs == original.profile.inputs
     assert record.profile.outputs == original.profile.outputs
     assert record.profile.degree_of_parallelism == 2
-    assert record.profile.properties.capability_ref == iri("davidCapability")
+    assert record.profile.capability_ref == iri("davidCapability")
     assert record.reputation == Decimal("4.50") == original.reputation
     ratings = sorted(service_ratings(kb, iri("chatDoctor")))
     assert ratings == [Decimal("4"), Decimal("5")]
@@ -597,15 +610,13 @@ def _random_profile(rng, service, existing):
                                 MaxDistance(Decimal(rng.choice(("40", "2.50"))), rng.choice(SITES)),
                                 Condition(Pattern(Var("x"), TYPE_PRED, iri("Human")))))
     composite = existing and rng.random() < 0.2
+    parts = tuple(_subset(rng, existing, 1)) if composite else ()
     return ServiceProfile(
         service_id=service,
-        service_type=CompositeType(tuple(_subset(rng, existing, 1))) if composite
-        else AtomicType(rng.choice(("sensing", "actuating", "communicating", "processing"))),
-        properties=PropertyBundle(
-            qos=QoS(Decimal(rng.randint(0, 50)) / 10, Decimal(rng.randint(0, 400)) / 4,
-                    Decimal(rng.randint(0, 90))),
-            contexts=tuple(_subset(rng, SITES)),
-        ),
+        kind="composite" if composite else rng.choice(("sensing", "actuating", "communicating", "processing")),
+        qos=QoS(Decimal(rng.randint(0, 50)) / 10, Decimal(rng.randint(0, 400)) / 4, Decimal(rng.randint(0, 90))),
+        parts=parts,
+        contexts=tuple(_subset(rng, SITES)),
         inputs=tuple(inputs),
         outputs=tuple(outputs),
         preconditions=tuple(preconditions),
@@ -626,16 +637,10 @@ def _service_view(record):
     # The graph keeps one reputation per service, the declared one until the
     # first rating and the mean rating after it.  A profile's DECLARE lines
     # are property declarations on the kb, not facts of the profile.
-    bundle = dataclasses.replace(
-        profile.properties, contexts=tuple(_ordered(profile.properties.contexts)),
-        qos=dataclasses.replace(profile.properties.qos, reputation=record.reputation),
-    )
-    service_type = profile.service_type
-    if isinstance(service_type, CompositeType):
-        service_type = CompositeType(tuple(_ordered(service_type.parts)))
-    lists = ("inputs", "outputs", "preconditions", "effects_add", "effects_remove", "limitations")
-    profile = dataclasses.replace(profile, service_type=service_type, properties=bundle, declarations=(),
-                                  **{name: tuple(_ordered(getattr(profile, name))) for name in lists})
+    lists = ("parts", "contexts", "inputs", "outputs", "preconditions", "effects_add", "effects_remove",
+             "limitations")
+    profile = dataclasses.replace(profile, qos=dataclasses.replace(profile.qos, reputation=record.reputation),
+                                  declarations=(), **{name: tuple(_ordered(getattr(profile, name))) for name in lists})
     return profile, record.provider, record.reputation
 
 
@@ -746,7 +751,7 @@ def _effect_write(rng, registry, model, humans):
 
 def _published(model, profile, provider):
     model.provider.setdefault(profile.service_id, provider)
-    model.declared.setdefault(profile.service_id, profile.properties.qos.reputation)
+    model.declared.setdefault(profile.service_id, profile.qos.reputation)
     model.ratings.setdefault(profile.service_id, [])
 
 

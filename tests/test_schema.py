@@ -17,12 +17,12 @@ from soa_hitlcps.kb import (
     string,
 )
 from soa_hitlcps.reasoner import check_consistency, check_ontoclean, materialize
+from soa_hitlcps.registry import ServiceRegistry
 from soa_hitlcps.schema import (
-    AtomicType,
-    CompositeType,
+    SERVICE_KINDS,
+    HumanCapability,
     LocationAt,
     MaxDistance,
-    PropertyBundle,
     QoS,
     ServiceProfile,
     TAXONOMY,
@@ -308,14 +308,14 @@ def test_parse_service_profile():
     profile, provider = parse_service_profile(SERVICE_PROFILE)
     assert provider == iri("David")
     assert profile.service_id == iri("chatDoctor")
-    assert profile.service_type == AtomicType("processing")
+    assert profile.kind == "processing" and profile.parts == ()
     assert profile.inputs == (TypedParameter("patient", iri("PhysicalThing")),)
     assert profile.outputs == (TypedParameter("advice", iri("Output")),)
     assert profile.preconditions == (Pattern(Var("patient"), TYPE_PRED, iri("PhysicalThing")),)
     assert profile.effects_add == (Pattern(Var("patient"), iri("advisedBy"), iri("David")),)
-    assert profile.properties.qos == QoS(Decimal("4.5"), Decimal("10"), Decimal("5"))
-    assert profile.properties.contexts == (iri("siteB"),)
-    assert profile.properties.capability_ref == iri("davidCapability")
+    assert profile.qos == QoS(Decimal("4.5"), Decimal("10"), Decimal("5"))
+    assert profile.contexts == (iri("siteB"),)
+    assert profile.capability_ref == iri("davidCapability")
     assert profile.degree_of_parallelism == 2
     assert profile.limitations == (TimeWindow(0, 100),)
     assert profile.declarations == ((iri("advisedBy"), iri("PhysicalThing"), iri("PhysicalThing")),)
@@ -350,14 +350,47 @@ def test_parse_composite_profile():
         "SERVICE combo\nCOMPOSITE partA partB\nQOS reputation=3\n"
     )
     assert provider is None
-    assert profile.service_type == CompositeType((iri("partA"), iri("partB")))
+    assert profile.kind == "composite"
+    assert profile.parts == (iri("partA"), iri("partB"))
+
+
+# -- service kinds: KIND names an atomic kind, COMPOSITE lists parts, the later line wins
+
+
+KIND_LINES = tuple("COMPOSITE partA partB" if kind == "composite" else f"KIND {kind}" for kind in SERVICE_KINDS)
+
+
+def _profile(*lines, service="combo"):
+    return parse_service_profile("".join(f"{line}\n" for line in (f"SERVICE {service}",) + lines))[0]
+
+
+def test_the_later_kind_line_wins_and_kind_clears_the_parts():
+    assert _profile("COMPOSITE partA partB", "KIND sensing") == _profile("KIND sensing")
+    assert _profile("KIND sensing", "COMPOSITE partA partB") == _profile("COMPOSITE partA partB")
+
+
+def test_kind_names_an_atomic_kind_only():
+    with pytest.raises(ParseError, match="one of actuating/communicating/processing/sensing") as err:
+        _profile("KIND composite")
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
+@pytest.mark.parametrize("line", KIND_LINES)
+def test_each_kind_round_trips_through_the_serialized_graph(line):
+    registry = ServiceRegistry()
+    registry.register_human(iri("David"), HumanCapability())
+    for part in ("partA", "partB"):
+        registry.publish_service(_profile("KIND sensing", service=part), iri("David"))
+    registry.publish_service(_profile(line, "QOS reputation=3 cost=2"), iri("David"))
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
+    assert reloaded.services == registry.services
 
 
 def test_validate_profile_rejects_unbound_effect_var():
     profile = ServiceProfile(
         service_id=iri("svc"),
-        service_type=AtomicType("processing"),
-        properties=PropertyBundle(qos=QoS(Decimal("3"), Decimal("1"), Decimal("1"))),
+        kind="processing",
+        qos=QoS(Decimal("3"), Decimal("1"), Decimal("1")),
         effects_add=(Pattern(Var("ghost"), iri("advisedBy"), iri("David")),),
     )
     with pytest.raises(InvalidProfileError):
@@ -367,8 +400,8 @@ def test_validate_profile_rejects_unbound_effect_var():
 def test_validate_profile_allows_consumer_var():
     profile = ServiceProfile(
         service_id=iri("svc"),
-        service_type=AtomicType("processing"),
-        properties=PropertyBundle(qos=QoS(Decimal("3"), Decimal("1"), Decimal("1"))),
+        kind="processing",
+        qos=QoS(Decimal("3"), Decimal("1"), Decimal("1")),
         effects_add=(Pattern(Var("consumer"), iri("consumes"), iri("svc")),),
     )
     validate_profile(profile)
@@ -377,8 +410,8 @@ def test_validate_profile_allows_consumer_var():
 def test_validate_profile_qos_bounds():
     bad = ServiceProfile(
         service_id=iri("svc"),
-        service_type=AtomicType("processing"),
-        properties=PropertyBundle(qos=QoS(Decimal("6"), Decimal("1"), Decimal("1"))),
+        kind="processing",
+        qos=QoS(Decimal("6"), Decimal("1"), Decimal("1")),
     )
     with pytest.raises(InvalidProfileError):
         validate_profile(bad)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 import subprocess
 import sys
 import tempfile
@@ -30,7 +31,7 @@ import workload_gen  # noqa: E402
 from test_reasoner import _naive_materialize, _random_unsatisfiability_kb, _witness_unsatisfiable  # noqa: E402
 
 from soa_hitlcps.broker import ServiceBroker, parse_discovery_request  # noqa: E402
-from soa_hitlcps.kb import iri, parse_document, read_document, serialize  # noqa: E402
+from soa_hitlcps.kb import ancestors, iri, parse_document, read_document, serialize, term_sort_key  # noqa: E402
 from soa_hitlcps.reasoner import check_consistency, materialize  # noqa: E402
 from soa_hitlcps.registry import RUNNING, ServiceRegistry  # noqa: E402
 from soa_hitlcps.simulator import load_and_run, load_scenario  # noqa: E402
@@ -104,6 +105,69 @@ def unsatisfiable(directory: Path) -> None:
                 f"{'equal' if not differ else f'{differ} DIFFERENT'}", not differ)
 
 
+def _random_dag(rng, size: int, span: int) -> set:
+    """Links ``(child, parent)`` over classes 0..size-1: each class but 0 has a parent among the
+    ``span`` before it and, one time in ten, a second one among all before it."""
+    links = set()
+    for child in range(1, size):
+        links.add((child, rng.randrange(max(0, child - span), child)))
+        if rng.random() < 0.1:
+            links.add((child, rng.randrange(child)))
+    return links
+
+
+def _bitset_ancestors(size: int, links) -> list:
+    """Each class's ancestors as a bit mask, built in class order, since a parent precedes its child."""
+    parents = [[] for _ in range(size)]
+    for child, parent in links:
+        parents[child].append(parent)
+    masks = [0] * size
+    for child in range(size):
+        for parent in parents[child]:
+            masks[child] |= masks[parent] | 1 << parent
+    return masks
+
+
+def _bits(mask: int) -> list:
+    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+def hierarchy(directory: Path) -> None:
+    """``ancestors`` and ``materialize``'s closed links equal a bit-mask closure on random subclass DAGs
+    (a random recursive tree of 2000 classes, a deep DAG and a chain with shortcuts), and
+    ``check_consistency`` finds the classes below both parents of a class, declared disjoint, in a
+    2000-class taxonomy."""
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        for size, span in ((2000, 2000), (rng.randint(2, 300), rng.randint(2, 8)), (300, 1)):
+            names = [iri(f"C{i}") for i in range(size)]
+            links = _random_dag(rng, size, span)
+            lines = [f"CLASS {names[child]} SUBCLASSOF {names[parent]}\n" for child, parent in links]
+            rng.shuffle(lines)
+            kb = parse_document("".join(lines))
+            masks = _bitset_ancestors(size, links)
+            want = {names[c]: {names[p] for p in _bits(mask)} for c, mask in enumerate(masks) if mask}
+            closed = {(child, parent) for child, above in want.items() for parent in above}
+            same = ancestors(kb.subclass_links) == want and materialize(kb).subclass_links == closed
+            _report(f"seed {seed} {size} classes span {span} {len(closed)} closed links "
+                    f"{'equal' if same else 'DIFFERENT'}", same)
+        size = 2000
+        names = [iri(f"C{i}") for i in range(size)]
+        links = _random_dag(rng, size, size)
+        counts = Counter(child for child, _ in links)
+        shared = min(child for child, n in counts.items() if n > 1)  # the earliest, so the likeliest to have descendants
+        a, b = sorted(parent for child, parent in links if child == shared)
+        kb = parse_document("".join(f"CLASS {names[child]} SUBCLASSOF {names[parent]}\n" for child, parent in links)
+                            + f"DISJOINT {names[a]} {names[b]}\n")
+        both = 1 << a | 1 << b
+        masks = _bitset_ancestors(size, links)
+        want = sorted((names[c] for c, mask in enumerate(masks) if (mask | 1 << c) & both == both), key=term_sort_key)
+        report = check_consistency(kb)
+        same = report.unsatisfiable_classes == want and not report.disjointness_violations
+        _report(f"seed {seed} {size}-class taxonomy {len(want)} unsatisfiable classes "
+                f"{'equal' if same else 'DIFFERENT'}", same)
+
+
 def lifecycle_replay(directory: Path) -> None:
     """After each invoke-then-complete of the lifecycle script the journal is armed and the closure is fresh."""
     for seed in SEEDS:
@@ -158,6 +222,7 @@ CHECKS = {
     "query-oracle": query_oracle_check,
     "closure": closure,
     "unsatisfiable": unsatisfiable,
+    "hierarchy": hierarchy,
     "lifecycle-replay": lifecycle_replay,
     "kb-reader": kb_reader,
     "simulate-hash-seeds": simulate_hash_seeds,
