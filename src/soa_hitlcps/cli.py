@@ -4,29 +4,21 @@ Exit codes: 0 on success, 1 for domain problems (parse or consistency
 failures, unmet scenario expectations), 2 for usage problems such as missing
 or unreadable files (those a scenario names included) or malformed
 arguments.
+
+Each handler imports the layers it runs, so that a subcommand loads only
+its own modules.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
-from . import allocation, metrics
-from .broker import ServiceBroker, parse_discovery_request
-from .datafiles import base_kb_text
 from .errors import SoaHitlcpsError
 from .kb import decode_document, parse_document, read_document, serialize
-from .query import evaluate, parse_query
-from .reasoner import (
-    check_consistency,
-    check_ontoclean,
-    materialize,
-    render_report,
-)
-from .registry import ServiceRegistry
-from .simulator import load_scenario, run_scenario
 
 LOA_NOTE = (
     "The automation level is advisory: keep a human able to inspect, "
@@ -55,6 +47,8 @@ def _emit(args, text: str) -> None:
 
 
 def _cmd_validate(args) -> int:
+    from .reasoner import check_consistency, check_ontoclean, render_report
+
     kb = parse_document(_read(args.kb))
     report = check_consistency(kb)
     if kb.annotations:
@@ -64,12 +58,17 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_reason(args) -> int:
+    from .reasoner import materialize
+
     kb = parse_document(_read(args.kb))
     print(serialize(materialize(kb)), end="")
     return 0
 
 
 def _cmd_query(args) -> int:
+    from .query import evaluate, parse_query
+    from .reasoner import materialize
+
     kb = materialize(parse_document(_read(args.kb)))
     table = evaluate(kb, parse_query(_read(args.query)))
     print(table.to_tsv(), end="")
@@ -77,6 +76,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from . import metrics
+
     kb = parse_document(_read(args.kb))
     if args.cq_dir and not Path(args.cq_dir).is_dir():
         raise _Usage(f"no such directory: {args.cq_dir}")
@@ -88,8 +89,13 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_discover(args) -> int:
+    from .broker import ServiceBroker, parse_discovery_request
+    from .registry import ServiceRegistry
+
     registry = ServiceRegistry.from_kb(parse_document(_read(args.kb)))
-    spec = _read(args.request) if args.request == "-" or Path(args.request).is_file() \
+    # os.path.isfile is False for any name the OS refuses, such as a
+    # DISCOVER line longer than a file name may be
+    spec = _read(args.request) if args.request == "-" or os.path.isfile(args.request) \
         else args.request
     request = parse_discovery_request(spec.strip())
     for ranked in ServiceBroker(registry).discover(request):
@@ -98,6 +104,8 @@ def _cmd_discover(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulator import load_scenario, run_scenario
+
     path = Path(args.scenario)
     if not path.is_file():
         raise _Usage(f"no such file: {args.scenario}")
@@ -114,6 +122,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_loa(args) -> int:
+    from . import allocation
+
     tasks = allocation.parse_task_file(_read(args.tasks))
     weights = _parse_category_weights(args.category_weights) if args.category_weights else None
     print(f"loa {allocation.loa(tasks)}")
@@ -126,6 +136,8 @@ def _cmd_loa(args) -> int:
 
 
 def _cmd_export_base(args) -> int:
+    from .datafiles import base_kb_text
+
     text = base_kb_text()
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -135,7 +147,9 @@ def _cmd_export_base(args) -> int:
     return 0
 
 
-def _parse_category_weights(spec: str) -> allocation.CategoryWeights:
+def _parse_category_weights(spec: str):
+    from .allocation import CategoryWeights
+
     parts = spec.split(",")
     if len(parts) != 4:
         raise _Usage("expected four comma-separated weights: skill,rule,knowledge,expertise")
@@ -143,7 +157,7 @@ def _parse_category_weights(spec: str) -> allocation.CategoryWeights:
         values = [Decimal(p) for p in parts]
     except InvalidOperation:
         raise _Usage(f"weights must be decimals: {spec}")
-    return allocation.CategoryWeights(*values)
+    return CategoryWeights(*values)
 
 
 # -- parser ---------------------------------------------------------------------

@@ -363,6 +363,9 @@ class KnowledgeBase:
     # (added, Statement) of each graph edit since the follower that armed it
     # (set it to a list) last drained it; None while unarmed.  Never copied.
     journal: Optional[list] = field(default=None, init=False, repr=False, compare=False)
+    # each child's parents in subclass_links, for the cycle check: built on
+    # its first use and kept by add_subclass from then on.  Never copied.
+    _parents: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     # -- declarations: each that succeeds disarms the journal --------------
 
@@ -383,6 +386,7 @@ class KnowledgeBase:
             if path is not None:
                 raise CyclicSubclassError(path + [parent])
             self.subclass_links.add((child, parent))
+            self._parents.setdefault(child, []).append(parent)
         self.class_decls.add(child)
         self.class_decls.add(parent)
         self.journal = None
@@ -601,9 +605,11 @@ class KnowledgeBase:
         The walk is depth first and expands each class's parents in
         ``term_sort_key`` order, so the path a cycle error reports is fixed.
         """
+        if self._parents is None:
+            self._parents = subclass_parents(self.subclass_links)
         if start == goal:
             return [start]
-        parents = subclass_parents(self.subclass_links)
+        parents = self._parents
         stack = [(start, [start])]
         visited = set()
         while stack:

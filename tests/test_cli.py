@@ -191,6 +191,14 @@ def test_discover_with_literal_request(world_kb, capsys):
     assert capsys.readouterr().out == "chatDoctor\tDavid\t0.9042\n"
 
 
+def test_discover_with_a_literal_request_too_long_for_a_file_name(world_kb, capsys):
+    spec = "DISCOVER skill=Complex_Problem_Solving " + " ".join(
+        ["knowledge=Medicine_and_Dentistry,Therapy_and_Counseling"] * 6)
+    assert len(spec.encode()) > 255  # longer than a file name may be
+    assert main(["discover", str(world_kb), spec]) == 0
+    assert capsys.readouterr().out == "chatDoctor\tDavid\t0.9042\n"
+
+
 def test_discover_with_request_file(world_kb, tmp_path, capsys):
     req = tmp_path / "req.txt"
     req.write_text("DISCOVER context=siteA\n", encoding="utf-8")

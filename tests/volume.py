@@ -129,28 +129,39 @@ def _bitset_ancestors(size: int, links) -> list:
 
 
 def _bits(mask: int) -> list:
-    return [i for i, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+    """The set bits of ``mask``, lowest first: one step per set bit, so wide sparse masks stay cheap."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def _closure_case(rng, label: str, size: int, links) -> None:
+    """Read ``links`` from shuffled ``CLASS`` lines; ``ancestors`` and ``materialize``'s closed
+    links equal the bit-mask closure."""
+    names = [iri(f"C{i}") for i in range(size)]
+    lines = [f"CLASS {names[child]} SUBCLASSOF {names[parent]}\n" for child, parent in links]
+    rng.shuffle(lines)
+    kb = parse_document("".join(lines))
+    masks = _bitset_ancestors(size, links)
+    want = {names[c]: {names[p] for p in _bits(mask)} for c, mask in enumerate(masks) if mask}
+    closed = {(child, parent) for child, above in want.items() for parent in above}
+    same = ancestors(kb.subclass_links) == want and materialize(kb).subclass_links == closed
+    _report(f"{label} {len(closed)} closed links {'equal' if same else 'DIFFERENT'}", same)
 
 
 def hierarchy(directory: Path) -> None:
     """``ancestors`` and ``materialize``'s closed links equal a bit-mask closure on random subclass DAGs
-    (a random recursive tree of 2000 classes, a deep DAG and a chain with shortcuts), and
+    (a random recursive tree of 2000 classes, a deep DAG, a chain with shortcuts and an 8000-class
+    tree of branching 8), and
     ``check_consistency`` finds the classes below both parents of a class, declared disjoint, in a
     2000-class taxonomy."""
     for seed in SEEDS:
         rng = random.Random(seed)
         for size, span in ((2000, 2000), (rng.randint(2, 300), rng.randint(2, 8)), (300, 1)):
-            names = [iri(f"C{i}") for i in range(size)]
-            links = _random_dag(rng, size, span)
-            lines = [f"CLASS {names[child]} SUBCLASSOF {names[parent]}\n" for child, parent in links]
-            rng.shuffle(lines)
-            kb = parse_document("".join(lines))
-            masks = _bitset_ancestors(size, links)
-            want = {names[c]: {names[p] for p in _bits(mask)} for c, mask in enumerate(masks) if mask}
-            closed = {(child, parent) for child, above in want.items() for parent in above}
-            same = ancestors(kb.subclass_links) == want and materialize(kb).subclass_links == closed
-            _report(f"seed {seed} {size} classes span {span} {len(closed)} closed links "
-                    f"{'equal' if same else 'DIFFERENT'}", same)
+            _closure_case(rng, f"seed {seed} {size} classes span {span}", size, _random_dag(rng, size, span))
         size = 2000
         names = [iri(f"C{i}") for i in range(size)]
         links = _random_dag(rng, size, size)
@@ -166,6 +177,10 @@ def hierarchy(directory: Path) -> None:
         same = report.unsatisfiable_classes == want and not report.disjointness_violations
         _report(f"seed {seed} {size}-class taxonomy {len(want)} unsatisfiable classes "
                 f"{'equal' if same else 'DIFFERENT'}", same)
+        # a wide tree: reading it costs one cycle check per link, each a walk up to the root
+        size = 8000
+        _closure_case(rng, f"seed {seed} {size}-class tree of branching 8", size,
+                      {(child, (child - 1) // 8) for child in range(1, size)})
 
 
 def lifecycle_replay(directory: Path) -> None:
