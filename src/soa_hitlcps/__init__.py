@@ -24,7 +24,7 @@ _MODULE_OF = {name: module for module, names in {
     "kb": ("Iri", "KnowledgeBase", "Literal", "Pattern", "Statement", "Var", "decimal",
            "integer", "iri", "parse_document", "serialize", "string"),
     "metrics": ("crr", "eval_report", "load_cq_dir", "run_cq"),
-    "query": ("ResultTable", "evaluate", "format_query", "parse_query", "query_equivalent"),
+    "query": ("ResultTable", "evaluate", "format_query", "parse_query"),
     "reasoner": ("ConsistencyReport", "axiom_inference_check", "check_consistency",
                  "check_ontoclean", "materialize", "render_report"),
     "registry": ("Invocation", "ServiceRegistry"),

@@ -4,10 +4,12 @@ The broker turns a structured discovery request into a query over the
 materialized graph (built once, then kept current by replaying into it each
 graph edit made to the registry graph, re-deriving only the individuals
 whose inferred types an edit can change, and rebuilt on the next read after
-a declaration), which also matches the service kind.  It
-post-filters candidates on skill scale, IO signature, limitations, and QoS
-bounds, and ranks them with :func:`score`, a fixed weighted utility over
-reputation, cost, and response time.  Invocations move
+a declaration), which also matches the service kind.  The candidates a
+query returns are kept per request until an edit changes a predicate the
+query reads, so a request asked again between ratings is not joined again.
+On every call it post-filters the candidates on skill scale, IO signature,
+limitations, and QoS bounds, and ranks them with :func:`score`, a fixed
+weighted utility over reputation, cost, and response time.  Invocations move
 ``pending -> running -> completed|failed``; a pending invocation can be
 ``rejected`` with a reason (``at_capacity``, ``limitation``,
 ``precondition``).  Effects apply atomically on completion.
@@ -48,6 +50,8 @@ from .schema import (
 )
 
 _COST_CAP, _RESPONSE_TIME_CAP = Decimal("100"), Decimal("60")
+# Requests whose candidates a broker keeps at most; past it the broker forgets them all.
+CANDIDATE_LIMIT = 1024
 
 
 def score(reputation: Decimal, cost: Decimal, response_time: Decimal) -> Decimal:
@@ -204,6 +208,10 @@ class ServiceBroker:
     # built from can hold that journal.  Each read shares the one closure and
     # only ``refresh`` mutates it: do not hold it across a write.
     _cache: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # request -> (the predicates its query reads, the services the query
+    # returned on the closure); an entry goes when ``refresh`` reports a
+    # change to one of its predicates, and all go when the closure is rebuilt
+    _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _closure(self) -> KnowledgeBase:
         """The materialized registry graph, kept current by replaying the graph's edits.
@@ -211,18 +219,24 @@ class ServiceBroker:
         A read after graph edits replays them all, but re-derives only the
         subjects of type edits and of facts whose predicate an axiom
         quantifies, with what reaches them through such facts: a rating
-        re-derives just its new Experience node.  The closure is built
-        from scratch on first use, for a new ``registry.kb``, when another
-        follower took the journal over, and after a declaration, which
-        disarms the journal (see :func:`refresh`).
+        re-derives just its new Experience node.  It then forgets the
+        candidates of every request whose query reads a predicate that
+        :func:`refresh` reports changed.  The closure is built from scratch,
+        and every request's candidates forgotten, on first use, for a new
+        ``registry.kb``, when another follower took the journal over, and
+        after a declaration, which disarms the journal.
         """
         kb = self.registry.kb
         journal, closed = self._cache
         if journal is not None and kb.journal is journal:
             if journal:
-                refresh(closed, kb, journal)
+                changed = refresh(closed, kb, journal)
                 journal.clear()
+                if self._candidates:
+                    self._candidates = {request: entry for request, entry in self._candidates.items()
+                                        if entry[0].isdisjoint(changed)}
             return closed
+        self._candidates = {}
         kb.journal = journal = []
         closed = materialize(kb)
         self._cache = (journal, closed)
@@ -231,12 +245,19 @@ class ServiceBroker:
     # -- discovery -------------------------------------------------------------
 
     def discover(self, request: DiscoveryRequest, now: Optional[int] = None):
-        query = compile_request(request)
-        if query is None:
-            return []
         closed = self._closure()
-        table = evaluate(closed, query)
-        candidates = {row[0] for row in table.rows if isinstance(row[0], Iri)}
+        entry = self._candidates.get(request)
+        if entry is None:
+            query = compile_request(request)
+            if query is None:
+                return []
+            table = evaluate(closed, query)
+            entry = ({pattern.predicate for pattern in query.patterns},
+                     {row[0] for row in table.rows if isinstance(row[0], Iri)})
+            if len(self._candidates) >= CANDIDATE_LIMIT:
+                self._candidates = {}
+            self._candidates[request] = entry
+        candidates = entry[1]
         ranked = []
         for service in candidates:  # in any order: the sort below orders them alone
             record = self.registry.services.get(service)

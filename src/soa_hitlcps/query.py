@@ -441,19 +441,3 @@ def evaluate(kb: KnowledgeBase, ast: QueryAst) -> ResultTable:
     rows = {tuple(b[v] for v in ast.projected) for seed in seeds for b in join(kb, order, seed, filters)}
     ordered = tuple(sorted(rows, key=lambda row: tuple(term_sort_key(v) for v in row)))
     return ResultTable(tuple(ast.projected), ordered)
-
-
-def query_equivalent(a: QueryAst, b: QueryAst) -> bool:
-    """Same projection, same pattern set, same filter up to conjunct order."""
-
-    def norm_filter(expr):
-        if expr is None or isinstance(expr, (Eq, InSet)):
-            return expr
-        parts = frozenset(norm_filter(p) for p in expr.parts)
-        return (type(expr).__name__, parts)
-
-    return (
-        a.projected == b.projected
-        and set(a.patterns) == set(b.patterns)
-        and norm_filter(a.filter) == norm_filter(b.filter)
-    )

@@ -25,7 +25,9 @@ it the graph edits journaled on the knowledge base since, each one statement
 (see ``kb``), then re-derives only the individuals whose inferred types
 those edits can change.  A type edit can; a fact edit can only when some
 axiom body quantifies over its predicate, so most edits re-derive nothing.
-A declaration disarms the journal, so its follower rebuilds instead.
+It returns the predicates it changed, so that a follower can keep the
+answers of queries that read none of them.  A declaration disarms the
+journal, so its follower rebuilds instead.
 """
 
 from __future__ import annotations
@@ -141,13 +143,18 @@ def materialize(kb: KnowledgeBase) -> KnowledgeBase:
     return out
 
 
-def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> None:
+def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> set:
     """Bring ``closed``, a closure of ``kb``, up to date with ``edits`` made to ``kb``.
 
     ``edits`` are ``kb``'s journal entries, ``(added, Statement)``, since
     ``closed`` last equalled ``materialize(kb)``; afterwards it equals it
     again.  They hold no declaration: one disarms the journal, and the
     closure must then be rebuilt.
+
+    Returns the predicates whose statements may have changed in ``closed``:
+    that of each edit, and ``TYPE_PRED`` when an edit marked individuals to
+    re-derive, since only their types are re-derived.  A query whose
+    patterns read none of them has the same answers as before.
 
     This is delete-and-re-derive (Gupta, Mumick & Subrahmanian, SIGMOD 1993)
     limited to what an edit can reach.  An individual's inferred types
@@ -160,16 +167,18 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> None:
     their ancestors, then the axioms run over that set to a fixpoint.
     """
     quantified = _quantified(closed.axioms)
-    touched = set()
+    touched, changed = set(), set()
     for added, (subject, predicate, obj) in edits:
         if added:
             closed.add_statement(subject, predicate, obj)
         else:
             closed.remove_statement(subject, predicate, obj)
+        changed.add(predicate)
         if predicate == TYPE_PRED or predicate in quantified:
             touched.add(subject)
     if not touched:
-        return
+        return changed
+    changed.add(TYPE_PRED)
     affected, frontier = set(touched), list(touched)
     while frontier:
         for stmt in closed.statements_to(frontier.pop()):
@@ -185,6 +194,7 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> None:
         for cls in keep - types:
             closed.add_type(individual, cls)
     _apply_axioms(closed, above, [i for i in affected if closed.statements_about(i)], quantified)
+    return changed
 
 
 # --------------------------------------------------------------------------

@@ -27,6 +27,22 @@ from soa_hitlcps.query import (
 )
 
 
+def query_equivalent(a: QueryAst, b: QueryAst) -> bool:
+    """Same projection, same pattern set, same filter up to conjunct order."""
+
+    def norm_filter(expr):
+        if expr is None or isinstance(expr, (Eq, InSet)):
+            return expr
+        parts = frozenset(norm_filter(p) for p in expr.parts)
+        return (type(expr).__name__, parts)
+
+    return (
+        a.projected == b.projected
+        and set(a.patterns) == set(b.patterns)
+        and norm_filter(a.filter) == norm_filter(b.filter)
+    )
+
+
 def random_kb(rng: random.Random, max_statements: int = 200) -> KnowledgeBase:
     kb = KnowledgeBase()
     classes = [iri(f"C{i}") for i in range(rng.randint(1, 5))]

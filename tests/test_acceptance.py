@@ -10,7 +10,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from allocation_oracle import oracle_value, run_randomized_cases
-from query_oracle import run_randomized_comparison
+from query_oracle import query_equivalent, run_randomized_comparison
 from test_query import DISCOVERY_QUERY
 from test_simulator import raters
 
@@ -19,7 +19,7 @@ from soa_hitlcps.broker import ServiceBroker, compile_request
 from soa_hitlcps.datafiles import base_kb_text, cq_entries, fixture_text, scenario_dir
 from soa_hitlcps.kb import Iri, Pattern, iri, parse_document, serialize
 from soa_hitlcps.metrics import crr, run_cq
-from soa_hitlcps.query import parse_query, query_equivalent
+from soa_hitlcps.query import parse_query
 from soa_hitlcps.reasoner import (
     axiom_inference_check,
     check_consistency,

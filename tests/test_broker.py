@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from query_oracle import query_equivalent
 from test_query import DISCOVERY_QUERY
 
 from soa_hitlcps import broker as broker_module
@@ -49,7 +50,7 @@ from soa_hitlcps.kb import (
     string,
     term_sort_key,
 )
-from soa_hitlcps.query import And, Eq, InSet, Var, format_query, parse_query, query_equivalent
+from soa_hitlcps.query import And, Eq, InSet, Var, evaluate, format_query, parse_query
 from soa_hitlcps.reasoner import materialize, refresh
 from soa_hitlcps.registry import COMPLETED, FAILED, REJECTED, RUNNING, ServiceRegistry
 from soa_hitlcps.schema import (
@@ -652,7 +653,9 @@ def _random_write(rng, kb, step):
     method = rng.choice((
         "add_prefix", "add_class", "add_subclass", "add_property", "add_disjoint", "add_axiom",
         "add_annotation", "add_type", "remove_type", "add_statement", "remove_statement",
+        "add_quantified", "remove_quantified",
     ))
+    quantified = (iri("providedBy"), iri("hasCapability"))  # the predicates the base ontology's axioms quantify
     if method == "add_prefix":
         kb.add_prefix(f"ex{step}", f"http://example.org/{step}#")
     elif method == "add_class":
@@ -676,9 +679,24 @@ def _random_write(rng, kb, step):
         kb.remove_type(*rng.choice(sorted(kb.type_assertions)))
     elif method == "add_statement":
         kb.add_statement(rng.choice(individuals), rng.choice(props), rng.choice(individuals))
+    elif method == "add_quantified":
+        kb.add_statement(rng.choice(individuals), rng.choice(quantified), rng.choice(individuals))
+    elif method == "remove_quantified":
+        stmt = rng.choice(sorted(s for s in kb.statements if s.predicate in quantified))
+        kb.remove_statement(stmt.subject, stmt.predicate, stmt.object)
     else:
         stmt = rng.choice(sorted(kb.statements, key=lambda s: (s.subject, s.predicate, term_sort_key(s.object))))
         kb.remove_statement(stmt.subject, stmt.predicate, stmt.object)
+
+
+def unread_broker(registry) -> ServiceBroker:
+    """A broker that has read nothing yet, over a copy of ``registry``'s graph and its records.
+
+    The copy leaves ``registry.kb``'s journal to the broker that armed it.
+    """
+    unread = ServiceRegistry(registry.kb.copy())
+    unread.services = registry.services
+    return ServiceBroker(unread)
 
 
 def test_closure_cache_matches_fresh_materialize_under_random_writes(monkeypatch):
@@ -686,12 +704,24 @@ def test_closure_cache_matches_fresh_materialize_under_random_writes(monkeypatch
     monkeypatch.setattr(broker_module, "materialize", lambda kb: rebuilds.append(kb) or materialize(kb))
     rng = random.Random(4104)
     registry, broker = build_world()
+    # every HumanService is then a ProcessingService, so that an edit of providedBy or
+    # hasCapability, which axioms quantify, can change what a kind=processing request finds
+    registry.kb.add_subclass(iri("HumanService"), iri("ProcessingService"))
     requests = [REFERENCE_REQUEST, parse_discovery_request("DISCOVER kind=processing"),
-                parse_discovery_request("DISCOVER context=siteB")]
+                parse_discovery_request("DISCOVER context=siteB"),
+                parse_discovery_request("DISCOVER kind=sensing skill=Monitoring")]
+    profiles = {iri("chatDoctor"): CHAT_DOCTOR, iri("erinWatch"): ERIN_WATCH}
     for step in range(200):
         roll = rng.random()
-        if roll < 0.5:
+        if roll < 0.4:
             _random_write(rng, registry.kb, step)
+        elif roll < 0.5:  # withdraw a service, or present it again
+            service = rng.choice(sorted(profiles))
+            with contextlib.suppress(SoaHitlcpsError):
+                if registry.is_published(service):
+                    registry.withdraw_service(service)
+                else:
+                    registry.publish_service(*parse_service_profile(profiles[service]))
         elif roll < 0.65:
             broker.discover(rng.choice(requests), now=rng.randint(0, 20))
         elif roll < 0.85:
@@ -708,12 +738,98 @@ def test_closure_cache_matches_fresh_materialize_under_random_writes(monkeypatch
                     broker.complete_invocation(rng.choice(running), rng.choice((COMPLETED, FAILED)),
                                                rating=rng.choice((None, Decimal("3"))))
         assert broker._closure() == materialize(registry.kb)
+        now = rng.randint(0, 20)
+        for request in requests:  # the kept candidates rank as a fresh broker's
+            assert broker.discover(request, now) == unread_broker(registry).discover(request, now)
         # reads with no write in between share the closure
         before = len(rebuilds)
         broker.discover(rng.choice(requests))
         with contextlib.suppress(SoaHitlcpsError):
             broker.invoke(iri("erinWatch"), iri("Adam"), {})
         assert len(rebuilds) == before
+
+
+def _counting_evaluates(monkeypatch) -> list:
+    evaluated = []
+    monkeypatch.setattr(broker_module, "evaluate", lambda kb, query: evaluated.append(query) or evaluate(kb, query))
+    return evaluated
+
+
+def test_a_write_to_a_predicate_its_query_reads_evaluates_a_request_again(monkeypatch):
+    evaluated = _counting_evaluates(monkeypatch)
+    registry, broker = build_world()
+    request = parse_discovery_request("DISCOVER knowledge=Psychology")
+    assert [r.service for r in broker.discover(request)] == [iri("erinWatch")]
+    assert [r.service for r in broker.discover(request)] == [iri("erinWatch")]
+    assert len(evaluated) == 1
+    registry.kb.add_statement(capability_node(iri("David")), iri("hasHumanKnowledge"), iri("Psychology"))
+    assert [r.service for r in broker.discover(request)] == [iri("chatDoctor"), iri("erinWatch")]
+    assert len(evaluated) == 2
+    registry.withdraw_service(iri("erinWatch"))
+    assert [r.service for r in broker.discover(request)] == [iri("chatDoctor")]
+    assert len(evaluated) == 3
+    assert broker.discover(request) == unread_broker(registry).discover(request)
+
+
+def test_a_rating_evaluates_no_request_without_a_kind_again(monkeypatch):
+    # a rating's facts use predicates no discovery query reads; it also types its
+    # new Experience node, which a kind= request's type pattern reads
+    evaluated = _counting_evaluates(monkeypatch)
+    registry, broker = build_world()
+    request = parse_discovery_request("DISCOVER context=siteB")
+    before = broker.discover(request)
+    invocation = broker.invoke(iri("chatDoctor"), iri("Cathy"), {"patient": iri("Adam")})
+    broker.complete_invocation(invocation, rating=Decimal("1"))
+    after = broker.discover(request)
+    assert len(evaluated) == 1
+    # the reputation is read at every discover, so the kept candidates rank anew
+    assert [r.service for r in before] == [iri("chatDoctor"), iri("erinWatch")]
+    assert [r.service for r in after] == [iri("erinWatch"), iri("chatDoctor")]
+    assert after == unread_broker(registry).discover(request)
+
+
+def test_an_edit_of_a_quantified_predicate_evaluates_a_kind_request_again(monkeypatch):
+    evaluated = _counting_evaluates(monkeypatch)
+    registry, broker = build_world()
+    kind, context = parse_discovery_request("DISCOVER kind=processing"), parse_discovery_request("DISCOVER context=siteB")
+    broker.discover(kind)
+    broker.discover(context)
+    # providedBy is quantified by an axiom, so the edit re-derives types, which the kind pattern reads
+    registry.kb.add_statement(iri("erinWatch"), iri("providedBy"), iri("David"))
+    broker.discover(kind)
+    broker.discover(context)
+    assert [query.patterns[-1].predicate for query in evaluated] == [TYPE_PRED, iri("includeContext"), TYPE_PRED]
+
+
+def test_a_declaration_forgets_every_request(monkeypatch):
+    evaluated = _counting_evaluates(monkeypatch)
+    registry, broker = build_world()
+    requests = [parse_discovery_request("DISCOVER kind=processing"), parse_discovery_request("DISCOVER context=siteB")]
+    for request in requests * 2:
+        broker.discover(request)
+    assert len(evaluated) == 2
+    # no edit is journaled, but the closure is rebuilt: erinWatch is now a ProcessingService
+    registry.kb.add_subclass(iri("HumanService"), iri("ProcessingService"))
+    rankings = [broker.discover(request) for request in requests * 2]
+    assert len(evaluated) == 4
+    assert [r.service for r in rankings[0]] == [iri("chatDoctor"), iri("erinWatch")]
+    assert rankings == [unread_broker(registry).discover(request) for request in requests * 2]
+
+
+def test_a_broker_forgets_every_request_past_its_limit(monkeypatch):
+    evaluated = _counting_evaluates(monkeypatch)
+    monkeypatch.setattr(broker_module, "CANDIDATE_LIMIT", 2)
+    _, broker = build_world()
+    first, second, third = (parse_discovery_request(f"DISCOVER {criteria}")
+                            for criteria in ("kind=processing", "context=siteB", "knowledge=Psychology"))
+    for request in (first, second, first, second):
+        broker.discover(request)
+    assert len(evaluated) == 2
+    broker.discover(third)  # a third request passes the limit: only it is kept
+    broker.discover(third)
+    broker.discover(first)
+    assert len(evaluated) == 4
+    assert len(broker._candidates) == 2
 
 
 GRANT = """\

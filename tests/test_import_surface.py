@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
     "eval_report", "evaluate", "format_query", "integer", "iri", "loa", "loa_weighted",
     "load_and_run", "load_cq_dir", "load_scenario", "materialize", "parse_discovery_request",
     "parse_document", "parse_human_capability", "parse_machine_capability", "parse_query",
-    "parse_service_profile", "parse_task_file", "query_equivalent", "recommend_allocation",
+    "parse_service_profile", "parse_task_file", "recommend_allocation",
     "render_report", "run_cq", "run_scenario", "serialize", "string",
 ]
 

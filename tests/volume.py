@@ -28,8 +28,10 @@ import query_oracle  # noqa: E402
 import reference  # noqa: E402
 import sim_oracle  # noqa: E402
 import workload_gen  # noqa: E402
+from test_broker import unread_broker  # noqa: E402
 from test_reasoner import _naive_materialize, _random_unsatisfiability_kb, _witness_unsatisfiable  # noqa: E402
 
+from soa_hitlcps import broker as broker_module  # noqa: E402
 from soa_hitlcps.broker import ServiceBroker, parse_discovery_request  # noqa: E402
 from soa_hitlcps.kb import ancestors, iri, parse_document, read_document, serialize, term_sort_key  # noqa: E402
 from soa_hitlcps.reasoner import check_consistency, materialize  # noqa: E402
@@ -183,6 +185,14 @@ def hierarchy(directory: Path) -> None:
                       {(child, (child - 1) // 8) for child in range(1, size)})
 
 
+def _invoke_and_complete(broker: ServiceBroker, op) -> None:
+    """One operation of the lifecycle script: invoke, then complete with its rating if it runs."""
+    invocation = broker.invoke(iri(op.service), iri(op.consumer),
+                               {k: iri(v) for k, v in op.inputs.items()}, now=op.now)
+    if invocation.status == RUNNING:
+        broker.complete_invocation(invocation, rating=op.rating)
+
+
 def lifecycle_replay(directory: Path) -> None:
     """After each invoke-then-complete of the lifecycle script the journal is armed and the closure is fresh."""
     for seed in SEEDS:
@@ -192,15 +202,52 @@ def lifecycle_replay(directory: Path) -> None:
             broker = ServiceBroker(registry)
             ops, bad = workload_gen.lifecycle_ops(seed, records), []
             for op in ops:
-                invocation = broker.invoke(iri(op.service), iri(op.consumer),
-                                           {k: iri(v) for k, v in op.inputs.items()}, now=op.now)
-                if invocation.status == RUNNING:
-                    broker.complete_invocation(invocation, rating=op.rating)
+                _invoke_and_complete(broker, op)
                 armed = registry.kb.journal is broker._cache[0]
                 if not (armed and broker._closure() == materialize(registry.kb)):
                     bad.append(op.line())
             _report(f"seed {seed} N {n} {len(ops)} ops "
                     f"{'equal and armed' if not bad else 'DIFFERENT: ' + bad[0]}", not bad)
+
+
+def discover_cache(directory: Path) -> None:
+    """After each operation of the lifecycle script, one long-lived broker ranks all 48 generated
+    requests as a broker that has read nothing does; and how often the chat scenario evaluates a query."""
+    for seed in SEEDS:
+        for n in SIZES:
+            records = workload_gen.build_registry(seed, n)
+            registry = ServiceRegistry.from_kb(parse_document(workload_gen.registry_kb_text(records)))
+            broker = ServiceBroker(registry)
+            requests = [parse_discovery_request(r.line()) for r in workload_gen.discover_requests(seed, records)]
+            ops, bad = workload_gen.lifecycle_ops(seed, records), []
+            for op in ops:
+                _invoke_and_complete(broker, op)
+                fresh = unread_broker(registry)
+                if any(broker.discover(r, op.now) != fresh.discover(r, op.now) for r in requests):
+                    bad.append(op.line())
+            _report(f"seed {seed} N {n} {len(ops)} ops x {len(requests)} requests "
+                    f"{'equal' if not bad else 'DIFFERENT: ' + bad[0]}", not bad)
+    counted = {"discover": 0, "evaluate": 0}
+    discover, evaluate = ServiceBroker.discover, broker_module.evaluate
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            counted[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    ServiceBroker.discover, broker_module.evaluate = counting("discover", discover), counting("evaluate", evaluate)
+    try:
+        for seed in SEEDS:
+            out = directory / "cached-scenarios" / str(seed)
+            out.mkdir(parents=True)
+            for name, text in workload_gen.build_scenario(seed).files.items():
+                (out / name).write_text(text, encoding="utf-8")
+            counted.update(discover=0, evaluate=0)
+            load_and_run(str(out / "chat.scn"))
+            print(f"seed {seed} chat scenario: {counted['discover']} discovers, {counted['evaluate']} evaluates")
+    finally:
+        ServiceBroker.discover, broker_module.evaluate = discover, evaluate
 
 
 def kb_reader(directory: Path) -> None:
@@ -239,6 +286,7 @@ CHECKS = {
     "unsatisfiable": unsatisfiable,
     "hierarchy": hierarchy,
     "lifecycle-replay": lifecycle_replay,
+    "discover-cache": discover_cache,
     "kb-reader": kb_reader,
     "simulate-hash-seeds": simulate_hash_seeds,
 }
