@@ -229,6 +229,130 @@ def test_parse_machine_capability_rejects_unknown_skill():
         parse_machine_capability("PROGRAMMED_SKILL Flying\n")
 
 
+# -- the readers' line contracts: expected-lists, arity, which line counts ------
+
+HUMAN_EXPECTED = "SKILL/KNOWLEDGE/ABILITY/PERFORMANCE/EDUCATION/PREFERENCE/CONTEXT"
+MACHINE_EXPECTED = "HARDWARE/SOFTWARE/PROGRAMMED_SKILL/LEARNED/CONTEXT"
+PROFILE_EXPECTED = "a profile directive"
+
+
+def _parse_error(parse, text) -> str:
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("line", [
+    "GADGET x", "skill Monitoring 4", "SKILL", "SKILL Monitoring", "SKILL Monitoring 4 5",
+    "ABILITY Oral_Comprehension", "ABILITY Oral_Comprehension 4 5", "PERFORMANCE Stress_Tolerance",
+    "PERFORMANCE Stress_Tolerance 4 5", "KNOWLEDGE", "KNOWLEDGE Biology Psychology", "EDUCATION",
+    "EDUCATION Bachelor_Degree Master_Degree", "PREFERENCE time", "PREFERENCE time evening late",
+    "CONTEXT", "CONTEXT siteA siteB", "HARDWARE Box",
+])
+def test_a_human_capability_line_that_fits_no_keyword_gets_the_human_expected_list(line):
+    text = f"SKILL Monitoring 4\n{line}\nKNOWLEDGE Biology\n"
+    assert _parse_error(parse_human_capability, text) == f"line 2, column 1: expected {HUMAN_EXPECTED}"
+
+
+@pytest.mark.parametrize("line", [
+    "GADGET x", "hardware Box", "HARDWARE", "HARDWARE Box Case", "SOFTWARE", "SOFTWARE Fw Os",
+    "PROGRAMMED_SKILL", "PROGRAMMED_SKILL Monitoring Critical_Thinking", "LEARNED", "LEARNED Biology Psychology",
+    "CONTEXT", "CONTEXT siteA siteB", "SKILL Monitoring 4",
+])
+def test_a_machine_capability_line_that_fits_no_keyword_gets_the_machine_expected_list(line):
+    text = f"HARDWARE Box\n{line}\nSOFTWARE Fw\n"
+    assert _parse_error(parse_machine_capability, text) == f"line 2, column 1: expected {MACHINE_EXPECTED}"
+
+
+@pytest.mark.parametrize("line", [
+    "GADGET x", "service s", "SERVICE", "SERVICE s t", "PROVIDER", "PROVIDER David Eve", "KIND",
+    "KIND sensing processing", "COMPOSITE", "INPUT x", "INPUT x Human y", "OUTPUT", "OUTPUT y Output z",
+    "PRECONDITION", "PRECONDITION ?x a", "EFFECT", "EFFECT ADD ?x a", "EFFECT DEL ?x a",
+    "EFFECT MOD ?x a Human", "EFFECT ?x a Human", "CONTEXT", "CONTEXT siteA siteB", "CAPABILITY",
+    "CAPABILITY capA capB", "PARALLELISM", "PARALLELISM 1 2", "LIMITATION", "DECLARE a b",
+    "DECLARE a b c d", "SKILL Monitoring 4",
+])
+def test_a_profile_line_that_fits_no_keyword_gets_the_profile_expected_list(line):
+    text = f"SERVICE s\n{line}\nKIND sensing\n"
+    assert _parse_error(parse_service_profile, text) == f"line 2, column 1: expected {PROFILE_EXPECTED}"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("SERVICE x\nKIND processing\nQOS reputation=4\nQOS cost=1\n",
+     "line 4, column 1: expected one QOS line, each of reputation/cost/response_time at most once"),
+    ("SERVICE x\nKIND processing\nQOS latency=4\n",
+     "line 3, column 1: expected one QOS line, each of reputation/cost/response_time at most once"),
+    ("KIND processing\n", "line 1, column 1: expected a SERVICE line"),
+    ("SERVICE x\nPROVIDER David\n", "line 1, column 1: expected a KIND or COMPOSITE line"),
+    ("", "line 1, column 1: expected a SERVICE line"),
+])
+def test_the_profile_reader_names_a_missing_or_repeated_line(text, expected):
+    assert _parse_error(parse_service_profile, text) == expected
+
+
+@pytest.mark.parametrize("keyword", ["SKILL", "ABILITY", "PERFORMANCE"])
+def test_a_leveled_line_reads_its_level_before_its_name(keyword):
+    assert _parse_error(parse_human_capability, f"{keyword} zz:Foo x\n") == "line 1, column 1: expected an integer"
+    with pytest.raises(UnknownPrefixError):
+        parse_human_capability(f"{keyword} zz:Foo 4\n")
+
+
+def test_the_capability_is_checked_against_the_taxonomy_after_its_last_line():
+    assert _parse_error(parse_human_capability, "SKILL Juggling 4\nGADGET x\n").startswith("line 2,")
+    assert _parse_error(parse_machine_capability, "PROGRAMMED_SKILL Flying\nGADGET x\n").startswith("line 2,")
+
+
+def test_the_last_line_counts_for_a_single_valued_field():
+    cap, _ = parse_human_capability("EDUCATION Bachelor_Degree\nEDUCATION Master_Degree\n"
+                                    "PREFERENCE time morning\nPREFERENCE price low\nPREFERENCE time evening\n"
+                                    "SKILL Monitoring 3\nSKILL Critical_Thinking 2\nSKILL Monitoring 5\n"
+                                    "ABILITY Oral_Comprehension 2\nABILITY Oral_Comprehension 4\n")
+    assert cap.education == iri("Master_Degree")
+    assert cap.preferences == {"time": "evening", "price": "low"}
+    assert list(cap.preferences) == ["time", "price"]
+    assert cap.skills == {iri("Monitoring"): 5, iri("Critical_Thinking"): 2}
+    assert list(cap.skills) == [iri("Monitoring"), iri("Critical_Thinking")]
+    assert cap.abilities == {iri("Oral_Comprehension"): 4}
+    profile, provider = parse_service_profile("SERVICE a\nSERVICE b\nPROVIDER David\nPROVIDER Eve\n"
+                                              "KIND sensing\nCAPABILITY capA\nCAPABILITY capB\n"
+                                              "PARALLELISM 3\nPARALLELISM 2\n")
+    assert (profile.service_id, provider) == (iri("b"), iri("Eve"))
+    assert (profile.capability_ref, profile.degree_of_parallelism) == (iri("capB"), 2)
+
+
+def test_a_many_valued_field_keeps_every_line_in_order():
+    cap, contexts = parse_human_capability("KNOWLEDGE Psychology\nCONTEXT siteB\nKNOWLEDGE Biology\n"
+                                           "KNOWLEDGE Psychology\nCONTEXT siteA\n")
+    assert cap.knowledge == [iri("Psychology"), iri("Biology"), iri("Psychology")]
+    assert contexts == (iri("siteB"), iri("siteA"))
+    profile, _ = parse_service_profile("SERVICE s\nKIND sensing\nINPUT b Human\nINPUT a Human\n"
+                                       "EFFECT DEL ?b knows ?a\nEFFECT ADD ?a knows ?b\nEFFECT DEL ?a knows ?b\n"
+                                       "LIMITATION location siteA\nLIMITATION location siteA\n"
+                                       "DECLARE knows Human Human\nDECLARE likes Human Human\n")
+    assert [p.name for p in profile.inputs] == ["b", "a"]
+    assert profile.effects_add == (Pattern(Var("a"), iri("knows"), Var("b")),)
+    assert profile.effects_remove == (Pattern(Var("b"), iri("knows"), Var("a")),
+                                      Pattern(Var("a"), iri("knows"), Var("b")))
+    assert profile.limitations == (LocationAt(iri("siteA")),) * 2
+    assert [d[0] for d in profile.declarations] == [iri("knows"), iri("likes")]
+
+
+def test_each_record_field_keeps_its_type():
+    cap, contexts = parse_human_capability(HUMAN_CAP)
+    assert type(cap.knowledge) is list and type(cap.skills) is dict and type(contexts) is tuple
+    assert type(cap.abilities) is dict and type(cap.performance_factors) is dict and type(cap.preferences) is dict
+    machine, contexts = parse_machine_capability(MACHINE_CAP)
+    assert type(machine.learned_knowledge) is list and type(machine.programmed_skills) is frozenset
+    assert type(machine.hardware) is tuple and type(machine.software) is tuple and type(contexts) is tuple
+    empty, contexts = parse_human_capability("")
+    assert empty == HumanCapability() and contexts == ()
+    empty, contexts = parse_machine_capability("# nothing\n")
+    assert (empty.hardware, empty.software, empty.programmed_skills, empty.learned_knowledge, contexts) == \
+        ((), (), frozenset(), [], ())
+    profile, _ = parse_service_profile("SERVICE s\nKIND sensing\n")
+    assert profile == ServiceProfile(iri("s"), "sensing", QoS(Decimal("0"), Decimal("0"), Decimal("0")))
+
+
 def test_capability_and_profile_names_follow_the_kb_name_rule():
     # A name the .kb format cannot read back is rejected where it is written.
     for text in ("CONTEXT zz:site\n", "SKILL Monitoring 4\nCONTEXT zz:site\n"):
