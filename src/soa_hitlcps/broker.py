@@ -344,7 +344,8 @@ class ServiceBroker:
                 f"expected inputs {sorted(expected)}, got {sorted(inputs)}"
             )
         closed = self._closure()
-        for parameter in profile.inputs:
+        # in (name, type) order, so a live record and one reloaded from the graph name the same input
+        for parameter in sorted(profile.inputs, key=lambda p: (p.name, p.type)):
             value = inputs[parameter.name]
             if isinstance(value, Iri) and parameter.type not in closed.types_of(value):
                 raise InputSignatureMismatchError(

@@ -5,31 +5,6 @@ from __future__ import annotations
 from importlib import resources
 
 
-def _data_root():
-    return resources.files(__package__) / "data"
-
-
 def base_kb_text() -> str:
     """The serialized base ontology."""
-    return (_data_root() / "base.kb").read_text(encoding="utf-8")
-
-
-def fixture_text(name: str) -> str:
-    """A shipped .kb fixture such as ``hscd.kb`` or ``pe.kb``."""
-    return (_data_root() / name).read_text(encoding="utf-8")
-
-
-def cq_entries():
-    """Shipped competency questions as sorted (name, query text) pairs."""
-    folder = _data_root() / "cq"
-    entries = []
-    for item in folder.iterdir():
-        if item.name.endswith(".q"):
-            entries.append((item.name[:-2], item.read_text(encoding="utf-8")))
-    entries.sort()
-    return entries
-
-
-def scenario_dir():
-    """Traversable directory with the shipped scenario files."""
-    return _data_root() / "scenarios"
+    return (resources.files(__package__) / "data" / "base.kb").read_text(encoding="utf-8")

@@ -515,10 +515,6 @@ class KnowledgeBase:
     def individuals(self) -> set:
         return set(self._indexes()[0])
 
-    def superclasses(self, cls: Iri) -> set:
-        """Transitive ancestors of ``cls`` via subclass links."""
-        return ancestors(self.subclass_links).get(cls, set())
-
     def match(self, pattern) -> list[dict]:
         """All binding maps under which the substituted triple is present.
 

@@ -139,9 +139,6 @@ class EvalReport:
             lines.extend(body)
         return "\n".join(lines) + "\n"
 
-    def to_kv(self):
-        return tuple((name, line) for name, body in self.sections() for line in body)
-
 
 def eval_report(kb: KnowledgeBase, cq_queries=None, include_ontoclean=None) -> EvalReport:
     """Aggregate metric sections for one kb.

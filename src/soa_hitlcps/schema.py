@@ -12,11 +12,12 @@ is parsed once, at import; ``base_ontology()`` hands out copies and
 This module also defines the capability (.cap) and service-profile (.srv)
 file formats, whose names follow the .kb rule, and the graph codec: the one
 place that knows how registry facts are encoded.  One field table per record
-type drives the writers, and a rating is written from its values; the
-readers return a profile or one answer (a skill's level, a known topic, a
-service's ratings).  A ``ServiceProfile`` is one flat record: ``SERVICE_KINDS``
-alone maps its kind to a class, and only the codec nests its QoS, contexts
-and capability under a Property node (the OWL-S profile shape).
+type gives each field's line keyword, predicate and codec, and drives both
+the text readers and the graph writers; a rating is written from its values.
+The graph readers return a profile or one answer (a skill's level, a known
+topic, a service's ratings).  A ``ServiceProfile`` is one flat record:
+``SERVICE_KINDS`` alone maps its kind to a class, and only the codec nests its
+QoS, contexts and capability under a Property node (the OWL-S profile shape).
 Scales, preferences, parameter signatures and rating criteria are string
 literals on a handful of instance-level plumbing properties
 (``hasSkillLevel`` and friends) that are declared on demand and are
@@ -268,12 +269,8 @@ def validate_machine_capability(cap: MachineCapability) -> None:
 # Flat pattern text (used in profile files and kb literal projections)
 
 def render_pattern(pattern: Pattern) -> str:
-    def term(t):
-        if t == TYPE_PRED:
-            return "a"
-        return str(t)
-
-    return f"{term(pattern.subject)} {term(pattern.predicate)} {term(pattern.object)}"
+    terms = (pattern.subject, pattern.predicate, pattern.object)
+    return " ".join("a" if term == TYPE_PRED else str(term) for term in terms)
 
 
 def graph_name(text: str, lineno: int = 1) -> Iri:
@@ -295,122 +292,6 @@ def parse_flat_pattern(text: str, lineno: int = 1) -> Pattern:
     if len(words) != 3:
         raise ParseError(lineno, 1, "a three-term pattern")
     return Pattern(*(_parse_flat_term(w, lineno) for w in words))
-
-
-# --------------------------------------------------------------------------
-# Capability files (.cap)
-
-
-_LEVEL_KEYWORDS = {"SKILL": "skills", "ABILITY": "abilities", "PERFORMANCE": "performance_factors"}
-
-
-def parse_human_capability(text: str):
-    """Parse a human .cap document; returns (HumanCapability, contexts)."""
-    cap = HumanCapability()
-    contexts = []
-    for lineno, words in content_lines(text):
-        keyword = words[0]
-        if keyword in _LEVEL_KEYWORDS and len(words) == 3:
-            getattr(cap, _LEVEL_KEYWORDS[keyword])[graph_name(words[1], lineno)] = parse_integer(words[2], lineno)
-        elif keyword == "KNOWLEDGE" and len(words) == 2:
-            cap.knowledge.append(graph_name(words[1], lineno))
-        elif keyword == "EDUCATION" and len(words) == 2:
-            cap.education = graph_name(words[1], lineno)
-        elif keyword == "PREFERENCE" and len(words) == 3:
-            cap.preferences[words[1]] = words[2]
-        elif keyword == "CONTEXT" and len(words) == 2:
-            contexts.append(graph_name(words[1], lineno))
-        else:
-            raise ParseError(lineno, 1, "SKILL/KNOWLEDGE/ABILITY/PERFORMANCE/EDUCATION/PREFERENCE/CONTEXT")
-    validate_human_capability(cap)
-    return cap, tuple(contexts)
-
-
-def parse_machine_capability(text: str):
-    """Parse a machine .cap document; returns (MachineCapability, contexts)."""
-    names = {"HARDWARE": [], "SOFTWARE": [], "PROGRAMMED_SKILL": [], "LEARNED": [], "CONTEXT": []}
-    for lineno, words in content_lines(text):
-        if words[0] not in names or len(words) != 2:
-            raise ParseError(lineno, 1, "/".join(names))
-        names[words[0]].append(graph_name(words[1], lineno))
-    cap = MachineCapability(tuple(names["HARDWARE"]), tuple(names["SOFTWARE"]),
-                            frozenset(names["PROGRAMMED_SKILL"]), names["LEARNED"])
-    validate_machine_capability(cap)
-    return cap, tuple(names["CONTEXT"])
-
-
-# --------------------------------------------------------------------------
-# Service profile files (.srv)
-
-
-_QOS_KEYS = ("reputation", "cost", "response_time")
-
-
-def parse_service_profile(text: str):
-    """Parse a .srv document; returns (ServiceProfile, provider Iri or None)."""
-    service_id = provider = kind = qos = capability_ref = None
-    parts, contexts, inputs, outputs = (), [], [], []
-    preconditions, effects_add, effects_remove, limitations, declarations = [], [], [], [], []
-    dop = 1
-    for lineno, words in content_lines(text):
-        keyword, rest = words[0], words[1:]
-        if keyword == "SERVICE" and len(rest) == 1:
-            service_id = graph_name(rest[0], lineno)
-        elif keyword == "PROVIDER" and len(rest) == 1:
-            provider = graph_name(rest[0], lineno)
-        elif keyword == "KIND" and len(rest) == 1:
-            if rest[0] not in _ATOMIC:
-                raise ParseError(lineno, 1, "one of " + "/".join(_ATOMIC))
-            kind, parts = rest[0], ()
-        elif keyword == "COMPOSITE" and rest:
-            kind, parts = "composite", tuple(graph_name(w, lineno) for w in rest)
-        elif keyword == "INPUT" and len(rest) == 2:
-            inputs.append(TypedParameter(rest[0], graph_name(rest[1], lineno)))
-        elif keyword == "OUTPUT" and len(rest) == 2:
-            outputs.append(TypedParameter(rest[0], graph_name(rest[1], lineno)))
-        elif keyword == "PRECONDITION" and len(rest) >= 3:
-            preconditions.append(parse_flat_pattern(" ".join(rest), lineno))
-        elif keyword == "EFFECT" and len(rest) >= 4 and rest[0] in ("ADD", "DEL"):
-            pattern = parse_flat_pattern(" ".join(rest[1:]), lineno)
-            (effects_add if rest[0] == "ADD" else effects_remove).append(pattern)
-        elif keyword == "CONTEXT" and len(rest) == 1:
-            contexts.append(graph_name(rest[0], lineno))
-        elif keyword == "CAPABILITY" and len(rest) == 1:
-            capability_ref = graph_name(rest[0], lineno)
-        elif keyword == "QOS":
-            pairs = [parse_pair(word, lineno) for word in rest]
-            kv = dict(pairs)
-            if qos is not None or not kv.keys() <= set(_QOS_KEYS) or len(kv) < len(pairs):
-                raise ParseError(lineno, 1, "one QOS line, each of " + "/".join(_QOS_KEYS) + " at most once")
-            qos = QoS(*(parse_decimal(kv.get(key, "0"), lineno) for key in _QOS_KEYS))
-        elif keyword == "PARALLELISM" and len(rest) == 1:
-            dop = parse_integer(rest[0], lineno)
-        elif keyword == "LIMITATION" and rest:
-            limitations.append(parse_flat_limitation(" ".join(rest), lineno))
-        elif keyword == "DECLARE" and len(rest) == 3:
-            declarations.append(tuple(graph_name(w, lineno) for w in rest))
-        else:
-            raise ParseError(lineno, 1, "a profile directive")
-    if service_id is None:
-        raise ParseError(1, 1, "a SERVICE line")
-    if kind is None:
-        raise ParseError(1, 1, "a KIND or COMPOSITE line")
-    profile = ServiceProfile(
-        service_id=service_id,
-        kind=kind,
-        qos=qos or QoS(Decimal("0"), Decimal("0"), Decimal("0")),
-        parts=parts,
-        contexts=tuple(contexts), capability_ref=capability_ref,
-        inputs=tuple(inputs),
-        outputs=tuple(outputs),
-        preconditions=tuple(preconditions),
-        effects_add=tuple(effects_add),
-        effects_remove=tuple(effects_remove),
-        degree_of_parallelism=dop,
-        limitations=tuple(limitations),
-        declarations=tuple(declarations),
-    )
-    return profile, provider
 
 
 def parse_flat_limitation(text: str, lineno: int = 1) -> Limitation:
@@ -445,8 +326,7 @@ def validate_profile(profile: ServiceProfile) -> None:
         raise InvalidProfileError("reputation must be within 0..5")
     if qos.cost < 0 or qos.response_time < 0:
         raise InvalidProfileError("cost and response time must be non-negative")
-    input_names = {p.name for p in profile.inputs} | {"consumer"}
-    bound = set(input_names)
+    bound = {p.name for p in profile.inputs} | {"consumer"}
     for pattern in profile.preconditions:
         bound |= set(pattern.variables())
     for pattern in profile.effects_add + profile.effects_remove:
@@ -458,14 +338,241 @@ def validate_profile(profile: ServiceProfile) -> None:
 
 
 # --------------------------------------------------------------------------
+# Field tables: one row per record field, which the text readers, the graph
+# writer and the profile reader all loop over.  Each value format (a name,
+# ``term:level``, ``name:type``, ``ADD``/``DEL`` patterns, ...) is read from a
+# line, written as an object term and decoded from one by its codec.
+
+
+def _words(count: int, read: Callable) -> Callable:
+    """A line of ``count`` words, which ``read(*words, lineno)`` reads."""
+    return lambda words, lineno: read(*words, lineno) if len(words) == count else None
+
+
+def _joined(parse: Callable, fewest: int) -> Callable:
+    """A line of at least ``fewest`` words, which ``parse`` reads as one text."""
+    return lambda words, lineno: parse(" ".join(words), lineno) if len(words) >= fewest else None
+
+
+class _Codec(NamedTuple):
+    encode: Callable  # value -> object term
+    decode: Optional[Callable]  # object term -> value or None; None itself when never read back
+    line: Optional[Callable] = None  # (words after a line's keyword, lineno) -> value; None if they do not fit
+
+
+def _literal(kinds, encode, parse, line=None) -> _Codec:
+    return _Codec(encode, lambda term: parse(term.value)
+                  if isinstance(term, Literal) and term.kind in kinds else None, line)
+
+
+def _text(render, parse, line=None) -> _Codec:
+    """Values stored as string literals that ``render`` writes and ``parse`` reads."""
+    return _literal(("string",), lambda value: string_literal(render(value)), parse, line)
+
+
+_IRI = _Codec(lambda value: value, lambda term: term if isinstance(term, Iri) else None, _words(1, graph_name))
+_DECIMAL = _literal(("decimal", "integer"), decimal_literal, Decimal)
+_INTEGER = _literal(("integer",), integer_literal, int, _words(1, parse_integer))
+
+def _parse_level(text: str):
+    term, _, level = text.rpartition(":")
+    try:
+        return parse_name(term), parse_integer(level)
+    except ParseError:  # not a term:level literal: skipped, like a literal of another form
+        return None
+
+
+def _name_and_level(name: str, level: str, lineno: int) -> tuple:
+    value = parse_integer(level, lineno)  # read first: ``SKILL zz:Foo x`` wants an integer
+    return graph_name(name, lineno), value
+
+
+def _parse_parameter(text: str) -> TypedParameter:
+    name, _, type_text = text.partition(":")
+    return TypedParameter(name, parse_name(type_text))
+
+
+_LEVEL = _text(lambda pair: f"{pair[0]}:{pair[1]}", _parse_level, _words(2, _name_and_level))  # term:level
+_PARAMETER = _text(lambda param: f"{param.name}:{param.type}", _parse_parameter,
+                   _words(2, lambda name, type_name, lineno: TypedParameter(name, graph_name(type_name, lineno))))
+_PREFERENCE = _Codec(lambda pair: string_literal(f"{pair[0]}:{pair[1]}"), None,
+                     _words(2, lambda dimension, value, lineno: (dimension, value)))
+_PATTERN = _text(render_pattern, parse_flat_pattern, _joined(parse_flat_pattern, 3))
+_LIMITATION = _text(lambda limitation: limitation.render(), parse_flat_limitation, _joined(parse_flat_limitation, 1))
+
+
+def _one(value) -> tuple:
+    return () if value is None else (value,)
+
+
+class _Field(NamedTuple):
+    keyword: Optional[str]  # the .cap/.srv line that fills it; None for a QoS value
+    attr: str
+    predicate: str
+    codec: _Codec = _IRI
+    build: Callable = tuple  # the values read, in term or line order -> the attribute
+    values: Callable = iter  # the attribute -> the values written, one fact each
+    cls: Optional[str] = None  # class asserted on each value written
+    link: Optional[str] = None  # predicate to each value's term, written before its fact
+
+
+def _single(keyword: Optional[str], attr: str, predicate: str, codec: _Codec = _IRI, default=None) -> _Field:
+    """A field of at most one value: of several lines the last counts, of several facts the first in term order."""
+    return _Field(keyword, attr, predicate, codec, lambda values: values[0] if values else default, _one)
+
+
+def _leveled(keyword: str, attr: str, link: str, predicate: str) -> _Field:
+    """A term -> level map: a ``link`` to each term and a ``term:level`` literal with ``predicate``."""
+    return _Field(keyword, attr, predicate, _LEVEL, dict, dict.items, link=link)
+
+
+def _effect(attr: str, verb: str) -> _Field:
+    """``EFFECT ADD <pattern>`` or ``EFFECT DEL <pattern>``, stored as the literal after ``EFFECT``."""
+    head = verb + " "
+
+    def parse(text: str, lineno: int = 1):
+        return parse_flat_pattern(text[len(head):], lineno) if text.startswith(head) else None
+
+    return _Field("EFFECT", attr, "hasEffect", _text(lambda pattern: head + render_pattern(pattern), parse,
+                                                     _joined(parse, 4)))
+
+
+_SKILLS = _leveled("SKILL", "skills", "hasHumanSkill", "hasSkillLevel")
+_HUMAN = (
+    _SKILLS,
+    _Field("KNOWLEDGE", "knowledge", "hasHumanKnowledge", build=list),
+    _leveled("ABILITY", "abilities", "hasAbility", "hasAbilityLevel"),
+    _leveled("PERFORMANCE", "performance_factors", "hasPerformanceFactor", "hasPerformanceLevel"),
+    _single("EDUCATION", "education", "hasEducation"),
+    _Field("PREFERENCE", "preferences", "hasPreferenceValue", _PREFERENCE, dict, dict.items),
+)
+_LEARNED = _Field("LEARNED", "learned_knowledge", "hasLearnedKnowledge", build=list, cls="Knowledge")
+_MACHINE = (_Field("PROGRAMMED_SKILL", "programmed_skills", "hasProgrammedSkill", build=frozenset), _LEARNED)
+_SPECIFICATION = (
+    _Field("HARDWARE", "hardware", "hasHardware", cls="Hardware"),
+    _Field("SOFTWARE", "software", "hasSoftware", cls="Software"),
+)
+_CONTEXT = _Field("CONTEXT", "contexts", "hasContext", cls="Context")  # on the capability's owner
+_PROFILE = (
+    _Field("PARALLELISM", "degree_of_parallelism", "degreeOfParallelism", _INTEGER,
+           build=lambda values: values[-1] if values else 1, values=_one),
+    _Field("INPUT", "inputs", "hasInput", _PARAMETER),
+    _Field("OUTPUT", "outputs", "hasOutput", _PARAMETER),
+    _Field("PRECONDITION", "preconditions", "hasPrecondition", _PATTERN),
+    _effect("effects_add", "ADD"),
+    _effect("effects_remove", "DEL"),
+    _Field("LIMITATION", "limitations", "hasLimitation", _LIMITATION),
+)
+_PROPERTY = (
+    _CONTEXT._replace(predicate="includeContext"),
+    _single("CAPABILITY", "capability_ref", "includeCapability"),
+)
+_REPUTATION = _single(None, "reputation", "reputationValue", _DECIMAL, Decimal("0"))
+_QOS = (
+    _REPUTATION,
+    _single(None, "cost", "costValue", _DECIMAL, Decimal("0")),
+    _single(None, "response_time", "responseTimeValue", _DECIMAL, Decimal("0")),
+)
+
+
+# --------------------------------------------------------------------------
+# Capability (.cap) and service profile (.srv) files: one line per value
+
+
+def _keywords(fields: tuple) -> dict:
+    """Keyword -> (line reader, attribute, one value?, build) of each field it may fill, in the order tried."""
+    lines: dict = {}
+    for field in fields:
+        lines.setdefault(field.keyword, []).append((field.codec.line, field.attr, field.values is _one, field.build))
+    return lines
+
+
+_HUMAN_LINES = _keywords(_HUMAN + (_CONTEXT,))
+_MACHINE_LINES = _keywords(_SPECIFICATION + _MACHINE + (_CONTEXT,))
+_PROFILE_LINES = _keywords(_PROFILE + _PROPERTY)
+
+
+def _read_lines(text: str, lines: dict, other: Optional[Callable] = None) -> dict:
+    """Attribute -> value of each field the lines of ``text`` fill; a field no line fills is left out.
+
+    ``other(keyword, words, lineno)`` reads a line that fits no field, or raises; without it the line is an error.
+    """
+    found: dict = {}
+    for lineno, words in content_lines(text):
+        rest = words[1:]
+        for line, attr, single, build in lines.get(words[0], ()):
+            value = line(rest, lineno)
+            if value is not None:
+                if single or attr not in found:  # of a field of one value, the last line counts
+                    found[attr] = build, [value]
+                else:
+                    found[attr][1].append(value)
+                break
+        else:
+            if other is None:
+                raise ParseError(lineno, 1, "/".join(lines))
+            other(words[0], rest, lineno)
+    return {attr: build(values) for attr, (build, values) in found.items()}
+
+
+def _read_capability(text: str, lines: dict, record: type, validate: Callable):
+    """``(record, contexts)`` from a .cap document, the record validated once every line is read."""
+    values = _read_lines(text, lines)
+    contexts = values.pop("contexts", ())
+    cap = record(**values)
+    validate(cap)
+    return cap, contexts
+
+
+def parse_human_capability(text: str):
+    """Parse a human .cap document; returns (HumanCapability, contexts)."""
+    return _read_capability(text, _HUMAN_LINES, HumanCapability, validate_human_capability)
+
+
+def parse_machine_capability(text: str):
+    """Parse a machine .cap document; returns (MachineCapability, contexts)."""
+    return _read_capability(text, _MACHINE_LINES, MachineCapability, validate_machine_capability)
+
+
+def parse_service_profile(text: str):
+    """Parse a .srv document; returns (ServiceProfile, provider Iri or None)."""
+    service_id = provider = kind = qos = None
+    parts, declarations = (), []
+
+    def other(keyword: str, rest: list, lineno: int) -> None:  # the six lines outside the field tables
+        nonlocal service_id, provider, kind, parts, qos
+        if keyword == "SERVICE" and len(rest) == 1:
+            service_id = graph_name(rest[0], lineno)
+        elif keyword == "PROVIDER" and len(rest) == 1:
+            provider = graph_name(rest[0], lineno)
+        elif keyword == "KIND" and len(rest) == 1:
+            if rest[0] not in _ATOMIC:
+                raise ParseError(lineno, 1, "one of " + "/".join(_ATOMIC))
+            kind, parts = rest[0], ()
+        elif keyword == "COMPOSITE" and rest:
+            kind, parts = "composite", tuple(graph_name(w, lineno) for w in rest)
+        elif keyword == "QOS":
+            pairs = [parse_pair(word, lineno) for word in rest]
+            keys, given = [field.attr for field in _QOS], dict(pairs)
+            if qos is not None or not given.keys() <= set(keys) or len(given) < len(pairs):
+                raise ParseError(lineno, 1, "one QOS line, each of " + "/".join(keys) + " at most once")
+            qos = QoS(**{key: parse_decimal(given.get(key, "0"), lineno) for key in keys})
+        elif keyword == "DECLARE" and len(rest) == 3:
+            declarations.append(tuple(graph_name(w, lineno) for w in rest))
+        else:
+            raise ParseError(lineno, 1, "a profile directive")
+
+    values = _read_lines(text, _PROFILE_LINES, other)
+    if service_id is None:
+        raise ParseError(1, 1, "a SERVICE line")
+    if kind is None:
+        raise ParseError(1, 1, "a KIND or COMPOSITE line")
+    qos = qos or QoS(Decimal("0"), Decimal("0"), Decimal("0"))
+    return ServiceProfile(service_id, kind, qos, parts, declarations=tuple(declarations), **values), provider
+
+
+# --------------------------------------------------------------------------
 # Graph codec: how each record is stored as facts, written and read here only
-#
-# A record's fields are facts on its node.  Each field table row names the
-# record attribute, the predicate holding it and the codec between a value
-# and an object term; the writer adds one fact per value and the profile
-# reader decodes the objects in term order.  Each literal format
-# (``term:level``, ``dim:value``, ``name:type``, ``ADD``/``DEL`` patterns,
-# ``name=value;...``) is rendered, and parsed where it is read, by one codec.
 
 
 def _owned_node(owner: Iri, suffix: str) -> Iri:
@@ -482,109 +589,6 @@ def profile_nodes(service: Iri):
     return tuple(Iri(service.prefix, service.local + part) for part in ("Profile", "Properties", "Qos"))
 
 
-class _Codec(NamedTuple):
-    encode: Callable  # value -> object term
-    decode: Optional[Callable]  # object term -> value or None; None itself when never read back
-
-
-def _literal(kinds, encode, parse) -> _Codec:
-    return _Codec(encode, lambda term: parse(term.value)
-                  if isinstance(term, Literal) and term.kind in kinds else None)
-
-
-def _text(render, parse) -> _Codec:
-    """Values stored as string literals that ``render`` writes and ``parse`` reads."""
-    return _literal(("string",), lambda value: string_literal(render(value)), parse)
-
-
-_IRI = _Codec(lambda value: value, lambda term: term if isinstance(term, Iri) else None)
-_DECIMAL = _literal(("decimal", "integer"), decimal_literal, Decimal)
-_INTEGER = _literal(("integer",), integer_literal, int)
-
-def _parse_level(text: str):
-    term, _, level = text.rpartition(":")
-    try:
-        return parse_name(term), parse_integer(level)
-    except ParseError:  # not a term:level literal: skipped, like a literal of another form
-        return None
-
-
-def _parse_parameter(text: str) -> TypedParameter:
-    name, _, type_text = text.partition(":")
-    return TypedParameter(name, parse_name(type_text))
-
-
-def _effect(verb: str) -> _Codec:
-    """``ADD <pattern>`` or ``DEL <pattern>``."""
-    head = verb + " "
-    return _text(lambda pattern: head + render_pattern(pattern),
-                 lambda text: parse_flat_pattern(text[len(head):]) if text.startswith(head) else None)
-
-
-_LEVEL = _text(lambda pair: f"{pair[0]}:{pair[1]}", _parse_level)  # term:level
-_PARAMETER = _text(lambda param: f"{param.name}:{param.type}", _parse_parameter)
-_PREFERENCE = _Codec(lambda pair: string_literal(f"{pair[0]}:{pair[1]}"), None)
-
-
-def _one(value) -> tuple:
-    return () if value is None else (value,)
-
-
-class _Field(NamedTuple):
-    attr: str
-    predicate: str
-    codec: _Codec = _IRI
-    build: Callable = tuple  # the values read, in term order -> the attribute
-    values: Callable = iter  # the attribute -> the values written, one fact each
-    cls: Optional[str] = None  # class asserted on each value written
-
-
-def _single(attr: str, predicate: str, codec: _Codec = _IRI, default=None) -> _Field:
-    """A field of at most one value; of several stored, the first in term order."""
-    return _Field(attr, predicate, codec, lambda values: values[0] if values else default, _one)
-
-
-# HumanCapability's leveled maps: attribute -> (term predicate, level
-# predicate, the level of a term stored without one).
-_LEVELED = {
-    "skills": ("hasHumanSkill", "hasSkillLevel", SKILL_SCALE[0]),
-    "abilities": ("hasAbility", "hasAbilityLevel", 1),
-    "performance_factors": ("hasPerformanceFactor", "hasPerformanceLevel", 1),
-}
-_SKILL_LINK, _SKILL_LEVEL = map(iri, _LEVELED["skills"][:2])
-_HUMAN = (
-    _Field("knowledge", "hasHumanKnowledge"),
-    _single("education", "hasEducation"),
-    _Field("preferences", "hasPreferenceValue", _PREFERENCE, values=dict.items),
-)
-_LEARNED = _Field("learned_knowledge", "hasLearnedKnowledge", cls="Knowledge")
-_MACHINE = (_Field("programmed_skills", "hasProgrammedSkill"), _LEARNED)
-_SPECIFICATION = (
-    _Field("hardware", "hasHardware", cls="Hardware"),
-    _Field("software", "hasSoftware", cls="Software"),
-)
-_CONTEXT = _Field("contexts", "hasContext", cls="Context")  # on the capability's owner
-_PROFILE = (
-    _Field("degree_of_parallelism", "degreeOfParallelism", _INTEGER,
-           build=lambda values: values[-1] if values else 1, values=_one),
-    _Field("inputs", "hasInput", _PARAMETER),
-    _Field("outputs", "hasOutput", _PARAMETER),
-    _Field("preconditions", "hasPrecondition", _text(render_pattern, parse_flat_pattern)),
-    _Field("effects_add", "hasEffect", _effect("ADD")),
-    _Field("effects_remove", "hasEffect", _effect("DEL")),
-    _Field("limitations", "hasLimitation", _text(lambda limitation: limitation.render(), parse_flat_limitation)),
-)
-_PROPERTY = (
-    _Field("contexts", "includeContext", cls="Context"),
-    _single("capability_ref", "includeCapability"),
-)
-_REPUTATION = _single("reputation", "reputationValue", _DECIMAL, Decimal("0"))
-_QOS = (
-    _REPUTATION,
-    _single("cost", "costValue", _DECIMAL, Decimal("0")),
-    _single("response_time", "responseTimeValue", _DECIMAL, Decimal("0")),
-)
-
 _PRESENTS = iri("presents")
 
 
@@ -592,6 +596,8 @@ def _add(kb: KnowledgeBase, node: Iri, field: _Field, values) -> None:
     for value in values:
         if field.cls is not None:
             kb.add_type(value, iri(field.cls))
+        if field.link is not None:
+            kb.add_statement(node, iri(field.link), value[0])
         kb.add_statement(node, iri(field.predicate), field.codec.encode(value))
 
 
@@ -626,11 +632,7 @@ def _project_owner(kb: KnowledgeBase, owner: Iri, owner_class: str, node_class: 
     return node
 
 
-def _write_level(kb: KnowledgeBase, person: Iri, attr: str, term: Iri, level: int) -> None:
-    node = capability_node(person)
-    link, level_predicate, _ = _LEVELED[attr]
-    kb.add_statement(node, iri(link), term)
-    kb.add_statement(node, iri(level_predicate), _LEVEL.encode((term, level)))
+_SKILL_LINK, _SKILL_LEVEL = iri(_SKILLS.link), iri(_SKILLS.predicate)
 
 
 def _skill_levels(kb: KnowledgeBase, node: Iri, skill: Iri) -> dict:
@@ -648,7 +650,7 @@ def skill_level(kb: KnowledgeBase, person: Iri, skill: Iri) -> Optional[int]:
         return None
     if Statement(node, _SKILL_LINK, skill) not in kb.statements:
         return 0
-    return max(_skill_levels(kb, node, skill).values(), default=_LEVELED["skills"][2])
+    return max(_skill_levels(kb, node, skill).values(), default=SKILL_SCALE[0])  # a level-less skill: the lowest
 
 
 def set_skill(kb: KnowledgeBase, person: Iri, skill: Iri, scale: int) -> None:
@@ -657,16 +659,13 @@ def set_skill(kb: KnowledgeBase, person: Iri, skill: Iri, scale: int) -> None:
     node = capability_node(person)
     for text in _skill_levels(kb, node, skill):
         kb.remove_statement(node, _SKILL_LEVEL, text)
-    _write_level(kb, person, "skills", skill, scale)
+    _add(kb, node, _SKILLS, ((skill, scale),))
 
 
 def project_human(kb: KnowledgeBase, person: Iri, cap: HumanCapability, contexts=()) -> Iri:
     validate_human_capability(cap)
     ensure_plumbing(kb)
     node = _project_owner(kb, person, "PhysicalThing", "HumanCapability", contexts)
-    for attr in _LEVELED:
-        for term, level in getattr(cap, attr).items():
-            _write_level(kb, person, attr, term, level)
     _write(kb, node, cap, _HUMAN)
     return node
 

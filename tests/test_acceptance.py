@@ -14,11 +14,12 @@ from query_oracle import query_equivalent, run_randomized_comparison
 from test_query import DISCOVERY_QUERY
 from test_simulator import raters
 
+import soa_hitlcps
 from soa_hitlcps.allocation import Assignee, Category, CategoryWeights, TaskSpec, loa, loa_weighted
 from soa_hitlcps.broker import ServiceBroker, compile_request
-from soa_hitlcps.datafiles import base_kb_text, cq_entries, fixture_text, scenario_dir
-from soa_hitlcps.kb import Iri, Pattern, iri, parse_document, serialize
-from soa_hitlcps.metrics import crr, run_cq
+from soa_hitlcps.datafiles import base_kb_text
+from soa_hitlcps.kb import Iri, Pattern, iri, parse_document, read_document, serialize
+from soa_hitlcps.metrics import crr, load_cq_dir, run_cq
 from soa_hitlcps.query import parse_query
 from soa_hitlcps.reasoner import (
     axiom_inference_check,
@@ -28,6 +29,8 @@ from soa_hitlcps.reasoner import (
 )
 from soa_hitlcps.schema import base_ontology
 from soa_hitlcps.simulator import load_scenario, run_scenario
+
+DATA = Path(soa_hitlcps.__file__).resolve().parent / "data"
 
 
 @contextmanager
@@ -43,7 +46,7 @@ def criterion(number, capsys):
 
 
 def _load(name):
-    directory = Path(scenario_dir())
+    directory = DATA / "scenarios"
     return load_scenario((directory / name).read_text(encoding="utf-8"), directory)
 
 
@@ -56,7 +59,7 @@ def test_c1_structure_ratio_on_three_knowledge_bases(capsys):
             ("pe.kb", 10, 9, "1.11"),
         )
         for name, classes, relations, value in expectations:
-            result = crr(parse_document(fixture_text(name)))
+            result = crr(parse_document(read_document(DATA / name)))
             assert (result.classes, result.relations) == (classes, relations), name
             assert str(result.value) == value, name
         assert time.perf_counter() - started < 1.0
@@ -140,7 +143,7 @@ def test_c4_class_axioms_infer_without_direct_typing(capsys):
 
 def test_c5_competency_question_matrix(capsys):
     with criterion(5, capsys):
-        questions = cq_entries()
+        questions = load_cq_dir(DATA / "cq")
         assert [name for name, _ in questions] == [f"cq{i}" for i in range(1, 9)]
 
         world = _load("scenario2_chat.scn").registry.kb
@@ -149,8 +152,8 @@ def test_c5_competency_question_matrix(capsys):
             assert verdict.status == "instant", verdict.line()
             assert len(verdict.rows) >= 1, verdict.line()
 
-        hscd = parse_document(fixture_text("hscd.kb"))
-        pe = parse_document(fixture_text("pe.kb"))
+        hscd = parse_document(read_document(DATA / "hscd.kb"))
+        pe = parse_document(read_document(DATA / "pe.kb"))
         hscd_instant = {"cq1", "cq4", "cq7", "cq8"}
         pe_instant = {"cq2", "cq4", "cq7", "cq8"}
         for name, text in questions:

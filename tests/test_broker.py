@@ -468,6 +468,23 @@ def test_a_reload_books_what_the_live_registry_books():
         assert each.kb.match(Pattern(iri("Adam"), iri("bookedRoom"), Var("room"))) == [{"room": iri("roomA")}]
 
 
+def test_a_reload_names_the_same_wrong_input_as_the_live_registry():
+    # The live record keeps the .srv line order and the reload the graph's
+    # term order; with both inputs of the wrong type, each names the input
+    # that comes first by (name, type).
+    registry = ServiceRegistry()
+    registry.register_human(iri("Nia"), parse_human_capability("")[0])
+    registry.register_human(iri("Adam"), parse_human_capability("")[0])
+    registry.publish_service(*parse_service_profile(
+        "SERVICE relay\nPROVIDER Nia\nKIND processing\nINPUT zeta PhysicalThing\nINPUT alpha Human\n"))
+    reloaded = ServiceRegistry.from_kb(parse_document(serialize(registry.kb)))
+    assert [p.name for p in registry.services[iri("relay")].profile.inputs] == ["zeta", "alpha"]
+    assert [p.name for p in reloaded.services[iri("relay")].profile.inputs] == ["alpha", "zeta"]
+    for each in (registry, reloaded):
+        with pytest.raises(InputSignatureMismatchError, match="^input alpha is not a Human$"):
+            ServiceBroker(each).invoke(iri("relay"), iri("Adam"), {"zeta": iri("siteQ"), "alpha": iri("siteQ")})
+
+
 def test_republishing_after_a_reload_compares_the_profile_the_graph_stores():
     # The reload reads the preconditions back in term order; publishing the
     # same file again must still find it the same profile.

@@ -3,12 +3,15 @@ from pathlib import Path
 
 import pytest
 
+import soa_hitlcps
 from soa_hitlcps.cli import build_parser, main
-from soa_hitlcps.datafiles import base_kb_text, scenario_dir
+from soa_hitlcps.datafiles import base_kb_text
 from soa_hitlcps.kb import MAX_CLASS_EXPR_DEPTH, serialize
 from soa_hitlcps.simulator import load_scenario
 
-BASE_KB = Path(scenario_dir()).parent / "base.kb"
+DATA = Path(soa_hitlcps.__file__).resolve().parent / "data"
+SCENARIOS = DATA / "scenarios"
+BASE_KB = DATA / "base.kb"
 
 VIOLATION_KB = (
     "CLASS Human\nCLASS Machine\nDISJOINT Human Machine\n"
@@ -18,7 +21,7 @@ VIOLATION_KB = (
 
 @pytest.fixture(scope="module")
 def world_kb(tmp_path_factory):
-    directory = Path(scenario_dir())
+    directory = SCENARIOS
     scenario = load_scenario(
         (directory / "scenario2_chat.scn").read_text(encoding="utf-8"), directory
     )
@@ -162,7 +165,7 @@ def test_metrics_sections_on_base(capsys):
 
 
 def test_metrics_with_cq_dir(world_kb, capsys):
-    cq_dir = Path(scenario_dir()).parent / "cq"
+    cq_dir = DATA / "cq"
     assert main(["metrics", str(world_kb), "--cq-dir", str(cq_dir)]) == 0
     out = capsys.readouterr().out
     assert "cq5 instant rows=1" in out
@@ -258,14 +261,14 @@ def test_discover_on_an_empty_limitation_literal_is_a_parse_error(world_kb, tmp_
 
 
 def test_simulate_green_scenario(capsys):
-    scn = Path(scenario_dir()) / "scenario1_ecg.scn"
+    scn = SCENARIOS / "scenario1_ecg.scn"
     assert main(["simulate", str(scn)]) == 0
     out = capsys.readouterr().out
     assert "EXPECT COUNT discover 1: ok" in out
 
 
 def test_simulate_trace_rows_have_five_columns(capsys):
-    scn = Path(scenario_dir()) / "scenario2_chat.scn"
+    scn = SCENARIOS / "scenario2_chat.scn"
     assert main(["--quiet", "simulate", str(scn), "--trace"]) == 0
     out = capsys.readouterr().out
     rows = [line.split("\t") for line in out.rstrip("\n").split("\n")]
@@ -353,7 +356,7 @@ def test_simulate_profile_number_outside_the_kb_forms_is_a_parse_error_at_its_li
 ])
 def test_simulate_a_bad_rule_or_qos_word_fails_the_load_at_its_line(tmp_path, capsys, name, old, new, line):
     # Each was once loaded, then failed mid-run at line 1 or was silently ignored.
-    for path in Path(scenario_dir()).iterdir():
+    for path in SCENARIOS.iterdir():
         (tmp_path / path.name).write_bytes(path.read_bytes())
     text = (tmp_path / name).read_text(encoding="utf-8")
     assert text.count(old) == 1
@@ -433,7 +436,7 @@ def test_loa_plain_and_weighted(tmp_path, capsys):
 
 
 def test_loa_ships_a_worked_example(capsys):
-    tasks = Path(scenario_dir()) / "ward.tasks"
+    tasks = SCENARIOS / "ward.tasks"
     assert main(["loa", str(tasks)]) == 0
     assert "loa 0.6000" in capsys.readouterr().out
 
@@ -460,7 +463,7 @@ def test_loa_non_finite_category_weight_is_domain_error(tmp_path, capsys):
 
 
 def test_loa_rejected_category_weights_print_nothing(capsys):
-    tasks = Path(scenario_dir()) / "ward.tasks"
+    tasks = SCENARIOS / "ward.tasks"
     assert main(["loa", str(tasks), "--category-weights", "2,1,1,1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""

@@ -27,10 +27,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import soa_hitlcps
 from soa_hitlcps.allocation import parse_task_file
 from soa_hitlcps.broker import ServiceBroker, parse_discovery_request
 from soa_hitlcps.cli import main
-from soa_hitlcps.datafiles import scenario_dir
 from soa_hitlcps.errors import EmptyCriteriaError, ParseError, SoaHitlcpsError
 from soa_hitlcps import kb as kb_module
 from soa_hitlcps.kb import iri, line_words, parse_document, read_document, serialize
@@ -50,7 +50,7 @@ FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                 suppress_health_check=[HealthCheck.too_slow])
 SLOW = settings(FUZZ, max_examples=25)  # each example loads and runs a scenario
 
-SCENARIOS = Path(scenario_dir())
+SCENARIOS = Path(soa_hitlcps.__file__).resolve().parent / "data" / "scenarios"
 DATA = SCENARIOS.parent
 
 NAMES = (

@@ -20,13 +20,13 @@ from pathlib import Path
 
 import pytest
 
+import soa_hitlcps
 from soa_hitlcps.cli import main
-from soa_hitlcps.datafiles import scenario_dir
 from soa_hitlcps.kb import serialize
 from soa_hitlcps.simulator import load_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
-SCENARIOS = Path(scenario_dir())
+SCENARIOS = Path(soa_hitlcps.__file__).resolve().parent / "data" / "scenarios"
 DATA = SCENARIOS.parent
 KB_FILES = ("base", "hscd", "pe")
 SCENARIO_FILES = ("scenario1_ecg", "scenario2_chat")

@@ -1,12 +1,14 @@
 """Structural ratio, competency questions, and the aggregated report."""
 
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import soa_hitlcps
 from soa_hitlcps import datafiles
 from soa_hitlcps.errors import UnknownPrefixError, ZeroRelationsError
-from soa_hitlcps.kb import KnowledgeBase, iri, parse_document, serialize
+from soa_hitlcps.kb import KnowledgeBase, iri, parse_document, read_document, serialize
 from soa_hitlcps.metrics import (
     CqVerdict,
     CrrResult,
@@ -19,6 +21,8 @@ from soa_hitlcps.metrics import (
 )
 from soa_hitlcps.registry import ServiceRegistry
 from soa_hitlcps.schema import base_ontology, parse_human_capability, parse_machine_capability, parse_service_profile
+
+DATA = Path(soa_hitlcps.__file__).resolve().parent / "data"
 
 DAVID_CAP = """\
 SKILL Complex_Problem_Solving 6
@@ -53,7 +57,7 @@ def build_world():
 
 @pytest.fixture(scope="module")
 def cq_files():
-    return datafiles.cq_entries()
+    return load_cq_dir(DATA / "cq")
 
 
 # -- class-to-relation ratio -----------------------------------------------------
@@ -66,9 +70,9 @@ def test_crr_base_ontology():
 
 
 def test_crr_fixture_ontologies():
-    hscd = parse_document(datafiles.fixture_text("hscd.kb"))
+    hscd = parse_document(read_document(DATA / "hscd.kb"))
     assert crr(hscd) == CrrResult(17, 16, Decimal("1.06"))
-    pe = parse_document(datafiles.fixture_text("pe.kb"))
+    pe = parse_document(read_document(DATA / "pe.kb"))
     assert crr(pe) == CrrResult(10, 9, Decimal("1.11"))
 
 
@@ -106,7 +110,7 @@ def test_all_questions_instant_on_populated_base(cq_files):
 
 
 def test_verdicts_on_directory_fixture(cq_files):
-    hscd = parse_document(datafiles.fixture_text("hscd.kb"))
+    hscd = parse_document(read_document(DATA / "hscd.kb"))
     verdicts = {name: run_cq(hscd, name, text) for name, text in cq_files}
     assert verdicts["cq1"].status == INSTANT          # Human exists, zero rows is fine
     assert verdicts["cq1"].rows == ()
@@ -123,7 +127,7 @@ def test_verdicts_on_directory_fixture(cq_files):
 
 
 def test_verdicts_on_flat_fixture(cq_files):
-    pe = parse_document(datafiles.fixture_text("pe.kb"))
+    pe = parse_document(read_document(DATA / "pe.kb"))
     verdicts = {name: run_cq(pe, name, text) for name, text in cq_files}
     assert verdicts["cq1"].status == REQUIRES_EVOLUTION
     assert verdicts["cq1"].missing == (iri("Human"),)
@@ -144,14 +148,14 @@ def test_instant_questions_see_inferred_types():
 
 
 def test_unknown_individuals_are_not_vocabulary():
-    hscd = parse_document(datafiles.fixture_text("hscd.kb"))
+    hscd = parse_document(read_document(DATA / "hscd.kb"))
     verdict = run_cq(hscd, "q", "SELECT ?x WHERE { ?x a Human FILTER (?x=MrNobody) }")
     assert verdict.status == INSTANT
     assert verdict.rows == ()
 
 
 def test_only_vocabulary_names_have_their_prefix_checked_before_evolution_is_read():
-    hscd = parse_document(datafiles.fixture_text("hscd.kb"))
+    hscd = parse_document(read_document(DATA / "hscd.kb"))
     # a subject names an individual: its prefix is not checked, so the missing class still shows
     verdict = run_cq(hscd, "q", "SELECT ?y WHERE { zz:someone performs ?y . ?y a Unicorn }")
     assert (verdict.status, verdict.missing) == (REQUIRES_EVOLUTION, (iri("Unicorn"),))
@@ -190,7 +194,7 @@ def test_eval_report_sections(cq_files):
     text = report.to_text()
     assert text.startswith("[accuracy]\nPASS Human\nPASS HumanService\n[completeness]\n")
     assert "[clarity]\nCRR 46 55 0.84\n[consistency]\nclean" in text
-    assert ("clarity", "CRR 46 55 0.84") in report.to_kv()
+    assert ("clarity", "CRR 46 55 0.84") in [(name, line) for name, body in report.sections() for line in body]
 
 
 def test_eval_report_on_populated_world(cq_files):

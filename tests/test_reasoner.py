@@ -15,6 +15,7 @@ from soa_hitlcps.kb import (
     SomeValues,
     TYPE_PRED,
     Var,
+    ancestors,
     iri,
     parse_document,
 )
@@ -466,8 +467,8 @@ def _random_unsatisfiability_kb(rng: random.Random) -> KnowledgeBase:
     for _ in range(rng.randint(1, 4)):
         # the named parts are a class and some of its ancestors, so that a conjunction can fire
         anchor = rng.choice(classes)
-        ancestors = sorted(kb.superclasses(anchor))
-        named = [NamedClass(c) for c in (anchor, *rng.sample(ancestors, min(len(ancestors), 2)))]
+        above = sorted(ancestors(kb.subclass_links).get(anchor, set()))
+        named = [NamedClass(c) for c in (anchor, *rng.sample(above, min(len(above), 2)))]
         body = rng.choice((named[0], Conjunction(tuple(named)) if len(named) > 1 else named[0],
                            Conjunction((Conjunction(tuple(named[:2])), named[-1])),
                            SomeValues(prop, rng.choice(classes)),

@@ -8,8 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sim_oracle
+import soa_hitlcps
 from soa_hitlcps import simulator
-from soa_hitlcps.datafiles import scenario_dir
 from soa_hitlcps.errors import ParseError, UnknownNodeError, UnknownPrefixError, UnknownServiceError
 from soa_hitlcps.kb import Iri, Pattern, Var, iri
 from soa_hitlcps.query import join
@@ -27,9 +27,11 @@ from soa_hitlcps.simulator import (
     run_scenario,
 )
 
+SCENARIOS = Path(soa_hitlcps.__file__).resolve().parent / "data" / "scenarios"
+
 
 def _load(name):
-    directory = Path(scenario_dir())
+    directory = SCENARIOS
     return load_scenario((directory / name).read_text(encoding="utf-8"), directory)
 
 
@@ -273,7 +275,7 @@ def test_traces_are_byte_identical_across_runs(name):
 
 
 def test_load_and_run_helper_matches_manual_flow():
-    directory = Path(scenario_dir())
+    directory = SCENARIOS
     via_helper = load_and_run(directory / "scenario1_ecg.scn")
     manual = run_scenario(_load("scenario1_ecg.scn"))
     assert via_helper.trace.to_tsv() == manual.trace.to_tsv()
@@ -437,9 +439,9 @@ def test_names_only_looked_up_keep_any_prefix(tmp_path):
 
 def _ecg_with(old, new):
     """The bundled monitoring scenario with one word of its rules replaced."""
-    text = (Path(scenario_dir()) / "scenario1_ecg.scn").read_text(encoding="utf-8")
+    text = (SCENARIOS / "scenario1_ecg.scn").read_text(encoding="utf-8")
     assert old in text
-    return load_scenario(text.replace(old, new), scenario_dir())
+    return load_scenario(text.replace(old, new), SCENARIOS)
 
 
 def test_a_discover_rule_uses_every_criterion_it_gives():
@@ -486,7 +488,7 @@ def test_tick_visits_only_nodes_with_mail(monkeypatch):
 
 
 def test_the_node_order_comes_from_the_names_not_the_file():
-    directory = Path(scenario_dir())
+    directory = SCENARIOS
     text = (directory / "scenario2_chat.scn").read_text(encoding="utf-8")
     lines = text.splitlines(keepends=True)
     nodes = [line for line in lines if line.startswith("NODE ")]
@@ -506,7 +508,7 @@ def _fast_and_naive(text, directory):
 
 @pytest.mark.parametrize("name", ["scenario1_ecg.scn", "scenario2_chat.scn"])
 def test_the_loop_runs_a_bundled_scenario_as_the_naive_loop_does(name):
-    directory = Path(scenario_dir())
+    directory = SCENARIOS
     fast, naive = _fast_and_naive((directory / name).read_text(encoding="utf-8"), directory)
     assert fast == naive
     assert any(sessions for _, _, held in fast for _, sessions in held)
@@ -551,5 +553,5 @@ def test_the_loop_runs_a_drawn_scenario_as_the_naive_loop_does(nodes, rules, eve
         node = "Cathy" if action == "acquire-knowledge" else node
         lines.append(f"RULE {node} WHEN {','.join(conditions)} THEN {action}")
     lines += ["AT 0 REQUEST Adam chatbotService"] + [f"AT {time} {' '.join(event)}" for time, event in events]
-    fast, naive = _fast_and_naive("\n".join(lines) + "\n", scenario_dir())
+    fast, naive = _fast_and_naive("\n".join(lines) + "\n", SCENARIOS)
     assert fast == naive
