@@ -8,6 +8,7 @@ from soa_hitlcps.datafiles import base_kb_text
 from soa_hitlcps.errors import InvalidProfileError, ParseError, UnknownPrefixError, UnknownTaxonomyTermError
 from soa_hitlcps.kb import (
     Iri,
+    Literal,
     Pattern,
     TYPE_PRED,
     Var,
@@ -20,6 +21,7 @@ from soa_hitlcps.reasoner import check_consistency, check_ontoclean, materialize
 from soa_hitlcps.registry import ServiceRegistry
 from soa_hitlcps.schema import (
     SERVICE_KINDS,
+    Condition,
     HumanCapability,
     LocationAt,
     MaxDistance,
@@ -39,6 +41,7 @@ from soa_hitlcps.schema import (
     project_human,
     project_machine,
     project_profile,
+    read_profile,
     render_pattern,
     retract_presentation,
     validate_profile,
@@ -407,6 +410,75 @@ def test_parse_flat_limitation_rejects_bad_input():
         parse_flat_limitation("max_distance -5 siteA")
     with pytest.raises(ParseError):
         parse_flat_limitation("teleport siteA")
+
+
+# -- the limitation reader's contract: the value of each kind, each error's text ----
+
+LIMITATION_EXPECTED = "time_window/max_distance/location/condition"
+
+
+@pytest.mark.parametrize("text, value", [
+    ("time_window 0 100", TimeWindow(0, 100)),
+    ("time_window 5 5", TimeWindow(5, 5)),
+    ("time_window -3 2", TimeWindow(-3, 2)),
+    ("max_distance 40 siteA", MaxDistance(Decimal("40"), iri("siteA"))),
+    ("max_distance 2.50 soa-hitlcps:siteA", MaxDistance(Decimal("2.50"), iri("siteA"))),
+    ("location siteA", LocationAt(iri("siteA"))),
+    ("condition ?x a Human", Condition(Pattern(Var("x"), TYPE_PRED, iri("Human")))),
+    ('condition ?x hasNote "a b"', Condition(Pattern(Var("x"), iri("hasNote"), string("a b")))),
+    ("condition  ?x   a   1.5", Condition(Pattern(Var("x"), TYPE_PRED, Literal("decimal", Decimal("1.5"))))),
+])
+def test_each_limitation_kind_reads_its_value(text, value):
+    assert parse_flat_limitation(text) == value
+    assert type(parse_flat_limitation(text)) is type(value)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # a wrong word count or an unknown kind
+    ("", LIMITATION_EXPECTED), ("time_window", LIMITATION_EXPECTED), ("time_window 0", LIMITATION_EXPECTED),
+    ("time_window 0 1 2", LIMITATION_EXPECTED), ("max_distance 40", LIMITATION_EXPECTED),
+    ("max_distance 40 siteA siteB", LIMITATION_EXPECTED), ("location", LIMITATION_EXPECTED),
+    ("location siteA siteB", LIMITATION_EXPECTED), ("condition", LIMITATION_EXPECTED),
+    ("condition ?x a", LIMITATION_EXPECTED), ("teleport siteA", LIMITATION_EXPECTED),
+    ("TIME_WINDOW 0 1", LIMITATION_EXPECTED),
+    # a bad word
+    ("time_window a 1", "an integer"), ("time_window 0 1.5", "an integer"), ("time_window 0 +1", "an integer"),
+    ("max_distance far siteA", "a decimal"), ("max_distance 1e2 siteA", "a decimal"),
+    ("max_distance 40 si/teA", "a name"), ("location si/te", "a name"),
+    ("condition ?x a Human extra", "a three-term pattern"),
+    ('condition ?x hasNote "abc', "a string literal closed by a quote"),
+    # a value out of range
+    ("time_window 100 0", "an ordered time window"), ("max_distance 0 siteA", "a positive distance"),
+    ("max_distance -5 siteA", "a positive distance"), ("max_distance -0.5 siteA", "a positive distance"),
+])
+def test_each_limitation_error_names_what_was_expected(text, expected):
+    assert _parse_error(lambda line: parse_flat_limitation(line, 7), text) == f"line 7, column 1: expected {expected}"
+
+
+@pytest.mark.parametrize("text", ["max_distance 40 zz:site", "location zz:site", "condition ?x zz:p y"])
+def test_a_limitation_name_takes_the_built_in_prefix_only(text):
+    with pytest.raises(UnknownPrefixError) as err:
+        parse_flat_limitation(text)
+    assert str(err.value) == "unknown prefix: 'zz'"
+
+
+def test_a_limitation_line_reports_its_error_at_its_line():
+    assert _parse_error(parse_service_profile, "SERVICE s\nKIND sensing\nLIMITATION time_window 9 1\n") == \
+        "line 3, column 1: expected an ordered time window"
+    assert _parse_error(parse_service_profile, "SERVICE s\nKIND sensing\nLIMITATION teleport s\n") == \
+        f"line 3, column 1: expected {LIMITATION_EXPECTED}"
+
+
+def test_each_limitation_kind_is_stored_as_its_line_and_read_back():
+    profile, _ = parse_service_profile(
+        "SERVICE s\nKIND sensing\nLIMITATION time_window -3 100\nLIMITATION max_distance 2.50 soa-hitlcps:siteA\n"
+        'LIMITATION location siteA\nLIMITATION condition  ?x hasNote "a  b"\nLIMITATION condition ?x a Human\n')
+    kb = base_ontology()
+    project_profile(kb, profile, iri("David"))
+    stored = sorted(s.object.value for s in kb.statements if s.predicate == iri("hasLimitation"))
+    assert stored == ["condition ?x a Human", 'condition ?x hasNote "a  b"', "location siteA",
+                      "max_distance 2.50 siteA", "time_window -3 100"]
+    assert set(read_profile(kb, iri("s"))[0].limitations) == set(profile.limitations)
 
 
 # -- service profile files -----------------------------------------------------

@@ -417,6 +417,109 @@ def test_a_name_or_number_outside_the_kb_rule_fails_the_load(tmp_path, line, err
         assert err.value.line == 4
 
 
+# -- the AT and EXPECT readers' contract: the value of each kind, each error's text ----
+
+NIA_DAVID_HEAD = "NODE Nia HUMAN n.cap\nNODE David HUMAN d.cap\nSERVICE p.srv\n"
+SCENARIO_EXPECTED = "NODE/SERVICE/RULE/AT/EXPECT"
+EXPECTATION_EXPECTED = "COUNT/CONTAINS/ORDER/NONE_AFTER"
+
+
+@pytest.mark.parametrize("line, event", [
+    ("AT 3 REQUEST Nia consult", SimEvent(3, "request", (("requester", iri("Nia")), ("service", iri("consult"))))),
+    ("AT 1 REQUEST Nia zz:consult",
+     SimEvent(1, "request", (("requester", iri("Nia")), ("service", Iri("zz", "consult"))))),
+    ("AT 2 MESSAGE Nia David q1 upset Head", SimEvent(2, "message", (
+        ("sender", iri("Nia")), ("recipient", iri("David")), ("id", "q1"), ("sentiment", "upset"),
+        ("topic", iri("Head"))))),
+    ("AT 2 MESSAGE Nia zz:David q1 upset Head", SimEvent(2, "message", (
+        ("sender", iri("Nia")), ("recipient", Iri("zz", "David")), ("id", "q1"), ("sentiment", "upset"),
+        ("topic", iri("Head"))))),
+    ("AT 1 SIGNAL Nia ping", SimEvent(1, "signal", (("node", iri("Nia")), ("signal", "ping")))),
+    ("AT 1 SIGNAL zz:Nia ping", SimEvent(1, "signal", (("node", Iri("zz", "Nia")), ("signal", "ping")))),
+    ("AT -9 TICK", SimEvent(-9, "tick", ())),
+])
+def test_each_event_kind_reads_its_payload(tmp_path, line, event):
+    _write(tmp_path, NIA_DAVID)
+    assert load_scenario(NIA_DAVID_HEAD + line + "\n", tmp_path).events == [event]
+
+
+@pytest.mark.parametrize("line, expectation", [
+    ("EXPECT COUNT answer 2", ("COUNT", ("answer", 2))),
+    ("EXPECT CONTAINS 3 Nia execute answer", ("CONTAINS", (3, "Nia", "execute", "answer"))),
+    ("EXPECT ORDER discover invoke", ("ORDER", ("discover", "invoke"))),
+    ("EXPECT NONE_AFTER -5 answer", ("NONE_AFTER", (-5, "answer"))),
+])
+def test_each_expectation_kind_reads_its_arguments(tmp_path, line, expectation):
+    _write(tmp_path, NIA_DAVID)
+    [read] = load_scenario(NIA_DAVID_HEAD + line + "\n", tmp_path).expectations
+    assert (read.kind, read.args) == expectation
+
+
+@pytest.mark.parametrize("line, expected", [
+    # a wrong word count
+    ("AT 1 REQUEST Nia", "a well-formed REQUEST event"),
+    ("AT 1 REQUEST Nia consult x", "a well-formed REQUEST event"),
+    ("AT 1 MESSAGE Nia David q1 upset", "a well-formed MESSAGE event"),
+    ("AT 1 MESSAGE Nia David q1 upset Head x", "a well-formed MESSAGE event"),
+    ("AT 1 SIGNAL Nia", "a well-formed SIGNAL event"),
+    ("AT 1 TICK now", "a well-formed TICK event"),
+    ("AT 1", SCENARIO_EXPECTED), ("EXPECT COUNT", SCENARIO_EXPECTED),
+    ("EXPECT COUNT answer", EXPECTATION_EXPECTED), ("EXPECT COUNT answer 1 2", EXPECTATION_EXPECTED),
+    ("EXPECT CONTAINS 3 Nia execute", EXPECTATION_EXPECTED), ("EXPECT ORDER discover", EXPECTATION_EXPECTED),
+    ("EXPECT NONE_AFTER 5", EXPECTATION_EXPECTED),
+    # an unknown kind
+    ("AT 1 PING Nia", SCENARIO_EXPECTED), ("AT 1 request Nia consult", SCENARIO_EXPECTED),
+    ("AT x PING", SCENARIO_EXPECTED),
+    ("EXPECT MAXIMUM answer 1", EXPECTATION_EXPECTED), ("EXPECT count answer 1", EXPECTATION_EXPECTED),
+    # a bad word
+    ("AT x TICK", "an integer"), ("AT 1.5 TICK", "an integer"),
+    ("AT 1 REQUEST Ni/a consult", "a name"), ("AT 1 REQUEST Nia con/sult", "a name"),
+    ("AT 1 MESSAGE Nia/x David q1 upset Head", "a name"), ("AT 1 MESSAGE Nia Da/vid q1 upset Head", "a name"),
+    ("AT 1 MESSAGE Nia David q1 upset He/ad", "a name"), ("AT 1 SIGNAL Ni/a ping", "a name"),
+    ("EXPECT COUNT answer x", "an integer"), ("EXPECT COUNT answer 1.0", "an integer"),
+    ("EXPECT CONTAINS t Nia execute answer", "an integer"), ("EXPECT NONE_AFTER -x answer", "an integer"),
+])
+def test_each_event_and_expectation_error_names_what_was_expected(tmp_path, line, expected):
+    _write(tmp_path, NIA_DAVID)
+    with pytest.raises(ParseError) as err:
+        load_scenario(NIA_DAVID_HEAD + line + "\n", tmp_path)
+    assert type(err.value) is ParseError
+    assert str(err.value) == f"line 4, column 1: expected {expected}"
+
+
+@pytest.mark.parametrize("line", ["AT 1 REQUEST zz:Nia consult", "AT 1 MESSAGE zz:Nia David q1 upset Head",
+                                  "AT 1 MESSAGE Nia David q1 upset zz:Head"])
+def test_an_event_name_written_into_the_graph_takes_the_built_in_prefix_only(tmp_path, line):
+    _write(tmp_path, NIA_DAVID)
+    with pytest.raises(UnknownPrefixError) as err:
+        load_scenario(NIA_DAVID_HEAD + line + "\n", tmp_path)
+    assert str(err.value) == "unknown prefix: 'zz'"
+
+
+def test_each_expectation_kind_checks_the_trace(tmp_path):
+    _write(tmp_path, NIA_DAVID)
+    scenario = load_scenario(
+        NIA_DAVID_HEAD + "RULE David WHEN event=request THEN invoke-requested\n"
+        "RULE Nia WHEN signal=done THEN complete-sessions\nAT 1 REQUEST Nia consult\nAT 2 SIGNAL Nia done\n"
+        "EXPECT COUNT complete 1\nEXPECT COUNT answer 1\n"
+        "EXPECT CONTAINS 1 David execute invoke-requested\nEXPECT CONTAINS 2 David execute complete\n"
+        "EXPECT ORDER invoke-requested complete\nEXPECT ORDER complete invoke-requested\nEXPECT ORDER answer complete\n"
+        "EXPECT NONE_AFTER 1 invoke-requested\nEXPECT NONE_AFTER 1 complete\n",
+        tmp_path,
+    )
+    assert [check.line() for check in run_scenario(scenario).checks] == [
+        "EXPECT COUNT complete 1: ok (count=1)",
+        "EXPECT COUNT answer 1: failed (count=0)",
+        "EXPECT CONTAINS 1 David execute invoke-requested: ok (present)",
+        "EXPECT CONTAINS 2 David execute complete: failed (absent)",
+        "EXPECT ORDER invoke-requested complete: ok (first=3 second=7)",
+        "EXPECT ORDER complete invoke-requested: failed (first=7 second=3)",
+        "EXPECT ORDER answer complete: failed (first=None second=7)",
+        "EXPECT NONE_AFTER 1 invoke-requested: ok (late=0)",
+        "EXPECT NONE_AFTER 1 complete: failed (late=1)",
+    ]
+
+
 @pytest.mark.parametrize("rating", ["0", "5", "2.5"])
 def test_a_rating_from_0_to_5_loads(tmp_path, rating):
     _write(tmp_path, NIA_DAVID)
