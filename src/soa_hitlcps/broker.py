@@ -5,14 +5,14 @@ materialized graph (built once, then kept current by replaying into it each
 graph edit made to the registry graph, re-deriving only the individuals
 whose inferred types an edit can change, and rebuilt on the next read after
 a declaration), which also matches the service kind.  The candidates a
-query returns are kept per request until an edit changes a predicate the
-query reads, so a request asked again between ratings is not joined again.
-On every call it post-filters the candidates on skill scale, IO signature,
-limitations, and QoS bounds, and ranks them with :func:`score`, a fixed
-weighted utility over reputation, cost, and response time.  Invocations move
-``pending -> running -> completed|failed``; a pending invocation can be
-``rejected`` with a reason (``at_capacity``, ``limitation``,
-``precondition``).  Effects apply atomically on completion.
+query returns are kept per request until an edit changes a predicate or a
+kind's class the query reads: a request asked again after a rating is not
+joined again.  On every call it post-filters the candidates on skill scale,
+IO signature, limitations, and QoS bounds, and ranks them with
+:func:`score`, a fixed weighted utility over reputation, cost, and response
+time.  Invocations move ``pending -> running -> completed|failed``; a
+pending invocation can be ``rejected`` with a reason (``at_capacity``,
+``limitation``, ``precondition``).  Effects apply atomically on completion.
 """
 
 from __future__ import annotations
@@ -208,9 +208,9 @@ class ServiceBroker:
     # built from can hold that journal.  Each read shares the one closure and
     # only ``refresh`` mutates it: do not hold it across a write.
     _cache: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    # request -> (the predicates its query reads, the services the query
-    # returned on the closure); an entry goes when ``refresh`` reports a
-    # change to one of its predicates, and all go when the closure is rebuilt
+    # request -> (what its query reads: each pattern's predicate, ``(TYPE_PRED,
+    # class)`` for its kind; the services it returned on the closure); an entry
+    # goes when ``refresh`` reports one changed, all when the closure is rebuilt
     _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _closure(self) -> KnowledgeBase:
@@ -220,9 +220,9 @@ class ServiceBroker:
         subjects of type edits and of facts whose predicate an axiom
         quantifies, with what reaches them through such facts: a rating
         re-derives just its new Experience node.  It then forgets the
-        candidates of every request whose query reads a predicate that
-        :func:`refresh` reports changed.  The closure is built from scratch,
-        and every request's candidates forgotten, on first use, for a new
+        candidates of every request whose query reads a predicate or a kind's
+        class that :func:`refresh` reports changed.  The closure is built from
+        scratch, and every request's candidates forgotten, on first use, for a new
         ``registry.kb``, when another follower took the journal over, and
         after a declaration, which disarms the journal.
         """
@@ -252,7 +252,7 @@ class ServiceBroker:
             if query is None:
                 return []
             table = evaluate(closed, query)
-            entry = ({pattern.predicate for pattern in query.patterns},
+            entry = ({(TYPE_PRED, p.object) if p.predicate == TYPE_PRED else p.predicate for p in query.patterns},
                      {row[0] for row in table.rows if isinstance(row[0], Iri)})
             if len(self._candidates) >= CANDIDATE_LIMIT:
                 self._candidates = {}
@@ -307,11 +307,9 @@ class ServiceBroker:
                 pattern = limitation.pattern
             elif consumer is None:
                 continue  # LocationAt/MaxDistance need a consumer position; checked at invoke
-            elif isinstance(limitation, LocationAt):
-                pattern = Pattern(consumer, iri("hasContext"), limitation.location)
-            else:
-                # MaxDistance, by co-location proxy: the consumer shares the anchor context
-                pattern = Pattern(consumer, iri("hasContext"), limitation.anchor)
+            else:  # a MaxDistance by co-location proxy: the consumer shares the anchor context
+                place = limitation.location if isinstance(limitation, LocationAt) else limitation.anchor
+                pattern = Pattern(consumer, iri("hasContext"), place)
             if not closed.match(pattern):
                 return False
         return True

@@ -400,6 +400,13 @@ class KnowledgeBase:
         self.class_decls.add(range_)
         self.journal = None
 
+    def close_subclass_links(self) -> dict:
+        """Link each class to every ancestor directly, which makes no cycle; returns :func:`ancestors` of the links."""
+        above = ancestors(self.subclass_links)
+        self.subclass_links.update((child, parent) for child in above for parent in above[child])
+        self._parents = self.journal = None
+        return above
+
     def add_disjoint(self, a: Iri, b: Iri) -> None:
         self.class_decls.add(a)
         self.class_decls.add(b)

@@ -25,9 +25,9 @@ it the graph edits journaled on the knowledge base since, each one statement
 (see ``kb``), then re-derives only the individuals whose inferred types
 those edits can change.  A type edit can; a fact edit can only when some
 axiom body quantifies over its predicate, so most edits re-derive nothing.
-It returns the predicates it changed, so that a follower can keep the
-answers of queries that read none of them.  A declaration disarms the
-journal, so its follower rebuilds instead.
+It returns the predicates and classes it changed, so that a follower can
+keep the answers of queries that read none of them.  A declaration disarms
+the journal, so its follower rebuilds instead.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .kb import (
     NamedClass,
     SomeValues,
     TYPE_PRED,
-    ancestors,
     subclass_parents,
     term_sort_key,
 )
@@ -132,9 +131,7 @@ def _apply_axioms(out: KnowledgeBase, above: dict, candidates, quantified: set) 
 def materialize(kb: KnowledgeBase) -> KnowledgeBase:
     """Return a copy of ``kb`` extended to the least inference fixpoint."""
     out = kb.copy()
-    # no rule adds a subclass link: close them once, before the loop
-    above = ancestors(out.subclass_links)
-    out.subclass_links.update((child, parent) for child in above for parent in above[child])
+    above = out.close_subclass_links()  # no rule adds a subclass link: close them once, before the loop
     for cls in above:
         for individual in _instances(out, cls):
             _add_with_ancestors(out, above, individual, cls)
@@ -151,10 +148,11 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> set:
     again.  They hold no declaration: one disarms the journal, and the
     closure must then be rebuilt.
 
-    Returns the predicates whose statements may have changed in ``closed``:
-    that of each edit, and ``TYPE_PRED`` when an edit marked individuals to
-    re-derive, since only their types are re-derived.  A query whose
-    patterns read none of them has the same answers as before.
+    Returns what may have changed in ``closed``: the predicate of each fact
+    edit, and ``(TYPE_PRED, class)`` for the class of each type edit and
+    each class a re-derived individual gained or lost.  A query whose
+    patterns read none of them (a type pattern reads its class's pair) has
+    the same answers as before.
 
     This is delete-and-re-derive (Gupta, Mumick & Subrahmanian, SIGMOD 1993)
     limited to what an edit can reach.  An individual's inferred types
@@ -173,12 +171,11 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> set:
             closed.add_statement(subject, predicate, obj)
         else:
             closed.remove_statement(subject, predicate, obj)
-        changed.add(predicate)
+        changed.add((TYPE_PRED, obj) if predicate == TYPE_PRED else predicate)
         if predicate == TYPE_PRED or predicate in quantified:
             touched.add(subject)
     if not touched:
         return changed
-    changed.add(TYPE_PRED)
     affected, frontier = set(touched), list(touched)
     while frontier:
         for stmt in closed.statements_to(frontier.pop()):
@@ -186,14 +183,16 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> set:
                 affected.add(stmt.subject)
                 frontier.append(stmt.subject)
     above = subclass_parents(closed.subclass_links)  # the closed links hold every ancestor directly
+    before = {}
     for individual in affected:
-        types = closed.types_of(individual)
+        types = before[individual] = closed.types_of(individual)
         keep = {c for t in types if (individual, t) in kb.type_assertions for c in (t, *above.get(t, ()))}
         for cls in types - keep:
             closed.remove_type(individual, cls)
         for cls in keep - types:
             closed.add_type(individual, cls)
     _apply_axioms(closed, above, [i for i in affected if closed.statements_about(i)], quantified)
+    changed.update((TYPE_PRED, cls) for i, types in before.items() for cls in types ^ closed.types_of(i))
     return changed
 
 

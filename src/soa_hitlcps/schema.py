@@ -159,33 +159,21 @@ class TimeWindow:
     start: int
     end: int
 
-    def render(self) -> str:
-        return f"time_window {self.start} {self.end}"
-
 
 @dataclass(frozen=True)
 class MaxDistance:
     meters: Decimal
     anchor: Iri
 
-    def render(self) -> str:
-        return f"max_distance {self.meters} {self.anchor}"
-
 
 @dataclass(frozen=True)
 class LocationAt:
     location: Iri
 
-    def render(self) -> str:
-        return f"location {self.location}"
-
 
 @dataclass(frozen=True)
 class Condition:
     pattern: Pattern
-
-    def render(self) -> str:
-        return f"condition {render_pattern(self.pattern)}"
 
 
 Limitation = Union[TimeWindow, MaxDistance, LocationAt, Condition]
@@ -294,26 +282,6 @@ def parse_flat_pattern(text: str, lineno: int = 1) -> Pattern:
     return Pattern(*(_parse_flat_term(w, lineno) for w in words))
 
 
-def parse_flat_limitation(text: str, lineno: int = 1) -> Limitation:
-    words = line_words(text)
-    kind = words[0] if words else None
-    if kind == "time_window" and len(words) == 3:
-        start, end = parse_integer(words[1], lineno), parse_integer(words[2], lineno)
-        if start > end:
-            raise ParseError(lineno, 1, "an ordered time window")
-        return TimeWindow(start, end)
-    if kind == "max_distance" and len(words) == 3:
-        meters = parse_decimal(words[1], lineno)
-        if meters <= 0:
-            raise ParseError(lineno, 1, "a positive distance")
-        return MaxDistance(meters, graph_name(words[2], lineno))
-    if kind == "location" and len(words) == 2:
-        return LocationAt(graph_name(words[1], lineno))
-    if kind == "condition" and len(words) >= 4:
-        return Condition(parse_flat_pattern(" ".join(words[1:]), lineno))
-    raise ParseError(lineno, 1, "time_window/max_distance/location/condition")
-
-
 def validate_profile(profile: ServiceProfile) -> None:
     if profile.kind not in SERVICE_KINDS:
         raise InvalidProfileError(f"service kind {profile.kind!r} is not one of " + "/".join(sorted(SERVICE_KINDS)))
@@ -352,6 +320,41 @@ def _words(count: int, read: Callable) -> Callable:
 def _joined(parse: Callable, fewest: int) -> Callable:
     """A line of at least ``fewest`` words, which ``parse`` reads as one text."""
     return lambda words, lineno: parse(" ".join(words), lineno) if len(words) >= fewest else None
+
+
+def _each(*readers) -> Callable:
+    """A line of one word per reader, each read by its reader ``(word, lineno)``: the values in a tuple."""
+    return lambda words, lineno: (tuple(read(word, lineno) for read, word in zip(readers, words))
+                                  if len(words) == len(readers) else None)
+
+
+# record -> (its LIMITATION keyword, the reader of the words after it, the range of the values read or None,
+# the text expected out of that range); a condition reads the rest of the line as one pattern
+_LIMITATIONS = {
+    TimeWindow: ("time_window", _each(parse_integer, parse_integer), lambda start, end: start <= end,
+                 "an ordered time window"),
+    MaxDistance: ("max_distance", _each(parse_decimal, graph_name), lambda meters, anchor: meters > 0,
+                  "a positive distance"),
+    LocationAt: ("location", _each(graph_name), None, None),
+    Condition: ("condition", _joined(lambda text, lineno: (parse_flat_pattern(text, lineno),), 3), None, None),
+}
+
+
+def parse_flat_limitation(text: str, lineno: int = 1) -> Limitation:
+    keyword, *rest = line_words(text) or [None]
+    for record, (name, read, in_range, expected) in _LIMITATIONS.items():
+        values = read(rest, lineno) if keyword == name else None
+        if values is not None:
+            if in_range and not in_range(*values):
+                raise ParseError(lineno, 1, expected)
+            return record(*values)
+    raise ParseError(lineno, 1, "/".join(row[0] for row in _LIMITATIONS.values()))
+
+
+def _render_limitation(limitation: Limitation) -> str:
+    """The words :func:`parse_flat_limitation` reads ``limitation`` from."""
+    values = (render_pattern(v) if isinstance(v, Pattern) else str(v) for v in vars(limitation).values())
+    return " ".join((_LIMITATIONS[type(limitation)][0], *values))
 
 
 class _Codec(NamedTuple):
@@ -398,7 +401,7 @@ _PARAMETER = _text(lambda param: f"{param.name}:{param.type}", _parse_parameter,
 _PREFERENCE = _Codec(lambda pair: string_literal(f"{pair[0]}:{pair[1]}"), None,
                      _words(2, lambda dimension, value, lineno: (dimension, value)))
 _PATTERN = _text(render_pattern, parse_flat_pattern, _joined(parse_flat_pattern, 3))
-_LIMITATION = _text(lambda limitation: limitation.render(), parse_flat_limitation, _joined(parse_flat_limitation, 1))
+_LIMITATION = _text(_render_limitation, parse_flat_limitation, _joined(parse_flat_limitation, 1))
 
 
 def _one(value) -> tuple:
@@ -708,7 +711,7 @@ def project_profile(kb: KnowledgeBase, profile: ServiceProfile, provider: Iri) -
     service, type_class = profile.service_id, SERVICE_KINDS[profile.kind]
     profile_node, props_node, qos_node = profile_nodes(service)
     # the declarations are made on a scratch copy first, so one that conflicts raises before kb changes
-    for target in (KnowledgeBase(property_decls=dict(kb.property_decls)), kb):
+    for target in (KnowledgeBase(property_decls=dict(kb.property_decls)), kb) if profile.declarations else ():
         for declaration in profile.declarations:
             target.add_property(*declaration)
     kb.add_type(service, iri("Service"))

@@ -77,15 +77,7 @@ class SimEvent:
     @_kept
     def observation(self) -> str:
         """The monitor phase's trace detail, the same at every node that observes the event."""
-        get = self.get
-        if self.kind == "request":
-            return f"from={get('requester')} service={get('service')}"
-        if self.kind == "message":
-            return (f"from={get('sender')} to={get('recipient')} id={get('id')}"
-                    f" sentiment={get('sentiment')} topic={get('topic')}")
-        if self.kind == "signal":
-            return f"signal={get('signal')}"
-        return ""
+        return _EVENTS[self.kind.upper()][0].format_map(dict(self.payload))
 
 
 @dataclass(frozen=True)
@@ -180,9 +172,6 @@ class ScenarioResult:
 # --------------------------------------------------------------------------
 # Scenario file parsing
 
-_EVENT_KINDS = ("REQUEST", "MESSAGE", "SIGNAL", "TICK")
-
-
 def load_scenario(text: str, base_dir) -> Scenario:
     """Load a .scn document naming files in ``base_dir``.  Names the run writes into the graph
     (nodes; event requesters, senders and topics) take the built-in prefix only."""
@@ -212,7 +201,7 @@ def load_scenario(text: str, base_dir) -> Scenario:
             registry.publish_service(profile, provider)
         elif keyword == "RULE" and len(words) >= 5 and words[2] == "WHEN":
             pending_rules.append(_compile_rule(words, lineno))
-        elif keyword == "AT" and len(words) >= 3 and words[2] in _EVENT_KINDS:
+        elif keyword == "AT" and len(words) >= 3 and words[2] in _EVENTS:
             time = parse_integer(words[1], lineno)
             events.append(_parse_event(time, words[2], words[3:], lineno))
         elif keyword == "EXPECT" and len(words) >= 3:
@@ -227,6 +216,15 @@ def load_scenario(text: str, base_dir) -> Scenario:
     return Scenario(registry=registry, nodes=nodes, events=events, expectations=expectations)
 
 
+def _any_name(text: str, lineno: int) -> Iri:
+    """A name the run looks up and does not write into the graph: any prefix."""
+    return parse_name(text, None, lineno)
+
+
+def _word(text: str, lineno: int) -> str:
+    return text
+
+
 _YES_NO = ("yes", "no")
 # condition key -> the values it takes (None: any word)
 _CONDITIONS = {"event": ("request", "message", "signal"), "sentiment": None, "signal": None,
@@ -239,7 +237,7 @@ _ACTIONS = {"invoke-requested": ((), ()), "answer": ((), ()), "acquire-knowledge
 
 def _compile_rule(words, lineno: int) -> tuple:
     """``RULE <node> WHEN <conditions> THEN <action> [params]`` as (node, Rule), every value read here."""
-    node = parse_name(words[1], None, lineno)
+    node = _any_name(words[1], lineno)
     if "THEN" not in words or words.index("THEN") != 4 or len(words) < 6:
         raise ParseError(lineno, 1, "RULE <node> WHEN <conds> THEN <action> [params]")
     conditions = tuple(parse_pair(item, lineno) for item in words[3].split(","))
@@ -269,7 +267,7 @@ def _compile_rule(words, lineno: int) -> tuple:
     if given.get("invoke", "no") not in _YES_NO:
         raise ParseError(lineno, 1, "invoke=yes/no")
     inputs = tuple(_rule_input(item, lineno) for item in given["inputs"].split(",")) if "inputs" in given else ()
-    notify, service = (parse_name(given[k], None, lineno) if k in given else None for k in ("notify", "service"))
+    notify, service = (_any_name(given[k], lineno) if k in given else None for k in ("notify", "service"))
     rating = parse_decimal(given["rating"], lineno) if "rating" in given else None
     if rating is not None:
         try:
@@ -288,37 +286,60 @@ def _rule_input(text: str, lineno: int) -> tuple:
     return name, None if value == "@from" else graph_name(value, lineno)
 
 
+# AT kind -> (the monitor row's detail, (payload key, reader) of each word after it); the event's kind is
+# the keyword in lower case
+_EVENTS = {
+    "REQUEST": ("from={requester} service={service}", (("requester", graph_name), ("service", _any_name))),
+    "MESSAGE": ("from={sender} to={recipient} id={id} sentiment={sentiment} topic={topic}",
+                (("sender", graph_name), ("recipient", _any_name), ("id", _word), ("sentiment", _word),
+                 ("topic", graph_name))),
+    "SIGNAL": ("signal={signal}", (("node", _any_name), ("signal", _word))),
+    "TICK": ("", ()),
+}
+
+
 def _parse_event(time: int, kind: str, rest, lineno: int) -> SimEvent:
-    if kind == "REQUEST" and len(rest) == 2:
-        payload = (("requester", graph_name(rest[0], lineno)), ("service", parse_name(rest[1], None, lineno)))
-        return SimEvent(time, "request", payload)
-    if kind == "MESSAGE" and len(rest) == 5:
-        payload = (
-            ("sender", graph_name(rest[0], lineno)),
-            ("recipient", parse_name(rest[1], None, lineno)),
-            ("id", rest[2]),
-            ("sentiment", rest[3]),
-            ("topic", graph_name(rest[4], lineno)),
-        )
-        return SimEvent(time, "message", payload)
-    if kind == "SIGNAL" and len(rest) == 2:
-        payload = (("node", parse_name(rest[0], None, lineno)), ("signal", rest[1]))
-        return SimEvent(time, "signal", payload)
-    if kind == "TICK" and not rest:
-        return SimEvent(time, "tick", ())
-    raise ParseError(lineno, 1, f"a well-formed {kind} event")
+    _, fields = _EVENTS[kind]
+    if len(rest) != len(fields):
+        raise ParseError(lineno, 1, f"a well-formed {kind} event")
+    return SimEvent(time, kind.lower(), tuple((key, read(word, lineno)) for (key, read), word in zip(fields, rest)))
+
+
+def _count(entries, action: str, wanted: int) -> tuple:
+    got = sum(1 for e in entries if e.phase == EXECUTE and e.action == action)
+    return got == wanted, f"count={got}"
+
+
+def _contains(entries, time: int, node: str, phase: str, action: str) -> tuple:
+    ok = any(e.time == time and e.node == node and e.phase == phase and e.action == action for e in entries)
+    return ok, "present" if ok else "absent"
+
+
+def _order(entries, first_action: str, second_action: str) -> tuple:
+    first, second = (next((i for i, e in enumerate(entries) if e.phase == EXECUTE and e.action == action), None)
+                     for action in (first_action, second_action))
+    return first is not None and second is not None and first < second, f"first={first} second={second}"
+
+
+def _none_after(entries, time: int, action: str) -> tuple:
+    late = [e for e in entries if e.phase == EXECUTE and e.action == action and e.time > time]
+    return not late, f"late={len(late)}"
+
+
+# EXPECT kind -> (the reader of each word after it, the check of a trace's entries against the words read)
+_EXPECTATIONS = {
+    "COUNT": ((_word, parse_integer), _count),
+    "CONTAINS": ((parse_integer, _word, _word, _word), _contains),
+    "ORDER": ((_word, _word), _order),
+    "NONE_AFTER": ((parse_integer, _word), _none_after),
+}
 
 
 def _parse_expectation(kind: str, rest, lineno: int) -> Expectation:
-    if kind == "COUNT" and len(rest) == 2:
-        return Expectation("COUNT", (rest[0], parse_integer(rest[1], lineno)))
-    if kind == "CONTAINS" and len(rest) == 4:
-        return Expectation("CONTAINS", (parse_integer(rest[0], lineno), rest[1], rest[2], rest[3]))
-    if kind == "ORDER" and len(rest) == 2:
-        return Expectation("ORDER", (rest[0], rest[1]))
-    if kind == "NONE_AFTER" and len(rest) == 2:
-        return Expectation("NONE_AFTER", (parse_integer(rest[0], lineno), rest[1]))
-    raise ParseError(lineno, 1, "COUNT/CONTAINS/ORDER/NONE_AFTER")
+    readers, _ = _EXPECTATIONS.get(kind, (None, None))
+    if readers is None or len(rest) != len(readers):
+        raise ParseError(lineno, 1, "/".join(_EXPECTATIONS))
+    return Expectation(kind, tuple(read(word, lineno) for read, word in zip(readers, rest)))
 
 
 # --------------------------------------------------------------------------
@@ -503,31 +524,9 @@ class Simulation:
     # -- expectations -----------------------------------------------------------
 
     def evaluate_expectation(self, expectation: Expectation) -> CheckResult:
-        entries = self.trace.entries
-        if expectation.kind == "COUNT":
-            action, wanted = expectation.args
-            got = sum(1 for e in entries if e.phase == EXECUTE and e.action == action)
-            return CheckResult(expectation, got == wanted, f"count={got}")
-        if expectation.kind == "CONTAINS":
-            time, node, phase, action = expectation.args
-            ok = any(
-                e.time == time and e.node == node and e.phase == phase and e.action == action
-                for e in entries
-            )
-            return CheckResult(expectation, ok, "present" if ok else "absent")
-        if expectation.kind == "ORDER":
-            first_action, second_action = expectation.args
-            first = next((i for i, e in enumerate(entries)
-                          if e.phase == EXECUTE and e.action == first_action), None)
-            second = next((i for i, e in enumerate(entries)
-                           if e.phase == EXECUTE and e.action == second_action), None)
-            ok = first is not None and second is not None and first < second
-            return CheckResult(expectation, ok, f"first={first} second={second}")
-        if expectation.kind == "NONE_AFTER":
-            time, action = expectation.args
-            late = [e for e in entries if e.phase == EXECUTE and e.action == action and e.time > time]
-            return CheckResult(expectation, not late, f"late={len(late)}")
-        return CheckResult(expectation, False, "unknown expectation")
+        _, check = _EXPECTATIONS[expectation.kind]
+        ok, detail = check(self.trace.entries, *expectation.args)
+        return CheckResult(expectation, ok, detail)
 
 
 def node_tick(sim: Simulation, loop: NodeLoop, time: int) -> None:

@@ -789,8 +789,7 @@ def test_a_write_to_a_predicate_its_query_reads_evaluates_a_request_again(monkey
 
 
 def test_a_rating_evaluates_no_request_without_a_kind_again(monkeypatch):
-    # a rating's facts use predicates no discovery query reads; it also types its
-    # new Experience node, which a kind= request's type pattern reads
+    # a rating's facts use predicates no discovery query reads
     evaluated = _counting_evaluates(monkeypatch)
     registry, broker = build_world()
     request = parse_discovery_request("DISCOVER context=siteB")
@@ -808,14 +807,48 @@ def test_a_rating_evaluates_no_request_without_a_kind_again(monkeypatch):
 def test_an_edit_of_a_quantified_predicate_evaluates_a_kind_request_again(monkeypatch):
     evaluated = _counting_evaluates(monkeypatch)
     registry, broker = build_world()
+    # every HumanService is then a ProcessingService: erinWatch is one while a human provides it
+    registry.kb.add_subclass(iri("HumanService"), iri("ProcessingService"))
     kind, context = parse_discovery_request("DISCOVER kind=processing"), parse_discovery_request("DISCOVER context=siteB")
-    broker.discover(kind)
+    assert [r.service for r in broker.discover(kind)] == [iri("chatDoctor"), iri("erinWatch")]
     broker.discover(context)
-    # providedBy is quantified by an axiom, so the edit re-derives types, which the kind pattern reads
-    registry.kb.add_statement(iri("erinWatch"), iri("providedBy"), iri("David"))
-    broker.discover(kind)
+    # providedBy is quantified by an axiom, so the edit re-derives erinWatch's types: it leaves the kind's class
+    registry.kb.remove_statement(iri("erinWatch"), iri("providedBy"), iri("Erin"))
+    assert [r.service for r in broker.discover(kind)] == [iri("chatDoctor")]
     broker.discover(context)
     assert [query.patterns[-1].predicate for query in evaluated] == [TYPE_PRED, iri("includeContext"), TYPE_PRED]
+    assert broker.discover(kind) == unread_broker(registry).discover(kind)
+
+
+def test_a_type_edit_of_a_kind_s_class_evaluates_a_kind_request_again(monkeypatch):
+    evaluated = _counting_evaluates(monkeypatch)
+    registry, broker = build_world()
+    kind = parse_discovery_request("DISCOVER kind=sensing")
+    assert [r.service for r in broker.discover(kind)] == [iri("erinWatch")]
+    registry.kb.add_type(iri("chatDoctor"), iri("SensingService"))
+    assert [r.service for r in broker.discover(kind)] == [iri("chatDoctor"), iri("erinWatch")]
+    assert len(evaluated) == 2
+    registry.kb.add_type(iri("chatDoctor"), iri("Context"))  # a class no kind names
+    broker.discover(kind)
+    assert len(evaluated) == 2
+    registry.kb.remove_type(iri("chatDoctor"), iri("SensingService"))
+    assert [r.service for r in broker.discover(kind)] == [iri("erinWatch")]
+    assert len(evaluated) == 3
+
+
+def test_a_rating_evaluates_no_kind_request_again(monkeypatch):
+    # a rating types its new Experience node, a class no kind names
+    evaluated = _counting_evaluates(monkeypatch)
+    registry, broker = build_world()
+    request = parse_discovery_request("DISCOVER kind=processing")
+    before = broker.discover(request)
+    invocation = broker.invoke(iri("chatDoctor"), iri("Cathy"), {"patient": iri("Adam")})
+    broker.complete_invocation(invocation, rating=Decimal("1"))
+    after = broker.discover(request)
+    assert len(evaluated) == 1
+    assert [r.service for r in before] == [r.service for r in after] == [iri("chatDoctor")]
+    assert before[0].score > after[0].score
+    assert after == unread_broker(registry).discover(request)
 
 
 def test_a_declaration_forgets_every_request(monkeypatch):

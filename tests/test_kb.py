@@ -173,6 +173,21 @@ def test_ancestors_and_subclass_paths_match_their_oracles_on_random_dags(seed):
     assert kb.subclass_links == links
 
 
+def test_closing_the_subclass_links_links_each_class_to_every_ancestor():
+    kb = parse_document("CLASS A SUBCLASSOF B\nCLASS B SUBCLASSOF C\nCLASS D SUBCLASSOF C\n")
+    kb.journal = []
+    assert kb._subclass_path(iri("A"), iri("C")) == [iri("A"), iri("B"), iri("C")]  # builds the parent map
+    above = kb.close_subclass_links()
+    assert above == {iri("A"): {iri("B"), iri("C")}, iri("B"): {iri("C")}, iri("D"): {iri("C")}}
+    assert kb.subclass_links == {(child, parent) for child in above for parent in above[child]}
+    assert kb.journal is None  # a declaration: a follower of the graph rebuilds
+    # the cycle check reads the closed links
+    assert kb._subclass_path(iri("A"), iri("C")) == [iri("A"), iri("C")]
+    with pytest.raises(CyclicSubclassError) as err:
+        kb.add_subclass(iri("C"), iri("A"))
+    assert str(err.value) == "cyclic subclass chain: A -> C -> A"
+
+
 def test_duplicate_declarations_idempotent():
     kb = parse_document("CLASS Human\nCLASS Human\nCLASS Human SUBCLASSOF PhysicalThing\nCLASS Human SUBCLASSOF PhysicalThing\n")
     assert len([c for c in kb.class_decls if c == iri("Human")]) == 1

@@ -256,7 +256,7 @@ def test_an_axiom_follows_a_chain_of_quantified_facts_in_materialize_and_refresh
     assert marked(closed) == set()
     for write in (kb.add_type, kb.remove_type, kb.add_type):
         write(iri(f"x{n}"), iri("Marked"))
-        assert refresh(closed, kb, journal) == {TYPE_PRED} and kb.journal is journal
+        assert refresh(closed, kb, journal) == {(TYPE_PRED, iri("Marked"))} and kb.journal is journal
         journal.clear()
         assert closed == materialize(kb) == _naive_materialize(kb)
         assert len(marked(closed)) in (0, n + 1)
@@ -390,8 +390,11 @@ def test_refresh_matches_materialize_and_naive_under_removal_heavy_writes(monkey
             method = _removal_heavy_write(rng, kb, closed)
             methods.append(method)
             if kb.journal is journal:
-                before = len(calls)
-                refresh(closed, kb, journal)
+                before, facts, types = len(calls), set(closed.statements), set(closed.type_assertions)
+                reported = refresh(closed, kb, journal)
+                # it reports every predicate whose facts changed, and every class whose members did
+                assert {s.predicate for s in facts ^ closed.statements} <= reported
+                assert {(TYPE_PRED, cls) for _, cls in types ^ closed.type_assertions} <= reported
                 if method.endswith("_statement"):
                     fact_refreshes[len(calls) > before] += 1
                 journal.clear()
