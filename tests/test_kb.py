@@ -102,6 +102,22 @@ def test_syntax_error_has_position():
     assert err.value.expected == "RANGE"
 
 
+@pytest.mark.parametrize("line, message", [
+    # a word first read as a FACT object is still no name
+    ("FACT 4 p x", "line 3, column 6: expected a name"),
+    ("INDIVIDUAL 4 TYPE A", "line 3, column 12: expected a name"),
+    ("FACT x p", "line 3, column 9: expected an object term"),
+    ("FACT x p y z", "line 3, column 12: expected end of line"),
+    ("INDIVIDUAL x ISA A", "line 3, column 14: expected TYPE"),
+    ("INDIVIDUAL x TYPE", "line 3, column 18: expected a class name"),
+    ("  FACT x q y", "line 3, column 3: expected fact uses undeclared property q"),
+])
+def test_fact_and_individual_lines_fail_at_the_word_at_fault(line, message):
+    with pytest.raises(ParseError) as err:
+        parse_document(f"PROPERTY p DOMAIN A RANGE B\nFACT x p 4\n{line}\n")
+    assert str(err.value) == message
+
+
 def test_cyclic_subclass_rejected():
     # the path is the first the depth-first walk from the new parent finds,
     # expanding each class's parents in term order: A -> C before A -> B
