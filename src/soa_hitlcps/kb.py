@@ -605,14 +605,16 @@ class KnowledgeBase:
     def _subclass_path(self, start: Iri, goal: Iri) -> Optional[list]:
         """A subclass path start -> ... -> goal, or None when there is none.
 
-        The walk is depth first and expands each class's parents in
-        ``term_sort_key`` order, so the path a cycle error reports is fixed.
+        An unordered walk tells whether ``goal`` is reachable; only then does a
+        depth-first walk in ``term_sort_key`` order find the path, so it is fixed.
         """
         if self._parents is None:
             self._parents = subclass_parents(self.subclass_links)
         if start == goal:
             return [start]
         parents = self._parents
+        if goal not in _above(parents, start):
+            return None
         stack = [(start, [start])]
         visited = set()
         while stack:
@@ -637,17 +639,19 @@ def subclass_parents(links) -> dict:
 def ancestors(links) -> dict:
     """Each child's transitive ancestors, of the ``(child, parent)`` pairs in ``links``: one walk each."""
     parents = subclass_parents(links)
-    closed: dict = {}
-    for cls in parents:
-        seen: set = set()
-        frontier = [cls]
-        while frontier:
-            for parent in parents.get(frontier.pop(), ()):
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        closed[cls] = seen
-    return closed
+    return {cls: _above(parents, cls) for cls in parents}
+
+
+def _above(parents: dict, cls: Iri) -> set:
+    """Every class that ``parents`` (child -> parents) reaches from ``cls`` by one link or more."""
+    seen: set = set()
+    frontier = [cls]
+    while frontier:
+        for parent in parents.get(frontier.pop(), ()):
+            if parent not in seen:
+                seen.add(parent)
+                frontier.append(parent)
+    return seen
 
 
 # The tables of a knowledge base, its init fields in order: copy() copies each.

@@ -157,7 +157,7 @@ def _closure_case(rng, label: str, size: int, links) -> None:
 def hierarchy(directory: Path) -> None:
     """``ancestors`` and ``materialize``'s closed links equal a bit-mask closure on random subclass DAGs
     (a random recursive tree of 2000 classes, a deep DAG, a chain with shortcuts and an 8000-class
-    tree of branching 8), and
+    tree of branching 8), the serialized closure of a 160-class chain reads back as itself, and
     ``check_consistency`` finds the classes below both parents of a class, declared disjoint, in a
     2000-class taxonomy."""
     for seed in SEEDS:
@@ -183,6 +183,12 @@ def hierarchy(directory: Path) -> None:
         size = 8000
         _closure_case(rng, f"seed {seed} {size}-class tree of branching 8", size,
                       {(child, (child - 1) // 8) for child in range(1, size)})
+    # a closed chain: each of its links is checked for a cycle against all the links read before it
+    size = 160
+    closed = materialize(parse_document("".join(f"CLASS C{i} SUBCLASSOF C{i + 1}\n" for i in range(size - 1))))
+    same = parse_document(serialize(closed)) == closed
+    _report(f"closed {size}-class chain {len(closed.subclass_links)} links read back "
+            f"{'equal' if same else 'DIFFERENT'}", same)
 
 
 def _invoke_and_complete(broker: ServiceBroker, op) -> None:
