@@ -34,15 +34,17 @@ conflicting ones are errors.  Serialization is deterministic: equal knowledge
 bases serialize to identical bytes, and ``parse_document(serialize(kb))``
 reproduces ``kb`` exactly.
 
-``parse_document`` reads each line once, into plain words: only a line that
-holds a ``#`` is scanned for a comment, and only a line that holds a ``"``,
+``parse_document`` splits each line once into plain words: only a line that
+holds a ``#`` is scanned for a comment, and only one that holds a ``"``,
 ``(`` or ``)`` is split by a regex; ``str.split()`` splits the others, since
-its whitespace is the regex's ``\\s`` on every code point.  A word's column is
-computed only when a ``ParseError`` reports it, by the regex.  Once the
-``@prefix`` lines have fixed the prefix table, each distinct word is read as
-a name once per document; a word that fails is not kept, so it fails again
-wherever it recurs.  FACT and INDIVIDUAL lines, nearly all of a registry,
-are read by unpacking their four words.
+its whitespace is the regex's ``\\s`` on every code point.  One loop then
+reads the ``@prefix`` lines, the CLASS and PROPERTY lines and the rest, each
+group in document order.  Its one name reader keeps the names it reads and
+the FACT object literals in two caches, since a word read as the literal
+``4`` must still fail as a name; a word that fails is not kept, and its
+column is computed, by the regex, only for the ``ParseError``.  Four-word
+FACT and INDIVIDUAL lines, nearly all of a registry, are unpacked, a cached
+word costing no call; a ``_Cursor`` reads every other line.
 
 Every graph write goes through ``KnowledgeBase`` methods (``add_type``,
 ``remove_type``, ``add_statement``, ``remove_statement``); nothing else adds
@@ -82,7 +84,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
-from functools import partial
 from itertools import chain
 from operator import attrgetter
 from pathlib import Path
@@ -781,30 +782,31 @@ def _line_positions(lineno: int, text: str) -> list:
 class _Cursor:
     """Cursor over a list of words with positioned errors.
 
-    ``positions()`` gives the (line, column) of every word; it runs only to
+    ``locate(*args)`` gives the (line, column) of every word; it runs only to
     report an error.  Running out of words is an error just past the last
     word (line 1, column 1 when there is none).
     """
 
-    def __init__(self, words: list, positions):
+    def __init__(self, words: list, locate, *args):
         self.words = words
-        self.positions = positions
+        self.locate = locate
+        self.args = args
         self.pos = 0
 
     def peek(self) -> Optional[str]:
         return self.words[self.pos] if self.pos < len(self.words) else None
 
-    def next(self, expected: str) -> str:
+    def next(self, expected: str, read=None):
+        """The next word, or ``read(word, *args, i)`` of it, ``i`` its index, when ``read`` is given."""
         word = self.peek()
         if word is None:
             raise self.error(expected, self.pos)
         self.pos += 1
-        return word
+        return word if read is None else read(word, *self.args, self.pos - 1)
 
-    def expect(self, word: str) -> str:
+    def expect(self, word: str) -> None:
         if self.next(word) != word:
             raise self.error(word)
-        return word
 
     def done(self, expected: str) -> None:
         if self.pos < len(self.words):
@@ -815,9 +817,9 @@ class _Cursor:
         if i is None:
             i = self.pos - 1
         if i < len(self.words):
-            line, column = self.positions()[i]
+            line, column = self.locate(*self.args)[i]
         elif self.words:
-            line, column = self.positions()[-1]
+            line, column = self.locate(*self.args)[-1]
             column += len(self.words[-1])
         else:
             line, column = 1, 1
@@ -845,183 +847,146 @@ MAX_CLASS_EXPR_DEPTH = 100
 
 
 def _parse_class_expr(reader: _Cursor, name, depth: int = 1) -> ClassExpr:
-    """``( <expr> )`` from ``reader``, its ``(`` at nesting ``depth``; ``name(reader, i)`` reads word ``i`` as a name."""
+    """``( <expr> )`` from ``reader``, its ``(`` at nesting ``depth``; ``name(word, *reader.args, i)`` reads word ``i`` as a name."""
     reader.expect("(")
     if depth > MAX_CLASS_EXPR_DEPTH:
         raise reader.error(f"at most {MAX_CLASS_EXPR_DEPTH} nested parentheses")
-    first = reader.pos
-    if reader.next("a class expression") == "(":
-        reader.pos -= 1
-        operand: ClassExpr = _parse_class_expr(reader, name, depth + 1)
-    else:
-        if reader.peek() == "SOME":
-            reader.expect("SOME")
-            reader.next("a class name")
-            filler = name(reader, reader.pos - 1)
-            reader.expect(")")
-            return SomeValues(name(reader, first), filler)
-        operand = NamedClass(name(reader, first))
-    parts = [operand]
+    parts: list = []
     while True:
+        if reader.peek() == "(":
+            parts.append(_parse_class_expr(reader, name, depth + 1))
+        else:
+            first = reader.pos
+            reader.next("a class expression")
+            if not parts and reader.peek() == "SOME":
+                reader.expect("SOME")
+                filler = reader.next("a class name", name)
+                reader.expect(")")
+                return SomeValues(name(reader.words[first], *reader.args, first), filler)
+            parts.append(NamedClass(name(reader.words[first], *reader.args, first)))
         word = reader.next("AND or )")
         if word == ")":
             break
         if word != "AND":
             raise reader.error("AND or )")
-        if reader.next("a class expression") == "(":
-            reader.pos -= 1
-            parts.append(_parse_class_expr(reader, name, depth + 1))
-        else:
-            parts.append(NamedClass(name(reader, reader.pos - 1)))
     if len(parts) == 1:
         return parts[0]
     return Conjunction(tuple(parts))
 
 
+# The pass that reads each directive's lines: @prefix lines fix the prefix
+# table, then CLASS and PROPERTY lines declare what every other line may use.
+_PASSES = MappingProxyType({"@prefix": 0, "CLASS": 1, "PROPERTY": 1})
+
+
 def parse_document(text: str) -> KnowledgeBase:
     """Parse a document into a fresh kb."""
     kb = KnowledgeBase()
-    prefix_lines, declarations, rest = [], [], []
+    passes: tuple = ([], [], [])
     for lineno, raw in enumerate(text.splitlines(), start=1):
         raw = _strip_comment(raw)
         words = _kb_words(raw)
         if words:
-            directive = words[0]
-            group = (prefix_lines if directive == "@prefix"
-                     else declarations if directive in ("CLASS", "PROPERTY") else rest)
-            group.append((lineno, raw, words))
+            passes[_PASSES.get(words[0], 2)].append((lineno, raw, words))
 
-    # Prefix table first: prefixed names may appear on any later line.
-    for lineno, raw, words in prefix_lines:
-        reader = _Cursor(words, partial(_line_positions, lineno, raw))
-        reader.expect("@prefix")
-        name = reader.next("a prefix name")
-        if not name.endswith(":") or len(name) < 2:
-            raise reader.error("a prefix name ending in ':'")
-        expansion = reader.next("a prefix expansion")
-        reader.done("end of line")
-        kb.add_prefix(name[:-1], expansion)
-
-    # The prefix table is fixed from here on, so each distinct word is read as
-    # a name once.  A word that fails is never stored: it fails again, at its
-    # own position, wherever it recurs.
+    # No @prefix line reads a name, so each distinct word is read as a name
+    # once the prefix table is fixed, or as a FACT object literal once; a word
+    # read as the literal 4 must still fail as a name, so literals have their
+    # own cache.  A word that fails is never kept: it fails wherever it recurs.
     prefixes = kb.prefixes
     names: dict = {}     # word -> Iri
     literals: dict = {}  # FACT object word -> Literal
 
-    def resolve(word: str, positions, i: int) -> Iri:
-        iri = names.get(word)
-        if iri is None:
+    def name(word: str, lineno: int, raw: str, i: int, parse=parse_name) -> Term:
+        """Word ``i`` of the line as a name, or as a FACT object when ``parse`` is ``_parse_term``."""
+        term = names.get(word)
+        if term is None:
             try:
-                iri = parse_name(word, prefixes)
+                term = parse(word, prefixes)
             except ParseError as err:
-                raise ParseError(*positions()[i], err.expected) from None
-            names[word] = iri
-        return iri
+                raise ParseError(*_line_positions(lineno, raw)[i], err.expected) from None
+            (literals if isinstance(term, Literal) else names)[word] = term
+        return term
 
-    def name(reader: _Cursor, i: int) -> Iri:
-        return resolve(reader.words[i], reader.positions, i)
-
-    def next_name(reader: _Cursor, expected: str) -> Iri:
-        reader.next(expected)
-        return name(reader, reader.pos - 1)
-
-    def fact_object(word: str, positions) -> Term:
-        try:
-            obj = _parse_term(word, prefixes)
-        except ParseError as err:
-            raise ParseError(*positions()[3], err.expected) from None
-        (names if isinstance(obj, Iri) else literals)[word] = obj
-        return obj
-
-    # Declarations next so facts and axioms can reference them in any order.
-    for lineno, raw, words in declarations:
-        reader = _Cursor(words, partial(_line_positions, lineno, raw))
-        if words[0] == "CLASS":
-            reader.expect("CLASS")
-            cls = next_name(reader, "a class name")
-            if reader.peek() is not None:
-                reader.expect("SUBCLASSOF")
-                parent = next_name(reader, "a class name")
-                reader.done("end of line")
-                kb.add_subclass(cls, parent)
-            else:
-                kb.add_class(cls)
-        else:
-            reader.expect("PROPERTY")
-            prop = next_name(reader, "a property name")
-            reader.expect("DOMAIN")
-            domain = next_name(reader, "a class name")
-            reader.expect("RANGE")
-            range_ = next_name(reader, "a class name")
-            reader.done("end of line")
-            kb.add_property(prop, domain, range_)
-
-    # Everything else in document order.  FACT and INDIVIDUAL lines, nearly
-    # all of a registry, are read by unpacking their four words.  Any other
-    # word count is an error, which the cursor reports at its position.
-    for lineno, raw, words in rest:
+    for lineno, raw, words in chain(*passes):
         directive = words[0]
+        # FACT and INDIVIDUAL lines, nearly all of a registry, are read by
+        # unpacking their four words, and a cached word costs no call.
         if len(words) == 4 and directive == "FACT":
             _, subject, predicate, obj = words
-            positions = partial(_line_positions, lineno, raw)
-            subject = names.get(subject) or resolve(subject, positions, 1)
-            predicate = names.get(predicate) or resolve(predicate, positions, 2)
-            obj = names.get(obj) or literals.get(obj) or fact_object(obj, positions)
+            subject = names.get(subject) or name(subject, lineno, raw, 1)
+            predicate = names.get(predicate) or name(predicate, lineno, raw, 2)
+            obj = names.get(obj) or literals.get(obj) or name(obj, lineno, raw, 3, _parse_term)
             try:
                 kb.add_statement(subject, predicate, obj)
             except DeclarationConflictError as exc:
-                raise ParseError(*positions()[0], str(exc))
+                raise ParseError(*_line_positions(lineno, raw)[0], str(exc))
             continue
-        if len(words) == 4 and directive == "INDIVIDUAL":
-            _, ind, keyword, cls = words
-            positions = partial(_line_positions, lineno, raw)
-            ind = names.get(ind) or resolve(ind, positions, 1)
-            if keyword != "TYPE":
-                raise ParseError(*positions()[2], "TYPE")
-            kb.add_type(ind, names.get(cls) or resolve(cls, positions, 3))
+        if len(words) == 4 and directive == "INDIVIDUAL" and words[2] == "TYPE":
+            _, ind, _, cls = words
+            kb.add_type(names.get(ind) or name(ind, lineno, raw, 1), names.get(cls) or name(cls, lineno, raw, 3))
             continue
-        reader = _Cursor(words, partial(_line_positions, lineno, raw))
-        if directive == "DISJOINT":
-            reader.expect("DISJOINT")
-            a = next_name(reader, "a class name")
-            b = next_name(reader, "a class name")
-            reader.done("end of line")
+        cursor = _Cursor(words, _line_positions, lineno, raw)
+        cursor.next(directive)
+        if directive == "@prefix":
+            prefix = cursor.next("a prefix name")
+            if not prefix.endswith(":") or len(prefix) < 2:
+                raise cursor.error("a prefix name ending in ':'")
+            expansion = cursor.next("a prefix expansion")
+            cursor.done("end of line")
+            kb.add_prefix(prefix[:-1], expansion)
+        elif directive == "CLASS":
+            cls = cursor.next("a class name", name)
+            if cursor.peek() is None:
+                kb.add_class(cls)
+            else:
+                cursor.expect("SUBCLASSOF")
+                parent = cursor.next("a class name", name)
+                cursor.done("end of line")
+                kb.add_subclass(cls, parent)
+        elif directive == "PROPERTY":
+            prop = cursor.next("a property name", name)
+            cursor.expect("DOMAIN")
+            domain = cursor.next("a class name", name)
+            cursor.expect("RANGE")
+            range_ = cursor.next("a class name", name)
+            cursor.done("end of line")
+            kb.add_property(prop, domain, range_)
+        elif directive == "DISJOINT":
+            a = cursor.next("a class name", name)
+            b = cursor.next("a class name", name)
+            cursor.done("end of line")
             kb.add_disjoint(a, b)
         elif directive == "AXIOM":
-            reader.expect("AXIOM")
-            body = _parse_class_expr(reader, name)
-            reader.expect("SUBCLASSOF")
-            head = next_name(reader, "a class name")
-            reader.done("end of line")
+            body = _parse_class_expr(cursor, name)
+            cursor.expect("SUBCLASSOF")
+            head = cursor.next("a class name", name)
+            cursor.done("end of line")
             try:
                 kb.add_axiom(ClassAxiom(body, head))
             except DeclarationConflictError as exc:
-                raise reader.error(str(exc), 0)
-        elif directive == "INDIVIDUAL":
-            reader.expect("INDIVIDUAL")
-            next_name(reader, "an individual name")
-            reader.expect("TYPE")
-            next_name(reader, "a class name")
-            reader.done("end of line")
-        elif directive == "FACT":
-            reader.expect("FACT")
-            next_name(reader, "a subject name")
-            next_name(reader, "a predicate name")
-            fact_object(reader.next("an object term"), reader.positions)
-            reader.done("end of line")
+                raise cursor.error(str(exc), 0)
+        elif directive == "INDIVIDUAL":  # not four words, or no TYPE: an error
+            cursor.next("an individual name", name)
+            cursor.expect("TYPE")
+            cursor.next("a class name", name)
+            cursor.done("end of line")
+        elif directive == "FACT":  # not four words: an error
+            cursor.next("a subject name", name)
+            cursor.next("a predicate name", name)
+            name(cursor.next("an object term"), lineno, raw, 3, _parse_term)
+            cursor.done("end of line")
         elif directive == "META":
-            reader.expect("META")
-            cls = next_name(reader, "a class name")
+            cls = cursor.next("a class name", name)
             flags = []
-            while reader.peek() is not None:
-                flag = reader.next("a metaproperty flag")
+            while cursor.peek() is not None:
+                flag = cursor.next("a metaproperty flag")
                 if flag not in ALL_FLAGS:
-                    raise reader.error("one of " + " ".join(ALL_FLAGS))
+                    raise cursor.error("one of " + " ".join(ALL_FLAGS))
                 flags.append(flag)
             kb.add_annotation(annotation_from_flags(cls, flags))
         else:
-            raise reader.error("a directive (@prefix, CLASS, PROPERTY, DISJOINT, AXIOM, INDIVIDUAL, FACT, META)", 0)
+            raise cursor.error("a directive (@prefix, CLASS, PROPERTY, DISJOINT, AXIOM, INDIVIDUAL, FACT, META)", 0)
     return kb
 
 

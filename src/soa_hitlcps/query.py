@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional, Union
 
 from .errors import ParseError, UnboundFilterVarError, UnboundProjectionError
@@ -177,7 +176,7 @@ def _parse_filter_expr(cursor: _Cursor) -> FilterExpr:
 
 def parse_query(text: str) -> QueryAst:
     words = [word for raw in _query_lines(text) for word in _QUERY_TOKEN.findall(raw)]
-    cursor = _Cursor(words, partial(_query_positions, text))
+    cursor = _Cursor(words, _query_positions, text)
     cursor.expect("SELECT")
     projected = []
     while True:

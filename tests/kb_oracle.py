@@ -1,8 +1,9 @@
 """The positioned-token ``.kb`` reader: the differential oracle for ``kb.parse_document``.
 
 Every word becomes a token that carries its line and column, every line is
-scanned for a comment, and every name is resolved where it stands.  The
-reader in ``kb`` allocates per word only what it reads and computes a
+scanned for a comment, each pass walks all the lines, and every name is
+resolved where it stands.  The reader in ``kb`` reads the lines in one loop,
+keeps each name and FACT object it resolves in a cache, and computes a
 position only for an error; on any text both must return equal knowledge
 bases or raise the same exception with the same ``(line, column, expected)``.
 It shares the name, term and class-expression vocabulary with ``kb`` but none

@@ -257,13 +257,17 @@ def discover_cache(directory: Path) -> None:
 
 
 def kb_reader(directory: Path) -> None:
-    """The .kb reader agrees with the positioned-token reader on generated registries, and serialize round-trips."""
+    """The .kb reader agrees with the positioned-token reader on generated registries and on their
+    serialized closures, and serialize round-trips."""
     for seed in SEEDS:
         for n in SIZES:
             text = workload_gen.registry_kb_text(workload_gen.build_registry(seed, n))
             kb = parse_document(text)
-            same = kb == kb_oracle.parse_document(text) and parse_document(serialize(kb)) == kb
-            _report(f"seed {seed} N {n} {text.count(chr(10))} lines {'equal' if same else 'DIFFERENT'}", same)
+            closed = serialize(materialize(kb))
+            same = (kb == kb_oracle.parse_document(text) and parse_document(serialize(kb)) == kb
+                    and parse_document(closed) == kb_oracle.parse_document(closed))
+            _report(f"seed {seed} N {n} {text.count(chr(10))} lines, closure {closed.count(chr(10))} lines "
+                    f"{'equal' if same else 'DIFFERENT'}", same)
 
 
 def simulate_hash_seeds(directory: Path) -> None:
