@@ -889,10 +889,10 @@ def parse_document(text: str) -> KnowledgeBase:
         if words:
             passes[_PASSES.get(words[0], 2)].append((lineno, raw, words))
 
-    # No @prefix line reads a name, so each distinct word is read as a name
-    # once the prefix table is fixed, or as a FACT object literal once; a word
-    # read as the literal 4 must still fail as a name, so literals have their
-    # own cache.  A word that fails is never kept: it fails wherever it recurs.
+    # No @prefix line reads a name, so each distinct word is parsed once, after
+    # the prefix table is fixed.  A name reads as the same Iri as a FACT object,
+    # but a word read as the literal 4 must still fail as a name: literals keep
+    # their own cache.  A word that fails is never kept, so it fails again.
     prefixes = kb.prefixes
     names: dict = {}     # word -> Iri
     literals: dict = {}  # FACT object word -> Literal
