@@ -1,13 +1,14 @@
 """QoS-ranked discovery, invocation with contract checks, and composition.
 
 The broker turns a structured discovery request into a query over the
-materialized graph (built once, then kept current by replaying into it each
-graph edit made to the registry graph, re-deriving only the individuals
-whose inferred types an edit can change, and rebuilt on the next read after
-a declaration), which also matches the service kind.  The candidates a
-query returns are kept per request until an edit changes a predicate or a
-kind's class the query reads: a request asked again after a rating is not
-joined again.  On every call it post-filters the candidates on skill scale,
+materialized graph, which also matches the service kind.  That closure
+shares the registry graph's facts and holds its own types: it is built
+once, then kept current by replaying into it each type edit made to the
+registry graph and re-deriving only the individuals whose inferred types an
+edit can change, and rebuilt on the next read after a declaration.  The
+candidates a query returns are kept per request until an edit changes a
+predicate or a kind's class the query reads: a request asked again after a
+rating is not joined again.  On every call it post-filters the candidates on skill scale,
 IO signature, limitations, and QoS bounds, and ranks them with
 :func:`score`, a fixed weighted utility over reputation, cost, and response
 time.  Invocations move ``pending -> running -> completed|failed``; a
@@ -205,8 +206,9 @@ class RankedService:
 class ServiceBroker:
     registry: ServiceRegistry
     # (the journal this broker armed, closure); only the kb the closure was
-    # built from can hold that journal.  Each read shares the one closure and
-    # only ``refresh`` mutates it: do not hold it across a write.
+    # built from can hold that journal.  Each read shares the one closure: its
+    # facts are that kb's own and only ``refresh`` changes its types, so do
+    # not hold it across a write.
     _cache: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     # request -> (what its query reads: each pattern's predicate, ``(TYPE_PRED,
     # class)`` for its kind; the services it returned on the closure); an entry
@@ -214,17 +216,19 @@ class ServiceBroker:
     _candidates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def _closure(self) -> KnowledgeBase:
-        """The materialized registry graph, kept current by replaying the graph's edits.
+        """The materialized registry graph, kept current from the graph's journal.
 
-        A read after graph edits replays them all, but re-derives only the
-        subjects of type edits and of facts whose predicate an axiom
-        quantifies, with what reaches them through such facts: a rating
-        re-derives just its new Experience node.  It then forgets the
-        candidates of every request whose query reads a predicate or a kind's
-        class that :func:`refresh` reports changed.  The closure is built from
-        scratch, and every request's candidates forgotten, on first use, for a new
-        ``registry.kb``, when another follower took the journal over, and
-        after a declaration, which disarms the journal.
+        The closure shares ``registry.kb``'s facts, so a fact edit is in it
+        at once.  A read after graph edits replays the type edits alone, and
+        re-derives only the subjects of type edits and of facts whose
+        predicate an axiom quantifies, with what reaches them through such
+        facts: a rating re-derives just its new Experience node.  It then
+        forgets the candidates of every request whose query reads a
+        predicate or a kind's class that :func:`refresh` reports changed.
+        The closure is built from scratch, and every request's candidates
+        forgotten, on first use, for a new ``registry.kb``, when another
+        follower took the journal over, and after a declaration, which
+        disarms the journal.
         """
         kb = self.registry.kb
         journal, closed = self._cache

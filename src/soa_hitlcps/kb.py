@@ -7,7 +7,8 @@ Each table holds what it means: a disjointness is stored once, as its pair
 in ``term_sort_key`` order, and the axioms are a set that keeps document
 order (a dict from each axiom to None).  Equality and ``copy`` are derived
 from the dataclass's field list, so a table added to the class is compared
-and copied with the others.
+and copied with the others; ``share_facts`` copies every table but
+``statements``, which it shares.
 
 Documents are UTF-8 text, one directive per line, ``#`` starts a comment::
 
@@ -49,32 +50,40 @@ word costing no call; a ``_Cursor`` reads every other line.
 Every graph write goes through ``KnowledgeBase`` methods (``add_type``,
 ``remove_type``, ``add_statement``, ``remove_statement``); nothing else adds
 to or discards from ``statements`` or ``type_assertions``.  Those two sets
-are the only source of truth.  Reads go through hash indexes from subject,
-predicate and object to the statements holding them (a type assertion is
-indexed as the statement ``individual TYPE_PRED class``).  The indexes are
-derived data: built on the first read, kept current by the write methods
-from then on, and copied bucket by bucket with the knowledge base.  One
-helper, ``_index_add``, files a statement in all three, for the first build
-and for every write alike.
+are the only source of truth.  Reads go through two indexes of one shape,
+each a hash map from subject, predicate and object to the statements holding
+them: the fact index over ``statements``, and the type index over the type
+assertions, each filed as the statement ``individual TYPE_PRED class``.
+``match`` and ``estimate`` read the type index for a ``TYPE_PRED`` pattern,
+the fact index for any other predicate, and both for a variable one;
+``statements_about``, ``statements_to`` and ``statements_with`` read facts
+only, ``types_of`` and ``instances`` types only.  The indexes are derived
+data: both are built on the first read of either, kept current by the write
+methods from then on, and copied bucket by bucket with the knowledge base.
+One helper, ``_index_add``, files a statement in its index's three maps, for
+the first build and for every write alike.  ``share_facts`` gives a
+knowledge base that shares ``statements`` and the fact index, so a fact
+written to either is in both; its type assertions and type index are its
+own.
 
 A follower of the graph (such as the broker's closure) arms ``journal`` by
 setting it to an empty list.  From then on each graph edit appends
-``(added, Statement)`` to that list, a type as the statement the index
-files, and the follower drains it to bring its derived data up to date.  A
-declaration that succeeds disarms the journal (sets it to None); one that
-raises leaves it as it was.  A follower that finds another list there (or
-None) has been taken over or outdated and must rebuild.  Unarmed, as while
-loading, the journal costs one attribute test per write.
+``(added, Statement)`` to that list, a type as the statement the type
+index files, and the follower drains it to bring its derived data up to
+date.  A declaration that succeeds disarms the journal (sets it to None);
+one that raises leaves it as it was.  A follower that finds another list
+there (or None) has been taken over or outdated and must rebuild.  Unarmed,
+as while loading, the journal costs one attribute test per write.
 
 ``Iri`` and ``Statement`` are named tuples, so set and dict lookups hash
 and compare them in C; ``Literal``, ``Var`` and ``Pattern`` stay separate
-types that never equal them.  ``match`` serves a pattern by how many of its
-positions are variables.  With none it tests one membership in the subject
-bucket; with one it filters the smaller of the two constants' buckets by the
-other constant and sorts the bare values.  Otherwise it reads the smallest
-bucket of the pattern's constants, compares the other constants by position
-and builds each binding straight from the variable positions.  No row is
-unified.
+types that never equal them.  ``match`` serves a pattern, in the index its
+predicate picks, by how many of its positions are variables.  With none it
+tests one membership in the subject bucket; with one it filters the smaller
+of the two constants' buckets by the other constant and sorts the bare
+values.  Otherwise it reads the smallest bucket of the pattern's constants,
+compares the other constants by position and builds each binding straight
+from the variable positions.  No row is unified.
 
 The structure is single-writer: no internal locking is performed.
 """
@@ -358,15 +367,21 @@ class KnowledgeBase:
     annotations: dict = field(default_factory=dict)  # Iri -> MetaAnnotation
     type_assertions: set = field(default_factory=set)  # {(individual, class)}
     statements: set = field(default_factory=set)
-    # (by subject, by predicate, by object): term -> set of Statements; None
-    # until the first read builds it
+    # the fact index, over statements, and the type index, over type
+    # assertions: (by subject, by predicate, by object), each term -> set of
+    # Statements; None until the first read of either builds both
     _index: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _type_index: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     # (added, Statement) of each graph edit since the follower that armed it
     # (set it to a list) last drained it; None while unarmed.  Never copied.
     journal: Optional[list] = field(default=None, init=False, repr=False, compare=False)
-    # each child's parents in subclass_links, for the cycle check: built on
-    # its first use and kept by add_subclass from then on.  Never copied.
+    # for the cycle check, each child's parents and each parent's children in
+    # subclass_links, and each linked class's place in an order that puts every
+    # class before its parents: built on their first use and kept by
+    # add_subclass from then on.  Never copied.
     _parents: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    _children: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    _order: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     # -- declarations: each that succeeds disarms the journal --------------
 
@@ -383,11 +398,13 @@ class KnowledgeBase:
 
     def add_subclass(self, child: Iri, parent: Iri) -> None:
         if (child, parent) not in self.subclass_links:
-            path = self._subclass_path(parent, child)
-            if path is not None:
-                raise CyclicSubclassError(path + [parent])
+            if self._parents is None:
+                self._map_links()
+            if not self._place_below(child, parent):
+                raise CyclicSubclassError(self._subclass_path(parent, child) + [parent])
             self.subclass_links.add((child, parent))
             self._parents.setdefault(child, []).append(parent)
+            self._children.setdefault(parent, []).append(child)
         self.class_decls.add(child)
         self.class_decls.add(parent)
         self.journal = None
@@ -405,7 +422,7 @@ class KnowledgeBase:
         """Link each class to every ancestor directly, which makes no cycle; returns :func:`ancestors` of the links."""
         above = ancestors(self.subclass_links)
         self.subclass_links.update((child, parent) for child in above for parent in above[child])
-        self._parents = self.journal = None
+        self._parents = self._children = self._order = self.journal = None
         return above
 
     def add_disjoint(self, a: Iri, b: Iri) -> None:
@@ -446,13 +463,13 @@ class KnowledgeBase:
     def add_type(self, individual: Iri, cls: Iri) -> None:
         self.class_decls.add(cls)
         self.type_assertions.add((individual, cls))
-        if self._index is not None or self.journal is not None:
-            self._edit(True, Statement(individual, TYPE_PRED, cls))
+        if self._type_index is not None or self.journal is not None:
+            self._edit(self._type_index, True, Statement(individual, TYPE_PRED, cls))
 
     def remove_type(self, individual: Iri, cls: Iri) -> None:
         self.type_assertions.discard((individual, cls))
-        if self._index is not None or self.journal is not None:
-            self._edit(False, Statement(individual, TYPE_PRED, cls))
+        if self._type_index is not None or self.journal is not None:
+            self._edit(self._type_index, False, Statement(individual, TYPE_PRED, cls))
 
     def check_statement(self, subject: Term, predicate: Iri, obj: Term) -> None:
         """Raise unless ``add_statement`` accepts this fact; a subject must be an Iri to parse back."""
@@ -472,7 +489,7 @@ class KnowledgeBase:
         stmt = Statement(subject, predicate, obj)
         self.statements.add(stmt)
         if self._index is not None or self.journal is not None:
-            self._edit(True, stmt)
+            self._edit(self._index, True, stmt)
 
     def remove_statement(self, subject: Iri, predicate: Iri, obj: Term) -> None:
         if predicate == TYPE_PRED:
@@ -481,12 +498,12 @@ class KnowledgeBase:
         stmt = Statement(subject, predicate, obj)
         self.statements.discard(stmt)
         if self._index is not None or self.journal is not None:
-            self._edit(False, stmt)
+            self._edit(self._index, False, stmt)
 
-    def _edit(self, added: bool, stmt: Statement) -> None:
-        """File one graph edit in the index, once built, and in the journal, while armed."""
-        if self._index is not None:
-            (_index_add if added else _index_discard)(self._index, stmt)
+    def _edit(self, index: Optional[tuple], added: bool, stmt: Statement) -> None:
+        """File one graph edit in its ``index``, once built, and in the journal, while armed."""
+        if index is not None:
+            (_index_add if added else _index_discard)(index, stmt)
         if self.journal is not None:
             self.journal.append((added, stmt))
             if len(self.journal) > JOURNAL_LIMIT:
@@ -503,25 +520,32 @@ class KnowledgeBase:
         yield from self.statements
 
     def statements_about(self, subject: Iri):
-        """Every edge with this subject, type assertions included.
+        """Every fact with this subject; a type assertion is no fact (see :meth:`types_of`).
 
-        The result is the index's own bucket: read it, never mutate it.
+        The result is the fact index's own bucket: read it, never mutate it.
         """
-        return self._indexes()[0].get(subject, _NO_STATEMENTS)
+        return (self._index or self._indexes()[0])[0].get(subject, _NO_STATEMENTS)
 
     def statements_to(self, obj: Term):
-        """Every edge with this object, as :meth:`statements_about` (read only)."""
-        return self._indexes()[2].get(obj, _NO_STATEMENTS)
+        """Every fact with this object, as :meth:`statements_about` (read only)."""
+        return (self._index or self._indexes()[0])[2].get(obj, _NO_STATEMENTS)
 
     def statements_with(self, predicate: Iri):
-        """Every edge with this predicate, as :meth:`statements_about` (read only)."""
-        return self._indexes()[1].get(predicate, _NO_STATEMENTS)
+        """Every fact with this predicate, as :meth:`statements_about` (read only)."""
+        return (self._index or self._indexes()[0])[1].get(predicate, _NO_STATEMENTS)
 
     def types_of(self, individual: Iri) -> set:
-        return {s.object for s in self.statements_about(individual) if s.predicate == TYPE_PRED}
+        """The classes asserted of ``individual``, read from the type index."""
+        return {stmt.object for stmt in self._index_for(TYPE_PRED)[0].get(individual, _NO_STATEMENTS)}
+
+    def instances(self, cls: Iri) -> list:
+        """The individuals asserted of ``cls``, in no order, read from the type index."""
+        return [stmt.subject for stmt in self._index_for(TYPE_PRED)[2].get(cls, _NO_STATEMENTS)]
 
     def individuals(self) -> set:
-        return set(self._indexes()[0])
+        """The subject of every edge, type assertions included."""
+        facts, types = self._indexes()
+        return set(facts[0]).union(types[0])
 
     def match(self, pattern) -> list[dict]:
         """All binding maps under which the substituted triple is present.
@@ -530,11 +554,15 @@ class KnowledgeBase:
         Result order is deterministic: lexicographic by the bound values in
         variable-name order.  A fully-constant pattern yields one empty map
         when the triple is present; a one-variable pattern sorts its values
-        only when it finds more than one.
+        only when it finds more than one.  It reads the index
+        :meth:`_index_for` picks by the predicate.
         """
         terms = pattern if isinstance(pattern, tuple) else (pattern.subject, pattern.predicate, pattern.object)
-        index = self._index or self._indexes()
         s, p, o = terms
+        if p == TYPE_PRED or isinstance(p, Var):
+            index = self._index_for(p)
+        else:  # as _index_for, without the call: most patterns read facts
+            index = self._index or self._indexes()[0]
         shape = (isinstance(s, Var), isinstance(p, Var), isinstance(o, Var))
         if shape == _NO_VARIABLE:
             return [{}] if terms in index[0].get(s, _NO_STATEMENTS) else []
@@ -576,46 +604,70 @@ class KnowledgeBase:
     def estimate(self, terms: tuple) -> int:
         """An upper bound on the rows ``match(terms)`` returns, read from the indexes alone.
 
-        It is the smallest index bucket among the constants of ``terms``
-        (0 when one is absent), or every triple when all three are variables.
+        It is the smallest bucket among the constants of ``terms`` in the
+        index ``match`` reads (0 when one is absent; for a variable predicate
+        a bucket of both indexes, the sum of theirs), or every triple when
+        all three are variables.
         """
-        index = self._indexes()
-        sizes = [len(index[i].get(term, _NO_STATEMENTS)) for i, term in enumerate(terms)
-                 if not isinstance(term, Var)]
+        index = self._index_for(terms[1])
+        sizes = [len(index[i].get(term, _NO_STATEMENTS)) for i, term in enumerate(terms) if not isinstance(term, Var)]
         return min(sizes) if sizes else len(self.type_assertions) + len(self.statements)
 
+    def _index_for(self, predicate) -> tuple:
+        """The index a pattern of ``predicate`` reads: the type index for ``TYPE_PRED``,
+        both read as one (see :class:`_Both`) for a variable, and else the fact index."""
+        if predicate == TYPE_PRED:
+            return self._type_index or self._indexes()[1]
+        if isinstance(predicate, Var):
+            return tuple(map(_Both, *self._indexes()))
+        return self._index or self._indexes()[0]
+
     def _indexes(self) -> tuple:
+        """(the fact index, the type index), both built on the first read of either.
+
+        So a registry's load, which reads facts, builds the type index too,
+        and the first closure of the registry copies it instead of building
+        it.
+        """
         if self._index is None:
-            index = ({}, {}, {})
-            for stmt in self.triples():
-                _index_add(index, stmt)
-            self._index = index
-        return self._index
+            self._index = _built_index(self.statements)
+            self._type_index = _built_index(Statement(individual, TYPE_PRED, cls)
+                                            for individual, cls in self.type_assertions)
+        return self._index, self._type_index
 
     # -- bookkeeping -------------------------------------------------------
 
     def copy(self) -> "KnowledgeBase":
-        """A copy of every table and of the index; the journal is not copied."""
-        out = KnowledgeBase(*[table.copy() for table in _tables(self)])
-        if self._index is not None:
-            out._index = tuple(
-                {term: set(bucket) for term, bucket in by_term.items()} for by_term in self._index
-            )
+        """A copy of every table and of both indexes; the journal is not copied."""
+        out = KnowledgeBase(*[table.copy() for table in _tables(self)], statements=self.statements.copy())
+        out._index, out._type_index = _index_copy(self._index), _index_copy(self._type_index)
+        return out
+
+    def share_facts(self) -> "KnowledgeBase":
+        """A copy of every table but ``statements``, which the copy shares with this knowledge base.
+
+        The copy shares the fact index too, and holds a copy of the type
+        index; this knowledge base builds both first if it has not.  A fact
+        written to either is in both, so facts are written to one of them
+        alone; declarations and type assertions stay each one's own.  The
+        journal is not copied.
+        """
+        out = KnowledgeBase(*[table.copy() for table in _tables(self)], statements=self.statements)
+        facts, types = self._indexes()
+        out._index, out._type_index = facts, _index_copy(types)
         return out
 
     def _subclass_path(self, start: Iri, goal: Iri) -> Optional[list]:
         """A subclass path start -> ... -> goal, or None when there is none.
 
-        An unordered walk tells whether ``goal`` is reachable; only then does a
-        depth-first walk in ``term_sort_key`` order find the path, so it is fixed.
+        The walk is depth-first in ``term_sort_key`` order, so the path is
+        fixed; ``add_subclass`` takes it only once it knows there is one.
         """
         if self._parents is None:
-            self._parents = subclass_parents(self.subclass_links)
+            self._map_links()
         if start == goal:
             return [start]
         parents = self._parents
-        if goal not in _above(parents, start):
-            return None
         stack = [(start, [start])]
         visited = set()
         while stack:
@@ -627,6 +679,50 @@ class KnowledgeBase:
                     visited.add(parent)
                     stack.append((parent, path + [parent]))
         return None
+
+    def _map_links(self) -> None:
+        """Build ``_parents``, ``_children`` and ``_order`` from the subclass links."""
+        links = self.subclass_links
+        self._parents = subclass_parents(links)
+        self._children = subclass_parents((parent, child) for child, parent in links)
+        # a class has more ancestors than each of its parents: fewer come later
+        above = ancestors(links)
+        linked = sorted({cls for link in links for cls in link}, key=lambda cls: -len(above.get(cls, ())))
+        self._order = {cls: place for place, cls in enumerate(linked)}
+
+    def _place_below(self, child: Iri, parent: Iri) -> bool:
+        """Place ``child`` before ``parent`` in ``_order``; False, the order unchanged, when ``parent`` reaches ``child``.
+
+        This is Pearce & Kelly's dynamic topological order (JEA 11, 2006):
+        only the classes placed between the two are walked, those above
+        ``parent`` and below ``child``, and only they are placed again.
+        """
+        order = self._order
+        # a class new to the links goes first as a child, last as a parent
+        high = order.setdefault(child, -len(order))
+        low = order.setdefault(parent, len(order))
+        if low > high:
+            return True
+        if child == parent:
+            return False
+        above, frontier = {parent}, [parent]
+        while frontier:
+            for cls in self._parents.get(frontier.pop(), ()):
+                if cls == child:
+                    return False
+                if cls not in above and order[cls] < high:
+                    above.add(cls)
+                    frontier.append(cls)
+        below, frontier = {child}, [child]
+        while frontier:
+            for cls in self._children.get(frontier.pop(), ()):
+                if cls not in below and order[cls] > low:
+                    below.add(cls)
+                    frontier.append(cls)
+        moved = sorted(below, key=order.__getitem__) + sorted(above, key=order.__getitem__)
+        for cls, place in zip(moved, sorted(map(order.__getitem__, moved))):
+            order[cls] = place
+        return True
 
 
 def subclass_parents(links) -> dict:
@@ -655,8 +751,9 @@ def _above(parents: dict, cls: Iri) -> set:
     return seen
 
 
-# The tables of a knowledge base, its init fields in order: copy() copies each.
-_tables = attrgetter(*(f.name for f in fields(KnowledgeBase) if f.init))
+# The tables of a knowledge base but its facts, its init fields in order:
+# copy() and share_facts() copy each.
+_tables = attrgetter(*(f.name for f in fields(KnowledgeBase) if f.init and f.name != "statements"))
 
 
 _NO_STATEMENTS: frozenset = frozenset()
@@ -666,6 +763,41 @@ _NO_VARIABLE = (False, False, False)
 _ONE_VARIABLE = {(True, False, False): (0, 1, 2), (False, True, False): (1, 0, 2), (False, False, True): (2, 0, 1)}
 # Writes a journal holds at most; past it the knowledge base disarms it.
 JOURNAL_LIMIT = 4096
+
+
+class _Both:
+    """One map of the fact index and the same map of the type index, read as one.
+
+    A term's bucket is the union of its two buckets, which share no
+    statement, since no fact is a type assertion.
+    """
+
+    def __init__(self, facts: dict, types: dict):
+        self.facts, self.types = facts, types
+
+    def get(self, term, default=None):
+        facts, types = self.facts.get(term), self.types.get(term)
+        if types is None:
+            return default if facts is None else facts
+        return types if facts is None else facts | types
+
+    def values(self):
+        return chain(self.facts.values(), self.types.values())
+
+
+def _built_index(statements) -> tuple:
+    """An index of ``statements``: (by subject, by predicate, by object)."""
+    index = ({}, {}, {})
+    for stmt in statements:
+        _index_add(index, stmt)
+    return index
+
+
+def _index_copy(index: Optional[tuple]) -> Optional[tuple]:
+    """A copy of ``index`` bucket by bucket; None for None."""
+    if index is None:
+        return None
+    return tuple({term: set(bucket) for term, bucket in by_term.items()} for by_term in index)
 
 
 def _index_add(index: tuple, stmt: Statement) -> None:

@@ -8,11 +8,15 @@ Materialization computes the least fixpoint of three rules:
   for a conjunction; some asserted-or-inferred fact ``x p y`` with
   ``y TYPE C`` for an existential) gains the head type.
 
-``materialize`` never mutates its input; rules only add, so the result is
-idempotent and monotone.  No rule adds a subclass link, so each class's
-ancestors are computed once up front; type inheritance then runs once per
-assertion of a class that has an ancestor and whenever an axiom adds a
-type, and only axiom application is iterated.
+``materialize`` adds nothing to its input; rules only add, so the result
+is idempotent and monotone.  No rule derives a fact, so the result shares
+its input's facts (see ``KnowledgeBase.share_facts``) and holds its own
+declarations and type assertions: a view of the input whose only
+materialized part is the types (Gupta & Mumick, IEEE Data Eng. Bull. 18(2),
+1995).  No rule adds a subclass link, so each class's ancestors are
+computed once up front; type inheritance then runs once per assertion of a
+class that has an ancestor and whenever an axiom adds a type, and only
+axiom application is iterated.
 
 Axiom application runs in semi-naive rounds: the first tests only the
 seeds, the individuals that an index bucket of some axiom body holds (see
@@ -20,11 +24,12 @@ seeds, the individuals that an index bucket of some axiom body holds (see
 changed (see ``_apply_axioms``), so no round is spent confirming the
 fixpoint.
 
-``refresh`` keeps such a closure current without a rebuild: it replays into
-it the graph edits journaled on the knowledge base since, each one statement
-(see ``kb``), then re-derives only the individuals whose inferred types
-those edits can change.  A type edit can; a fact edit can only when some
-axiom body quantifies over its predicate, so most edits re-derive nothing.
+``refresh`` keeps such a closure current without a rebuild.  Of the graph
+edits journaled on the knowledge base since, each one statement (see
+``kb``), it replays only the type edits, since the closure already shares
+every fact, then re-derives only the individuals whose inferred types those
+edits can change.  A type edit can; a fact edit can only when some axiom
+body quantifies over its predicate, so most edits re-derive nothing.
 It returns the predicates and classes it changed, so that a follower can
 keep the answers of queries that read none of them.  A declaration disarms
 the journal, so its follower rebuilds instead.
@@ -72,10 +77,6 @@ def _add_with_ancestors(out: KnowledgeBase, above: dict, individual: Iri, cls: I
             out.add_type(individual, c)
 
 
-def _instances(kb: KnowledgeBase, cls: Iri) -> list:
-    return [stmt.subject for stmt in kb.statements_to(cls) if stmt.predicate == TYPE_PRED]
-
-
 def _seeds(kb: KnowledgeBase, expr: ClassExpr) -> set:
     """A set holding every individual that can satisfy ``expr``, read from ``kb``'s index.
 
@@ -85,7 +86,7 @@ def _seeds(kb: KnowledgeBase, expr: ClassExpr) -> set:
     and a conjunction the smallest of its parts' seeds.
     """
     if isinstance(expr, NamedClass):
-        return set(_instances(kb, expr.iri))
+        return set(kb.instances(expr.iri))
     if isinstance(expr, SomeValues):
         return set() if expr.prop == TYPE_PRED else {stmt.subject for stmt in kb.statements_with(expr.prop)}
     return min((_seeds(kb, part) for part in expr.parts), key=len) if expr.parts else kb.individuals()
@@ -129,11 +130,18 @@ def _apply_axioms(out: KnowledgeBase, above: dict, candidates, quantified: set) 
 
 
 def materialize(kb: KnowledgeBase) -> KnowledgeBase:
-    """Return a copy of ``kb`` extended to the least inference fixpoint."""
-    out = kb.copy()
+    """Return ``kb`` extended to the least inference fixpoint, sharing its facts.
+
+    The result holds its own declarations and type assertions, and shares
+    ``kb``'s ``statements`` set and fact index (see
+    :meth:`KnowledgeBase.share_facts`): a fact written to ``kb`` is in the
+    result at once.  Write facts to ``kb`` alone, and call ``.copy()`` on the
+    result for a graph independent of ``kb``.
+    """
+    out = kb.share_facts()
     above = out.close_subclass_links()  # no rule adds a subclass link: close them once, before the loop
     for cls in above:
-        for individual in _instances(out, cls):
+        for individual in out.instances(cls):
             _add_with_ancestors(out, above, individual, cls)
     seeds = set().union(*(_seeds(out, axiom.body) for axiom in out.axioms))
     _apply_axioms(out, above, seeds, _quantified(out.axioms))
@@ -146,7 +154,8 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> set:
     ``edits`` are ``kb``'s journal entries, ``(added, Statement)``, since
     ``closed`` last equalled ``materialize(kb)``; afterwards it equals it
     again.  They hold no declaration: one disarms the journal, and the
-    closure must then be rebuilt.
+    closure must then be rebuilt.  ``closed`` shares ``kb``'s facts, so
+    only the type edits are replayed into it; no fact is written to it.
 
     Returns what may have changed in ``closed``: the predicate of each fact
     edit, and ``(TYPE_PRED, class)`` for the class of each type edit and
@@ -158,22 +167,23 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> set:
     limited to what an edit can reach.  An individual's inferred types
     depend only on its own types, its own facts whose predicate some axiom
     body quantifies over (``p SOME C``), and the types of those facts'
-    objects.  So every edit is replayed, but only a type edit or an edit of
-    a quantified fact marks its subject; a rating's facts, for one, mark
-    nothing.  The marked individuals and those with a path of quantified
-    facts to one are re-derived: each is reset to its asserted types and
-    their ancestors, then the axioms run over that set to a fixpoint.
+    objects.  So only a type edit or an edit of a quantified fact marks its
+    subject; a rating's facts, for one, mark nothing.  The marked
+    individuals and those with a path of quantified facts to one are
+    re-derived: each is reset to its asserted types and their ancestors,
+    then the axioms run over that set to a fixpoint.
     """
     quantified = _quantified(closed.axioms)
     touched, changed = set(), set()
     for added, (subject, predicate, obj) in edits:
-        if added:
-            closed.add_statement(subject, predicate, obj)
-        else:
-            closed.remove_statement(subject, predicate, obj)
-        changed.add((TYPE_PRED, obj) if predicate == TYPE_PRED else predicate)
-        if predicate == TYPE_PRED or predicate in quantified:
+        if predicate == TYPE_PRED:
+            (closed.add_type if added else closed.remove_type)(subject, obj)
+            changed.add((TYPE_PRED, obj))
             touched.add(subject)
+        else:
+            changed.add(predicate)
+            if predicate in quantified:
+                touched.add(subject)
     if not touched:
         return changed
     affected, frontier = set(touched), list(touched)
@@ -183,7 +193,7 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> set:
                 affected.add(stmt.subject)
                 frontier.append(stmt.subject)
     above = subclass_parents(closed.subclass_links)  # the closed links hold every ancestor directly
-    before = {}
+    before, candidates = {}, []
     for individual in affected:
         types = before[individual] = closed.types_of(individual)
         keep = {c for t in types if (individual, t) in kb.type_assertions for c in (t, *above.get(t, ()))}
@@ -191,7 +201,9 @@ def refresh(closed: KnowledgeBase, kb: KnowledgeBase, edits) -> set:
             closed.remove_type(individual, cls)
         for cls in keep - types:
             closed.add_type(individual, cls)
-    _apply_axioms(closed, above, [i for i in affected if closed.statements_about(i)], quantified)
+        if keep or closed.statements_about(individual):  # an individual with no edge left gains nothing
+            candidates.append(individual)
+    _apply_axioms(closed, above, candidates, quantified)
     changed.update((TYPE_PRED, cls) for i, types in before.items() for cls in types ^ closed.types_of(i))
     return changed
 

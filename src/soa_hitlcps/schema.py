@@ -796,9 +796,10 @@ def project_experience(kb: KnowledgeBase, service: Iri, requester: Iri, rating: 
                        provider: Iri, index: int) -> None:
     """Store a rating, with its ``(name, value)`` criteria, on the first unused experience node from ``index`` on."""
     ensure_plumbing(kb)
-    while kb.statements_about(Iri(service.prefix, f"{service.local}Exp{index}")):
-        index += 1
     node = Iri(service.prefix, f"{service.local}Exp{index}")
+    while kb.statements_about(node) or kb.types_of(node):
+        index += 1
+        node = Iri(service.prefix, f"{service.local}Exp{index}")
     kb.add_type(node, iri("Experience"))
     kb.add_statement(node, iri("experienceOf"), service)
     kb.add_statement(node, iri("ratedBy"), requester)

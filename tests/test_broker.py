@@ -1,6 +1,7 @@
 """Discovery compilation, ranking, invocation lifecycle, and composition."""
 
 import contextlib
+import copy
 import dataclasses
 import random
 import re
@@ -716,8 +717,23 @@ def unread_broker(registry) -> ServiceBroker:
     return ServiceBroker(unread)
 
 
+def _ledger_state(registry) -> tuple:
+    """The serialized graph, the service and potential records, and the invocation ledger."""
+    return serialize(registry.kb), copy.deepcopy((registry.services, registry.potentials, registry.invocations))
+
+
+def _unchanged_if_it_fails(registry, operation, failures: list) -> None:
+    """Run ``operation``; if it raises a domain error, it must have changed nothing."""
+    before = _ledger_state(registry)
+    try:
+        operation()
+    except SoaHitlcpsError as err:
+        failures.append(type(err).__name__)
+        assert _ledger_state(registry) == before, err
+
+
 def test_closure_cache_matches_fresh_materialize_under_random_writes(monkeypatch):
-    rebuilds = []
+    rebuilds, failures = [], []
     monkeypatch.setattr(broker_module, "materialize", lambda kb: rebuilds.append(kb) or materialize(kb))
     rng = random.Random(4104)
     registry, broker = build_world()
@@ -734,26 +750,30 @@ def test_closure_cache_matches_fresh_materialize_under_random_writes(monkeypatch
             _random_write(rng, registry.kb, step)
         elif roll < 0.5:  # withdraw a service, or present it again
             service = rng.choice(sorted(profiles))
-            with contextlib.suppress(SoaHitlcpsError):
-                if registry.is_published(service):
-                    registry.withdraw_service(service)
-                else:
-                    registry.publish_service(*parse_service_profile(profiles[service]))
+            if registry.is_published(service):
+                _unchanged_if_it_fails(registry, lambda: registry.withdraw_service(service), failures)
+            else:
+                _unchanged_if_it_fails(
+                    registry, lambda: registry.publish_service(*parse_service_profile(profiles[service])), failures)
         elif roll < 0.65:
             broker.discover(rng.choice(requests), now=rng.randint(0, 20))
         elif roll < 0.85:
-            with contextlib.suppress(SoaHitlcpsError):
-                if rng.random() < 0.5:
-                    patient = rng.choice((iri("Adam"), iri("Erin")))
-                    broker.invoke(iri("chatDoctor"), iri("Cathy"), {"patient": patient}, now=rng.randint(0, 20))
-                else:
-                    broker.invoke(iri("erinWatch"), iri("Adam"), {}, now=rng.randint(0, 20))
+            now = rng.randint(0, 20)
+            if rng.random() < 0.5:
+                patient = rng.choice((iri("Adam"), iri("Erin")))
+                _unchanged_if_it_fails(registry, lambda: broker.invoke(
+                    iri("chatDoctor"), iri("Cathy"), {"patient": patient}, now=now), failures)
+            else:
+                _unchanged_if_it_fails(registry, lambda: broker.invoke(iri("erinWatch"), iri("Adam"), {}, now=now),
+                                       failures)
         else:
             running = [inv for inv in registry.invocations if inv.status == RUNNING]
             if running:
-                with contextlib.suppress(SoaHitlcpsError):
-                    broker.complete_invocation(rng.choice(running), rng.choice((COMPLETED, FAILED)),
-                                               rating=rng.choice((None, Decimal("3"))))
+                invocation, outcome = rng.choice(running), rng.choice((COMPLETED, FAILED))
+                rating = rng.choice((None, Decimal("3")))
+                _unchanged_if_it_fails(registry, lambda: broker.complete_invocation(invocation, outcome, rating=rating),
+                                       failures)
+        # a failed write leaves the graph, and so the closure's facts, as they were
         assert broker._closure() == materialize(registry.kb)
         now = rng.randint(0, 20)
         for request in requests:  # the kept candidates rank as a fresh broker's
@@ -764,6 +784,7 @@ def test_closure_cache_matches_fresh_materialize_under_random_writes(monkeypatch
         with contextlib.suppress(SoaHitlcpsError):
             broker.invoke(iri("erinWatch"), iri("Adam"), {})
         assert len(rebuilds) == before
+    assert failures  # the oracle saw failed operations
 
 
 def _counting_evaluates(monkeypatch) -> list:

@@ -204,6 +204,43 @@ def test_closing_the_subclass_links_links_each_class_to_every_ancestor():
     assert str(err.value) == "cyclic subclass chain: A -> C -> A"
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_a_subclass_link_is_refused_exactly_when_it_closes_a_cycle_whatever_the_order(seed):
+    """Links in random order, some closing cycles, with closings between them.
+
+    A link is refused, with the ordered path, exactly when its parent
+    already reaches its child, and the cycle check's order keeps every
+    class before its parents.
+    """
+    rng = random.Random(seed)
+    names = [iri(f"C{i}") for i in range(rng.randint(2, 25))]
+    kb = KnowledgeBase()
+    refused = 0
+    for _ in range(80):
+        child, parent = rng.choice(names), rng.choice(names)
+        links = set(kb.subclass_links)
+        path = _scanning_subclass_path(links, parent, child)
+        if path is None:
+            kb.add_subclass(child, parent)
+        else:
+            refused += 1
+            with pytest.raises(CyclicSubclassError) as err:
+                kb.add_subclass(child, parent)
+            assert err.value.path == path + [parent] and kb.subclass_links == links
+        if kb._order is not None:
+            assert all(kb._order[c] < kb._order[p] for c, p in kb.subclass_links)
+        if rng.random() < 0.05:
+            kb.close_subclass_links()
+    assert refused > 0
+
+
+def test_a_closed_chain_reads_back_as_itself():
+    closed = parse_document("".join(f"CLASS C{i} SUBCLASSOF C{i + 1}\n" for i in range(59)))
+    closed.close_subclass_links()
+    assert len(closed.subclass_links) == 60 * 59 // 2
+    assert parse_document(serialize(closed)) == closed
+
+
 def test_duplicate_declarations_idempotent():
     kb = parse_document("CLASS Human\nCLASS Human\nCLASS Human SUBCLASSOF PhysicalThing\nCLASS Human SUBCLASSOF PhysicalThing\n")
     assert len([c for c in kb.class_decls if c == iri("Human")]) == 1
@@ -354,7 +391,19 @@ def test_match_pattern_against_bruteforce_oracle():
 
 
 def _scan_types_of(kb: KnowledgeBase, individual: Iri) -> set:
-    return {s.object for s in kb.triples() if s.subject == individual and s.predicate == TYPE_PRED}
+    return {cls for ind, cls in kb.type_assertions if ind == individual}
+
+
+def _scan_indexed(kb: KnowledgeBase, predicate) -> list:
+    """The statements of the index ``match`` reads for ``predicate``, by a scan of the tables.
+
+    A type assertion is filed as its statement in the type index, and a fact
+    in the fact index; a variable predicate reads both.
+    """
+    types = [Statement(ind, TYPE_PRED, cls) for ind, cls in kb.type_assertions]
+    if isinstance(predicate, Var):
+        return types + list(kb.statements)
+    return types if predicate == TYPE_PRED else list(kb.statements)
 
 
 def _scan_individuals(kb: KnowledgeBase) -> set:
@@ -390,12 +439,17 @@ def _assert_index_agrees_with_scan(rng: random.Random, kb: KnowledgeBase, vocabu
         assert kb.match(pattern) == _oracle_match(kb, pattern)
         shapes |= _match_shapes(kb, pattern)
         terms = (pattern.subject, pattern.predicate, pattern.object)
-        scanned = [sum(stmt[i] == term for stmt in kb.triples())
+        indexed = _scan_indexed(kb, pattern.predicate)
+        scanned = [sum(stmt[i] == term for stmt in indexed)
                    for i, term in enumerate(terms) if not isinstance(term, Var)]
-        assert kb.estimate(terms) == min(scanned, default=len(list(kb.triples())))
-    for term in vocabulary:
-        if isinstance(term, Iri):
+        assert kb.estimate(terms) == min(scanned, default=len(indexed))
+    for term in vocabulary:  # the fact index against a scan of statements
+        assert kb.statements_about(term) == {s for s in kb.statements if s.subject == term}
+        assert kb.statements_with(term) == {s for s in kb.statements if s.predicate == term}
+        assert kb.statements_to(term) == {s for s in kb.statements if s.object == term}
+        if isinstance(term, Iri):  # the type index against a scan of type_assertions
             assert kb.types_of(term) == _scan_types_of(kb, term)
+            assert sorted(kb.instances(term)) == sorted(ind for ind, cls in kb.type_assertions if cls == term)
     assert kb.individuals() == _scan_individuals(kb)
 
 
@@ -613,8 +667,9 @@ def test_an_iri_and_a_literal_with_the_same_fields_are_two_statements():
         assert kb.match(Pattern(Var("s"), p, obj)) == [{"s": a}]
     assert parse_document(serialize(kb)) == kb
     for term in (a, Iri("string", "x")):
-        assert kb.statements_about(term) == {s for s in kb.triples() if s.subject == term}
+        assert kb.statements_about(term) == {s for s in kb.statements if s.subject == term}  # facts only
         assert kb.types_of(term) == _scan_types_of(kb, term)
+    assert kb.types_of(a) == {iri("A")}
 
 
 def test_journal_records_each_successful_write_while_armed():

@@ -13,6 +13,7 @@ from soa_hitlcps.kb import (
     NamedClass,
     Pattern,
     SomeValues,
+    Statement,
     TYPE_PRED,
     Var,
     ancestors,
@@ -387,10 +388,12 @@ def test_refresh_matches_materialize_and_naive_under_removal_heavy_writes(monkey
         kb.journal = journal = []
         closed = materialize(kb)
         for _ in range(200):
+            # the closure shares kb's facts, so they are taken before the write
+            facts, types = set(closed.statements), set(closed.type_assertions)
             method = _removal_heavy_write(rng, kb, closed)
             methods.append(method)
             if kb.journal is journal:
-                before, facts, types = len(calls), set(closed.statements), set(closed.type_assertions)
+                before = len(calls)
                 reported = refresh(closed, kb, journal)
                 # it reports every predicate whose facts changed, and every class whose members did
                 assert {s.predicate for s in facts ^ closed.statements} <= reported
@@ -411,6 +414,69 @@ def test_refresh_matches_materialize_and_naive_under_removal_heavy_writes(monkey
     assert rebuilds == declarations > 0
     assert fact_refreshes[True] > 0 and fact_refreshes[False] > 0
     assert kinds == set(BODY_KINDS)
+
+
+SHARED_KB = AXIOM_KB + """
+INDIVIDUAL alice TYPE PhysicalThing
+INDIVIDUAL aliceSkill TYPE HumanCapability
+FACT alice hasCapability aliceSkill
+INDIVIDUAL desk TYPE Service
+"""
+
+
+def test_a_closure_shares_its_knowledge_base_s_facts_and_fact_index():
+    kb = parse_document(SHARED_KB)
+    closed = materialize(kb)
+    assert closed.statements is kb.statements
+    assert closed._index is kb._index is not None
+    # the types are the closure's own, with a type index of its own
+    assert closed._type_index is not kb._type_index
+    assert closed.type_assertions - kb.type_assertions == {(iri("alice"), iri("Human")),
+                                                           (iri("aliceSkill"), iri("Capability"))}
+    copied = closed.copy()
+    assert copied == closed and copied.statements is not kb.statements and copied._index is not kb._index
+
+
+def test_a_fact_written_to_the_knowledge_base_is_in_the_closure_before_any_refresh():
+    kb = parse_document(SHARED_KB)
+    kb.journal = journal = []
+    closed = materialize(kb)
+    desk, alice, provided_by = iri("desk"), iri("alice"), iri("providedBy")
+    kb.add_statement(desk, provided_by, alice)
+    assert closed.match(Pattern(desk, provided_by, Var("p"))) == [{"p": alice}]
+    assert closed.statements_about(desk) == {Statement(desk, provided_by, alice)}
+    # what the fact implies waits for the refresh
+    assert (desk, iri("HumanService")) not in closed.type_assertions
+    assert refresh(closed, kb, journal) == {provided_by, (TYPE_PRED, iri("HumanService"))}
+    journal.clear()
+    assert (desk, iri("HumanService")) in closed.type_assertions and closed == materialize(kb)
+    kb.remove_statement(desk, provided_by, alice)
+    assert not closed.match(Pattern(desk, provided_by, Var("p"))) and closed.statements_about(desk) == set()
+    refresh(closed, kb, journal)
+    assert closed == materialize(kb)
+
+
+def test_materialize_and_refresh_write_no_fact_to_the_closure(monkeypatch):
+    def no_fact_write(*args):
+        raise AssertionError(f"a fact written to the closure: {args}")
+
+    kb = parse_document(SHARED_KB)
+    kb.journal = journal = []
+    with monkeypatch.context() as patch:
+        patch.setattr(KnowledgeBase, "add_statement", no_fact_write)
+        patch.setattr(KnowledgeBase, "remove_statement", no_fact_write)
+        closed = materialize(kb)
+    monkeypatch.setattr(closed, "add_statement", no_fact_write)
+    monkeypatch.setattr(closed, "remove_statement", no_fact_write)
+    desk, alice = iri("desk"), iri("alice")
+    kb.add_statement(desk, iri("providedBy"), alice)  # quantified: re-derives desk
+    kb.remove_statement(alice, iri("hasCapability"), iri("aliceSkill"))  # quantified: alice and desk
+    kb.add_type(iri("bob"), iri("Human"))
+    kb.remove_type(desk, iri("Service"))
+    assert len(journal) == 4
+    changed = refresh(closed, kb, journal)
+    assert {iri("providedBy"), iri("hasCapability"), (TYPE_PRED, iri("Service"))} <= changed
+    assert closed == materialize(kb) == _naive_materialize(kb)
 
 
 def test_disjointness_violation_direct_and_inherited():
