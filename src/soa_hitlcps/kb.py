@@ -63,8 +63,8 @@ methods from then on, and copied bucket by bucket with the knowledge base.
 One helper, ``_index_add``, files a statement in its index's three maps, for
 the first build and for every write alike.  ``share_facts`` gives a
 knowledge base that shares ``statements`` and the fact index, so a fact
-written to either is in both; its type assertions and type index are its
-own.
+written to either is in both; its type assertions are its own, and so is
+the type index, which it takes over from the knowledge base it shares.
 
 A follower of the graph (such as the broker's closure) arms ``journal`` by
 setting it to an empty list.  From then on each graph edit appends
@@ -369,7 +369,8 @@ class KnowledgeBase:
     statements: set = field(default_factory=set)
     # the fact index, over statements, and the type index, over type
     # assertions: (by subject, by predicate, by object), each term -> set of
-    # Statements; None until the first read of either builds both
+    # Statements; None until a read builds it (the first read of either
+    # builds both), and the type index None again once share_facts took it
     _index: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _type_index: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     # (added, Statement) of each graph edit since the follower that armed it
@@ -623,14 +624,16 @@ class KnowledgeBase:
         return self._index or self._indexes()[0]
 
     def _indexes(self) -> tuple:
-        """(the fact index, the type index), both built on the first read of either.
+        """(the fact index, the type index), each built when it is read and missing.
 
-        So a registry's load, which reads facts, builds the type index too,
-        and the first closure of the registry copies it instead of building
-        it.
+        Both are built on the first read of either, so a registry's load,
+        which reads facts, builds the type index too, and the first closure
+        of the registry takes it over instead of building one; the registry
+        builds a new one only if it reads a type again.
         """
         if self._index is None:
             self._index = _built_index(self.statements)
+        if self._type_index is None:
             self._type_index = _built_index(Statement(individual, TYPE_PRED, cls)
                                             for individual, cls in self.type_assertions)
         return self._index, self._type_index
@@ -646,15 +649,15 @@ class KnowledgeBase:
     def share_facts(self) -> "KnowledgeBase":
         """A copy of every table but ``statements``, which the copy shares with this knowledge base.
 
-        The copy shares the fact index too, and holds a copy of the type
-        index; this knowledge base builds both first if it has not.  A fact
-        written to either is in both, so facts are written to one of them
-        alone; declarations and type assertions stay each one's own.  The
-        journal is not copied.
+        The copy shares the fact index too, and takes the type index over:
+        this knowledge base builds both first if it has not, and builds a
+        new type index on its next read of a type.  A fact written to either
+        is in both, so facts are written to one of them alone; declarations
+        and type assertions stay each one's own.  The journal is not copied.
         """
         out = KnowledgeBase(*[table.copy() for table in _tables(self)], statements=self.statements)
-        facts, types = self._indexes()
-        out._index, out._type_index = facts, _index_copy(types)
+        out._index, out._type_index = self._indexes()
+        self._type_index = None
         return out
 
     def _subclass_path(self, start: Iri, goal: Iri) -> Optional[list]:

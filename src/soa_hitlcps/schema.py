@@ -797,7 +797,9 @@ def project_experience(kb: KnowledgeBase, service: Iri, requester: Iri, rating: 
     """Store a rating, with its ``(name, value)`` criteria, on the first unused experience node from ``index`` on."""
     ensure_plumbing(kb)
     node = Iri(service.prefix, f"{service.local}Exp{index}")
-    while kb.statements_about(node) or kb.types_of(node):
+    # a node with a fact, or typed Experience, is in use; the graph's type
+    # index is not read, since a closure of the graph may have taken it
+    while kb.statements_about(node) or (node, iri("Experience")) in kb.type_assertions:
         index += 1
         node = Iri(service.prefix, f"{service.local}Exp{index}")
     kb.add_type(node, iri("Experience"))

@@ -489,6 +489,38 @@ def test_index_agrees_with_scan_under_random_mutation(index_first):
     assert MATCH_SHAPES <= shapes, MATCH_SHAPES - shapes
 
 
+def test_graphs_that_share_facts_agree_with_scans_under_random_writes():
+    """Writes to a knowledge base and to the graphs that share its facts, each read after every step.
+
+    Every graph shares one statements set and fact index, and each keeps its
+    own type assertions and type index, which ``share_facts`` takes over
+    from the graph it is called on.
+    """
+    rng = random.Random(4023)
+    inds = [iri(f"i{i}") for i in range(8)]
+    props = [iri(f"p{i}") for i in range(5)]
+    classes = [iri(f"C{i}") for i in range(4)]
+    objects = inds + [integer(1), integer(7), decimal("2.5"), string("x")]
+    vocabulary = objects + props + classes + [TYPE_PRED]
+    shapes, shared = set(), 0
+    for _ in range(30):
+        kb = _random_kb(rng)
+        for prop in props:
+            if prop not in kb.property_decls:
+                kb.add_property(prop, classes[0], classes[-1])
+        graphs = [kb]
+        for _ in range(25):
+            if rng.random() < 0.15:
+                graphs.append(rng.choice(graphs).share_facts())
+                shared += 1
+            else:
+                _mutate(rng, rng.choice(graphs), inds, props, classes, objects)
+            for graph in graphs:
+                assert graph.statements is kb.statements
+                _assert_index_agrees_with_scan(rng, graph, vocabulary, shapes)
+    assert shared > 0 and MATCH_SHAPES <= shapes, MATCH_SHAPES - shapes
+
+
 def _random_full_kb(rng: random.Random) -> KnowledgeBase:
     kb = _random_kb(rng)
     classes = sorted(kb.class_decls, key=kbm.term_sort_key)

@@ -426,13 +426,19 @@ INDIVIDUAL desk TYPE Service
 
 def test_a_closure_shares_its_knowledge_base_s_facts_and_fact_index():
     kb = parse_document(SHARED_KB)
+    assert kb.types_of(iri("desk")) == {iri("Service")}  # builds both indexes
+    type_index = kb._type_index
     closed = materialize(kb)
     assert closed.statements is kb.statements
     assert closed._index is kb._index is not None
-    # the types are the closure's own, with a type index of its own
-    assert closed._type_index is not kb._type_index
+    # the types are the closure's own: it took kb's type index over, and kb
+    # builds a new one when it reads a type again
+    assert closed._type_index is type_index and kb._type_index is None
     assert closed.type_assertions - kb.type_assertions == {(iri("alice"), iri("Human")),
                                                            (iri("aliceSkill"), iri("Capability"))}
+    assert kb.types_of(iri("alice")) == {iri("PhysicalThing")} and kb._type_index is not type_index
+    assert closed.types_of(iri("alice")) == {iri("PhysicalThing"), iri("Human")}
+    assert materialize(kb) == closed
     copied = closed.copy()
     assert copied == closed and copied.statements is not kb.statements and copied._index is not kb._index
 
