@@ -611,7 +611,8 @@ class KnowledgeBase:
         all three are variables.
         """
         index = self._index_for(terms[1])
-        sizes = [len(index[i].get(term, _NO_STATEMENTS)) for i, term in enumerate(terms) if not isinstance(term, Var)]
+        sizes = [len(index[i].get(term, _NO_STATEMENTS)) for i, term in enumerate(terms)
+                 if not isinstance(term, Var)]
         return min(sizes) if sizes else len(self.type_assertions) + len(self.statements)
 
     def _index_for(self, predicate) -> tuple:
@@ -694,11 +695,12 @@ class KnowledgeBase:
         self._order = {cls: place for place, cls in enumerate(linked)}
 
     def _place_below(self, child: Iri, parent: Iri) -> bool:
-        """Place ``child`` before ``parent`` in ``_order``; False, the order unchanged, when ``parent`` reaches ``child``.
+        """Place ``child`` before ``parent`` in ``_order``, or return False when ``parent`` reaches ``child``.
 
         This is Pearce & Kelly's dynamic topological order (JEA 11, 2006):
         only the classes placed between the two are walked, those above
-        ``parent`` and below ``child``, and only they are placed again.
+        ``parent`` and below ``child``, and only they are placed again.  On
+        False no class already placed has moved.
         """
         order = self._order
         # a class new to the links goes first as a child, last as a parent
