@@ -286,6 +286,16 @@ def test_reputation_fact_replaced_in_kb():
     assert [b["v"] for b in values] == [decimal(Decimal("5.00"))]
 
 
+def test_a_rating_skips_an_experience_node_that_holds_a_fact_or_the_experience_type():
+    registry = build_registry()
+    registry.kb.add_type(iri("chatDoctorExp1"), iri("Experience"))
+    registry.kb.add_statement(iri("chatDoctorExp2"), iri("ratedBy"), iri("Cathy"))
+    completed_invocation(registry)
+    registry.record_experience(iri("chatDoctor"), iri("Cathy"), Decimal("5"))
+    rated = registry.kb.match(Pattern(Var("node"), iri("experienceOf"), iri("chatDoctor")))
+    assert rated == [{"node": iri("chatDoctorExp3")}]
+
+
 def test_experience_projected_into_kb():
     registry = build_registry()
     completed_invocation(registry)
